@@ -2,7 +2,9 @@
 
 Every primitive records a node on an implicit tape; ``backward`` walks the
 recorded graph once, in exact reverse topological order, and accumulates
-gradients into every reachable tensor that has ``requires_grad`` set.
+gradients into every reachable leaf tensor (one created with
+``requires_grad``, not by an op). Intermediate results carry no ``grad``:
+their cotangents live only while ``backward`` runs.
 Shapes are strict: each primitive documents the exact shapes it accepts
 (there is no general broadcasting), and mismatches raise ``ShapeError``
 naming the primitive and both shapes.
@@ -117,8 +119,6 @@ def _result(data, parents, vjp):
     if any(p.requires_grad or p._ctx is not None for p in parents):
         out.requires_grad = any(p.requires_grad for p in parents)
         out._ctx = _Node(tuple(parents), vjp)
-        if out.requires_grad and out.grad is None:
-            out.grad = np.zeros_like(out.data)
     return out
 
 
@@ -136,7 +136,7 @@ def backward(loss: Tensor) -> None:
     """Run reverse-mode differentiation from a scalar loss.
 
     Gradients are *accumulated* (summed over all paths) into ``grad`` of
-    every reachable tensor with ``requires_grad``. The recorded graph is
+    every reachable leaf tensor with ``requires_grad``. The recorded graph is
     consumed: calling backward a second time without a fresh forward pass
     raises ``GraphError``.
     """
@@ -171,10 +171,6 @@ def backward(loss: Tensor) -> None:
         g = seeds.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad += g
         ctx = node._ctx
         node._ctx = _CONSUMED
         parent_grads = ctx.vjp(g)

@@ -5,9 +5,14 @@ JSON header, then raw array payloads. The header carries the model config,
 free-form metadata (optimizer scalars, RNG state, trainer bookkeeping), and
 a manifest of (name, shape, dtype, offset) entries; offsets are relative to
 the end of the header. All payloads are little-endian row-major.
+
+Saving is atomic: the file is written under a temporary name in the target
+directory and renamed over the target only once complete, so a crash
+mid-write leaves the previous checkpoint intact.
 """
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -16,7 +21,7 @@ MAGIC = b"SATKIT01"
 
 
 def save_checkpoint(path, arrays: dict, config: dict, meta: dict = None) -> None:
-    """Write arrays (name -> ndarray or Tensor) plus config/meta."""
+    """Write arrays (name -> ndarray or Tensor) plus config/meta, atomically."""
     manifest = []
     payloads = []
     offset = 0
@@ -31,12 +36,21 @@ def save_checkpoint(path, arrays: dict, config: dict, meta: dict = None) -> None
         offset += len(buf)
     header = json.dumps({"config": config, "meta": meta or {},
                          "manifest": manifest}, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<Q", len(header)))
-        f.write(header)
-        for buf in payloads:
-            f.write(buf)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<Q", len(header)))
+            f.write(header)
+            for buf in payloads:
+                f.write(buf)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

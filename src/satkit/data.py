@@ -14,6 +14,7 @@ File formats:
 """
 
 import struct
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,6 +41,46 @@ def stack_downsample(features: np.ndarray, left: int = 3, right: int = 1,
     base = np.arange(0, n, factor)[:, None]
     idx = np.clip(base + np.arange(-left, right + 1)[None, :], 0, n - 1)
     return feats[idx].reshape(len(base), -1).astype(np.float64)
+
+
+class StreamStacker:
+    """:func:`stack_downsample` over raw frames that arrive one at a time.
+
+    Stacked frame s is built once raw frame factor*s + right has arrived;
+    :meth:`finish` builds the rest with end-of-stream edge replication. The
+    result is the same matrix, row by row. Only the newest left + right + 1
+    raw frames are kept, which covers every window still to be built.
+    """
+
+    def __init__(self, left: int = 3, right: int = 1, factor: int = 3):
+        self.left, self.right, self.factor = left, right, factor
+        self.ring = deque(maxlen=left + right + 1)
+        self.n_raw = 0       # raw frames pushed
+        self.n_stacked = 0   # stacked frames returned
+
+    def push(self, frame) -> list:
+        """Add one raw frame; returns the stacked frames it completed."""
+        self.ring.append(np.asarray(frame))
+        self.n_raw += 1
+        out = []
+        while self.n_stacked * self.factor + self.right < self.n_raw:
+            out.append(self._stack())
+        return out
+
+    def finish(self) -> list:
+        """End of stream: returns the stacked frames not yet returned."""
+        out = []
+        while self.n_stacked * self.factor < self.n_raw:
+            out.append(self._stack())
+        return out
+
+    def _stack(self) -> np.ndarray:
+        centre = self.n_stacked * self.factor
+        first = self.n_raw - len(self.ring)  # raw index of ring[0]
+        window = [self.ring[min(max(centre + o, 0), self.n_raw - 1) - first]
+                  for o in range(-self.left, self.right + 1)]
+        self.n_stacked += 1
+        return np.concatenate(window).astype(np.float64)
 
 
 def norm_stats(feature_matrices):
@@ -230,10 +271,11 @@ def load_dataset(dirpath):
     aligns = read_token_file(d / "align") if (d / "align").exists() else {}
     utt2spk = {}
     if (d / "utt2spk").exists():
-        for line in open(d / "utt2spk", encoding="utf-8"):
-            parts = line.split()
-            if parts:
-                utt2spk[parts[0]] = parts[1]
+        with open(d / "utt2spk", encoding="utf-8") as f:
+            for line in f:
+                parts = line.split()
+                if parts:
+                    utt2spk[parts[0]] = parts[1]
     utts = []
     for utt_id in text:
         utts.append(Utterance(

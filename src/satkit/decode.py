@@ -1,11 +1,12 @@
 """Greedy, beam, and streaming decoding over the transducer output graph.
 
 All decoding runs on the numpy evaluation path. When the chunk window is
-bounded, encoder rows come from the per-frame fixed-order routine
-(:meth:`Encoder.frame_np`) in offline and streaming mode alike, which is what
-makes the two bit-identical; the full-matrix path is reserved for unbounded
-windows (and for fast dev-set scoring during training, where bit-level
-agreement with streaming is not needed).
+bounded, encoder rows come from :class:`~satkit.nnet.IncrementalEncoder`,
+which computes each row once from a cache of the rows in its window; offline
+and streaming decoding push the same stacked rows through it in the same
+order, which is what makes the two bit-identical. The full-matrix path is
+reserved for unbounded windows (and for fast dev-set scoring during
+training, where bit-level agreement with streaming is not needed).
 
 The beam is frame-synchronous: within a frame, hypotheses expand by labels
 until pruned out or the per-frame symbol guard trips, blanks move them to
@@ -20,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import StreamStacker
 from .ngram import BOS
+from .nnet import IncrementalEncoder
 from .vocab import BLANK, SOS
 
 log = logging.getLogger(__name__)
@@ -116,7 +119,9 @@ class _JointScorer:
 
 
 class _EncoderRows:
-    """Lazy per-frame encoder outputs with the two evaluation policies."""
+    """Lazy encoder outputs with the two evaluation policies: rows pulled
+    from an :class:`IncrementalEncoder` as far as needed (frame-exact), or
+    one full-matrix pass."""
 
     def __init__(self, model, stacked: np.ndarray, chunk, frame_exact):
         self.model = model
@@ -124,20 +129,29 @@ class _EncoderRows:
         self.chunk = chunk if chunk is not None else model.encoder.chunk
         if frame_exact is None:
             frame_exact = self.chunk.bounded
-        if frame_exact and not self.chunk.bounded:
-            raise ValueError("per-frame encoding needs a bounded chunk window")
-        self.frame_exact = frame_exact
+        self._incremental = (IncrementalEncoder(model.encoder, self.chunk)
+                             if frame_exact else None)
+        self._rows = []
+        self._pushed = 0
         self._matrix = None
 
     def __len__(self):
         return self.stacked.shape[0]
 
+    def __iter__(self):
+        return (self.row(t) for t in range(len(self)))
+
     def row(self, t: int) -> np.ndarray:
-        if self.frame_exact:
-            return self.model.encoder.frame_np(self.stacked, t, self.chunk)
-        if self._matrix is None:
-            self._matrix = self.model.encoder.apply_np(self.stacked, self.chunk)
-        return self._matrix[t]
+        if self._incremental is None:
+            if self._matrix is None:
+                self._matrix = self.model.encoder.apply_np(self.stacked, self.chunk)
+            return self._matrix[t]
+        while len(self._rows) <= t and self._pushed < len(self):
+            self._rows += self._incremental.push(self.stacked[self._pushed])
+            self._pushed += 1
+        if len(self._rows) <= t:
+            self._rows += self._incremental.finish()
+        return self._rows[t]
 
 
 def _best_label(lp: np.ndarray) -> int:
@@ -148,29 +162,37 @@ def _best_label(lp: np.ndarray) -> int:
     return int(np.argmax(masked))
 
 
-def _greedy_over_rows(model, rows, max_symbols, collect_trace=False):
+def _greedy_steps(model, rows, max_symbols, trace=None):
+    """Greedy search over an iterable of encoder rows, pulled one at a time;
+    yields (frame, label) per emission. A ``trace`` list receives the
+    (t, u, log-prob row) of every step."""
     scorer = _JointScorer(model)
     state = model.prednet.init_state()
     g_part = scorer.g_part(state)
-    labels = []
-    emitted_at = []
-    trace = []
-    for t in range(len(rows)):
-        f_part = scorer.f_part(rows.row(t))
+    u = 0
+    for t, enc_row in enumerate(rows):
+        f_part = scorer.f_part(enc_row)
         for _ in range(max_symbols):
             lp = scorer.log_probs(f_part, g_part)
-            if collect_trace:
-                trace.append((t, len(labels), lp))
+            if trace is not None:
+                trace.append((t, u, lp))
             k = _best_label(lp)
             if k == BLANK:
                 break
-            labels.append(k)
-            emitted_at.append(t)
+            yield t, k
+            u += 1
             state = model.prednet.advance_np(state, k)
             g_part = scorer.g_part(state)
         else:
             log.warning("frame %d hit the %d-symbol guard; forcing frame advance",
                         t, max_symbols)
+
+
+def _greedy_over_rows(model, rows, max_symbols, collect_trace=False):
+    trace = [] if collect_trace else None
+    emitted = list(_greedy_steps(model, rows, max_symbols, trace))
+    labels = [k for _, k in emitted]
+    emitted_at = [t for t, _ in emitted]
     if collect_trace:
         return labels, emitted_at, trace
     return labels, emitted_at
@@ -302,7 +324,7 @@ def exhaustive_decode(model, stacked: np.ndarray, max_len: int, token_ids,
     from .autodiff import Tensor
 
     rows = _EncoderRows(model, stacked, chunk, frame_exact)
-    enc = np.stack([rows.row(t) for t in range(len(rows))])
+    enc = np.stack(list(rows))
     best = None
     for n in range(max_len + 1):
         for y in itertools.product(token_ids, repeat=n):
@@ -321,65 +343,24 @@ def stream_decode(model, raw_frames, cfg: DecodeConfig = None,
 
     Yields (stacked_frame_index, label_id) as emissions happen. A stacked
     frame exists once raw frame factor*s + stack_right has arrived (edge
-    replication only at end of stream); its encoder output is computed once
+    replication only at end of stream); its encoder output is final once
     stacked frames through s + B*N_r exist. Decisions for frame s therefore
     lag the input by factor*B*N_r + stack_right raw frames, and the final
-    frames flush when the source ends.
+    frames flush when the source ends. The stacker and the encoder keep
+    state of a fixed size, however long the stream.
     """
-    from .data import stack_downsample
-
     cfg = cfg or DecodeConfig(mode="streaming")
     chunk = cfg.chunk if cfg.chunk is not None else model.encoder.chunk
-    if not chunk.bounded:
-        raise ValueError("streaming decode needs a bounded chunk window")
-    lookahead = model.encoder.n_blocks * int(chunk.right)
+    rows = _stream_rows(StreamStacker(stack_left, stack_right, factor),
+                        IncrementalEncoder(model.encoder, chunk), raw_frames)
+    yield from _greedy_steps(model, rows, cfg.max_symbols_per_frame)
 
-    scorer = _JointScorer(model)
-    state = model.prednet.init_state()
-    g_part = scorer.g_part(state)
-    raw = []
-    stacked_rows = []
-    next_emit = 0  # first stacked frame not yet decoded
 
-    def decode_through(limit, stacked_mat):
-        nonlocal next_emit, state, g_part
-        out = []
-        while next_emit <= limit:
-            t = next_emit
-            f_part = scorer.f_part(model.encoder.frame_np(stacked_mat, t, chunk))
-            for _ in range(cfg.max_symbols_per_frame):
-                lp = scorer.log_probs(f_part, g_part)
-                k = _best_label(lp)
-                if k == BLANK:
-                    break
-                out.append((t, k))
-                state = model.prednet.advance_np(state, k)
-                g_part = scorer.g_part(state)
-            else:
-                log.warning("frame %d hit the %d-symbol guard; forcing frame advance",
-                            t, cfg.max_symbols_per_frame)
-            next_emit += 1
-        return out
-
+def _stream_rows(stacker, encoder, raw_frames):
+    """Encoder output rows of a raw-frame stream, each as soon as it is final."""
     for frame in raw_frames:
-        raw.append(np.asarray(frame))
-        n_raw = len(raw)
-        # Stacked frame s needs raw frame factor*s + stack_right; no end
-        # padding mid-stream.
-        n_ready = max(0, (n_raw - 1 - stack_right) // factor + 1)
-        while len(stacked_rows) < n_ready:
-            s = len(stacked_rows)
-            window = [raw[min(max(s * factor + o, 0), n_raw - 1)]
-                      for o in range(-stack_left, stack_right + 1)]
-            stacked_rows.append(np.concatenate(window).astype(np.float64))
-        if stacked_rows:
-            mat = np.asarray(stacked_rows)
-            # Frame t decodable once its receptive field is complete
-            # mid-stream: t + lookahead already stacked.
-            yield from decode_through(len(stacked_rows) - 1 - lookahead, mat)
-    # Flush: rebuild the tail with end-of-stream edge replication, then
-    # decode everything left.
-    if not raw:
-        return
-    full = stack_downsample(np.asarray(raw), stack_left, stack_right, factor)
-    yield from decode_through(full.shape[0] - 1, full)
+        for row in stacker.push(frame):
+            yield from encoder.push(row)
+    for row in stacker.finish():
+        yield from encoder.push(row)
+    yield from encoder.finish()

@@ -7,10 +7,11 @@ so an unbounded window and a window wider than the sequence produce the same
 
 Two evaluation paths coexist deliberately. The Tensor path records the tape
 and is what training differentiates. The ``*_np`` path is plain numpy for
-decoding; it mirrors the same arithmetic and exists so that streaming and
-offline decoding can share one fixed-order per-frame routine
-(:meth:`Encoder.frame_np`), which makes their outputs bit-identical instead
-of merely close.
+decoding and mirrors the same arithmetic. With a bounded window, decoding
+takes encoder rows from :class:`IncrementalEncoder`, which computes each row
+of each block once, from a fixed-size cache of the rows in its window.
+Streaming and offline decoding push the same rows through it in the same
+order, which makes their outputs bit-identical instead of merely close.
 """
 
 import math
@@ -175,12 +176,22 @@ class MultiHeadAttention:
         return ad.matmul(merged, p[f"{pre}.w_o"])
 
     def apply_np(self, x_q: np.ndarray, x_kv: np.ndarray, mask=None) -> np.ndarray:
+        return self.attend_np(x_q, *self.kv_np(x_kv), mask)
+
+    def kv_np(self, x_kv: np.ndarray):
+        """Key and value projections of the rows ``x_kv``, (n, d_m) each."""
         p, pre = self.params, self._prefix
-        n_q, n_kv = x_q.shape[0], x_kv.shape[0]
+        return x_kv @ p[f"{pre}.w_k"].data, x_kv @ p[f"{pre}.w_v"].data
+
+    def attend_np(self, x_q: np.ndarray, k: np.ndarray, v: np.ndarray, mask=None) -> np.ndarray:
+        """Attention output for the query rows ``x_q`` over already-projected
+        keys ``k`` and values ``v`` (see :meth:`kv_np`)."""
+        p, pre = self.params, self._prefix
+        n_q, n_kv = x_q.shape[0], k.shape[0]
         sp = lambda x, n: (x.reshape(n, self.n_heads, self.d_k)).transpose(1, 0, 2)
         q = sp(x_q @ p[f"{pre}.w_q"].data, n_q)
-        k = sp(x_kv @ p[f"{pre}.w_k"].data, n_kv)
-        v = sp(x_kv @ p[f"{pre}.w_v"].data, n_kv)
+        k = sp(k, n_kv)
+        v = sp(v, n_kv)
         scores = q @ k.transpose(0, 2, 1) / math.sqrt(self.d_k)
         if mask is not None:
             _check_open_rows(mask)
@@ -251,16 +262,18 @@ class SABlock:
         return ad.layer_norm(ad.add(y, f), p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"], LN_EPS)
 
     def apply_np(self, x: np.ndarray, mask=None) -> np.ndarray:
-        p, pre = self.params, self._prefix
-        y = _np_layer_norm(x + self.attn.apply_np(x, x, mask),
-                           p[f"{pre}.ln1.g"].data, p[f"{pre}.ln1.b"].data)
-        return _np_layer_norm(y + self.ffn.apply_np(y),
-                              p[f"{pre}.ln2.g"].data, p[f"{pre}.ln2.b"].data)
+        return self.apply_rows_np(x, x, mask)
 
     def apply_rows_np(self, x_new: np.ndarray, x_all: np.ndarray, mask=None) -> np.ndarray:
         """Block output for the query rows ``x_new`` attending over ``x_all``."""
+        return self.apply_kv_np(x_new, *self.attn.kv_np(x_all), mask)
+
+    def apply_kv_np(self, x_new: np.ndarray, k: np.ndarray, v: np.ndarray,
+                    mask=None) -> np.ndarray:
+        """Block output for the query rows ``x_new`` attending over keys ``k``
+        and values ``v`` already projected by ``self.attn.kv_np``."""
         p, pre = self.params, self._prefix
-        y = _np_layer_norm(x_new + self.attn.apply_np(x_new, x_all, mask),
+        y = _np_layer_norm(x_new + self.attn.attend_np(x_new, k, v, mask),
                            p[f"{pre}.ln1.g"].data, p[f"{pre}.ln1.b"].data)
         return _np_layer_norm(y + self.ffn.apply_np(y),
                               p[f"{pre}.ln2.g"].data, p[f"{pre}.ln2.b"].data)
@@ -312,19 +325,76 @@ class Encoder:
             x = block.apply_np(x, mask)
         return x
 
-    def frame_np(self, feats: np.ndarray, t: int, chunk: ChunkSpec = None) -> np.ndarray:
-        """Encoder output row t computed from exactly its receptive field.
 
-        Recomputes the block pyramid over the slice [t - B*left, t + B*right]
-        each call. Wasteful but fixed-order: any caller handing in the same
-        feature window gets the same bits, which is what ties streaming and
-        offline decoding together.
-        """
-        chunk = chunk if chunk is not None else self.chunk
+class IncrementalEncoder:
+    """Bounded-window encoder fed one stacked row at a time.
+
+    Block i keeps only the newest left + right + 1 rows that entered it, each
+    stored as [input | key projection | value projection]; the projections
+    are made once, when the row enters. The block computes its output row t
+    exactly once: when input row t + right enters, or in :meth:`finish` for
+    the last ``right`` rows, whose windows the end of the sequence clips.
+    Output row t of the top block is therefore final once stacked row
+    t + B*right has been pushed, and callers that push the same rows get the
+    same bits. Rows agree with :meth:`Encoder.apply_np` to rounding.
+    """
+
+    def __init__(self, encoder: Encoder, chunk: ChunkSpec = None):
+        chunk = chunk if chunk is not None else encoder.chunk
         if not chunk.bounded:
-            raise ValueError("per-frame encoding needs a bounded chunk window")
-        lo, hi = chunk.receptive_field(t, self.n_blocks, feats.shape[0])
-        return self.apply_np(feats[lo:hi + 1], chunk, start=lo)[t - lo]
+            raise ValueError("incremental encoding needs a bounded chunk window")
+        self.left, self.right = int(chunk.left), int(chunk.right)
+        self.d_m = encoder.d_m
+        self.blocks = list(encoder.blocks)
+        self._w_in = encoder.params["enc.in.w"].data
+        self._b_in = encoder.params["enc.in.b"].data
+        size = self.left + self.right + 1
+        self.windows = [np.empty((size, 3 * self.d_m)) for _ in self.blocks]
+        self._entered = [0] * len(self.blocks)   # rows that entered block i
+        self._done = [0] * len(self.blocks)      # output rows block i computed
+
+    def push(self, stacked_row: np.ndarray) -> list:
+        """Feed the next stacked row; returns the output rows it made final
+        (at most one)."""
+        x = stacked_row @ self._w_in + self._b_in
+        x = x + positional_encoding(1, self.d_m, start=self._entered[0])[0]
+        return self._enter(0, x)
+
+    def finish(self) -> list:
+        """End of sequence: returns the output rows not yet returned."""
+        out = []
+        for i in range(len(self.blocks)):
+            while self._done[i] < self._entered[i]:
+                out += self._emit(i)
+        return out
+
+    def _enter(self, i: int, x: np.ndarray) -> list:
+        """Row x enters block i; returns the top-block rows this made final."""
+        window, d = self.windows[i], self.d_m
+        k, v = self.blocks[i].attn.kv_np(x[None, :])
+        n = self._entered[i]
+        if n >= window.shape[0]:
+            window[:-1] = window[1:]
+            n = window.shape[0] - 1
+        window[n, :d], window[n, d:2 * d], window[n, 2 * d:] = x, k[0], v[0]
+        self._entered[i] += 1
+        if self._done[i] + self.right < self._entered[i]:
+            return self._emit(i)
+        return []
+
+    def _emit(self, i: int) -> list:
+        """Compute the next output row of block i from its (clipped) window
+        and pass it on to block i + 1."""
+        window, d = self.windows[i], self.d_m
+        t = self._done[i]
+        first = max(0, self._entered[i] - window.shape[0])  # row index of window[0]
+        rows = window[max(0, t - self.left) - first:self._entered[i] - first]
+        x_t = window[t - first:t - first + 1, :d]
+        y = self.blocks[i].apply_kv_np(x_t, rows[:, d:2 * d], rows[:, 2 * d:])[0]
+        self._done[i] += 1
+        if i + 1 == len(self.blocks):
+            return [y]
+        return self._enter(i + 1, y)
 
 
 class PredictionNetwork:

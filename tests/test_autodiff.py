@@ -311,3 +311,18 @@ def test_sum_all_and_operator_sugar():
     loss.backward()
     assert loss.item() == pytest.approx(3.0)
     np.testing.assert_allclose(a.grad, np.ones(2))
+
+
+def test_only_leaves_keep_gradients():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    w = Tensor(np.array([0.5, 0.5, 2.0]), requires_grad=True)
+    h = ad.mul(x, w)
+    y = ad.relu(h)
+    loss = ad.sum_all(ad.mul(y, y))
+    assert h.requires_grad and y.requires_grad and loss.requires_grad
+    loss.backward()
+    assert h.grad is None and y.grad is None and loss.grad is None
+    # d/dx sum(relu(x w)^2) = 2 relu(x w) w, and symmetrically for w
+    relu_xw = np.maximum(x.data * w.data, 0.0)
+    np.testing.assert_allclose(x.grad, 2.0 * relu_xw * w.data, rtol=1e-15)
+    np.testing.assert_allclose(w.grad, 2.0 * relu_xw * x.data, rtol=1e-15)

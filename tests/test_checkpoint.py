@@ -50,6 +50,42 @@ def test_restore_params_validation(tmp_path):
     assert params["a"].data[0, 0] == 5.0
 
 
+def test_interrupted_save_keeps_previous_file(tmp_path, monkeypatch):
+    import builtins
+
+    import satkit.checkpoint as ckpt
+
+    p = tmp_path / "last.ckpt"
+    save_checkpoint(p, {"w": np.arange(6.0)}, {"epoch": 1})
+    before = p.read_bytes()
+
+    class Crash(RuntimeError):
+        pass
+
+    class CrashOnThirdWrite:
+        def __init__(self, f):
+            self.f, self.writes = f, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 3:
+                raise Crash("write failed midway")
+            return self.f.write(data)
+
+    monkeypatch.setattr(ckpt, "open", lambda path, mode: CrashOnThirdWrite(
+        builtins.open(path, mode)), raising=False)
+    with pytest.raises(Crash):
+        save_checkpoint(p, {"w": np.zeros(6)}, {"epoch": 2})
+    assert p.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [p]
+
+
 def test_magic_validation(tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"NOTACKPT" + b"\x00" * 16)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satkit.data import (SIL, TaskSpec, alignment_ids, apply_norm,
-                         generate_split, load_dataset, make_batches,
-                         norm_stats, normalize_dataset, read_feats,
-                         read_token_file, save_dataset, stack_downsample,
-                         write_feats, write_token_file)
+from satkit.data import (SIL, StreamStacker, TaskSpec, alignment_ids,
+                         apply_norm, generate_split, load_dataset,
+                         make_batches, norm_stats, normalize_dataset,
+                         read_feats, read_token_file, save_dataset,
+                         stack_downsample, write_feats, write_token_file)
 from satkit.vocab import BLANK, Vocab
 
 
@@ -44,6 +44,14 @@ def test_stack_downsample_matches_naive(n, dim, left, right, factor):
     assert out.shape[0] == -(-n // factor)
     assert out.dtype == np.float64
     np.testing.assert_array_equal(out, naive_stack(feats, left, right, factor))
+    # the same rows, bit for bit, from frames pushed one at a time
+    stacker = StreamStacker(left, right, factor)
+    rows = []
+    for frame in feats:
+        rows += stacker.push(frame)
+        assert len(stacker.ring) <= left + right + 1
+    rows += stacker.finish()
+    assert np.array_equal(np.asarray(rows), out)
 
 
 def test_stack_downsample_validation():
@@ -215,6 +223,20 @@ def test_dataset_round_trip(tmp_path):
         assert a.speaker == b.speaker
     with pytest.raises(FileNotFoundError):
         load_dataset(tmp_path / "missing")
+
+
+def test_load_dataset_closes_utt2spk(tmp_path):
+    import gc
+    import warnings
+
+    spec = TaskSpec(vocab_size=5, feature_dim=3, noise=0.1, seed=11)
+    save_dataset(tmp_path / "dev", generate_split(spec, 2, "dev"))
+    assert (tmp_path / "dev" / "utt2spk").exists()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        load_dataset(tmp_path / "dev")
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 # ------------------------------------------------------------------- batching

@@ -257,6 +257,62 @@ def test_stream_decode_matches_offline_bitwise():
         assert [t for t, _ in got] == offline_frames, f"seed {seed}"
 
 
+def test_stream_decode_emission_lag():
+    # an emission at stacked frame s arrives once raw frame
+    # factor*(s + B*right) + stack_right is in, or at end of stream
+    cfg = ModelConfig(feature_dim=3, d_m=8, n_heads=2, d_ff=16,
+                      n_enc_blocks=2, n_pred_blocks=1, d_joint=8, vocab_size=6,
+                      chunk_left="3", chunk_right="2", dropout=0.0)
+    model = SATModel(cfg, seed=3)
+    raw = np.random.default_rng(8).normal(size=(60, 3))
+    pulled = 0
+
+    def source():
+        nonlocal pulled
+        for frame in raw:
+            pulled += 1
+            yield frame
+
+    seen = 0
+    for s, _k in stream_decode(model, source()):
+        assert pulled == min(len(raw), 3 * (s + 2 * 2) + 1 + 1), s
+        seen += 1
+    assert seen > 0
+
+
+def test_stream_state_is_bounded():
+    # 6000 raw frames: the raw ring and every block's row cache keep a fixed
+    # size, and memory held at the end is within 4 KB of that a quarter in
+    # (keeping one row per frame would add hundreds of KB)
+    import tracemalloc
+
+    from satkit.data import StreamStacker
+    from satkit.decode import _stream_rows
+    from satkit.nnet import IncrementalEncoder
+
+    cfg = ModelConfig(feature_dim=3, d_m=8, n_heads=2, d_ff=16,
+                      n_enc_blocks=2, n_pred_blocks=1, d_joint=8, vocab_size=6,
+                      chunk_left="4", chunk_right="2", dropout=0.0)
+    model = SATModel(cfg, seed=0)
+    stacker = StreamStacker(3, 1, 3)
+    encoder = IncrementalEncoder(model.encoder)
+    rng = np.random.default_rng(7)
+    frames = (rng.normal(size=3) for _ in range(6000))
+    n_rows, held = 0, {}
+    tracemalloc.start()
+    try:
+        for _row in _stream_rows(stacker, encoder, frames):
+            n_rows += 1
+            assert len(stacker.ring) <= 3 + 1 + 1
+            assert [w.shape[0] for w in encoder.windows] == [4 + 2 + 1] * 2
+            if n_rows in (500, 2000):
+                held[n_rows] = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert n_rows == 2000
+    assert held[2000] - held[500] < 4096, held
+
+
 def test_stream_decode_empty_and_validation():
     model = tiny_model(seed=0, left=2, right=1)
     assert list(stream_decode(model, iter([]))) == []

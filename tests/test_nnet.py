@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from satkit import autodiff as ad
 from satkit.autodiff import LOG_ZERO, ShapeError, Tensor
-from satkit.nnet import (ChunkSpec, Encoder, FeedForward, MultiHeadAttention,
-                         PredictionNetwork, SABlock, causal_mask, glorot,
-                         positional_encoding, self_attention, window_mask)
+from satkit.nnet import (ChunkSpec, Encoder, FeedForward, IncrementalEncoder,
+                         MultiHeadAttention, PredictionNetwork, SABlock,
+                         causal_mask, glorot, positional_encoding,
+                         self_attention, window_mask)
 
 
 def test_glorot_bounds_and_row_blocks():
@@ -261,19 +262,31 @@ def test_encoder_windowed_locality_is_exact():
     assert not np.array_equal(enc.apply_np(inside)[t], base[t])
 
 
-def test_encoder_frame_np_matches_matrix_path():
+def encode_incrementally(enc, feats, chunk=None):
+    """Every output row of ``feats`` through an IncrementalEncoder."""
+    inc = IncrementalEncoder(enc, chunk)
+    rows = []
+    for x in feats:
+        rows += inc.push(x)
+    rows += inc.finish()
+    assert len(rows) == feats.shape[0]
+    return np.stack(rows)
+
+
+def test_incremental_encoder_matches_matrix_path():
     rng = np.random.default_rng(10)
     chunk = ChunkSpec(2, 1)
     enc = Encoder(6, 8, 2, 16, 2, chunk, rng)
     feats = rng.standard_normal((12, 6))
     full = enc.apply_np(feats)
+    rows = encode_incrementally(enc, feats)
     for t in (0, 5, 11):
-        np.testing.assert_allclose(enc.frame_np(feats, t), full[t], atol=1e-9)
+        np.testing.assert_allclose(rows[t], full[t], atol=1e-9)
     with pytest.raises(ValueError):
-        enc.frame_np(feats, 0, ChunkSpec.unbounded())
+        IncrementalEncoder(enc, ChunkSpec.unbounded())
 
 
-def test_encoder_frame_np_ignores_frames_outside_field():
+def test_incremental_encoder_ignores_frames_outside_field():
     # feeding only the receptive field must reproduce the same bits
     rng = np.random.default_rng(11)
     chunk = ChunkSpec(2, 1)
@@ -281,9 +294,33 @@ def test_encoder_frame_np_ignores_frames_outside_field():
     feats = rng.standard_normal((12, 6))
     t = 7
     lo, hi = chunk.receptive_field(t, 2, 12)
-    row_full = enc.frame_np(feats, t)
-    row_clip = enc.frame_np(feats[: hi + 1], t)
+    row_full = encode_incrementally(enc, feats)[t]
+    row_clip = encode_incrementally(enc, feats[: hi + 1])[t]
     assert np.array_equal(row_full, row_clip)
+
+
+@pytest.mark.parametrize("left,right", [(0, 0), (3, 0), (0, 4), (2, 1), (10, 5)])
+def test_incremental_encoder_matches_matrix_path_over_windows(left, right):
+    # lengths 1 and 2 are shorter than every window but (0, 0); 5 is shorter
+    # than (10, 5)
+    rng = np.random.default_rng(20 + left + 7 * right)
+    for n_blocks in (1, 2, 3):
+        enc = Encoder(6, 8, 2, 16, n_blocks, ChunkSpec(left, right), rng)
+        for length in (1, 2, 5, 40):
+            feats = rng.standard_normal((length, 6))
+            np.testing.assert_allclose(encode_incrementally(enc, feats),
+                                       enc.apply_np(feats), atol=1e-9, rtol=0)
+
+
+def test_incremental_encoder_output_lags_by_receptive_field():
+    # top row t is final once stacked row t + B*right is pushed, not later
+    rng = np.random.default_rng(21)
+    enc = Encoder(6, 8, 2, 16, 3, ChunkSpec(2, 1), rng)
+    inc = IncrementalEncoder(enc)
+    feats = rng.standard_normal((10, 6))
+    counts = [len(inc.push(x)) for x in feats]
+    assert counts == [0, 0, 0] + [1] * 7
+    assert len(inc.finish()) == 3 and inc.finish() == []
 
 
 def test_prediction_network_causal_prefix_extension():

@@ -4,7 +4,8 @@ Every primitive records a node on an implicit tape; ``backward`` walks the
 recorded graph once, in exact reverse topological order, and accumulates
 gradients into every reachable leaf tensor (one created with
 ``requires_grad``, not by an op). Intermediate results carry no ``grad``:
-their cotangents live only while ``backward`` runs.
+their cotangents live only while ``backward`` runs. Inside ``no_grad()``
+no node is recorded, so evaluation keeps no intermediate alive.
 Shapes are strict: each primitive documents the exact shapes it accepts
 (there is no general broadcasting), and mismatches raise ``ShapeError``
 naming the primitive and both shapes.
@@ -14,6 +15,8 @@ ops preserve the operand dtype (mixing dtypes is an error).
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -32,6 +35,9 @@ class ShapeError(ValueError):
 class GraphError(RuntimeError):
     pass
 
+
+# False inside no_grad(): ops record no tape node.
+_recording = True
 
 # Sentinel marking a node whose tape entry was already consumed by backward().
 _CONSUMED = object()
@@ -113,10 +119,22 @@ class Tensor:
         return matmul(self, other)
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Evaluate without recording: results inside the block are plain
+    values that ``backward`` cannot reach, and no op keeps its inputs."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _result(data, parents, vjp):
     """Wrap an op result, recording a tape node when any parent needs grad."""
     out = Tensor(data)
-    if any(p.requires_grad or p._ctx is not None for p in parents):
+    if _recording and any(p.requires_grad or p._ctx is not None for p in parents):
         out.requires_grad = any(p.requires_grad for p in parents)
         out._ctx = _Node(tuple(parents), vjp)
     return out
@@ -334,9 +352,8 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     """Softmax over the final axis. Rows are probability vectors."""
     x = _as_tensor(x)
     _check_finite("softmax_lastdim", x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    out /= out.sum(axis=-1, keepdims=True)
 
     def vjp(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -481,6 +498,12 @@ def tile_rows(x: Tensor, reps: int) -> Tensor:
     return _result(out, (x,), vjp)
 
 
+def mean_lastdim(x: np.ndarray) -> np.ndarray:
+    """``x.mean(-1, keepdims=True)``, bit for bit, without numpy's
+    Python-level ``_mean`` wrapper."""
+    return np.add.reduce(x, -1, keepdims=True) / x.shape[-1]
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalize the final axis to zero mean / unit variance, then apply
     learned gain and bias (both 1-D of the final extent)."""
@@ -491,9 +514,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         raise ShapeError(
             f"layer_norm: gain/bias must be ({d},), got {gain.shape} and {bias.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xc = x.data - mean_lastdim(x.data)
+    var = mean_lastdim(xc * xc)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gain.data + bias.data

@@ -1,59 +1,15 @@
-"""Throughput benchmarks: attention vs a sequential scan, kernel backends.
+"""Lattice kernel benchmark: the compiled forward-backward against numpy.
 
-The attention forward is embarrassingly parallel over query rows, so it is
-partitioned into fixed 128-row blocks handed to a thread pool; every output
-row is produced by exactly one block with a fixed reduction order, making the
-result bit-identical for any thread count. The baseline is a recurrent scan
-(h_t depends on h_{t-1}) that no amount of threading can split.
+Both backends score the same random lattice; the report gives each one's
+best-of-N wall time and how far its loss and gradient stray from numpy's.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .kernels import available_backends
 from .latfb_np import forward_backward as np_forward_backward
-
-BLOCK_ROWS = 128
-DEFAULT_LENGTHS = (100, 400, 1600)
-DEFAULT_THREADS = (1, 2, 4)
-
-
-def _attend_rows(out, q, k, v, lo, hi):
-    scores = q[lo:hi] @ k.T / np.sqrt(q.shape[1])
-    m = scores.max(axis=1, keepdims=True)
-    w = np.exp(scores - m)
-    w /= w.sum(axis=1, keepdims=True)
-    out[lo:hi] = w @ v
-
-
-def attention_forward(q, k, v, n_threads: int = 1) -> np.ndarray:
-    """Single-head attention, parallel over 128-row query blocks."""
-    n = q.shape[0]
-    out = np.empty((n, v.shape[1]))
-    blocks = [(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
-    if n_threads <= 1 or len(blocks) == 1:
-        for lo, hi in blocks:
-            _attend_rows(out, q, k, v, lo, hi)
-        return out
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        futures = [pool.submit(_attend_rows, out, q, k, v, lo, hi)
-                   for lo, hi in blocks]
-        for f in futures:
-            f.result()
-    return out
-
-
-def sequential_scan(x, w) -> np.ndarray:
-    """h_t = tanh(x_t + h_{t-1} w): the recurrence attention replaces."""
-    n, d = x.shape
-    out = np.empty((n, d))
-    h = np.zeros(d)
-    for t in range(n):
-        h = np.tanh(x[t] + h @ w)
-        out[t] = h
-    return out
 
 
 def _best_time(fn, repeats: int) -> float:
@@ -63,49 +19,6 @@ def _best_time(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def run_encoder_bench(d_m: int = 64, lengths=DEFAULT_LENGTHS,
-                      thread_counts=DEFAULT_THREADS, repeats: int = 3,
-                      seed: int = 0):
-    """Times attention vs the scan across lengths and thread counts.
-
-    Returns a list of row dicts: kind, length, threads, seconds, frames/sec,
-    speedup over 1 thread, and whether the output matched the single-thread
-    result bit for bit.
-    """
-    rng = np.random.default_rng(seed)
-    rows = []
-    for length in lengths:
-        q = rng.standard_normal((length, d_m))
-        k = rng.standard_normal((length, d_m))
-        v = rng.standard_normal((length, d_m))
-        w = rng.standard_normal((d_m, d_m)) / np.sqrt(d_m)
-        base_out = attention_forward(q, k, v, 1)
-        base_time = None
-        for n_threads in thread_counts:
-            sec = _best_time(lambda: attention_forward(q, k, v, n_threads),
-                             repeats)
-            if n_threads == thread_counts[0]:
-                base_time = sec
-            rows.append({
-                "kind": "attention", "length": length, "threads": n_threads,
-                "seconds": sec, "frames_per_sec": length / sec,
-                "speedup": base_time / sec,
-                "bit_identical": bool(np.array_equal(
-                    attention_forward(q, k, v, n_threads), base_out)),
-            })
-        scan_base = None
-        for n_threads in thread_counts:
-            sec = _best_time(lambda: sequential_scan(q, w), repeats)
-            if n_threads == thread_counts[0]:
-                scan_base = sec
-            rows.append({
-                "kind": "scan", "length": length, "threads": n_threads,
-                "seconds": sec, "frames_per_sec": length / sec,
-                "speedup": scan_base / sec, "bit_identical": True,
-            })
-    return rows
 
 
 def run_lattice_bench(t_len: int = 200, u_len: int = 50, k_size: int = 30,
@@ -130,18 +43,10 @@ def run_lattice_bench(t_len: int = 200, u_len: int = 50, k_size: int = 30,
     return rows
 
 
-def format_report(encoder_rows, lattice_rows) -> str:
-    lines = ["encoder forward (best-of-N wall time)",
-             f"{'kind':<10}{'length':>8}{'threads':>9}{'sec':>12}"
-             f"{'frames/s':>14}{'speedup':>9}  bit-identical"]
-    for r in encoder_rows:
-        lines.append(f"{r['kind']:<10}{r['length']:>8}{r['threads']:>9}"
-                     f"{r['seconds']:>12.6f}{r['frames_per_sec']:>14.1f}"
-                     f"{r['speedup']:>9.2f}  {r['bit_identical']}")
-    lines.append("")
-    lines.append("lattice forward-backward kernels")
-    lines.append(f"{'backend':<10}{'sec':>12}{'cells/s':>14}"
-                 f"{'|loss diff|':>14}{'max |grad diff|':>17}")
+def format_report(lattice_rows) -> str:
+    lines = ["lattice forward-backward kernels",
+             f"{'backend':<10}{'sec':>12}{'cells/s':>14}"
+             f"{'|loss diff|':>14}{'max |grad diff|':>17}"]
     for r in lattice_rows:
         lines.append(f"{r['backend']:<10}{r['seconds']:>12.6f}"
                      f"{r['cells_per_sec']:>14.1f}{r['loss_vs_numpy']:>14.3g}"

@@ -253,14 +253,9 @@ def cmd_plot_lattice(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    lengths = tuple(int(s) for s in args.lengths.split(","))
-    threads = tuple(int(s) for s in args.threads.split(","))
-    enc = bench_mod.run_encoder_bench(d_m=args.d_m, lengths=lengths,
-                                      thread_counts=threads,
-                                      repeats=args.repeats, seed=args.seed)
     lat = bench_mod.run_lattice_bench(repeats=args.repeats, seed=args.seed)
     print(f"active lattice backend: {BACKEND}")
-    print(bench_mod.format_report(enc, lat))
+    print(bench_mod.format_report(lat))
     return 0
 
 
@@ -356,10 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_plot_lattice)
 
-    p = sub.add_parser("bench", help="throughput benchmarks")
-    p.add_argument("--d-m", type=int, default=64)
-    p.add_argument("--lengths", default="100,400,1600")
-    p.add_argument("--threads", default="1,2,4")
+    p = sub.add_parser("bench", help="lattice kernel benchmark")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)

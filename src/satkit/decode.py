@@ -1,12 +1,16 @@
 """Greedy, beam, and streaming decoding over the transducer output graph.
 
-All decoding runs on the numpy evaluation path. When the chunk window is
-bounded, encoder rows come from :class:`~satkit.nnet.IncrementalEncoder`,
-which computes each row once from a cache of the rows in its window; offline
-and streaming decoding push the same stacked rows through it in the same
-order, which is what makes the two bit-identical. The full-matrix path is
-reserved for unbounded windows (and for fast dev-set scoring during
-training, where bit-level agreement with streaming is not needed).
+Searches run on the cached key/value row step of :mod:`satkit.nnet`. When
+the chunk window is bounded, encoder rows come from
+:class:`~satkit.nnet.IncrementalEncoder`, which computes each row once from
+a cache of the rows in its window; offline and streaming decoding push the
+same stacked rows through it in the same order, which is what makes the two
+bit-identical. Prediction states advance one label at a time through
+:meth:`~satkit.nnet.PredictionNetwork.advance_np`. Whole-matrix encoding
+(:meth:`~satkit.nnet.Encoder.apply_np`, the tape modules run under
+``no_grad``) serves unbounded windows and fast dev-set scoring during
+training, where bit-level agreement with streaming is not needed; the
+exhaustive oracle scores whole label sequences on the tape modules too.
 
 The beam is frame-synchronous: within a frame, hypotheses expand by labels
 until pruned out or the per-frame symbol guard trips, blanks move them to
@@ -100,13 +104,8 @@ class _JointScorer:
     """Caches the per-frame and per-state halves of the joint network."""
 
     def __init__(self, model):
-        self.model = model
-        j = model.joint
-        self.w_f = (j.params["joint.w_enc"] if j.combine == "concat"
-                    else j.params["joint.w_in"]).data
-        self.w_g = (j.params["joint.w_pred"] if j.combine == "concat"
-                    else j.params["joint.w_in"]).data
-        self.w_out = j.params["joint.w_out"].data
+        self.w_f, self.w_g = (w.data for w in model.joint.input_weights())
+        self.w_out = model.joint.params["joint.w_out"].data
 
     def f_part(self, enc_row: np.ndarray) -> np.ndarray:
         return enc_row @ self.w_f
@@ -320,17 +319,17 @@ def exhaustive_decode(model, stacked: np.ndarray, max_len: int, token_ids,
     """
     import itertools
 
+    from . import autodiff as ad
     from . import lattice as lat
-    from .autodiff import Tensor
 
     rows = _EncoderRows(model, stacked, chunk, frame_exact)
-    enc = np.stack(list(rows))
+    enc = ad.Tensor(np.stack(list(rows)))
     best = None
     for n in range(max_len + 1):
         for y in itertools.product(token_ids, repeat=n):
-            g = model.prednet.apply_np(list(y))
-            grid = lat.PosteriorLattice(
-                Tensor(model.joint_log_probs_np(enc, g)), np.array(y, dtype=np.int64))
+            with ad.no_grad():
+                lp = model.joint.log_probs(enc, model.prednet(list(y)))
+            grid = lat.PosteriorLattice(lp, np.array(y, dtype=np.int64))
             score = -lat.forward_backward_arrays(grid)[0]
             if best is None or score > best[1] or (score == best[1] and y < best[0]):
                 best = (y, score)

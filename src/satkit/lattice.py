@@ -19,8 +19,6 @@ from . import kernels
 from .autodiff import LOG_ZERO, Tensor
 from .vocab import BLANK, SOS
 
-MAGIC = "SATLAT1"
-
 
 @dataclass
 class PosteriorLattice:
@@ -191,6 +189,14 @@ class JointNetwork:
                 "joint.w_out": glorot(rng, d_joint, vocab_size),
             }
 
+    def input_weights(self):
+        """(w_f, w_g): the input projections of the encoder frame and of the
+        prediction state; one shared matrix under ``combine="add"``."""
+        p = self.params
+        if self.combine == "concat":
+            return p["joint.w_enc"], p["joint.w_pred"]
+        return p["joint.w_in"], p["joint.w_in"]
+
     def log_probs(self, enc: Tensor, pred: Tensor) -> Tensor:
         """(T, d_enc) x (U+1, d_pred) -> (T, U+1, K) normalized log probs."""
         if enc.shape[1] != self.d_enc or pred.shape[1] != self.d_pred:
@@ -198,46 +204,12 @@ class JointNetwork:
                 f"joint network fed {enc.shape} x {pred.shape}, expected widths "
                 f"{self.d_enc} and {self.d_pred}")
         T, U1 = enc.shape[0], pred.shape[0]
-        p = self.params
-        w_f = p["joint.w_enc"] if self.combine == "concat" else p["joint.w_in"]
-        w_g = p["joint.w_pred"] if self.combine == "concat" else p["joint.w_in"]
+        w_f, w_g = self.input_weights()
         grid = ad.add(ad.repeat_rows(ad.matmul(enc, w_f), U1),
                       ad.tile_rows(ad.matmul(pred, w_g), T))
-        logits = ad.matmul(ad.tanh(grid), p["joint.w_out"])
+        logits = ad.matmul(ad.tanh(grid), self.params["joint.w_out"])
         return ad.reshape(ad.log_softmax_lastdim(logits), (T, U1, self.vocab_size))
 
     def lattice(self, enc: Tensor, pred: Tensor, targets) -> PosteriorLattice:
         return PosteriorLattice(self.log_probs(enc, pred), targets)
 
-
-def save_lattice(path, lattice: PosteriorLattice) -> None:
-    """Plain-text dump; %.17g keeps float64 entries exact across a round trip."""
-    lp = lattice.log_probs.data
-    T, U1, K = lp.shape
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(MAGIC + "\n")
-        f.write(f"{T} {U1 - 1} {K}\n")
-        f.write(" ".join(str(int(t)) for t in lattice.targets) + "\n")
-        for t in range(T):
-            for u in range(U1):
-                row = " ".join("%.17g" % v for v in lp[t, u])
-                f.write(f"{t} {u} {row}\n")
-
-
-def load_lattice(path) -> PosteriorLattice:
-    with open(path, encoding="utf-8") as f:
-        if f.readline().strip() != MAGIC:
-            raise ValueError(f"{path}: not a lattice dump")
-        T, U, K = (int(v) for v in f.readline().split())
-        tline = f.readline().split()
-        targets = np.array([int(v) for v in tline], dtype=np.int64)
-        if targets.shape[0] != U:
-            raise ValueError(f"{path}: expected {U} targets, found {targets.shape[0]}")
-        lp = np.empty((T, U + 1, K))
-        for line in f:
-            parts = line.split()
-            if not parts:
-                continue
-            t, u = int(parts[0]), int(parts[1])
-            lp[t, u] = [float(v) for v in parts[2:]]
-    return PosteriorLattice(Tensor(lp), targets)

@@ -101,19 +101,6 @@ class SATModel:
                             rng=rng, training=training)
         return self.joint.lattice(enc, pred, np.asarray(target_ids, dtype=np.int64))
 
-    def joint_log_probs_np(self, enc: np.ndarray, pred: np.ndarray) -> np.ndarray:
-        """Numpy mirror of the joint over full sequences: (T, U+1, K)."""
-        j = self.joint
-        w_f = (j.params["joint.w_enc"] if j.combine == "concat"
-               else j.params["joint.w_in"]).data
-        w_g = (j.params["joint.w_pred"] if j.combine == "concat"
-               else j.params["joint.w_in"]).data
-        grid = np.tanh((enc @ w_f)[:, None, :] + (pred @ w_g)[None, :, :])
-        logits = grid @ j.params["joint.w_out"].data
-        m = logits.max(axis=-1, keepdims=True)
-        s = logits - m
-        return s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
-
     def save(self, path, meta: dict = None) -> None:
         ckpt.save_checkpoint(path, dict(self.params), asdict(self.config), meta)
 

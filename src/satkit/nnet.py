@@ -5,13 +5,21 @@ windows are expressed as additive masks of 0 / LOG_ZERO built for every call,
 so an unbounded window and a window wider than the sequence produce the same
 (all-zero) mask bit for bit.
 
-Two evaluation paths coexist deliberately. The Tensor path records the tape
-and is what training differentiates. The ``*_np`` path is plain numpy for
-decoding and mirrors the same arithmetic. With a bounded window, decoding
-takes encoder rows from :class:`IncrementalEncoder`, which computes each row
-of each block once, from a fixed-size cache of the rows in its window.
-Streaming and offline decoding push the same rows through it in the same
-order, which makes their outputs bit-identical instead of merely close.
+Whole sequences are evaluated only by the Tensor modules: training records
+the tape, and everything else (the full-matrix encoder policy, dev scoring,
+the exhaustive decoding oracle) calls the same modules inside
+``autodiff.no_grad()`` and reads ``.data``.
+
+Decoding one row at a time has its own kernel, the cached key/value row
+step: :meth:`MultiHeadAttention.kv_np` projects a row's key and value once,
+when the row enters a block, and :meth:`SABlock.apply_kv_np` computes a
+block's output rows from those cached projections. It is plain numpy because
+on the tape one block row costs about 2.6x as much (one query over 16 keys,
+d_m 64). :class:`IncrementalEncoder` runs it over each block's bounded
+window, so streaming and offline decoding push the same rows in the same
+order and agree bit for bit; :meth:`PredictionNetwork.advance_np` runs it
+over a causal prefix, the left-context caching of the Transformer
+Transducer.
 """
 
 import math
@@ -175,9 +183,6 @@ class MultiHeadAttention:
         merged = ad.reshape(ad.transpose(ctx, (1, 0, 2)), (n_q, self.d_m))
         return ad.matmul(merged, p[f"{pre}.w_o"])
 
-    def apply_np(self, x_q: np.ndarray, x_kv: np.ndarray, mask=None) -> np.ndarray:
-        return self.attend_np(x_q, *self.kv_np(x_kv), mask)
-
     def kv_np(self, x_kv: np.ndarray):
         """Key and value projections of the rows ``x_kv``, (n, d_m) each."""
         p, pre = self.params, self._prefix
@@ -206,9 +211,8 @@ def _np_softmax(x: np.ndarray) -> np.ndarray:
 
 
 def _np_layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xc = x - ad.mean_lastdim(x)
+    var = ad.mean_lastdim(xc * xc)
     return xc / np.sqrt(var + LN_EPS) * gain + bias
 
 
@@ -261,13 +265,6 @@ class SABlock:
         f = ad.dropout(self.ffn(y), dropout_rate, rng, training)
         return ad.layer_norm(ad.add(y, f), p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"], LN_EPS)
 
-    def apply_np(self, x: np.ndarray, mask=None) -> np.ndarray:
-        return self.apply_rows_np(x, x, mask)
-
-    def apply_rows_np(self, x_new: np.ndarray, x_all: np.ndarray, mask=None) -> np.ndarray:
-        """Block output for the query rows ``x_new`` attending over ``x_all``."""
-        return self.apply_kv_np(x_new, *self.attn.kv_np(x_all), mask)
-
     def apply_kv_np(self, x_new: np.ndarray, k: np.ndarray, v: np.ndarray,
                     mask=None) -> np.ndarray:
         """Block output for the query rows ``x_new`` attending over keys ``k``
@@ -316,27 +313,24 @@ class Encoder:
         return x
 
     def apply_np(self, feats: np.ndarray, chunk: ChunkSpec = None, start: int = 0) -> np.ndarray:
-        chunk = chunk if chunk is not None else self.chunk
-        T = feats.shape[0]
-        x = feats @ self.params["enc.in.w"].data + self.params["enc.in.b"].data
-        x = x + positional_encoding(T, self.d_m, start)
-        mask = window_mask(T, T, chunk)
-        for block in self.blocks:
-            x = block.apply_np(x, mask)
-        return x
+        """Evaluation-mode output over the whole matrix, recording nothing."""
+        with ad.no_grad():
+            return self(Tensor(feats), chunk, start).data
 
 
 class IncrementalEncoder:
-    """Bounded-window encoder fed one stacked row at a time.
+    """Bounded-window encoder fed one stacked row at a time: the decoding
+    path for every bounded window, offline and streaming alike.
 
-    Block i keeps only the newest left + right + 1 rows that entered it, each
-    stored as [input | key projection | value projection]; the projections
-    are made once, when the row enters. The block computes its output row t
-    exactly once: when input row t + right enters, or in :meth:`finish` for
-    the last ``right`` rows, whose windows the end of the sequence clips.
-    Output row t of the top block is therefore final once stacked row
-    t + B*right has been pushed, and callers that push the same rows get the
-    same bits. Rows agree with :meth:`Encoder.apply_np` to rounding.
+    It runs the cached key/value row step over each block's window. Block i
+    keeps only the newest left + right + 1 rows that entered it, each stored
+    as [input | key projection | value projection]; the projections are made
+    once, when the row enters. The block computes its output row t exactly
+    once: when input row t + right enters, or in :meth:`finish` for the last
+    ``right`` rows, whose windows the end of the sequence clips. Output row t
+    of the top block is therefore final once stacked row t + B*right has been
+    pushed, and callers that push the same rows get the same bits. Rows agree
+    with the whole-matrix :meth:`Encoder.apply_np` to rounding.
     """
 
     def __init__(self, encoder: Encoder, chunk: ChunkSpec = None):
@@ -413,13 +407,9 @@ class PredictionNetwork:
         for b in self.blocks:
             self.params.update(b.params)
 
-    def _embed_ids(self, labels):
-        ids = [SOS] + [int(t) for t in labels]
-        return np.asarray(ids, dtype=np.int64)
-
     def __call__(self, labels, dropout_rate: float = 0.0, rng=None,
                  training: bool = False) -> Tensor:
-        ids = self._embed_ids(labels)
+        ids = np.asarray([SOS] + [int(t) for t in labels], dtype=np.int64)
         n = ids.shape[0]
         x = ad.scale(ad.index_rows(self.params["pred.emb"], ids), math.sqrt(self.d_m))
         x = ad.add(x, Tensor(positional_encoding(n, self.d_m).astype(x.dtype)))
@@ -429,57 +419,41 @@ class PredictionNetwork:
             x = block(x, mask, dropout_rate, rng, training)
         return x
 
-    def apply_np(self, labels) -> np.ndarray:
-        ids = self._embed_ids(labels)
-        n = ids.shape[0]
-        x = self.params["pred.emb"].data[ids] * math.sqrt(self.d_m)
-        x = x + positional_encoding(n, self.d_m)
-        mask = causal_mask(n)
-        for block in self.blocks:
-            x = block.apply_np(x, mask)
-        return x
-
     def init_state(self):
-        """Incremental decode state: per-block input rows seen so far."""
-        state = PredState(layers=[None] * (self.n_blocks + 1), length=0)
-        return self.advance_np(state, None)
+        """Decode state of the empty prefix (the start token alone)."""
+        return self.advance_np(PredState([None] * self.n_blocks, 0, None), None)
 
     def advance_np(self, state: "PredState", token) -> "PredState":
         """Extend a decode state by one token (None = the start token).
 
-        Only the new row is computed per block; cached rows stay untouched,
-        which the causal mask guarantees is equivalent to a fresh full pass.
+        Each block projects the new row's key and value once and appends
+        them to its cache; the new row attends over the whole cache, which
+        the causal mask makes equal to a fresh full pass.
         """
-        u = state.length
         tok = SOS if token is None else int(token)
-        row = self.params["pred.emb"].data[tok] * math.sqrt(self.d_m)
-        row = row + positional_encoding(1, self.d_m, start=u)[0]
-        new_layers = []
-        x_new = row[None, :]
-        for i, block in enumerate(self.blocks):
-            x_all = x_new if state.layers[i] is None else np.concatenate(
-                [state.layers[i], x_new], axis=0)
-            new_layers.append(x_all)
-            x_new = block.apply_rows_np(x_new, x_all)
-        top = x_new if state.layers[-1] is None else np.concatenate(
-            [state.layers[-1], x_new], axis=0)
-        new_layers.append(top)
-        return PredState(layers=new_layers, length=u + 1)
+        x = self.params["pred.emb"].data[tok] * math.sqrt(self.d_m)
+        x = (x + positional_encoding(1, self.d_m, start=state.length)[0])[None, :]
+        layers, d = [], self.d_m
+        for block, cache in zip(self.blocks, state.layers):
+            kv = np.concatenate(block.attn.kv_np(x), axis=1)
+            if cache is not None:
+                kv = np.concatenate([cache, kv], axis=0)
+            layers.append(kv)
+            x = block.apply_kv_np(x, kv[:, :d], kv[:, d:])
+        return PredState(layers, state.length + 1, x[0])
 
 
 @dataclass
 class PredState:
     """Prediction-network cache for one decode prefix.
 
-    ``layers[i]`` holds the input rows of block i (last entry: the output
-    rows); ``length`` counts rows, so the newest state vector is
-    ``layers[-1][length - 1]``. States are immutable: advancing returns a new
-    one, so beam hypotheses can share ancestors safely.
+    ``layers[i]`` holds block i's [key | value] projections, one row per
+    prefix position (``length`` rows); ``g`` is the top block's output for
+    the newest position, the vector the joint network reads. States are
+    immutable: advancing returns a new one, so beam hypotheses can share
+    ancestors safely.
     """
 
     layers: list
     length: int
-
-    @property
-    def g(self) -> np.ndarray:
-        return self.layers[-1][self.length - 1]
+    g: np.ndarray

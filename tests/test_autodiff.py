@@ -326,3 +326,27 @@ def test_only_leaves_keep_gradients():
     relu_xw = np.maximum(x.data * w.data, 0.0)
     np.testing.assert_allclose(x.grad, 2.0 * relu_xw * w.data, rtol=1e-15)
     np.testing.assert_allclose(w.grad, 2.0 * relu_xw * x.data, rtol=1e-15)
+
+
+def test_no_grad_records_nothing_and_restores_recording():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    with ad.no_grad():
+        y = ad.sum_all(ad.relu(ad.mul(x, x)))
+    assert y._ctx is None and not y.requires_grad
+    assert float(y.data) == 14.0
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("boom")
+    # recording resumes after the block, also after one that raised
+    z = ad.sum_all(ad.mul(x, x))
+    assert z._ctx is not None and z.requires_grad
+    z.backward()
+    np.testing.assert_array_equal(x.grad, 2.0 * x.data)
+
+
+@pytest.mark.parametrize("d", [8, 16, 64, 128])
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 300])
+def test_mean_lastdim_matches_numpy_mean_bitwise(n, d):
+    x = np.random.default_rng(n * 1000 + d).standard_normal((n, d)) * 3.0 + 1.0
+    assert np.array_equal(ad.mean_lastdim(x), x.mean(-1, keepdims=True))
+    assert np.array_equal(ad.mean_lastdim(x[0]), x[0].mean(-1, keepdims=True))

@@ -195,12 +195,10 @@ def test_plot_lattice_unknown_utt(run_dir, data_dir, tmp_path, capsys):
 
 
 def test_bench_smoke(capsys):
-    assert main(["bench", "--d-m", "8", "--lengths", "12,24", "--threads",
-                 "1,2", "--repeats", "1"]) == 0
+    assert main(["bench", "--repeats", "1", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "active lattice backend:" in out
-    assert " 12 " in out and " 24 " in out
-    assert "lattice" in out
+    assert "lattice" in out and "numpy" in out
 
 
 def test_resume_from_cli(run_dir, data_dir, tmp_path, capsys):

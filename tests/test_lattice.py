@@ -10,8 +10,8 @@ from satkit import autodiff as ad
 from satkit.autodiff import Tensor
 from satkit.kernels import available_backends
 from satkit.lattice import (JointNetwork, PosteriorLattice, brute_force_loss,
-                            forward_backward_arrays, load_lattice,
-                            save_lattice, tape_loss, transducer_loss)
+                            forward_backward_arrays, tape_loss,
+                            transducer_loss)
 
 BACKENDS = sorted(available_backends())
 
@@ -194,18 +194,6 @@ def test_lattice_validation_errors():
         transducer_loss(bad)
 
 
-def test_save_load_round_trip(tmp_path):
-    rng = np.random.default_rng(31)
-    lat = random_lattice(rng, 3, 2, 4)
-    p = tmp_path / "lat.txt"
-    save_lattice(p, lat)
-    back = load_lattice(p)
-    np.testing.assert_array_equal(back.log_probs.data, lat.log_probs.data)
-    np.testing.assert_array_equal(back.targets, lat.targets)
-    with pytest.raises(ValueError):
-        load_lattice(__file__)
-
-
 def test_joint_network_grid():
     rng = np.random.default_rng(17)
     joint = JointNetwork(6, 6, 8, 5, rng, combine="concat")
@@ -245,6 +233,13 @@ def test_joint_additive_mode():
     pred = Tensor(rng.standard_normal((2, 6)))
     out = joint.log_probs(enc, pred)
     np.testing.assert_allclose(np.exp(out.data).sum(-1), 1.0, atol=1e-12)
+    # both sides go through the one shared projection
+    w_in = joint.params["joint.w_in"]
+    assert joint.input_weights() == (w_in, w_in)
+    logits = np.tanh(enc.data[1] @ w_in.data + pred.data[0] @ w_in.data) \
+        @ joint.params["joint.w_out"].data
+    np.testing.assert_allclose(out.data[1, 0], logits - np.log(np.exp(logits).sum()),
+                               atol=1e-12)
     with pytest.raises(ad.ShapeError):
         JointNetwork(6, 4, 8, 5, rng, combine="add")
     with pytest.raises(ValueError):

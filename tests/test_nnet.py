@@ -1,5 +1,5 @@
-"""Attention building blocks: masks, positional encodings, block parity
-between the tape and numpy paths, windowed locality."""
+"""Attention building blocks: masks, positional encodings, parity between
+the tape modules and the cached key/value row step, windowed locality."""
 
 import math
 
@@ -146,7 +146,7 @@ def test_multi_head_tape_np_parity():
     x = rng.standard_normal((5, 8))
     mask = window_mask(5, 5, ChunkSpec(1, 1))
     got = mha(Tensor(x), Tensor(x), mask).data
-    want = mha.apply_np(x, x, mask)
+    want = mha.attend_np(x, *mha.kv_np(x), mask)
     np.testing.assert_allclose(got, want, atol=1e-12)
     with pytest.raises(ValueError):
         MultiHeadAttention(8, 3, rng, "bad")
@@ -159,7 +159,7 @@ def test_multi_head_single_head_equals_plain_attention():
     p = {k.split(".")[-1]: v.data for k, v in mha.params.items()}
     plain = self_attention(Tensor(x @ p["w_q"]), Tensor(x @ p["w_k"]),
                            Tensor(x @ p["w_v"])).data @ p["w_o"]
-    np.testing.assert_allclose(mha.apply_np(x, x), plain, atol=1e-12)
+    np.testing.assert_allclose(mha(Tensor(x), Tensor(x)).data, plain, atol=1e-12)
 
 
 def test_feed_forward_parity_and_form():
@@ -178,15 +178,15 @@ def test_sa_block_parity_and_dropout():
     block = SABlock(8, 2, 16, rng, "b")
     x = rng.standard_normal((5, 8))
     mask = causal_mask(5)
-    np.testing.assert_allclose(block(Tensor(x), mask).data,
-                               block.apply_np(x, mask), atol=1e-12)
+    rows = block.apply_kv_np(x, *block.attn.kv_np(x), mask)
+    np.testing.assert_allclose(block(Tensor(x), mask).data, rows, atol=1e-12)
     # training dropout perturbs, evaluation never does
     drop = block(Tensor(x), mask, dropout_rate=0.5,
                  rng=np.random.default_rng(0), training=True).data
-    assert not np.allclose(drop, block.apply_np(x, mask))
+    assert not np.allclose(drop, rows)
     same = block(Tensor(x), mask, dropout_rate=0.5,
                  rng=np.random.default_rng(0), training=False).data
-    np.testing.assert_allclose(same, block.apply_np(x, mask), atol=1e-12)
+    np.testing.assert_allclose(same, rows, atol=1e-12)
 
 
 def test_sa_block_finite_differences():
@@ -196,7 +196,8 @@ def test_sa_block_finite_differences():
     w = np.arange(1.0, 13.0).reshape(3, 4)
 
     def loss_np(x):
-        return float((block.apply_np(x) * w).sum())
+        with ad.no_grad():
+            return float((block(Tensor(x)).data * w).sum())
 
     xt = Tensor(x0.copy(), requires_grad=True)
     ad.sum_all(ad.mul(block(xt), Tensor(w))).backward()
@@ -234,11 +235,14 @@ def test_encoder_input_validation():
 
 
 def test_encoder_tape_np_parity():
+    # apply_np is the tape encoder run without recording: the same bits
     rng = np.random.default_rng(8)
     enc = Encoder(6, 8, 2, 16, 2, ChunkSpec(2, 1), rng)
     feats = rng.standard_normal((7, 6))
-    np.testing.assert_allclose(enc(Tensor(feats)).data, enc.apply_np(feats),
-                               atol=1e-12)
+    assert np.array_equal(enc.apply_np(feats), enc(Tensor(feats)).data)
+    wide = ChunkSpec(3, 0)
+    assert np.array_equal(enc.apply_np(feats, wide, start=4),
+                          enc(Tensor(feats), wide, start=4).data)
 
 
 def test_encoder_windowed_locality_is_exact():
@@ -326,17 +330,20 @@ def test_incremental_encoder_output_lags_by_receptive_field():
 def test_prediction_network_causal_prefix_extension():
     rng = np.random.default_rng(12)
     net = PredictionNetwork(9, 8, 2, 16, 2, rng)
-    short = net.apply_np([3, 4])
-    long = net.apply_np([3, 4, 5, 6])
+    short = net([3, 4]).data
+    long = net([3, 4, 5, 6]).data
     np.testing.assert_allclose(long[: short.shape[0]], short, atol=1e-12)
-    assert net.apply_np([]).shape == (1, 8)
+    assert net([]).shape == (1, 8)
 
 
 def test_prediction_network_tape_np_parity():
     rng = np.random.default_rng(13)
     net = PredictionNetwork(9, 8, 2, 16, 2, rng)
     labels = [3, 7, 2]
-    np.testing.assert_allclose(net(labels).data, net.apply_np(labels),
+    states = [net.init_state()]
+    for tok in labels:
+        states.append(net.advance_np(states[-1], tok))
+    np.testing.assert_allclose(net(labels).data, np.stack([s.g for s in states]),
                                atol=1e-12)
 
 
@@ -346,12 +353,32 @@ def test_prediction_state_advance_matches_full_pass():
     state = net.init_state()
     emitted = []
     for tok in (4, 2, 8, 3):
-        full = net.apply_np(emitted)
+        full = net(emitted).data
         assert state.length == len(emitted) + 1
         np.testing.assert_allclose(state.g, full[-1], atol=1e-12)
         state = net.advance_np(state, tok)
         emitted.append(tok)
-    np.testing.assert_allclose(state.g, net.apply_np(emitted)[-1], atol=1e-12)
+    np.testing.assert_allclose(state.g, net(emitted).data[-1], atol=1e-12)
+
+
+def test_prediction_state_caches_one_kv_row_per_block():
+    # each label projects one new key/value row per block; the prefix's
+    # rows come from the cache, never projected again
+    rng = np.random.default_rng(17)
+    net = PredictionNetwork(9, 8, 2, 16, 3, rng)
+    projected = []
+    for block in net.blocks:
+        def kv_np(x, kv=block.attn.kv_np):
+            projected.append(x.shape[0])
+            return kv(x)
+        block.attn.kv_np = kv_np
+    state = net.init_state()
+    for tok in (4, 2, 8, 3, 5):
+        assert projected == [1] * net.n_blocks
+        assert len(state.layers) == net.n_blocks
+        assert all(layer.shape == (state.length, 16) for layer in state.layers)
+        projected.clear()
+        state = net.advance_np(state, tok)
 
 
 def test_prediction_states_are_shareable():
@@ -361,14 +388,15 @@ def test_prediction_states_are_shareable():
     parent = net.advance_np(net.init_state(), 3)
     a = net.advance_np(parent, 4)
     b = net.advance_np(parent, 5)
-    np.testing.assert_allclose(a.g, net.apply_np([3, 4])[-1], atol=1e-12)
-    np.testing.assert_allclose(b.g, net.apply_np([3, 5])[-1], atol=1e-12)
-    np.testing.assert_allclose(parent.g, net.apply_np([3])[-1], atol=1e-12)
+    np.testing.assert_allclose(a.g, net([3, 4]).data[-1], atol=1e-12)
+    np.testing.assert_allclose(b.g, net([3, 5]).data[-1], atol=1e-12)
+    np.testing.assert_allclose(parent.g, net([3]).data[-1], atol=1e-12)
 
 
 def test_prediction_embeddings_are_scaled():
     rng = np.random.default_rng(16)
     net = PredictionNetwork(9, 16, 2, 16, 0, rng)
-    out = net.apply_np([])
+    out = net([]).data
     want = net.params["pred.emb"].data[1] * 4.0 + positional_encoding(1, 16)[0]
     np.testing.assert_allclose(out[0], want, atol=1e-15)
+    np.testing.assert_allclose(net.init_state().g, want, atol=1e-15)

@@ -4,8 +4,12 @@ Every primitive records a node on an implicit tape; ``backward`` walks the
 recorded graph once, in exact reverse topological order, and accumulates
 gradients into every reachable leaf tensor (one created with
 ``requires_grad``, not by an op). Intermediate results carry no ``grad``:
-their cotangents live only while ``backward`` runs. Inside ``no_grad()``
-no node is recorded, so evaluation keeps no intermediate alive.
+their cotangents live only while ``backward`` runs. A node links to its
+inputs' nodes, not to their tensors, and its vector-Jacobian product keeps
+only the arrays it reads, so an intermediate result the backward pass does
+not need is freed as soon as the forward pass is done with it. Inside
+``no_grad()`` no node is recorded, so evaluation keeps no intermediate
+alive.
 Shapes are strict: each primitive documents the exact shapes it accepts
 (there is no general broadcasting), and mismatches raise ``ShapeError``
 naming the primitive and both shapes.
@@ -39,11 +43,12 @@ class GraphError(RuntimeError):
 # False inside no_grad(): ops record no tape node.
 _recording = True
 
-# Sentinel marking a node whose tape entry was already consumed by backward().
-_CONSUMED = object()
-
 
 class _Node:
+    """One recorded op. ``parents`` holds, per op input, that input's own
+    node (an op result), the input tensor (a leaf with ``requires_grad``),
+    or None (a constant). ``vjp`` is None once backward has consumed it."""
+
     __slots__ = ("parents", "vjp")
 
     def __init__(self, parents, vjp):
@@ -84,8 +89,13 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self):
+        """Zero the gradient in place: a training loop keeps one gradient
+        array per parameter instead of allocating it anew every step."""
         if self.requires_grad:
-            self.grad = np.zeros_like(self.data)
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            else:
+                self.grad.fill(0.0)
 
     def detach(self):
         return Tensor(self.data.copy())
@@ -131,12 +141,29 @@ def no_grad():
         _recording = previous
 
 
+def _needs_grad(t: Tensor) -> bool:
+    """True when a gradient must flow into ``t``: a tracked leaf, or the
+    result of a recorded op."""
+    return t.requires_grad or t._ctx is not None
+
+
+def _edge(t: Tensor):
+    """Where a tape node sends the cotangent of its input ``t``."""
+    if t._ctx is not None:
+        return t._ctx
+    return t if t.requires_grad else None
+
+
 def _result(data, parents, vjp):
-    """Wrap an op result, recording a tape node when any parent needs grad."""
+    """Wrap an op result, recording a tape node when any parent needs grad.
+
+    ``vjp`` must not refer to the parent tensors themselves, only to the
+    arrays and flags it needs, so that the node keeps no input alive.
+    """
     out = Tensor(data)
-    if _recording and any(p.requires_grad or p._ctx is not None for p in parents):
+    if _recording and any(_needs_grad(p) for p in parents):
         out.requires_grad = any(p.requires_grad for p in parents)
-        out._ctx = _Node(tuple(parents), vjp)
+        out._ctx = _Node(tuple(_edge(p) for p in parents), vjp)
     return out
 
 
@@ -160,13 +187,16 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise GraphError(f"backward: loss must be scalar, got shape {loss.data.shape}")
-    if loss._ctx is _CONSUMED:
-        raise GraphError("backward: graph already consumed; run a new forward pass")
+    root = loss._ctx
+    if root is None:
+        # Leaf scalar: nothing to do, but mark so a repeat call errors the same way.
+        loss._ctx = _Node((), None)
+        return
 
     # Iterative post-order topological sort over recorded nodes.
     topo = []
     visited = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -175,37 +205,34 @@ def backward(loss: Tensor) -> None:
         if id(node) in visited:
             continue
         visited.add(id(node))
-        if node._ctx is _CONSUMED:
+        if node.vjp is None:
             raise GraphError("backward: graph already consumed; run a new forward pass")
-        if node._ctx is None:
-            continue
         stack.append((node, True))
-        for p in node._ctx.parents:
-            if id(p) not in visited:
+        for p in node.parents:
+            if isinstance(p, _Node) and id(p) not in visited:
                 stack.append((p, False))
 
-    seeds = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    seeds = {id(root): np.ones_like(loss.data)}
+    while topo:
+        # Popping drops the walk's reference, so each node's saved arrays
+        # are freed once it has run.
+        node = topo.pop()
         g = seeds.pop(id(node), None)
         if g is None:
             continue
-        ctx = node._ctx
-        node._ctx = _CONSUMED
-        parent_grads = ctx.vjp(g)
-        for p, pg in zip(ctx.parents, parent_grads):
-            if pg is None:
+        parents, vjp = node.parents, node.vjp
+        node.parents, node.vjp = (), None
+        for p, pg in zip(parents, vjp(g)):
+            if pg is None or p is None:
                 continue
-            if p._ctx is not None and p._ctx is not _CONSUMED:
+            if isinstance(p, _Node):
                 acc = seeds.get(id(p))
                 # Fresh array on accumulation: pg may alias g or saved data.
                 seeds[id(p)] = pg if acc is None else acc + pg
-            elif p.requires_grad:
+            else:
                 if p.grad is None:
                     p.grad = np.zeros_like(p.data)
                 p.grad += pg
-    if loss._ctx is None:
-        # Leaf scalar: nothing to do, but mark so a repeat call errors the same way.
-        loss._ctx = _CONSUMED
 
 
 def zero_grads(params) -> None:
@@ -217,7 +244,8 @@ def op_result(data, parents, vjp) -> Tensor:
     """Record a composite op with a hand-written vector-Jacobian product.
 
     ``vjp(g)`` must return one cotangent per parent (None for "no gradient"),
-    each shaped like the matching parent's data.
+    each shaped like the matching parent's data. It should keep only the
+    arrays it reads, not the parent tensors.
     """
     return _result(data, tuple(_as_tensor(p) for p in parents), vjp)
 
@@ -227,22 +255,40 @@ def op_result(data, parents, vjp) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product. 2-D x 2-D, or stacked 3-D x 3-D with equal batch axes."""
+    """Matrix product over the last two axes.
+
+    2-D x 2-D; stacked N-D x N-D with equal leading axes; or N-D x 2-D, a
+    shared weight applied to every row of a stack (computed as one 2-D
+    product over the flattened rows).
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     _same_dtype("matmul", a, b)
-    if a.ndim == b.ndim == 2:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
-    elif a.ndim == b.ndim == 3:
-        if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-            raise ShapeError(f"matmul: stacked shapes incompatible, {a.shape} x {b.shape}")
-    else:
-        raise ShapeError(f"matmul: expects 2-D or 3-D pairs, got {a.shape} x {b.shape}")
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul: expects matrices, got {a.shape} x {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
+    # Each side's gradient reads the other side's data.
+    need_a, need_b = _needs_grad(a), _needs_grad(b)
+    a_data = a.data if need_b else None
+    b_data = b.data if need_a else None
+    if b.ndim == 2:
+        k, m = b.shape
+        a_shape = a.shape
+        out = (a.data.reshape(-1, k) @ b.data).reshape(a_shape[:-1] + (m,))
+
+        def vjp(g):
+            ga = (g.reshape(-1, m) @ b_data.T).reshape(a_shape) if need_a else None
+            gb = a_data.reshape(-1, k).T @ g.reshape(-1, m) if need_b else None
+            return ga, gb
+
+        return _result(out, (a, b), vjp)
+    if a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul: stacked shapes incompatible, {a.shape} x {b.shape}")
     out = np.matmul(a.data, b.data)
 
     def vjp(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2)) if a.requires_grad or a._ctx else None
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g) if b.requires_grad or b._ctx else None
+        ga = np.matmul(g, np.swapaxes(b_data, -1, -2)) if need_a else None
+        gb = np.matmul(np.swapaxes(a_data, -1, -2), g) if need_b else None
         return ga, gb
 
     return _result(out, (a, b), vjp)
@@ -267,9 +313,35 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if not _suffix_ok(a.shape, b.shape):
         raise ShapeError(f"add: {b.shape} is not a trailing suffix of {a.shape}")
     out = a.data + b.data
+    b_shape, need_b = b.shape, _needs_grad(b)
 
     def vjp(g):
-        return g, _reduce_to(g, b.shape)
+        return g, _reduce_to(g, b_shape) if need_b else None
+
+    return _result(out, (a, b), vjp)
+
+
+def _sum_to(g, shape):
+    """Sum ``g`` over the axes that ``shape`` holds at extent 1."""
+    axes = tuple(i for i, (n, m) in enumerate(zip(shape, g.shape)) if n == 1 and m != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
+
+
+def broadcast_add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of equal-rank tensors where each axis either matches
+    or has extent 1 on one side, e.g. (B, T, 1, J) + (B, 1, U, J) ->
+    (B, T, U, J), the transducer joint grid."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    _same_dtype("broadcast_add", a, b)
+    if a.ndim != b.ndim or any(n != m and 1 not in (n, m) for n, m in zip(a.shape, b.shape)):
+        raise ShapeError(f"broadcast_add: {a.shape} and {b.shape} do not broadcast")
+    out = a.data + b.data
+    a_shape, b_shape = a.shape, b.shape
+    need_a, need_b = _needs_grad(a), _needs_grad(b)
+
+    def vjp(g):
+        return (_sum_to(g, a_shape) if need_a else None,
+                _sum_to(g, b_shape) if need_b else None)
 
     return _result(out, (a, b), vjp)
 
@@ -281,9 +353,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if not _suffix_ok(a.shape, b.shape):
         raise ShapeError(f"mul: {b.shape} is not a trailing suffix of {a.shape}")
     out = a.data * b.data
+    need_a, need_b = _needs_grad(a), _needs_grad(b)
+    a_data = a.data if need_b else None
+    b_data = b.data if need_a else None
+    b_shape = b.shape
 
     def vjp(g):
-        return g * b.data, _reduce_to(g * a.data, b.shape)
+        return (g * b_data if need_a else None,
+                _reduce_to(g * a_data, b_shape) if need_b else None)
 
     return _result(out, (a, b), vjp)
 
@@ -304,7 +381,7 @@ def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0.0)
 
     def vjp(g):
-        return (g * (x.data > 0.0),)
+        return (g * (out > 0.0),)  # out > 0 exactly where x > 0
 
     return _result(out, (x,), vjp)
 
@@ -314,7 +391,10 @@ def tanh(x: Tensor) -> Tensor:
     out = np.tanh(x.data)
 
     def vjp(g):
-        return (g * (1.0 - out * out),)
+        d = out * out
+        np.subtract(1.0, d, out=d)
+        d *= g
+        return (d,)
 
     return _result(out, (x,), vjp)
 
@@ -336,9 +416,10 @@ def log(x: Tensor) -> Tensor:
     if np.any(x.data <= 0.0):
         raise ValueError("log: input must be strictly positive")
     out = np.log(x.data)
+    x_data = x.data
 
     def vjp(g):
-        return (g / x.data,)
+        return (g / x_data,)
 
     return _result(out, (x,), vjp)
 
@@ -348,16 +429,30 @@ def _check_finite(name, x):
         raise ValueError(f"{name}: non-finite input")
 
 
-def softmax_lastdim(x: Tensor) -> Tensor:
-    """Softmax over the final axis. Rows are probability vectors."""
+def softmax_lastdim(x: Tensor, scale: float = 1.0, mask=None) -> Tensor:
+    """Softmax over the final axis of ``x * scale + mask``. Rows are
+    probability vectors.
+
+    ``mask`` is a constant array broadcast against ``x``, e.g. an attention
+    window of 0 / LOG_ZERO. Folding the scale and the mask in keeps the tape
+    from storing two more score-sized arrays.
+    """
     x = _as_tensor(x)
     _check_finite("softmax_lastdim", x)
-    out = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    out = x.data * scale if scale != 1.0 else x.data.copy()
+    if mask is not None:
+        out += mask
+    out -= out.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
 
     def vjp(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
+        d = g - dot
+        d *= out
+        if scale != 1.0:
+            d *= scale
+        return (d,)
 
     return _result(out, (x,), vjp)
 
@@ -365,13 +460,14 @@ def softmax_lastdim(x: Tensor) -> Tensor:
 def log_softmax_lastdim(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     _check_finite("log_softmax_lastdim", x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = shifted - lse
-    soft = np.exp(out)
+    out = x.data - x.data.max(axis=-1, keepdims=True)
+    out -= np.log(np.exp(out).sum(axis=-1, keepdims=True))
 
     def vjp(g):
-        return (g - soft * g.sum(axis=-1, keepdims=True),)
+        d = np.exp(out)
+        d *= g.sum(axis=-1, keepdims=True)
+        np.subtract(g, d, out=d)
+        return (d,)
 
     return _result(out, (x,), vjp)
 
@@ -382,9 +478,10 @@ def logsumexp_lastdim(x: Tensor) -> Tensor:
     _check_finite("logsumexp_lastdim", x)
     m = x.data.max(axis=-1, keepdims=True)
     out = (m + np.log(np.exp(x.data - m).sum(axis=-1, keepdims=True))).squeeze(-1)
+    x_data = x.data
 
     def vjp(g):
-        soft = np.exp(x.data - out[..., None])
+        soft = np.exp(x_data - out[..., None])
         return (soft * g[..., None],)
 
     return _result(out, (x,), vjp)
@@ -421,9 +518,10 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     key[axis] = slice(start, stop)
     key = tuple(key)
     out = x.data[key]
+    x_shape, x_dtype = x.shape, x.dtype
 
     def vjp(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(x_shape, dtype=x_dtype)
         full[key] = g
         return (full,)
 
@@ -431,19 +529,19 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 
 def index_rows(x: Tensor, indices) -> Tensor:
-    """Gather rows of a 2-D tensor (embedding lookup)."""
+    """Gather rows of a 2-D tensor (embedding lookup); the result has shape
+    ``indices.shape + (x.shape[1],)``."""
     x = _as_tensor(x)
     if x.ndim != 2:
         raise ShapeError(f"index_rows: expects 2-D table, got {x.shape}")
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError(f"index_rows: indices must be 1-D, got {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ShapeError(f"index_rows: index out of range for table of {x.shape[0]} rows")
     out = x.data[idx]
+    x_shape, x_dtype = x.shape, x.dtype
 
     def vjp(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(x_shape, dtype=x_dtype)
         np.add.at(full, idx, g)
         return (full,)
 
@@ -465,35 +563,10 @@ def transpose(x: Tensor, axes=None) -> Tensor:
 def reshape(x: Tensor, shape) -> Tensor:
     x = _as_tensor(x)
     out = x.data.reshape(shape)
+    x_shape = x.shape
 
     def vjp(g):
-        return (g.reshape(x.shape),)
-
-    return _result(out, (x,), vjp)
-
-
-def repeat_rows(x: Tensor, repeats: int) -> Tensor:
-    """Repeat each row of a 2-D tensor ``repeats`` times consecutively."""
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"repeat_rows: expects 2-D, got {x.shape}")
-    out = np.repeat(x.data, repeats, axis=0)
-
-    def vjp(g):
-        return (g.reshape(x.shape[0], repeats, x.shape[1]).sum(axis=1),)
-
-    return _result(out, (x,), vjp)
-
-
-def tile_rows(x: Tensor, reps: int) -> Tensor:
-    """Stack ``reps`` copies of a 2-D tensor on top of each other."""
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"tile_rows: expects 2-D, got {x.shape}")
-    out = np.tile(x.data, (reps, 1))
-
-    def vjp(g):
-        return (g.reshape(reps, x.shape[0], x.shape[1]).sum(axis=0),)
+        return (g.reshape(x_shape),)
 
     return _result(out, (x,), vjp)
 
@@ -515,22 +588,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
             f"layer_norm: gain/bias must be ({d},), got {gain.shape} and {bias.shape}"
         )
     xc = x.data - mean_lastdim(x.data)
-    var = mean_lastdim(xc * xc)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    inv = 1.0 / np.sqrt(mean_lastdim(xc * xc) + eps)
+    out = xc * inv
+    out *= gain.data
+    out += bias.data
+    gain_data, gain_shape, bias_shape = gain.data, gain.shape, bias.shape
+    need_x, need_gain, need_bias = _needs_grad(x), _needs_grad(gain), _needs_grad(bias)
 
     def vjp(g):
         gx = None
-        if x.requires_grad or x._ctx:
-            dxhat = g * gain.data
+        if need_x:
+            dxhat = g * gain_data
             dvar = (dxhat * xc).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
             dmu = (-dxhat * inv).sum(axis=-1, keepdims=True) + dvar * (-2.0 * xc).mean(
                 axis=-1, keepdims=True
             )
             gx = dxhat * inv + dvar * 2.0 * xc / d + dmu / d
-        ggain = _reduce_to(g * xhat, gain.shape) if gain.requires_grad or gain._ctx else None
-        gbias = _reduce_to(g, bias.shape) if bias.requires_grad or bias._ctx else None
+        ggain = _reduce_to(g * (xc * inv), gain_shape) if need_gain else None
+        gbias = _reduce_to(g, bias_shape) if need_bias else None
         return gx, ggain, gbias
 
     return _result(out, (x, gain, bias), vjp)
@@ -539,9 +614,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
 def sum_all(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     out = x.data.sum()
+    x_shape, x_dtype = x.shape, x.dtype
 
     def vjp(g):
-        return (np.full_like(x.data, float(g)),)
+        return (np.full(x_shape, float(g), dtype=x_dtype),)
 
     return _result(out, (x,), vjp)
 

@@ -254,8 +254,9 @@ def cmd_plot_lattice(args) -> int:
 
 def cmd_bench(args) -> int:
     lat = bench_mod.run_lattice_bench(repeats=args.repeats, seed=args.seed)
+    batch = bench_mod.run_batch_bench(repeats=args.repeats, seed=args.seed)
     print(f"active lattice backend: {BACKEND}")
-    print(bench_mod.format_report(lat))
+    print(bench_mod.format_report(lat, batch))
     return 0
 
 

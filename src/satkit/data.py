@@ -315,29 +315,29 @@ def make_batches(utterances, vocab: Vocab, batch_size: int,
     Sorting by stacked length keeps padding waste down; the mask marks valid
     frames so padded positions can never leak into a loss.
     """
-    prepared = []
-    for u in utterances:
-        stacked = stack_downsample(u.feats, left, right, factor)
-        prepared.append((u, stacked))
+    # Stacked length is ceil(frames / factor); each utterance is stacked
+    # straight into its batch, so only one stacked copy exists at a time.
+    lengths = [-(-u.feats.shape[0] // factor) for u in utterances]
+    order = list(range(len(utterances)))
     if sort_by_length:
-        prepared.sort(key=lambda p: (p[1].shape[0], p[0].utt_id))
+        order.sort(key=lambda i: (lengths[i], utterances[i].utt_id))
     batches = []
-    for i in range(0, len(prepared), batch_size):
-        part = prepared[i:i + batch_size]
-        t_max = max(s.shape[0] for _, s in part)
-        dim = part[0][1].shape[1]
-        feats = np.zeros((len(part), t_max, dim))
-        mask = np.zeros((len(part), t_max))
-        for b, (_, s) in enumerate(part):
-            feats[b, :s.shape[0]] = s
-            mask[b, :s.shape[0]] = 1.0
+    for i in range(0, len(order), batch_size):
+        part = [utterances[j] for j in order[i:i + batch_size]]
+        n = np.array([lengths[j] for j in order[i:i + batch_size]], dtype=np.int64)
+        dim = part[0].feats.shape[1] * (left + 1 + right)
+        feats = np.zeros((len(part), n.max(), dim))
+        mask = np.zeros((len(part), n.max()))
+        for b, u in enumerate(part):
+            feats[b, :n[b]] = stack_downsample(u.feats, left, right, factor)
+            mask[b, :n[b]] = 1.0
         batches.append(Batch(
-            utt_ids=[u.utt_id for u, _ in part],
+            utt_ids=[u.utt_id for u in part],
             feats=feats,
-            feat_lengths=np.array([s.shape[0] for _, s in part], dtype=np.int64),
+            feat_lengths=n,
             feat_mask=mask,
-            targets=[vocab.ids(u.targets) for u, _ in part],
+            targets=[vocab.ids(u.targets) for u in part],
             alignments=[alignment_ids(u.alignment, vocab) if u.alignment else None
-                        for u, _ in part],
+                        for u in part],
         ))
     return batches

@@ -1,9 +1,14 @@
 """Pure numpy transducer forward-backward kernel.
 
 Fallback for :mod:`satkit._latfb`; same contract, vectorized over lattice
-anti-diagonals. Blank is always token 0. All dynamic programming runs in log
-space with a finite sentinel (``LOG_ZERO``) standing in for minus infinity,
-with absorbing add semantics.
+anti-diagonals. A padded batch runs one anti-diagonal loop for all of its
+utterances: the tables are stored skewed, one row per anti-diagonal, so a
+step updates every utterance's cells on one diagonal with whole-row array
+operations, and a cell past utterance b's own (T_b, U_b) keeps its sentinel,
+so each utterance's tables equal those of its lattice scored alone. Blank is
+always token 0. All dynamic programming runs in log space with a finite
+sentinel (``LOG_ZERO``) standing in for minus infinity, with absorbing add
+semantics.
 """
 
 import numpy as np
@@ -17,64 +22,99 @@ def _logadd(a, b):
     return np.where(m <= LOG_ZERO_GUARD, LOG_ZERO, out)
 
 
-def forward_backward(log_probs, targets):
-    """Transducer loss, gradient and DP tables for one utterance.
+def forward_backward(log_probs, targets, t_lengths=None, u_lengths=None):
+    """Transducer loss, gradient and DP tables.
 
     Args:
-        log_probs: (T, U+1, K) float64 array of per-node log distributions.
-        targets: (U,) int64 array of target token ids (no blanks).
+        log_probs: (T, U+1, K) float64 array of per-node log distributions,
+            or a padded batch (B, T_max, U_max+1, K).
+        targets: (U,) int64 target ids (no blanks); for a batch, B id
+            sequences, sequence b of length ``u_lengths[b]``.
+        t_lengths, u_lengths: (B,) frame and target counts of a batch.
 
     Returns:
         (loss, grad, alpha, beta) where loss is the negative log-likelihood,
         grad is d(loss)/d(log_probs) with the same shape, and alpha/beta are
-        the (T, U+1) forward/backward tables.
+        the (T, U+1) forward/backward tables. For a batch, loss is (B,) and
+        the tables are (B, T_max, U_max+1); padding cells hold a zero
+        gradient and ``LOG_ZERO`` in alpha and beta.
     """
     lp = np.ascontiguousarray(log_probs, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.int64)
-    T, U1, K = lp.shape
+    if lp.ndim == 3:
+        T, U1, _ = lp.shape
+        loss, grad, alpha, beta = _batch(lp[None], [targets], np.array([T]), np.array([U1 - 1]))
+        return float(loss[0]), grad[0], alpha[0], beta[0]
+    return _batch(lp, targets, np.asarray(t_lengths, dtype=np.int64),
+                  np.asarray(u_lengths, dtype=np.int64))
+
+
+def _batch(lp, targets, t_len, u_len):
+    B, T, U1, _ = lp.shape
     U = U1 - 1
+    bs = np.arange(B)
+    y = np.zeros((B, U), dtype=np.int64)
+    for b in range(B):
+        y[b, :u_len[b]] = targets[b]
+    t_idx, u_idx = np.arange(T), np.arange(U1)
+    valid = (t_idx[None, :, None] < t_len[:, None, None]) & (u_idx[None, None, :] <= u_len[:, None, None])
 
-    lp_blank = lp[:, :, 0]
-    lp_label = lp[np.arange(T)[:, None], np.arange(U)[None, :], y[None, :]] if U else np.zeros((T, 0))
+    lp_blank = lp[:, :, :, 0]
+    # Label log prob of each cell; LOG_ZERO where the utterance has no
+    # label left to emit (u >= U_b), which also covers the ghost column u = U.
+    lpl_pad = np.full((B, T, U1), LOG_ZERO)
+    lp_label = lp[bs[:, None, None], t_idx[None, :, None], u_idx[None, None, :U], y[:, None, :]]
+    has_label = u_idx[None, None, :U] < u_len[:, None, None]
+    lpl_pad[:, :, :U] = np.where(has_label, lp_label, LOG_ZERO)
 
-    alpha = np.full((T, U1), LOG_ZERO)
-    alpha[0, 0] = 0.0
-    for n in range(1, T + U):
-        ts = np.arange(max(0, n - U), min(T - 1, n) + 1)
-        us = n - ts
-        tsm = np.maximum(ts - 1, 0)
-        from_blank = alpha[tsm, us] + lp_blank[tsm, us]
-        from_blank[ts == 0] = LOG_ZERO
-        if U:
-            usm = np.maximum(us - 1, 0)
-            from_label = alpha[ts, usm] + lp_label[ts, usm]
-            from_label[us == 0] = LOG_ZERO
-        else:
-            from_label = np.full(ts.shape, LOG_ZERO)
-        alpha[ts, us] = _logadd(from_blank, from_label)
+    # Skewed layout: row n of a (B, T+U, U+1) table is anti-diagonal n, with
+    # cell (n - u, u) in column u, so each step of the recurrence reads and
+    # writes whole rows. Cells off the grid are impossible and never valid.
+    n_diag = T + U
+    skew_t = np.arange(n_diag)[:, None] - u_idx[None, :]
+    on_grid = (skew_t >= 0) & (skew_t < T)
+    at_t = np.clip(skew_t, 0, T - 1)
+
+    def skew(table, fill):
+        return np.where(on_grid, table[:, at_t, u_idx[None, :]], fill)
+
+    ok = skew(valid, False)
+    lpb_s, lpl_s = skew(lp_blank, LOG_ZERO), skew(lpl_pad, LOG_ZERO)
+
+    alpha_s = np.full((B, n_diag, U1), LOG_ZERO)
+    alpha_s[:, 0, 0] = 0.0
+    from_label = np.full((B, U1), LOG_ZERO)  # column 0 has no label move
+    for n in range(1, n_diag):
+        prev = alpha_s[:, n - 1]
+        from_blank = prev + lpb_s[:, n - 1]
+        from_label[:, 1:] = (prev + lpl_s[:, n - 1])[:, :U]
+        alpha_s[:, n] = np.where(ok[:, n], _logadd(from_blank, from_label), LOG_ZERO)
 
     # Ghost row/column turn the terminal blank into the uniform recurrence:
-    # beta_g[T, U] = 0 is "finished".
-    beta_g = np.full((T + 1, U1 + 1), LOG_ZERO)
-    beta_g[T, U] = 0.0
-    lpl_pad = np.full((T, U1), LOG_ZERO)
-    if U:
-        lpl_pad[:, :U] = lp_label
-    for n in range(T + U - 1, -1, -1):
-        ts = np.arange(max(0, n - U), min(T - 1, n) + 1)
-        us = n - ts
-        beta_g[ts, us] = _logadd(
-            beta_g[ts + 1, us] + lp_blank[ts, us],
-            beta_g[ts, us + 1] + lpl_pad[ts, us],
-        )
-    beta = beta_g[:T, :U1].copy()
+    # beta at (T_b, U_b) = 0 is "finished". Cells outside an utterance keep
+    # their value, so the terminal survives and the rest stay LOG_ZERO.
+    beta_s = np.full((B, n_diag + 1, U1 + 1), LOG_ZERO)
+    beta_s[bs, t_len + u_len, u_len] = 0.0
+    for n in range(n_diag - 1, -1, -1):
+        below = beta_s[:, n + 1]
+        beta_s[:, n, :U1] = np.where(ok[:, n], _logadd(
+            below[:, :U1] + lpb_s[:, n],
+            below[:, 1:] + lpl_s[:, n],
+        ), beta_s[:, n, :U1])
 
-    loss = -(alpha[T - 1, U] + lp_blank[T - 1, U])
-    log_like = beta[0, 0]
+    diag = t_idx[:, None] + u_idx[None, :]
+    alpha = alpha_s[:, diag, u_idx]
+    beta = np.where(valid, beta_s[:, diag, u_idx], LOG_ZERO)
+    beta_down = beta_s[:, diag + 1, u_idx]  # beta at (t + 1, u), ghost row included
+
+    last_t = t_len - 1
+    loss = -(alpha[bs, last_t, u_len] + lp_blank[bs, last_t, u_len])
+    log_like = beta[:, 0, 0][:, None, None]
 
     grad = np.zeros_like(lp)
-    grad[:, :, 0] = -np.exp(alpha + lp_blank + beta_g[1:, :U1] - log_like)
+    occ_blank = np.exp(alpha + lp_blank + beta_down - log_like)
+    grad[:, :, :, 0] = np.where(valid, -occ_blank, 0.0)
     if U:
-        occ_label = np.exp(alpha[:, :U] + lp_label + beta[:, 1:] - log_like)
-        grad[np.arange(T)[:, None], np.arange(U)[None, :], y[None, :]] = -occ_label
-    return float(loss), grad, alpha, beta
+        occ_label = np.exp(alpha[:, :, :U] + lp_label + beta[:, :, 1:] - log_like)
+        b, t, u = np.nonzero(valid[:, :, :U] & has_label)
+        grad[b, t, u, y[b, u]] = -occ_label[b, t, u]
+    return loss, grad, alpha, beta

@@ -6,6 +6,12 @@ Training minimizes the negative log-likelihood of the target sequence summed
 over all monotone alignment paths; the DP kernels in :mod:`satkit.kernels`
 supply both the loss and its analytic gradient, which is grafted onto the
 autodiff tape as a single composite op.
+
+A training batch is one padded (B, T_max, U_max+1, K) grid: the joint adds
+(B, T, 1, J) encoder projections to (B, 1, U+1, J) prediction projections
+with one broadcast add, and one kernel call scores every utterance within
+its own frame and target counts. A single utterance is the same code
+without the batch axis.
 """
 
 import itertools
@@ -22,28 +28,49 @@ from .vocab import BLANK, SOS
 
 @dataclass
 class PosteriorLattice:
-    """Log-prob grid plus the target ids it is scored against."""
+    """Log-prob grid plus the target ids it is scored against.
+
+    One utterance: ``log_probs`` is (T, U+1, K) and ``targets`` its U ids. A
+    padded batch: ``log_probs`` is (B, T_max, U_max+1, K), ``targets`` holds
+    B id sequences and ``lengths`` the B frame counts; utterance b owns the
+    cells t < lengths[b], u <= len(targets[b]), and no loss reads the rest.
+    """
 
     log_probs: Tensor
-    targets: np.ndarray
+    targets: object
+    lengths: np.ndarray = None
 
     def __post_init__(self):
         if not isinstance(self.log_probs, Tensor):
             self.log_probs = Tensor(self.log_probs)
-        self.targets = np.asarray(self.targets, dtype=np.int64)
-        if self.log_probs.ndim != 3:
-            raise ValueError(f"lattice must be (T, U+1, K), got {self.log_probs.shape}")
-        T, U1, K = self.log_probs.shape
-        if T < 1:
-            raise ValueError("lattice needs at least one time frame")
-        if self.targets.ndim != 1 or self.targets.shape[0] != U1 - 1:
-            raise ValueError(
-                f"targets shape {self.targets.shape} inconsistent with U+1={U1}")
-        if self.targets.size:
-            if self.targets.min() < 0 or self.targets.max() >= K:
-                raise ValueError("target id out of vocabulary range")
-            if np.any(self.targets == BLANK) or np.any(self.targets == SOS):
-                raise ValueError("targets may not contain blank or start ids")
+        shape = self.log_probs.shape
+        if self.lengths is None:
+            if len(shape) != 3:
+                raise ValueError(f"lattice must be (T, U+1, K), or a (B, T, U+1, K) "
+                                 f"batch with lengths, got {shape}")
+            if shape[0] < 1:
+                raise ValueError("lattice needs at least one time frame")
+            self.targets = _checked_targets(self.targets, shape[2])
+            if self.targets.shape[0] != shape[1] - 1:
+                raise ValueError(
+                    f"targets shape {self.targets.shape} inconsistent with U+1={shape[1]}")
+            return
+        if len(shape) != 4:
+            raise ValueError(f"a lattice batch must be (B, T, U+1, K), got {shape}")
+        self.lengths = np.asarray(self.lengths, dtype=np.int64)
+        if self.lengths.shape != (shape[0],) or len(self.targets) != shape[0]:
+            raise ValueError(f"a batch of {shape[0]} lattices needs {shape[0]} lengths "
+                             f"and target sequences")
+        if self.lengths.min() < 1 or self.lengths.max() > shape[1]:
+            raise ValueError(f"frame counts must lie in [1, {shape[1]}], got {self.lengths}")
+        self.targets = [_checked_targets(y, shape[3]) for y in self.targets]
+        if max(y.shape[0] for y in self.targets) > shape[2] - 1:
+            raise ValueError(f"a target sequence is longer than U_max={shape[2] - 1}")
+
+    @property
+    def u_lengths(self) -> np.ndarray:
+        """Target count of each utterance of a batch."""
+        return np.array([y.shape[0] for y in self.targets], dtype=np.int64)
 
     @property
     def T(self):
@@ -68,13 +95,26 @@ class PosteriorLattice:
                 f"lattice row {bad} not normalized: |logsumexp| = {residual.max():.3e}")
 
 
+def _checked_targets(targets, K) -> np.ndarray:
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.ndim != 1:
+        raise ValueError(f"targets must be one id sequence, got shape {targets.shape}")
+    if targets.size:
+        if targets.min() < 0 or targets.max() >= K:
+            raise ValueError("target id out of vocabulary range")
+        if np.any(targets == BLANK) or np.any(targets == SOS):
+            raise ValueError("targets may not contain blank or start ids")
+    return targets
+
+
 def _np_logsumexp(lp):
     m = lp.max(axis=-1, keepdims=True)
     return (m + np.log(np.exp(lp - m).sum(axis=-1, keepdims=True))).squeeze(-1)
 
 
 def transducer_loss(lattice: PosteriorLattice, validate: bool = True) -> Tensor:
-    """Negative log-likelihood of the targets, summed over alignment paths.
+    """Negative log-likelihood of the targets, summed over alignment paths:
+    a scalar for one utterance, the (B,) per-utterance losses for a batch.
 
     Differentiable w.r.t. ``lattice.log_probs``. ``validate=False`` skips the
     row-normalization check so finite-difference probes can perturb single
@@ -82,21 +122,24 @@ def transducer_loss(lattice: PosteriorLattice, validate: bool = True) -> Tensor:
     """
     if validate:
         lattice.validate_normalized()
-    lp = lattice.log_probs
-    loss, grad, _, _ = kernels.forward_backward(
-        np.ascontiguousarray(lp.data, dtype=np.float64), lattice.targets)
+    loss, grad, _, _ = forward_backward_arrays(lattice)
+    dtype = lattice.log_probs.dtype
 
     def vjp(g):
-        return (float(g) * grad.astype(lp.dtype, copy=False),)
+        g = np.asarray(g, dtype=dtype)
+        return (g.reshape(g.shape + (1, 1, 1)) * grad.astype(dtype, copy=False),)
 
-    return ad.op_result(np.float64(loss), (lp,), vjp)
+    return ad.op_result(np.asarray(loss, dtype=np.float64), (lattice.log_probs,), vjp)
 
 
 def forward_backward_arrays(lattice: PosteriorLattice):
-    """Raw (loss, grad, alpha, beta) from the active kernel backend."""
-    return kernels.forward_backward(
-        np.ascontiguousarray(lattice.log_probs.data, dtype=np.float64),
-        lattice.targets)
+    """Raw (loss, grad, alpha, beta) from the active kernel backend; for a
+    batch each is stacked over the utterances (see :mod:`satkit.kernels`)."""
+    lp = np.ascontiguousarray(lattice.log_probs.data, dtype=np.float64)
+    if lattice.lengths is None:
+        return kernels.forward_backward(lp, lattice.targets)
+    return kernels.forward_backward(lp, lattice.targets, lattice.lengths,
+                                    lattice.u_lengths)
 
 
 def brute_force_loss(lattice: PosteriorLattice, max_paths: int = 200_000) -> float:
@@ -198,18 +241,24 @@ class JointNetwork:
         return p["joint.w_in"], p["joint.w_in"]
 
     def log_probs(self, enc: Tensor, pred: Tensor) -> Tensor:
-        """(T, d_enc) x (U+1, d_pred) -> (T, U+1, K) normalized log probs."""
-        if enc.shape[1] != self.d_enc or pred.shape[1] != self.d_pred:
+        """(T, d_enc) x (U+1, d_pred) -> (T, U+1, K) normalized log probs; a
+        batch (B, T, d_enc) x (B, U+1, d_pred) -> (B, T, U+1, K)."""
+        if (enc.ndim not in (2, 3) or enc.ndim != pred.ndim
+                or enc.shape[:-2] != pred.shape[:-2]
+                or enc.shape[-1] != self.d_enc or pred.shape[-1] != self.d_pred):
             raise ad.ShapeError(
                 f"joint network fed {enc.shape} x {pred.shape}, expected widths "
                 f"{self.d_enc} and {self.d_pred}")
-        T, U1 = enc.shape[0], pred.shape[0]
         w_f, w_g = self.input_weights()
-        grid = ad.add(ad.repeat_rows(ad.matmul(enc, w_f), U1),
-                      ad.tile_rows(ad.matmul(pred, w_g), T))
+        f = ad.matmul(enc, w_f)
+        g = ad.matmul(pred, w_g)
+        # (..., T, 1, J) + (..., 1, U+1, J): one grid, no copies of either side.
+        grid = ad.broadcast_add(ad.reshape(f, f.shape[:-1] + (1, self.d_joint)),
+                                ad.reshape(g, g.shape[:-2] + (1,) + g.shape[-2:]))
         logits = ad.matmul(ad.tanh(grid), self.params["joint.w_out"])
-        return ad.reshape(ad.log_softmax_lastdim(logits), (T, U1, self.vocab_size))
+        return ad.log_softmax_lastdim(logits)
 
-    def lattice(self, enc: Tensor, pred: Tensor, targets) -> PosteriorLattice:
-        return PosteriorLattice(self.log_probs(enc, pred), targets)
-
+    def lattice(self, enc: Tensor, pred: Tensor, targets, lengths=None) -> PosteriorLattice:
+        """The lattice of one utterance, or of a padded batch whose frame
+        counts are ``lengths``."""
+        return PosteriorLattice(self.log_probs(enc, pred), targets, lengths)

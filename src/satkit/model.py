@@ -92,14 +92,20 @@ class SATModel:
         return sum(p.data.size for p in self.params.values())
 
     def forward_lattice(self, stacked, target_ids, chunk: ChunkSpec = None,
-                        training: bool = False, rng=None) -> PosteriorLattice:
-        """Stacked features + target ids -> the full posterior lattice."""
+                        training: bool = False, rng=None, lengths=None) -> PosteriorLattice:
+        """Stacked features + target ids -> the full posterior lattice.
+
+        One utterance: (T, d) features and one id sequence. A padded batch:
+        (B, T_max, d) features, B id sequences and the B frame counts
+        ``lengths``; the batch runs as one encoder, one prediction-net and
+        one joint call.
+        """
         feats = stacked if isinstance(stacked, Tensor) else Tensor(np.asarray(stacked))
         enc = self.encoder(feats, chunk=chunk, dropout_rate=self.config.dropout,
-                           rng=rng, training=training)
+                           rng=rng, training=training, lengths=lengths)
         pred = self.prednet(target_ids, dropout_rate=self.config.dropout,
                             rng=rng, training=training)
-        return self.joint.lattice(enc, pred, np.asarray(target_ids, dtype=np.int64))
+        return self.joint.lattice(enc, pred, target_ids, lengths)
 
     def save(self, path, meta: dict = None) -> None:
         ckpt.save_checkpoint(path, dict(self.params), asdict(self.config), meta)

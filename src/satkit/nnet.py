@@ -8,7 +8,15 @@ so an unbounded window and a window wider than the sequence produce the same
 Whole sequences are evaluated only by the Tensor modules: training records
 the tape, and everything else (the full-matrix encoder policy, dev scoring,
 the exhaustive decoding oracle) calls the same modules inside
-``autodiff.no_grad()`` and reads ``.data``.
+``autodiff.no_grad()`` and reads ``.data``. The modules take one sequence,
+(n, d_m), or a zero-padded batch, (B, n, d_m), through the same code: linear
+layers act on the last axis, attention heads are split as (..., heads, n,
+d_k), and a window mask is (n_q, n_kv), shared by the batch, or
+(B, n_q, n_kv). The encoder blocks each real frame's view of the padded
+frames after it; the prediction network's causal mask already hides the
+padded labels after each sequence. A training step is therefore one tape
+over the whole batch, and a real row equals that of its sequence run alone
+up to rounding.
 
 Decoding one row at a time has its own kernel, the cached key/value row
 step: :meth:`MultiHeadAttention.kv_np` projects a row's key and value once,
@@ -29,7 +37,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import LOG_ZERO, Tensor
-from .vocab import SOS
+from .vocab import BLANK, SOS
 
 LN_EPS = 1e-6
 
@@ -131,6 +139,20 @@ def _check_open_rows(mask: np.ndarray):
         raise ValueError("attention mask blocks every key for some query row")
 
 
+def _key_padding(mask: np.ndarray, lengths, shape) -> np.ndarray:
+    """(B, T, T) masks: ``mask`` with the padded keys of each sequence
+    blocked for its real query rows."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if len(shape) != 3 or lengths.shape != (shape[0],):
+        raise ad.ShapeError(f"lengths {lengths.shape} do not match a batch of {shape}")
+    if lengths.min() < 1 or lengths.max() > shape[1]:
+        raise ValueError(f"sequence lengths must lie in [1, {shape[1]}], got {lengths}")
+    pos = np.arange(shape[1])
+    real = pos[None, :] < lengths[:, None]                  # (B, T)
+    blocked = real[:, :, None] & ~real[:, None, :]          # real query, padded key
+    return np.where(blocked, LOG_ZERO, mask)
+
+
 def self_attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
     """softmax(q k^T / sqrt(d_k)) v over already-projected 2-D inputs."""
     if k.shape[0] != v.shape[0]:
@@ -164,23 +186,30 @@ class MultiHeadAttention:
         }
         self._prefix = prefix
 
-    def _split(self, x: Tensor, n: int) -> Tensor:
-        # (n, d_m) -> (heads, n, d_k)
-        return ad.transpose(ad.reshape(x, (n, self.n_heads, self.d_k)), (1, 0, 2))
+    def _split(self, x: Tensor) -> Tensor:
+        # (..., n, d_m) -> (..., heads, n, d_k)
+        x = ad.reshape(x, x.shape[:-1] + (self.n_heads, self.d_k))
+        return ad.transpose(x, _swap_last_but_one(x.ndim))
 
     def __call__(self, x_q: Tensor, x_kv: Tensor, mask=None) -> Tensor:
+        """Attention of the query rows over the key/value rows: (n, d_m)
+        each, or (B, n, d_m) for a batch. ``mask`` is an additive
+        (n_q, n_kv) window, or (B, n_q, n_kv) with one window per sequence."""
         p, pre = self.params, self._prefix
-        n_q, n_kv = x_q.shape[0], x_kv.shape[0]
-        q = self._split(ad.matmul(x_q, p[f"{pre}.w_q"]), n_q)
-        k = self._split(ad.matmul(x_kv, p[f"{pre}.w_k"]), n_kv)
-        v = self._split(ad.matmul(x_kv, p[f"{pre}.w_v"]), n_kv)
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(self.d_k))
+        q = self._split(ad.matmul(x_q, p[f"{pre}.w_q"]))
+        k = self._split(ad.matmul(x_kv, p[f"{pre}.w_k"]))
+        v = self._split(ad.matmul(x_kv, p[f"{pre}.w_v"]))
+        k_t = ad.transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
+        scores = ad.matmul(q, k_t)
         if mask is not None:
             mask = np.asarray(mask, dtype=scores.dtype)
             _check_open_rows(mask)
-            scores = ad.add(scores, Tensor(mask))
-        ctx = ad.matmul(ad.softmax_lastdim(scores), v)
-        merged = ad.reshape(ad.transpose(ctx, (1, 0, 2)), (n_q, self.d_m))
+            if mask.ndim == 3:  # one window per sequence, shared by its heads
+                mask = mask[:, None]
+        weights = ad.softmax_lastdim(scores, 1.0 / math.sqrt(self.d_k), mask)
+        ctx = ad.matmul(weights, v)
+        merged = ad.transpose(ctx, _swap_last_but_one(ctx.ndim))
+        merged = ad.reshape(merged, merged.shape[:-2] + (self.d_m,))
         return ad.matmul(merged, p[f"{pre}.w_o"])
 
     def kv_np(self, x_kv: np.ndarray):
@@ -203,6 +232,11 @@ class MultiHeadAttention:
             scores = scores + mask
         w = _np_softmax(scores)
         return (w @ v).transpose(1, 0, 2).reshape(n_q, self.d_m) @ p[f"{pre}.w_o"].data
+
+
+def _swap_last_but_one(ndim: int) -> tuple:
+    """Axis order that swaps the two axes before the last one."""
+    return tuple(range(ndim - 3)) + (ndim - 2, ndim - 3, ndim - 1)
 
 
 def _np_softmax(x: np.ndarray) -> np.ndarray:
@@ -297,17 +331,28 @@ class Encoder:
             self.params.update(b.params)
 
     def __call__(self, feats: Tensor, chunk: ChunkSpec = None, start: int = 0,
-                 dropout_rate: float = 0.0, rng=None, training: bool = False) -> Tensor:
-        if feats.ndim != 2 or feats.shape[0] == 0:
-            raise ad.ShapeError(f"encoder expects non-empty (T, {self.d_in}), got {feats.shape}")
-        if feats.shape[1] != self.d_in:
+                 dropout_rate: float = 0.0, rng=None, training: bool = False,
+                 lengths=None) -> Tensor:
+        """(T, d_in) -> (T, d_m), or a zero-padded batch (B, T_max, d_in) ->
+        (B, T_max, d_m) whose sequence b holds ``lengths[b]`` frames.
+
+        In a batch, a real frame attends only to real frames of its window,
+        so its row equals that of the sequence encoded alone up to rounding;
+        a padded frame keeps its plain window and yields a row nothing reads.
+        """
+        if feats.ndim not in (2, 3) or feats.shape[-2] == 0:
+            raise ad.ShapeError(f"encoder expects non-empty (T, {self.d_in}) or "
+                                f"(B, T, {self.d_in}), got {feats.shape}")
+        if feats.shape[-1] != self.d_in:
             raise ad.ShapeError(f"encoder expects width {self.d_in}, got {feats.shape}")
         chunk = chunk if chunk is not None else self.chunk
-        T = feats.shape[0]
+        T = feats.shape[-2]
         x = ad.add(ad.matmul(feats, self.params["enc.in.w"]), self.params["enc.in.b"])
         x = ad.add(x, Tensor(positional_encoding(T, self.d_m, start).astype(x.dtype)))
         x = ad.dropout(x, dropout_rate, rng, training)
         mask = window_mask(T, T, chunk)
+        if lengths is not None:
+            mask = _key_padding(mask, lengths, feats.shape)
         for block in self.blocks:
             x = block(x, mask, dropout_rate, rng, training)
         return x
@@ -409,8 +454,11 @@ class PredictionNetwork:
 
     def __call__(self, labels, dropout_rate: float = 0.0, rng=None,
                  training: bool = False) -> Tensor:
-        ids = np.asarray([SOS] + [int(t) for t in labels], dtype=np.int64)
-        n = ids.shape[0]
+        """One label sequence -> (U+1, d_m) states, or a list of B sequences
+        -> (B, U_max+1, d_m), shorter ones padded at the end. The causal
+        mask keeps every real row blind to the padding after it."""
+        ids = _label_ids(labels)
+        n = ids.shape[-1]
         x = ad.scale(ad.index_rows(self.params["pred.emb"], ids), math.sqrt(self.d_m))
         x = ad.add(x, Tensor(positional_encoding(n, self.d_m).astype(x.dtype)))
         x = ad.dropout(x, dropout_rate, rng, training)
@@ -441,6 +489,18 @@ class PredictionNetwork:
             layers.append(kv)
             x = block.apply_kv_np(x, kv[:, :d], kv[:, d:])
         return PredState(layers, state.length + 1, x[0])
+
+
+def _label_ids(labels) -> np.ndarray:
+    """Prediction-network input ids: [SOS] + labels, (U+1,); or for a batch
+    of sequences (B, U_max+1), padded with blanks after each sequence."""
+    if len(labels) == 0 or np.ndim(labels[0]) == 0:  # one sequence
+        return np.asarray([SOS] + [int(t) for t in labels], dtype=np.int64)
+    ids = np.full((len(labels), 1 + max(len(y) for y in labels)), BLANK, dtype=np.int64)
+    ids[:, 0] = SOS
+    for b, y in enumerate(labels):
+        ids[b, 1:1 + len(y)] = y
+    return ids
 
 
 @dataclass

@@ -99,9 +99,15 @@ class NoamWarmup:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.should_stop = False
-        if adaptive:
-            self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-            self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.m, self.v = {}, {}
+
+    def _moments(self):
+        """The two moment buffers per parameter, made when first needed: a
+        trainer that has not stepped holds no optimizer state."""
+        if not self.m:
+            self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+            self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        return self.m, self.v
 
     @property
     def lr(self) -> float:
@@ -112,13 +118,14 @@ class NoamWarmup:
         self.step_count += 1
         lr = noam_lr(self.step_count, self.lr_factor, self.warmup_steps, self.d_m)
         t = self.step_count
+        moments = self._moments() if self.adaptive else None
         for name in sorted(self.params):
             p = self.params[name]
             g = p.grad
             if not self.adaptive:
                 p.data -= lr * g
                 continue
-            m, v = self.m[name], self.v[name]
+            m, v = moments[0][name], moments[1][name]
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
@@ -135,13 +142,15 @@ class NoamWarmup:
                 "adaptive": self.adaptive}
         arrays = {}
         if self.adaptive:
-            arrays.update({f"opt.m.{k}": v.copy() for k, v in self.m.items()})
-            arrays.update({f"opt.v.{k}": v.copy() for k, v in self.v.items()})
+            m, v = self._moments()
+            arrays.update({f"opt.m.{k}": a.copy() for k, a in m.items()})
+            arrays.update({f"opt.v.{k}": a.copy() for k, a in v.items()})
         return meta, arrays
 
     def load_state_dict(self, meta, arrays):
         self.step_count = meta["step_count"]
         if self.adaptive:
-            for k in self.m:
-                self.m[k] = arrays[f"opt.m.{k}"].copy()
-                self.v[k] = arrays[f"opt.v.{k}"].copy()
+            m, v = self._moments()
+            for k in m:
+                m[k] = arrays[f"opt.m.{k}"].copy()
+                v[k] = arrays[f"opt.v.{k}"].copy()

@@ -75,29 +75,50 @@ class ParConfig:
             raise ValueError(f"regularization weight must be non-negative, got {self.beta}")
 
 
-def par_loss(lat: PosteriorLattice, path: AlignmentPath,
-             cfg: ParConfig = None) -> Tensor:
+def par_loss(lat: PosteriorLattice, path, cfg: ParConfig = None) -> Tensor:
     """-sum over path triples of (1 - p(blank|t,u)) * log p(token|t,u).
 
-    ``labels_only`` drops the blank-target triples from the sum;
-    ``detach_weight`` (default) treats the weights as constants in the
+    One lattice and its path give a scalar; a lattice batch and a list of
+    B paths give the (B,) per-utterance sums, from one gather over the
+    batch's grid. ``labels_only`` drops the blank-target triples from the
+    sum; ``detach_weight`` (default) treats the weights as constants in the
     gradient.
     """
     cfg = cfg or ParConfig()
-    T, U1, K = lat.log_probs.shape
-    triples = path.label_triples if cfg.labels_only else path.triples
-    for (t, u, k) in triples:
-        if not (0 <= t < T and 0 <= u < U1 and 0 <= k < K):
-            raise ValueError(f"path triple {(t, u, k)} outside lattice {(T, U1 - 1, K)}")
-    flat = ad.reshape(lat.log_probs, (T * U1 * K, 1))
-    node = np.array([(t * U1 + u) * K for (t, u, _) in triples], dtype=np.int64)
-    tok_lp = ad.index_rows(flat, node + np.array([k for (_, _, k) in triples]))
-    blank_lp = ad.index_rows(flat, node + BLANK)
+    batched = lat.lengths is not None
+    paths = list(path) if batched else [path]
+    shape = lat.log_probs.shape
+    T_max, U1, K = shape[-3:]
+    t_lens = lat.lengths if batched else [T_max]
+    u_lens = lat.u_lengths if batched else [U1 - 1]
+    if len(paths) != len(t_lens):
+        raise ValueError(f"{len(paths)} alignment paths for {len(t_lens)} lattices")
+    node, tok, owner = [], [], []
+    for b, p in enumerate(paths):
+        T, U = int(t_lens[b]), int(u_lens[b])
+        for (t, u, k) in (p.label_triples if cfg.labels_only else p.triples):
+            if not (0 <= t < T and 0 <= u <= U and 0 <= k < K):
+                raise ValueError(f"path triple {(t, u, k)} outside lattice {(T, U, K)}")
+            node.append(((b * T_max + t) * U1 + u) * K)
+            tok.append(k)
+            owner.append(b)
+    node = np.asarray(node, dtype=np.int64)
+    n = node.shape[0]
+    flat = ad.reshape(lat.log_probs, (int(np.prod(shape)), 1))
+    # seg[b, i] = 1 when triple i lies on utterance b's path.
+    seg = np.zeros((len(paths), n), dtype=flat.dtype)
+    seg[np.asarray(owner, dtype=np.int64), np.arange(n)] = 1.0
     if cfg.detach_weight:
-        w = Tensor(1.0 - np.exp(blank_lp.data))
+        tok_lp = ad.index_rows(flat, node + np.asarray(tok, dtype=np.int64))
+        w = 1.0 - np.exp(flat.data[node + BLANK])
+        per_utt = ad.matmul(Tensor(seg * w.T), tok_lp)
     else:
-        w = ad.add(ad.scale(ad.exp(blank_lp), -1.0), Tensor(np.ones_like(blank_lp.data)))
-    return ad.reshape(ad.scale(ad.sum_all(ad.mul(w, tok_lp)), -1.0), ())
+        both = ad.index_rows(flat, np.concatenate([node + np.asarray(tok, dtype=np.int64),
+                                                   node + BLANK]))
+        tok_lp, blank_lp = ad.slice_axis(both, 0, 0, n), ad.slice_axis(both, 0, n, 2 * n)
+        w = ad.add(ad.scale(ad.exp(blank_lp), -1.0), Tensor(np.ones((n, 1), dtype=flat.dtype)))
+        per_utt = ad.matmul(Tensor(seg), ad.mul(w, tok_lp))
+    return ad.reshape(ad.scale(per_utt, -1.0), (len(paths),) if batched else ())
 
 
 def joint_loss(lat: PosteriorLattice, path: AlignmentPath,

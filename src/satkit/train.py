@@ -1,12 +1,27 @@
-"""Training loop: batched lattice losses, dev CER tracking, checkpointing.
+"""Training loop: one tape per padded batch, dev CER tracking, checkpointing.
 
-Each step backpropagates the mean joint loss of one batch. Metrics stream to
-a CSV with columns step,lr,transducer_loss,par_loss,joint_loss,dev_cer; the
-per-step rows leave dev_cer empty and each epoch appends one summary row
-(epoch-mean losses, dev CER) under the epoch's final step number.
+Each step runs the whole padded batch as one tape: one encoder pass over the
+(B, T_max, d) features with key-padding masks from the frame counts, one
+prediction-net pass, one (B, T_max, U_max+1, K) joint grid, one batched
+lattice forward-backward and one path-regularizer gather. It backpropagates
+the mean joint loss of the batch once. A step whose loss or gradient norm is
+not finite is skipped: the optimizer does not move, ``Trainer.skipped_steps``
+counts it and a warning names the utterances at fault.
+
+Metrics stream to a CSV with columns step,lr,transducer_loss,par_loss,
+joint_loss,dev_cer,step_seconds,frames_per_sec,grad_norm. Per-step rows leave
+dev_cer empty; step_seconds is the step's wall time, frames_per_sec the
+batch's real (unpadded) stacked frames over it, and grad_norm the L2 norm of
+all parameter gradients. Each epoch appends one summary row (epoch-mean
+losses, dev CER) under the epoch's final step number, with the last three
+columns empty. Wall-clock values go only into this file, never into the
+history or a checkpoint, so that two runs of one seed stay equal there.
 """
 
+import logging
+import math
 import os
+import time
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -20,7 +35,10 @@ from .model import SATModel
 from .optim import NoamWarmup, SGDMomentum
 from .pathreg import ParConfig, build_path, par_loss
 
-METRICS_COLUMNS = "step,lr,transducer_loss,par_loss,joint_loss,dev_cer"
+log = logging.getLogger(__name__)
+
+METRICS_COLUMNS = ("step,lr,transducer_loss,par_loss,joint_loss,dev_cer,"
+                   "step_seconds,frames_per_sec,grad_norm")
 
 
 @dataclass
@@ -89,6 +107,7 @@ class Trainer:
         self.optimizer = self._make_optimizer()
         self.epoch = 0
         self.global_step = 0
+        self.skipped_steps = 0
         self.best_dev = None
         self.history = []
         self.metrics_path = metrics_path
@@ -106,40 +125,48 @@ class Trainer:
                           warmup_steps=c.warmup_steps, d_m=self.model.config.d_m,
                           adaptive=c.adaptive)
 
-    def _write_row(self, step, lr, tr, pr, jn, dev=""):
+    def _write_row(self, step, lr, tr, pr, jn, dev="", timing=("", "", "")):
         if self.metrics_path is None:
             return
-        dev_s = dev if isinstance(dev, str) else f"{dev:.10g}"
+        fmt = lambda v: v if isinstance(v, str) else f"{v:.10g}"
+        cells = [str(step)] + [fmt(v) for v in (lr, tr, pr, jn, dev, *timing)]
         with open(self.metrics_path, "a", encoding="utf-8") as f:
-            f.write(f"{step},{lr:.10g},{tr:.10g},{pr:.10g},{jn:.10g},{dev_s}\n")
+            f.write(",".join(cells) + "\n")
 
     def train_batch(self, batch, paths=None):
-        """One optimizer step on the mean joint loss of a batch."""
+        """One optimizer step on the mean joint loss of a padded batch.
+
+        Returns the batch-mean losses and the gradient norm. When the loss
+        or the gradient norm is not finite the optimizer step is skipped.
+        """
         n = len(batch.targets)
-        joints = []
-        t_sum = 0.0
-        p_sum = 0.0
-        for i in range(n):
-            t_len = int(batch.feat_lengths[i])
-            lat = self.model.forward_lattice(batch.feats[i, :t_len],
-                                             batch.targets[i],
-                                             training=True, rng=self.rng)
-            base = transducer_loss(lat, validate=False)
-            t_sum += base.item()
-            if self.par_cfg.beta > 0.0:
-                reg = par_loss(lat, paths[i], self.par_cfg)
-                p_sum += reg.item()
-                joints.append(ad.add(base, ad.scale(reg, self.par_cfg.beta)))
-            else:
-                joints.append(base)
-        total = joints[0]
-        for j in joints[1:]:
-            total = ad.add(total, j)
-        mean = ad.scale(total, 1.0 / n)
+        lat = self.model.forward_lattice(batch.feats, batch.targets, training=True,
+                                         rng=self.rng, lengths=batch.feat_lengths)
+        base = transducer_loss(lat, validate=False)
+        per_utt = base
+        reg = None
+        if self.par_cfg.beta > 0.0:
+            reg = par_loss(lat, paths, self.par_cfg)
+            per_utt = ad.add(base, ad.scale(reg, self.par_cfg.beta))
+        mean = ad.scale(ad.sum_all(per_utt), 1.0 / n)
         ad.zero_grads(self.model.params)
         mean.backward()
-        self.optimizer.step()
-        return {"transducer": t_sum / n, "par": p_sum / n, "joint": mean.item()}
+        grad_norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad))
+                                  for p in self.model.params.values()))
+        if math.isfinite(mean.item()) and math.isfinite(grad_norm):
+            self.optimizer.step()
+        else:
+            self._skip(batch, per_utt.data)
+        return {"transducer": float(base.data.sum()) / n,
+                "par": float(reg.data.sum()) / n if reg is not None else 0.0,
+                "joint": mean.item(), "grad_norm": grad_norm}
+
+    def _skip(self, batch, per_utt):
+        self.skipped_steps += 1
+        bad = [u for u, v in zip(batch.utt_ids, per_utt) if not math.isfinite(v)]
+        what = "loss" if bad else "gradient"
+        log.warning("skipped step %d: non-finite %s from utterances %s",
+                    self.global_step + 1, what, ", ".join(bad or batch.utt_ids))
 
     def evaluate(self) -> float:
         """Corpus CER of greedy decoding over the dev set.
@@ -165,11 +192,16 @@ class Trainer:
         order = self.rng.permutation(n_b) if self.cfg.shuffle else np.arange(n_b)
         sums = {"transducer": 0.0, "par": 0.0, "joint": 0.0}
         for bi in order:
+            batch = self.batches[int(bi)]
             paths = self.paths[bi] if self.paths is not None else None
-            stats = self.train_batch(self.batches[int(bi)], paths)
+            start = time.perf_counter()
+            stats = self.train_batch(batch, paths)
+            seconds = time.perf_counter() - start
             self.global_step += 1
             self._write_row(self.global_step, self.optimizer.lr,
-                            stats["transducer"], stats["par"], stats["joint"])
+                            stats["transducer"], stats["par"], stats["joint"],
+                            timing=(seconds, float(batch.feat_lengths.sum()) / seconds,
+                                    stats["grad_norm"]))
             for k in sums:
                 sums[k] += stats[k]
         means = {k: v / n_b for k, v in sums.items()}
@@ -207,6 +239,7 @@ class Trainer:
             "config": asdict(self.cfg),
             "epoch": self.epoch,
             "global_step": self.global_step,
+            "skipped_steps": self.skipped_steps,
             "best_dev": self.best_dev,
             "optimizer": opt_meta,
             "rng": ckpt.rng_state_to_meta(self.rng),
@@ -231,6 +264,7 @@ class Trainer:
         trainer.rng = ckpt.rng_state_from_meta(info["rng"])
         trainer.epoch = info["epoch"]
         trainer.global_step = info["global_step"]
+        trainer.skipped_steps = info.get("skipped_steps", 0)
         trainer.best_dev = info["best_dev"]
         trainer.history = [dict(h) for h in info["history"]]
         return trainer

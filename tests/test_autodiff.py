@@ -220,11 +220,39 @@ def test_transpose_reshape_fd():
              _weighted_np(lambda x: x.reshape(6, 2)), rand(3, 4))
 
 
-def test_repeat_tile_rows_fd():
-    check_fd(_weighted(lambda t: ad.repeat_rows(t, 3)),
-             _weighted_np(lambda x: np.repeat(x, 3, axis=0)), rand(2, 4))
-    check_fd(_weighted(lambda t: ad.tile_rows(t, 3)),
-             _weighted_np(lambda x: np.tile(x, (3, 1))), rand(2, 4))
+def test_broadcast_add_fd():
+    # the joint grid: (B, T, 1, J) + (B, 1, U, J), both operands differentiated
+    g = rand(2, 1, 4, 3)
+    check_fd(_weighted(lambda t: ad.broadcast_add(t, Tensor(g))),
+             _weighted_np(lambda x: x + g), rand(2, 5, 1, 3))
+    f = rand(2, 5, 1, 3)
+    check_fd(_weighted(lambda t: ad.broadcast_add(Tensor(f), t)),
+             _weighted_np(lambda x: f + x), rand(2, 1, 4, 3))
+    # equal shapes and a per-sequence mask broadcast over heads
+    m = rand(2, 1, 4, 4)
+    check_fd(_weighted(lambda t: ad.broadcast_add(t, Tensor(m))),
+             _weighted_np(lambda x: x + m), rand(2, 3, 4, 4))
+    with pytest.raises(ShapeError):
+        ad.broadcast_add(Tensor(rand(2, 3)), Tensor(rand(3, 3)))
+    with pytest.raises(ShapeError):
+        ad.broadcast_add(Tensor(rand(2, 1, 3)), Tensor(rand(1, 3)))
+
+
+def test_matmul_stack_times_matrix_fd():
+    # a shared weight on every row of a (B, T, d) stack, and 4-D head stacks
+    w = rand(4, 3)
+    check_fd(lambda t: ad.sum_all(ad.matmul(t, Tensor(w))),
+             lambda x: (x @ w).sum(), rand(2, 5, 4))
+    x = rand(2, 5, 4)
+    check_fd(_weighted(lambda t: ad.matmul(Tensor(x), t)),
+             _weighted_np(lambda v: x @ v), rand(4, 3))
+    b = rand(2, 3, 4, 2)
+    check_fd(_weighted(lambda t: ad.matmul(t, Tensor(b))),
+             _weighted_np(lambda v: v @ b), rand(2, 3, 5, 4))
+    with pytest.raises(ShapeError):
+        ad.matmul(Tensor(rand(2, 5, 4)), Tensor(rand(3, 3)))
+    with pytest.raises(ShapeError):
+        ad.matmul(Tensor(rand(2, 3, 5, 4)), Tensor(rand(3, 3, 4, 2)))
 
 
 def _ln_np(x, gain, bias, eps=1e-6):

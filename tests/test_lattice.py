@@ -8,7 +8,8 @@ import pytest
 
 from satkit import autodiff as ad
 from satkit.autodiff import Tensor
-from satkit.kernels import available_backends
+from satkit import kernels
+from satkit.kernels import available_backends, per_utterance
 from satkit.lattice import (JointNetwork, PosteriorLattice, brute_force_loss,
                             forward_backward_arrays, tape_loss,
                             transducer_loss)
@@ -252,3 +253,114 @@ def test_joint_rejects_wrong_widths():
     with pytest.raises(ad.ShapeError):
         joint.log_probs(Tensor(rng.standard_normal((4, 7))),
                         Tensor(rng.standard_normal((3, 6))))
+
+
+def random_batch(rng, lengths, k_size, pad=None):
+    """Padded (B, T_max, U_max+1, K) batch of random lattices, plus each
+    utterance's own lattice. The padding holds ``pad``, or normalized junk."""
+    t_max = max(t for t, _ in lengths)
+    u_max = max(u for _, u in lengths)
+    logits = rng.standard_normal((len(lengths), t_max, u_max + 1, k_size)) * 2.0
+    grid = logits - np.log(np.exp(logits).sum(-1, keepdims=True))
+    if pad is not None:
+        grid[:] = pad
+    singles = []
+    for b, (t, u) in enumerate(lengths):
+        singles.append(random_lattice(rng, t, u, k_size))
+        grid[b, :t, :u + 1] = singles[-1].log_probs.data
+    return grid, singles
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_batched_kernel_matches_per_utterance_calls(backend):
+    fb = available_backends()[backend]
+    looped = per_utterance(available_backends()["numpy"])
+    rng = np.random.default_rng(31)
+    shapes = [[(1, 0)], [(1, 0), (3, 2)], [(1, 3), (4, 0), (2, 2)], [(5, 4)]]
+    for _ in range(12):
+        b = int(rng.integers(1, 5))
+        shapes.append([(int(rng.integers(1, 8)), int(rng.integers(0, 6))) for _ in range(b)])
+    for i, lengths in enumerate(shapes):
+        # a kernel never reads the padding: not even a NaN there leaks out
+        grid, singles = random_batch(rng, lengths, 5, pad=np.nan if i % 2 else None)
+        targets = [lat.targets for lat in singles]
+        t_len = np.array([t for t, _ in lengths])
+        u_len = np.array([u for _, u in lengths])
+        loss, grad, alpha, beta = fb(grid, targets, t_len, u_len)
+        assert loss.shape == (len(lengths),)
+        for b, ((t, u), lat) in enumerate(zip(lengths, singles)):
+            want = fb(lat.log_probs.data, lat.targets)
+            assert loss[b] == pytest.approx(want[0], rel=1e-12)
+            np.testing.assert_allclose(grad[b, :t, :u + 1], want[1], atol=1e-12)
+            np.testing.assert_allclose(alpha[b, :t, :u + 1], want[2], atol=1e-10)
+            np.testing.assert_allclose(beta[b, :t, :u + 1], want[3], atol=1e-10)
+            # padding: no gradient, impossible in both tables
+            pad = np.ones(grid.shape[1:3], dtype=bool)
+            pad[:t, :u + 1] = False
+            assert not grad[b][pad].any()
+            assert np.all(alpha[b][pad] == ad.LOG_ZERO)
+            assert np.all(beta[b][pad] == ad.LOG_ZERO)
+        # the per-utterance loop that serves the compiled backend agrees
+        for got, ref in zip(looped(grid, targets, t_len, u_len), (loss, grad, alpha, beta)):
+            np.testing.assert_allclose(got, ref, atol=1e-10)
+
+
+def test_batched_lattice_loss_is_per_utterance():
+    rng = np.random.default_rng(37)
+    lengths = [(3, 2), (1, 0), (4, 1)]
+    grid, singles = random_batch(rng, lengths, 4)
+    lat = PosteriorLattice(Tensor(grid, requires_grad=True),
+                           [s.targets for s in singles], [t for t, _ in lengths])
+    loss = transducer_loss(lat)
+    assert loss.shape == (3,)
+    ad.sum_all(ad.scale(loss, 2.0)).backward()
+    for b, ((t, u), single) in enumerate(zip(lengths, singles)):
+        single.log_probs.requires_grad = True
+        one = transducer_loss(single)
+        assert loss.data[b] == pytest.approx(one.item(), rel=1e-12)
+        ad.scale(one, 2.0).backward()
+        np.testing.assert_allclose(lat.log_probs.grad[b, :t, :u + 1],
+                                   single.log_probs.grad, atol=1e-12)
+    with pytest.raises(ValueError):
+        PosteriorLattice(Tensor(grid), [s.targets for s in singles], [3, 1])
+    with pytest.raises(ValueError):
+        PosteriorLattice(Tensor(grid), [s.targets for s in singles], [3, 0, 4])
+    with pytest.raises(ValueError):
+        PosteriorLattice(Tensor(grid), [[2, 3, 2], [], [2]], [3, 1, 4])
+
+
+def test_kernel_entry_rejects_bad_inputs(monkeypatch):
+    monkeypatch.setattr(kernels, "_active", available_backends()["numpy"])
+    rng = np.random.default_rng(41)
+    grid, singles = random_batch(rng, [(3, 2), (2, 1)], 5)
+    targets = [s.targets for s in singles]
+    t_len, u_len = np.array([3, 2]), np.array([2, 1])
+    one = singles[0].log_probs.data
+    fb = kernels.forward_backward
+    loss, _, _, _ = fb(grid, targets, t_len, u_len)
+    assert loss.shape == (2,)
+    cases = [
+        ("C-contiguous float64", lambda: fb(grid.astype(np.float32), targets, t_len, u_len)),
+        ("C-contiguous float64", lambda: fb(np.asfortranarray(one), singles[0].targets)),
+        ("C-contiguous float64", lambda: fb(one.tolist(), singles[0].targets)),
+        ("expects", lambda: fb(one[0], singles[0].targets)),
+        ("lengths belong", lambda: fb(one, singles[0].targets, [3], [2])),
+        ("needs t_lengths", lambda: fb(grid, targets)),
+        ("t_lengths must be", lambda: fb(grid, targets, np.array([3]), u_len)),
+        ("u_lengths must be", lambda: fb(grid, targets, t_len, np.array([2.0, 1.0]))),
+        ("frame counts", lambda: fb(grid, targets, np.array([0, 2]), u_len)),
+        ("frame counts", lambda: fb(grid, targets, np.array([3, 4]), u_len)),
+        ("target counts", lambda: fb(grid, targets, t_len, np.array([3, 1]))),
+        ("target counts", lambda: fb(grid, targets, t_len, np.array([2, -1]))),
+        ("target sequences", lambda: fb(grid, targets[:1], t_len, u_len)),
+        ("targets for a lattice", lambda: fb(grid, [targets[0], targets[0]], t_len, u_len)),
+        ("1-D integer", lambda: fb(grid, [targets[0].astype(float), targets[1]], t_len, u_len)),
+        ("lie in", lambda: fb(grid, [np.array([2, 0]), targets[1]], t_len, u_len)),
+        ("lie in", lambda: fb(grid, [targets[0], np.array([5])], t_len, u_len)),
+        ("targets for a lattice", lambda: fb(one, singles[0].targets[:1])),
+        ("lie in", lambda: fb(one, np.array([2, 9]))),
+        ("at least one time frame", lambda: fb(np.zeros((0, 3, 5)), np.array([2, 3]))),
+    ]
+    for message, call in cases:
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -1,12 +1,18 @@
 """Training loop: metrics stream, regularized objectives, exact resume."""
 
 import csv
+import logging
 
 import numpy as np
 import pytest
 
-from satkit.data import TaskSpec, generate_split, normalize_dataset
+import satkit.kernels
+from satkit import autodiff as ad
+from satkit.autodiff import Tensor
+from satkit.data import TaskSpec, generate_split, make_batches, normalize_dataset
+from satkit.lattice import transducer_loss
 from satkit.model import ModelConfig, SATModel
+from satkit.pathreg import ParConfig, par_loss
 from satkit.train import METRICS_COLUMNS, TrainConfig, Trainer
 
 
@@ -18,10 +24,11 @@ def toy_setup(noise=0.0, n_train=12, n_dev=4, task_seed=21):
     return spec.vocab(), train_utts, dev_utts
 
 
-def toy_model(vocab, seed=0, dropout=0.0):
+def toy_model(vocab, seed=0, dropout=0.0, window=("inf", "inf"), n_enc_blocks=1):
     cfg = ModelConfig(feature_dim=4, d_m=8, n_heads=2, d_ff=16,
-                      n_enc_blocks=1, n_pred_blocks=1, d_joint=8,
-                      vocab_size=vocab.size, dropout=dropout)
+                      n_enc_blocks=n_enc_blocks, n_pred_blocks=1, d_joint=8,
+                      vocab_size=vocab.size, dropout=dropout,
+                      chunk_left=window[0], chunk_right=window[1])
     return SATModel(cfg, seed=seed)
 
 
@@ -65,10 +72,15 @@ def test_metrics_csv_format(tmp_path):
     assert len(step_rows) == 2 * per_epoch
     assert len(summary_rows) == 2
     assert [int(r["step"]) for r in step_rows] == list(range(1, 2 * per_epoch + 1))
+    for r in step_rows:
+        for col in ("step_seconds", "frames_per_sec", "grad_norm"):
+            value = float(r[col])
+            assert np.isfinite(value) and value > 0.0, (col, r[col])
     for r in summary_rows:
         assert int(r["step"]) % per_epoch == 0
         assert np.isfinite(float(r["dev_cer"]))
         assert np.isfinite(float(r["joint_loss"]))
+        assert r["step_seconds"] == r["frames_per_sec"] == r["grad_norm"] == ""
     # epoch summary repeats the epoch's final step number
     assert {int(r["step"]) for r in summary_rows} == {per_epoch, 2 * per_epoch}
 
@@ -173,3 +185,104 @@ def test_lr_floor_stops_training():
     assert trainer.optimizer.should_stop
     history = trainer.run()
     assert history == []  # run() respects the stop flag immediately
+
+
+def _reference_step(model, batch, paths, beta):
+    """Mean joint loss and parameter gradients, one utterance at a time."""
+    cfg = ParConfig(beta=beta)
+    ad.zero_grads(model.params)
+    total = 0.0
+    for i, ids in enumerate(batch.targets):
+        lat = model.forward_lattice(batch.feats[i, :batch.feat_lengths[i]], ids)
+        loss = transducer_loss(lat, validate=False)
+        if beta > 0.0:
+            loss = ad.add(loss, ad.scale(par_loss(lat, paths[i], cfg), beta))
+        ad.scale(loss, 1.0 / len(batch.targets)).backward()
+        total += loss.item()
+    grads = {k: p.grad.copy() for k, p in model.params.items()}
+    return total / len(batch.targets), grads
+
+
+@pytest.mark.parametrize("window", [("10", "5"), ("inf", "inf")])
+@pytest.mark.parametrize("beta", [0.0, 10.0])
+@pytest.mark.parametrize("batch_size", [1, 2, 3, 4])
+def test_train_batch_matches_per_utterance_reference(batch_size, beta, window):
+    vocab, tr_utts, dev_utts = toy_setup(noise=0.3, n_train=8)
+    trainer = Trainer(toy_model(vocab, seed=4, window=window, n_enc_blocks=2), vocab,
+                      tr_utts, dev_utts,
+                      TrainConfig(epochs=1, batch_size=batch_size, beta=beta))
+    # the longest batch mixes lengths, so padding is exercised
+    bi = max(range(len(trainer.batches)),
+             key=lambda i: np.ptp(trainer.batches[i].feat_lengths))
+    batch = trainer.batches[bi]
+    paths = trainer.paths[bi] if trainer.paths is not None else None
+    want_loss, want_grads = _reference_step(trainer.model, batch, paths, beta)
+    stats = trainer.train_batch(batch, paths)
+    assert stats["joint"] == pytest.approx(want_loss, rel=1e-10)
+    norm = 0.0
+    for name, p in trainer.model.params.items():
+        scale = max(np.abs(want_grads[name]).max(), 1e-300)
+        assert np.abs(p.grad - want_grads[name]).max() <= 1e-10 * scale, name
+        norm += float((want_grads[name] ** 2).sum())
+    assert stats["grad_norm"] == pytest.approx(np.sqrt(norm), rel=1e-10)
+
+
+def test_batch_padding_leaves_each_utterance_unchanged():
+    vocab, tr_utts, _ = toy_setup()
+    model = toy_model(vocab, seed=6, window=("2", "1"), n_enc_blocks=2)
+    short = min(tr_utts, key=lambda u: u.feats.shape[0])
+    long = max(tr_utts, key=lambda u: u.feats.shape[0])
+    alone = make_batches([short], vocab, 1)[0]
+    pair = make_batches([short, long], vocab, 2)[0]
+    assert pair.utt_ids[0] == short.utt_id
+    n = int(alone.feat_lengths[0])
+    assert n < pair.feats.shape[1]
+    with ad.no_grad():
+        enc_alone = model.encoder(Tensor(alone.feats)).data[0]
+        enc_pair = model.encoder(Tensor(pair.feats), lengths=pair.feat_lengths).data[0, :n]
+        loss_alone = transducer_loss(model.forward_lattice(
+            alone.feats, alone.targets, lengths=alone.feat_lengths)).data
+        loss_pair = transducer_loss(model.forward_lattice(
+            pair.feats, pair.targets, lengths=pair.feat_lengths)).data
+    np.testing.assert_allclose(enc_pair, enc_alone, rtol=1e-12, atol=1e-12)
+    assert loss_pair[0] == pytest.approx(loss_alone[0], rel=1e-12)
+
+
+def _nan_for(utt_index, loss_too):
+    """A kernel that poisons the gradient (and maybe the loss) of one
+    utterance of every batch."""
+    real = satkit.kernels.forward_backward
+
+    def poisoned(log_probs, targets, t_lengths=None, u_lengths=None):
+        loss, grad, alpha, beta = real(log_probs, targets, t_lengths, u_lengths)
+        grad[utt_index, 0, 0, 0] = np.nan
+        if loss_too:
+            loss[utt_index] = np.nan
+        return loss, grad, alpha, beta
+
+    return poisoned
+
+
+@pytest.mark.parametrize("loss_too", [True, False])
+def test_non_finite_step_is_skipped(monkeypatch, caplog, loss_too):
+    vocab, tr_utts, dev_utts = toy_setup()
+    trainer = Trainer(toy_model(vocab), vocab, tr_utts, dev_utts,
+                      TrainConfig(epochs=1, batch_size=4, optimizer="noam"))
+    batch = trainer.batches[0]
+    before = {k: p.data.copy() for k, p in trainer.model.params.items()}
+    monkeypatch.setattr(satkit.kernels, "forward_backward", _nan_for(2, loss_too))
+    with caplog.at_level(logging.WARNING, logger="satkit.train"):
+        stats = trainer.train_batch(batch)
+    assert not np.isfinite(stats["grad_norm"])
+    assert trainer.skipped_steps == 1
+    assert trainer.optimizer.step_count == 0
+    for k, p in trainer.model.params.items():
+        np.testing.assert_array_equal(p.data, before[k])
+    text = caplog.text
+    named = [u for u in batch.utt_ids if u in text]
+    assert named == ([batch.utt_ids[2]] if loss_too else batch.utt_ids)
+    # a healthy step afterwards trains as usual
+    monkeypatch.undo()
+    stats = trainer.train_batch(batch)
+    assert np.isfinite(stats["grad_norm"]) and trainer.optimizer.step_count == 1
+    assert trainer.skipped_steps == 1

@@ -2,11 +2,13 @@
 gen-data, eval-cer.
 
 Every command is reproducible from its flags plus the seed; artifacts are
-byte-identical across runs (timing output aside). Errors print to stderr and
-exit nonzero.
+byte-identical across runs (timing output aside). Errors print one line to
+stderr and exit nonzero; the global ``--traceback`` flag re-raises them
+instead, and ``--log-level`` sets the threshold of the ``satkit`` logger.
 """
 
 import argparse
+import logging
 import os
 import sys
 from dataclasses import asdict
@@ -264,6 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="satkit",
         description="self-attention transducer toolkit")
+    parser.add_argument("--traceback", action="store_true",
+                        help="re-raise errors instead of printing one line")
+    parser.add_argument("--log-level", default="WARNING",
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"),
+                        help="threshold of the satkit logger (default WARNING)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic task dataset")
@@ -362,11 +369,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logger = logging.getLogger("satkit")
+    previous = logger.level
+    logger.setLevel(args.log_level)
     try:
         return args.func(args)
-    except Exception as e:  # surface a diagnostic, not a traceback
+    except Exception as e:
+        if args.traceback:
+            raise
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:
+        logger.setLevel(previous)
 
 
 if __name__ == "__main__":

@@ -301,8 +301,7 @@ def alignment_ids(alignment_tokens, vocab: Vocab):
 class Batch:
     utt_ids: list
     feats: np.ndarray          # (B, T_max, stacked_dim) zero-padded float64
-    feat_lengths: np.ndarray   # (B,)
-    feat_mask: np.ndarray      # (B, T_max) 1.0 at valid frames
+    feat_lengths: np.ndarray   # (B,) stacked frames per utterance
     targets: list              # list of id lists (unpadded)
     alignments: list           # list of id lists or None
 
@@ -312,8 +311,9 @@ def make_batches(utterances, vocab: Vocab, batch_size: int,
                  factor: int = 3):
     """Stack/downsample each utterance and group into padded batches.
 
-    Sorting by stacked length keeps padding waste down; the mask marks valid
-    frames so padded positions can never leak into a loss.
+    Sorting by stacked length keeps padding waste down. Frames past each
+    utterance's ``feat_lengths`` entry are zero; the encoder's key-padding
+    mask and the lattice's lengths keep them out of every loss.
     """
     # Stacked length is ceil(frames / factor); each utterance is stacked
     # straight into its batch, so only one stacked copy exists at a time.
@@ -327,15 +327,12 @@ def make_batches(utterances, vocab: Vocab, batch_size: int,
         n = np.array([lengths[j] for j in order[i:i + batch_size]], dtype=np.int64)
         dim = part[0].feats.shape[1] * (left + 1 + right)
         feats = np.zeros((len(part), n.max(), dim))
-        mask = np.zeros((len(part), n.max()))
         for b, u in enumerate(part):
             feats[b, :n[b]] = stack_downsample(u.feats, left, right, factor)
-            mask[b, :n[b]] = 1.0
         batches.append(Batch(
             utt_ids=[u.utt_id for u in part],
             feats=feats,
             feat_lengths=n,
-            feat_mask=mask,
             targets=[vocab.ids(u.targets) for u in part],
             alignments=[alignment_ids(u.alignment, vocab) if u.alignment else None
                         for u in part],

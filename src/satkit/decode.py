@@ -12,11 +12,22 @@ bit-identical. Prediction states advance one label at a time through
 training, where bit-level agreement with streaming is not needed; the
 exhaustive oracle scores whole label sequences on the tape modules too.
 
-The beam is frame-synchronous: within a frame, hypotheses expand by labels
-until pruned out or the per-frame symbol guard trips, blanks move them to
-the next frame, and duplicate prefixes are merged by log-adding their
-transducer mass. LM fusion adds lambda_lm * log P_lm(token | prefix) at each
-label expansion; blanks never touch the LM term.
+The beam is the frame-synchronous prefix search of Graves (arXiv
+1211.3711): within a frame, hypotheses expand by labels until pruned out or
+the per-frame symbol guard trips, blanks move them to the next frame, and
+duplicate prefixes are merged by log-adding their transducer mass. LM fusion
+adds lambda_lm * log P_lm(token | prefix) at each label expansion; blanks
+never touch the LM term. Each step scores as arrays: the active hypotheses'
+log-prob rows stack into an (H, K) array, and the transducer, LM and
+combined scores of every (hypothesis, label) child are array expressions.
+Only children that can survive pruning become :class:`Hypothesis` objects.
+A prediction state depends only on its prefix, so the search caches states
+by child prefix and, after each frame, keeps only the children of the new
+beam; a hypothesis that stays in the beam re-expands without recomputing
+them. LM scores come in rows, one per LM context (the last ``order - 1``
+tokens of ``<s>`` plus the prefix), each built once per search from
+``lm.score``. Caching changes no bits: the beam returns exactly what one
+``advance_np`` and one ``lm.score`` per child would give.
 """
 
 import logging
@@ -53,7 +64,7 @@ class DecodeConfig:
 @dataclass
 class Hypothesis:
     prefix: tuple
-    state: object            # PredState for the prefix
+    state: object            # PredState for the prefix; None until it survives pruning
     t_score: float = 0.0     # transducer log-mass of the prefix
     lm_score: float = 0.0    # LM log-prob of the prefix
 
@@ -217,14 +228,37 @@ def greedy_trace(model, stacked: np.ndarray, chunk=None, frame_exact=None,
 
 
 class _LMScorer:
-    """Maps label ids to strings and queries the n-gram model."""
+    """Rows of LM log-probs for one search, one row per LM context.
 
-    def __init__(self, lm, vocab):
+    An n-gram model reads only the last ``order - 1`` tokens of ``<s>``
+    plus the prefix, so prefixes that share that tail share a row. Rows are
+    keyed by label ids (``SOS`` stands in for ``<s>``) and hold
+    ``lm.score(context, token)`` for each label the beam can emit, in
+    ``labels`` order.
+    """
+
+    def __init__(self, lm, vocab, labels):
         self.lm = lm
-        self.vocab = vocab
+        self.context_len = max(0, lm.order - 1)
+        self.names = [vocab.tokens[k] for k in labels]
+        self.tokens = vocab.tokens
+        self.rows = {}
 
-    def extend(self, prefix_tokens: tuple, label: int) -> float:
-        return self.lm.score((BOS,) + prefix_tokens, self.vocab.tokens[label])
+    def row(self, prefix: tuple) -> np.ndarray:
+        n = self.context_len
+        key = prefix[len(prefix) - n:] if len(prefix) >= n else (SOS,) + prefix
+        row = self.rows.get(key)
+        if row is None:
+            context = tuple(BOS if k == SOS else self.tokens[k] for k in key)
+            row = np.array([self.lm.score(context, name) for name in self.names])
+            self.rows[key] = row
+        return row
+
+
+def _rank_key(lm_weight):
+    # On ties the prefix decides, so a settled (shorter) prefix wins,
+    # matching greedy's lowest-index argmax.
+    return lambda kv: (-kv[1][0].combined(lm_weight), kv[0])
 
 
 def beam_decode(model, stacked: np.ndarray, lm=None, vocab=None,
@@ -236,11 +270,19 @@ def beam_decode(model, stacked: np.ndarray, lm=None, vocab=None,
     cfg = cfg or DecodeConfig()
     if lm is not None and vocab is None:
         raise ValueError("LM fusion needs the vocab to name the labels")
-    lm_scorer = _LMScorer(lm, vocab) if lm is not None else None
     rows = _EncoderRows(model, stacked, chunk if chunk is not None else cfg.chunk,
                         frame_exact)
     scorer = _JointScorer(model)
-    width = cfg.beam_width
+    width, lm_weight = cfg.beam_width, cfg.lm_weight
+    rank_key = _rank_key(lm_weight)
+    # The blank and the start token hold the lowest ids; every later id is a
+    # label the beam can emit.
+    first = max(BLANK, SOS) + 1
+    labels = range(first, scorer.w_out.shape[1])
+    lm_rows = _LMScorer(lm, vocab, labels) if lm is not None else None
+    # Child prefix -> (PredState, g_part); after each frame only the children
+    # of the beam stay, so a hypothesis that stays in the beam reuses them.
+    states = {}
 
     init = Hypothesis(prefix=(), state=model.prednet.init_state())
     active = {(): (init, scorer.g_part(init.state))}
@@ -253,11 +295,13 @@ def beam_decode(model, stacked: np.ndarray, lm=None, vocab=None,
             if not expand and active:
                 log.warning("frame %d hit the %d-symbol guard; forcing frame advance",
                             t, cfg.max_symbols_per_frame)
-            expansions = {}
-            for prefix, (hyp, g_part) in active.items():
-                lp = scorer.log_probs(f_part, g_part)
-                # Blank step: settle this hypothesis to frame t+1.
-                blank_score = hyp.t_score + lp[BLANK]
+            hyps = [hyp for hyp, _ in active.values()]
+            lp = np.array([scorer.log_probs(f_part, g_part)
+                           for _, g_part in active.values()])
+            t_col = np.array([hyp.t_score for hyp in hyps])
+            # Blank step: settle each hypothesis to frame t+1.
+            for (prefix, (hyp, g_part)), blank_score in zip(
+                    active.items(), (t_col + lp[:, BLANK]).tolist()):
                 if prefix in settled:
                     s = settled[prefix][0]
                     s.t_score = np.logaddexp(s.t_score, blank_score)
@@ -265,50 +309,62 @@ def beam_decode(model, stacked: np.ndarray, lm=None, vocab=None,
                     settled[prefix] = (
                         Hypothesis(prefix, hyp.state, blank_score, hyp.lm_score),
                         g_part)
-                if not expand:
-                    continue
-                for k in range(len(lp)):
-                    if k in (BLANK, SOS):
-                        continue
-                    child = prefix + (k,)
-                    score = hyp.t_score + lp[k]
-                    if child in expansions:
-                        c = expansions[child][0]
-                        c.t_score = np.logaddexp(c.t_score, score)
-                    else:
-                        lm_inc = (lm_scorer.extend(_strings(vocab, prefix), k)
-                                  if lm_scorer else 0.0)
-                        expansions[child] = (
-                            Hypothesis(child, (hyp.state, k), score,
-                                       hyp.lm_score + lm_inc),
-                            None)
-            if not expansions:
+            if not expand or not labels:
                 break
-            # Prune over everything alive at this frame; on ties the sort key
-            # prefers the shorter (settled) prefix, matching greedy's
-            # lowest-index argmax.
+            # Score every (hypothesis, label) child as arrays.
+            t_exp = t_col[:, None] + lp[:, first:]
+            if lm_rows is not None:
+                lm_exp = (np.array([hyp.lm_score for hyp in hyps])[:, None]
+                          + np.array([lm_rows.row(hyp.prefix) for hyp in hyps]))
+                combined = t_exp + lm_weight * lm_exp
+            else:
+                lm_exp, combined = None, t_exp
+            # Only children that can survive pruning become hypotheses: those
+            # scoring at least the width-th best of everything alive at this
+            # frame, and those equal to a settled prefix, because pruning keeps
+            # prefixes and a kept settled prefix keeps its twin.
+            pool = [s.combined(lm_weight) for s, _ in settled.values()]
+            n_alive = len(pool) + combined.size
+            if n_alive > width:
+                pool = np.concatenate((pool, combined.ravel()))
+                pick = combined >= np.partition(pool, n_alive - width)[n_alive - width]
+            else:
+                pick = np.ones(combined.shape, dtype=bool)
+            slot = {prefix: i for i, prefix in enumerate(active)}
+            for prefix in settled:
+                i = slot.get(prefix[:-1]) if prefix else None
+                if i is not None:
+                    pick[i, prefix[-1] - first] = True
+            at_hyp, at_label = (a.tolist() for a in np.nonzero(pick))
+            t_vals = t_exp[pick].tolist()
+            lm_vals = (lm_exp[pick].tolist() if lm_exp is not None
+                       else [hyps[i].lm_score for i in at_hyp])
+            # Children of distinct prefixes are distinct, so none merge here.
+            expansions = {}
+            for i, j, t_score, lm_score in zip(at_hyp, at_label, t_vals, lm_vals):
+                child = hyps[i].prefix + (labels[j],)
+                expansions[child] = (Hypothesis(child, None, t_score, lm_score), i)
+            # Prune over everything alive at this frame.
             union = list(settled.items()) + list(expansions.items())
-            union.sort(key=lambda kv: (-kv[1][0].combined(cfg.lm_weight), kv[0]))
+            union.sort(key=rank_key)
             keep = {prefix for prefix, _ in union[:width]}
             settled = {p: v for p, v in settled.items() if p in keep}
-            survivors = {p: v for p, v in expansions.items() if p in keep}
+            survivors = [(p, v) for p, v in expansions.items() if p in keep]
             if not survivors:
                 break
-            # Materialize prediction states only for surviving expansions.
             active = {}
-            for prefix, (hyp, _) in survivors.items():
-                parent_state, k = hyp.state
-                hyp.state = model.prednet.advance_np(parent_state, k)
-                active[prefix] = (hyp, scorer.g_part(hyp.state))
-        ranked = sorted(settled.items(),
-                        key=lambda kv: (-kv[1][0].combined(cfg.lm_weight), kv[0]))
+            for child, (hyp, i) in survivors:
+                cached = states.get(child)
+                if cached is None:
+                    state = model.prednet.advance_np(hyps[i].state, child[-1])
+                    cached = states[child] = (state, scorer.g_part(state))
+                hyp.state = cached[0]
+                active[child] = (hyp, cached[1])
+        ranked = sorted(settled.items(), key=rank_key)
         active = dict(ranked[:width])
         final = [hyp for _, (hyp, _) in ranked[:width]]
+        states = {c: v for c, v in states.items() if c[:-1] in active}
     return final
-
-
-def _strings(vocab, prefix):
-    return tuple(vocab.tokens[i] for i in prefix) if vocab is not None else prefix
 
 
 def exhaustive_decode(model, stacked: np.ndarray, max_len: int, token_ids,

@@ -10,6 +10,7 @@ a terminating </s> event. Unknown tokens map to <unk> (which receives
 smoothed unigram mass despite a zero count).
 """
 
+import math
 from collections import Counter
 
 BOS = "<s>"
@@ -48,7 +49,6 @@ class NgramModel:
 
     def score(self, context, token) -> float:
         """log P(token | context)."""
-        import math
         return math.log(self.prob(context, token))
 
     def sentence_logprob(self, tokens) -> float:
@@ -60,7 +60,6 @@ class NgramModel:
         return total
 
     def perplexity(self, sentences) -> float:
-        import math
         logp, n = 0.0, 0
         for s in sentences:
             logp += self.sentence_logprob(s)

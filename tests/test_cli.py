@@ -1,5 +1,6 @@
 """End-to-end command line checks, run in process via main(argv)."""
 
+import logging
 import os
 from pathlib import Path
 
@@ -220,3 +221,33 @@ def test_missing_data_is_diagnosed(tmp_path, capsys):
 def test_unknown_flag_exits_via_argparse(capsys):
     with pytest.raises(SystemExit):
         main(["decode", "--no-such-flag"])
+
+
+def test_failure_prints_one_line_or_raises_with_traceback(tmp_path, capsys):
+    args = ["eval-cer", "--ref", str(tmp_path / "no-ref.txt"),
+            "--hyp", str(tmp_path / "no-hyp.txt")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    with pytest.raises(FileNotFoundError):
+        main(["--traceback", *args])
+
+
+def test_log_level_silences_guard_warnings(run_dir, data_dir, tmp_path, caplog):
+    # zero symbols per frame: every frame hits the symbol guard
+    args = ["decode", "--checkpoint", str(run_dir / "best.ckpt"), "--data",
+            str(data_dir), "--split", "dev", "--beam-width", "1",
+            "--max-symbols", "0", "--out", str(tmp_path / "hyp.txt")]
+
+    def guard_records():
+        return [r for r in caplog.records
+                if r.name.startswith("satkit") and "symbol guard" in r.getMessage()]
+
+    with caplog.at_level(logging.WARNING):
+        assert main(args) == 0
+    assert guard_records()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        assert main(["--log-level", "ERROR", *args]) == 0
+    assert not guard_records()
+    assert logging.getLogger("satkit").level == logging.NOTSET

@@ -1,18 +1,21 @@
 """Decoding: error-rate arithmetic, greedy/beam agreement, LM fusion,
 streaming equivalence."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satkit.decode import (DecodeConfig, beam_decode, cer, corpus_cer,
+from satkit.decode import (DecodeConfig, Hypothesis, _EncoderRows,
+                           _JointScorer, beam_decode, cer, corpus_cer,
                            edit_distance, exhaustive_decode, greedy_decode,
                            greedy_trace, stream_decode)
 from satkit.model import ModelConfig, SATModel
 from satkit.ngram import BOS
 from satkit.ngram import train as lm_train
-from satkit.vocab import Vocab
+from satkit.vocab import BLANK, SOS, Vocab
 
 
 def tiny_model(seed=0, vocab_size=6, left="inf", right="inf"):
@@ -87,6 +90,16 @@ def test_beam_width_one_matches_greedy():
         assert list(b[0].prefix) == g, f"seed {seed}"
 
 
+TOY_SPEC = dict(kind="delayed-copy", vocab_size=4, feature_dim=4,
+                min_tokens=2, max_tokens=4, noise=0.3, seed=9)
+
+
+def toy_vocab():
+    from satkit.data import TaskSpec
+
+    return TaskSpec(**TOY_SPEC).vocab()
+
+
 def trained_toy_model(seed):
     """A briefly trained transducer: blank-dominant like any real model.
 
@@ -98,8 +111,7 @@ def trained_toy_model(seed):
     from satkit.data import TaskSpec, generate_split, normalize_dataset
     from satkit.train import TrainConfig, Trainer
 
-    spec = TaskSpec(kind="delayed-copy", vocab_size=4, feature_dim=4,
-                    min_tokens=2, max_tokens=4, noise=0.3, seed=9)
+    spec = TaskSpec(**TOY_SPEC)
     train_utts = normalize_dataset(generate_split(spec, 40, "train"))
     dev_utts = normalize_dataset(generate_split(spec, 8, "dev"))
     vocab = spec.vocab()
@@ -175,6 +187,157 @@ def test_symbol_guard_bounds_emissions(monkeypatch):
     hyps = beam_decode(model, x, cfg=DecodeConfig(beam_width=2,
                                                   max_symbols_per_frame=3))
     assert hyps and all(len(h.prefix) <= 4 * 3 for h in hyps)
+
+
+# ------------------------------------------------------ beam reference oracle
+
+def _reference_beam(model, stacked, lm=None, vocab=None, cfg=None):
+    """The beam loop before array scoring and caching, kept verbatim as an
+    oracle: one log-prob row, K label expansions, one ``lm.score`` per
+    (hypothesis, label) and one ``advance_np`` per surviving expansion."""
+    cfg = cfg or DecodeConfig()
+    rows = _EncoderRows(model, stacked, cfg.chunk, None)
+    scorer = _JointScorer(model)
+    width = cfg.beam_width
+
+    def lm_extend(prefix, label):
+        strings = tuple(vocab.tokens[i] for i in prefix)
+        return lm.score((BOS,) + strings, vocab.tokens[label])
+
+    init = Hypothesis(prefix=(), state=model.prednet.init_state())
+    active = {(): (init, scorer.g_part(init.state))}
+    final = []
+    for t in range(len(rows)):
+        f_part = scorer.f_part(rows.row(t))
+        settled = {}
+        for step in range(cfg.max_symbols_per_frame + 1):
+            expand = step < cfg.max_symbols_per_frame
+            expansions = {}
+            for prefix, (hyp, g_part) in active.items():
+                lp = scorer.log_probs(f_part, g_part)
+                blank_score = hyp.t_score + lp[BLANK]
+                if prefix in settled:
+                    s = settled[prefix][0]
+                    s.t_score = np.logaddexp(s.t_score, blank_score)
+                else:
+                    settled[prefix] = (
+                        Hypothesis(prefix, hyp.state, blank_score, hyp.lm_score),
+                        g_part)
+                if not expand:
+                    continue
+                for k in range(len(lp)):
+                    if k in (BLANK, SOS):
+                        continue
+                    child = prefix + (k,)
+                    score = hyp.t_score + lp[k]
+                    if child in expansions:
+                        c = expansions[child][0]
+                        c.t_score = np.logaddexp(c.t_score, score)
+                    else:
+                        lm_inc = lm_extend(prefix, k) if lm is not None else 0.0
+                        expansions[child] = (
+                            Hypothesis(child, (hyp.state, k), score,
+                                       hyp.lm_score + lm_inc),
+                            None)
+            if not expansions:
+                break
+            union = list(settled.items()) + list(expansions.items())
+            union.sort(key=lambda kv: (-kv[1][0].combined(cfg.lm_weight), kv[0]))
+            keep = {prefix for prefix, _ in union[:width]}
+            settled = {p: v for p, v in settled.items() if p in keep}
+            survivors = {p: v for p, v in expansions.items() if p in keep}
+            if not survivors:
+                break
+            active = {}
+            for prefix, (hyp, _) in survivors.items():
+                parent_state, k = hyp.state
+                hyp.state = model.prednet.advance_np(parent_state, k)
+                active[prefix] = (hyp, scorer.g_part(hyp.state))
+        ranked = sorted(settled.items(),
+                        key=lambda kv: (-kv[1][0].combined(cfg.lm_weight), kv[0]))
+        active = dict(ranked[:width])
+        final = [hyp for _, (hyp, _) in ranked[:width]]
+    return final
+
+
+def _bits(hyps):
+    return [(h.prefix, h.t_score, h.lm_score) for h in hyps]
+
+
+def _assert_matches_reference(model, x, lm=None, vocab=None, cfg=None, tag=None):
+    got = _bits(beam_decode(model, x, lm=lm, vocab=vocab, cfg=cfg))
+    want = _bits(_reference_beam(model, x, lm=lm, vocab=vocab, cfg=cfg))
+    assert got == want, tag
+    return got
+
+
+def test_beam_matches_reference_oracle(caplog):
+    caplog.set_level(logging.ERROR, logger="satkit.decode")
+    vocab, lm = lm_fixture()
+    fusions = [(None, 0.0), (lm, 0.0), (lm, 0.5), (lm, 50.0)]
+    for seed in range(10):
+        model = tiny_model(seed=seed, vocab_size=vocab.size)
+        x = random_stacked(model, t_len=5, seed=700 + seed)
+        for width in (1, 2, 4, 8):
+            for fused, weight in fusions:
+                cfg = DecodeConfig(beam_width=width, lm_weight=weight)
+                _assert_matches_reference(model, x, fused, vocab, cfg,
+                                          (seed, width, fused is None, weight))
+
+
+def test_blank_dominant_beam_matches_reference_oracle():
+    from satkit.data import stack_downsample
+
+    model, dev = trained_toy_model(0)
+    vocab = toy_vocab()
+    lm = lm_train([u.targets for u in dev], order=3)
+    multi_label = 0
+    for utt in dev[:4]:
+        x = stack_downsample(utt.feats.astype(np.float64), 3, 1, 3)
+        for width in (1, 2, 4, 8):
+            for fused, weight in ((None, 0.0), (lm, 0.5), (lm, 50.0)):
+                cfg = DecodeConfig(beam_width=width, lm_weight=weight)
+                got = _assert_matches_reference(model, x, fused, vocab, cfg,
+                                                (utt.utt_id, width, weight))
+                multi_label += any(len(prefix) > 1 for prefix, _, _ in got)
+    assert multi_label, "no hypothesis holds more than one label"
+
+
+def test_beam_reuses_prediction_states_and_lm_rows(monkeypatch):
+    """Multi-frame width-4 search with an LM: fewer prediction-net advances
+    than the reference, at most K-2 LM queries per LM context, same bits."""
+    from satkit.data import stack_downsample
+
+    model, dev = trained_toy_model(1)
+    vocab = toy_vocab()
+    lm = lm_train([u.targets for u in dev], order=3)
+    x = stack_downsample(dev[0].feats.astype(np.float64), 3, 1, 3)
+    assert x.shape[0] > 4
+    cfg = DecodeConfig(beam_width=4, lm_weight=0.5)
+    advance, score = model.prednet.advance_np, lm.score
+    counts = {"advance": 0}
+    contexts = {}
+
+    def counting_advance(state, token):
+        counts["advance"] += 1
+        return advance(state, token)
+
+    def counting_score(context, token):
+        tail = tuple(context)[max(0, len(context) - (lm.order - 1)):]
+        contexts[tail] = contexts.get(tail, 0) + 1
+        return score(context, token)
+
+    monkeypatch.setattr(model.prednet, "advance_np", counting_advance)
+    monkeypatch.setattr(lm, "score", counting_score)
+    want = _bits(_reference_beam(model, x, lm=lm, vocab=vocab, cfg=cfg))
+    reference_advances, reference_scores = counts["advance"], sum(contexts.values())
+    counts["advance"] = 0
+    contexts.clear()
+    got = _bits(beam_decode(model, x, lm=lm, vocab=vocab, cfg=cfg))
+    assert got == want
+    assert 0 < counts["advance"] < reference_advances
+    assert max(contexts.values()) <= vocab.size - 2, contexts
+    assert sum(contexts.values()) < reference_scores
 
 
 # ------------------------------------------------------------------ LM fusion

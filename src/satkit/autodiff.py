@@ -424,42 +424,39 @@ def log(x: Tensor) -> Tensor:
     return _result(out, (x,), vjp)
 
 
-def _check_finite(name, x):
-    if not np.all(np.isfinite(x.data)):
+def _check_finite(name, x: np.ndarray):
+    if not np.all(np.isfinite(x)):
         raise ValueError(f"{name}: non-finite input")
 
 
-def softmax_lastdim(x: Tensor, scale: float = 1.0, mask=None) -> Tensor:
-    """Softmax over the final axis of ``x * scale + mask``. Rows are
-    probability vectors.
+def _softmax_inplace(x: np.ndarray) -> np.ndarray:
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
-    ``mask`` is a constant array broadcast against ``x``, e.g. an attention
-    window of 0 / LOG_ZERO. Folding the scale and the mask in keeps the tape
-    from storing two more score-sized arrays.
-    """
+
+def _softmax_vjp(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    d = g - (g * out).sum(axis=-1, keepdims=True)
+    d *= out
+    return d
+
+
+def softmax_lastdim(x: Tensor) -> Tensor:
+    """Softmax over the final axis. Rows are probability vectors."""
     x = _as_tensor(x)
-    _check_finite("softmax_lastdim", x)
-    out = x.data * scale if scale != 1.0 else x.data.copy()
-    if mask is not None:
-        out += mask
-    out -= out.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    _check_finite("softmax_lastdim", x.data)
+    out = _softmax_inplace(x.data.copy())
 
     def vjp(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        d = g - dot
-        d *= out
-        if scale != 1.0:
-            d *= scale
-        return (d,)
+        return (_softmax_vjp(g, out),)
 
     return _result(out, (x,), vjp)
 
 
 def log_softmax_lastdim(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    _check_finite("log_softmax_lastdim", x)
+    _check_finite("log_softmax_lastdim", x.data)
     out = x.data - x.data.max(axis=-1, keepdims=True)
     out -= np.log(np.exp(out).sum(axis=-1, keepdims=True))
 
@@ -475,7 +472,7 @@ def log_softmax_lastdim(x: Tensor) -> Tensor:
 def logsumexp_lastdim(x: Tensor) -> Tensor:
     """Log of summed exponentials over the final axis; output drops that axis."""
     x = _as_tensor(x)
-    _check_finite("logsumexp_lastdim", x)
+    _check_finite("logsumexp_lastdim", x.data)
     m = x.data.max(axis=-1, keepdims=True)
     out = (m + np.log(np.exp(x.data - m).sum(axis=-1, keepdims=True))).squeeze(-1)
     x_data = x.data
@@ -485,6 +482,165 @@ def logsumexp_lastdim(x: Tensor) -> Tensor:
         return (soft * g[..., None],)
 
     return _result(out, (x,), vjp)
+
+
+def _check_open_rows(mask: np.ndarray):
+    if mask.size and mask.max(axis=-1).min() < 0.0:
+        raise ValueError("attention mask blocks every key for some query row")
+
+
+def softmax_context(scores: np.ndarray, mask, v: np.ndarray):
+    """The attention kernel, shared by :func:`attention` and the decode row
+    step: softmax over the last axis of ``scores + mask``, then the context
+    ``weights @ v``. ``mask`` is an additive 0 / LOG_ZERO array broadcast
+    against ``scores``, or None; one that closes every key of a row raises.
+    ``scores`` is overwritten with the weights. Returns (weights, context).
+    """
+    if mask is not None:
+        _check_open_rows(mask)
+        scores += mask
+    weights = _softmax_inplace(scores)
+    return weights, np.matmul(weights, v)
+
+
+# Fewest query rows per block of banded attention: smaller blocks waste less
+# of each key slab but pay more per-block matrix-product overhead.
+_MIN_BLOCK = 16
+
+
+def _row_blocks(x: np.ndarray, n_blk: int, block: int) -> np.ndarray:
+    """(B, H, T, d) -> (B, H, n_blk, block, d), zero rows after T."""
+    B, H, T, d = x.shape
+    if n_blk * block > T:
+        x = np.concatenate([x, np.zeros((B, H, n_blk * block - T, d), x.dtype)], axis=2)
+    return x.reshape(B, H, n_blk, block, d)
+
+
+def _slab_view(x: np.ndarray, start: int, n_blk: int, block: int, rows: int, **kw):
+    """(B, H, n_blk, rows, d) view of x: block j is x[:, :, start + j*block:][:rows]."""
+    s = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x[:, :, start:], x.shape[:2] + (n_blk, rows, x.shape[3]),
+        (s[0], s[1], block * s[2], s[2], s[3]), **kw)
+
+
+def _slabs(x: np.ndarray, n_blk: int, block: int, first: int, slab: int) -> np.ndarray:
+    """Key slabs (B, H, n_blk, slab, d): slab j holds the rows j*block +
+    first ... + slab - 1 of x, zero outside [0, T). The slabs of adjacent
+    blocks overlap, so this is a strided view of one padded copy."""
+    if n_blk == 1:
+        return x[:, :, None]
+    B, H, T, d = x.shape
+    front = max(0, -first)
+    padded = np.zeros((B, H, front + (n_blk - 1) * block + first + slab, d), x.dtype)
+    padded[:, :, front:front + T] = x[:, :, :padded.shape[2] - front]
+    return _slab_view(padded, front + first, n_blk, block, slab, writeable=False)
+
+
+def _unslab(g: np.ndarray, T: int, block: int, first: int) -> np.ndarray:
+    """Cotangent of :func:`_slabs`: sums the overlapping slab rows back into
+    (B, H, T, d)."""
+    B, H, n_blk, slab, d = g.shape
+    if n_blk == 1:
+        return g[:, :, 0]
+    front = max(0, -first)
+    rows = np.zeros((B, H, front + max(T, first + n_blk * block + slab), d), g.dtype)
+    for r in range(0, slab, block):  # pieces of at most one block never overlap
+        n = min(block, slab - r)
+        _slab_view(rows, front + first + r, n_blk, block, n)[...] += g[:, :, :, r:r + n]
+    return rows[:, :, front:front + T]
+
+
+def _band_mask(T, n_blk, block, first, slab, left, right, lengths, dtype):
+    """(B or 1, 1, n_blk, block, slab) additive mask of 0 / LOG_ZERO: query
+    i = j*block + c may see key p = j*block + first + s."""
+    i = (np.arange(n_blk) * block)[:, None, None] + np.arange(block)[:, None]
+    p = (np.arange(n_blk) * block + first)[:, None, None] + np.arange(slab)
+    ok = (p - i >= -left) & (p - i <= right) & (p >= 0) & (p < T)
+    if lengths is not None:  # a real query sees only real keys
+        n = lengths[:, None, None, None]
+        ok = ok & ((i >= n) | (p < n))
+    else:
+        ok = ok[None]
+    ok = ok | (i >= T)  # rows past T are dropped; keep them open
+    return np.where(ok, 0.0, LOG_ZERO).astype(dtype, copy=False)[:, None]
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, left, right, lengths=None,
+              scale: float = 1.0, heads: int = 1) -> Tensor:
+    """Windowed multi-head scaled dot-product attention of a sequence over
+    itself.
+
+    ``q``, ``k`` and ``v`` are (T, heads * d) for one sequence, or
+    (B, T, heads * d) for a zero-padded batch whose sequence b holds
+    ``lengths[b]`` frames (None: all T); head h reads column block
+    [h*d, (h+1)*d) of each, and writes the same block of the result. Query
+    i attends to the keys j with ``-left <= j - i <= right`` (integers, or
+    ``math.inf`` to lift a bound), with weights softmax(scale * q.k). In a
+    batch, a real query sees only the real keys of its window and a padded
+    query keeps its plain window. A window that leaves some query without a
+    key raises ``ValueError``.
+
+    A bounded window is computed in blocks of ``block >= left + right + 1``
+    query rows. Block j scores only the ``block + left + right`` keys its
+    rows can reach, a strided slab of the zero-padded keys, so scores are
+    (B, H, n_blocks, block, slab) and cost O(T) rather than O(T^2). A window
+    at least as wide as the sequence is one block whose slab is all T keys:
+    the dense product.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    _same_dtype("attention", q, k, v)
+    shape = q.shape
+    if q.ndim not in (2, 3) or k.shape != shape or v.shape != shape or shape[-1] % heads:
+        raise ShapeError(f"attention: expects equal (T, {heads} * d) or (B, T, {heads} * d) "
+                         f"inputs, got {q.shape}, {k.shape}, {v.shape}")
+    B = shape[0] if q.ndim == 3 else 1
+    H, T, d = heads, shape[-2], shape[-1] // heads
+    if lengths is not None:
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if q.ndim != 3 or lengths.shape != (B,):
+            raise ShapeError(f"attention: lengths {lengths.shape} do not match a batch of {shape}")
+        if lengths.min() < 1 or lengths.max() > T:
+            raise ValueError(f"attention: sequence lengths must lie in [1, {T}], got {lengths}")
+    # offsets beyond T - 1 reach no key
+    lo, hi = -int(min(left, T - 1)), int(min(right, T - 1))
+    block = max(hi - lo + 1, _MIN_BLOCK)
+    if lo <= hi and block + hi - lo < T:
+        n_blk, first, slab = -(-T // block), lo, block + hi - lo
+    else:
+        n_blk, block, first, slab = 1, T, 0, T
+    mask = _band_mask(T, n_blk, block, first, slab, left, right, lengths, q.dtype)
+
+    def split(x):  # (..., T, H*d) -> (B, H, T, d), a view
+        return x.reshape(B, T, H, d).transpose(0, 2, 1, 3)
+
+    def merge(x):  # (B, H, >= T, d) -> (..., T, H*d)
+        return x[:, :, :T].transpose(0, 2, 1, 3).reshape(shape)
+
+    qb = _row_blocks(split(q.data), n_blk, block)
+    ks = _slabs(split(k.data), n_blk, block, first, slab)
+    vs = _slabs(split(v.data), n_blk, block, first, slab)
+    scores = np.matmul(qb, np.swapaxes(ks, -1, -2))
+    _check_finite("attention", scores)
+    scores *= scale
+    weights, ctx = softmax_context(scores, mask, vs)
+    out = merge(ctx.reshape(B, H, n_blk * block, d))
+    need_q, need_k, need_v = _needs_grad(q), _needs_grad(k), _needs_grad(v)
+
+    def vjp(g):
+        gb = _row_blocks(split(g), n_blk, block)
+        ds = _softmax_vjp(np.matmul(gb, np.swapaxes(vs, -1, -2)), weights)
+        ds *= scale
+        gq = gk = gv = None
+        if need_q:
+            gq = merge(np.matmul(ds, ks).reshape(B, H, n_blk * block, d))
+        if need_k:
+            gk = merge(_unslab(np.matmul(np.swapaxes(ds, -1, -2), qb), T, block, first))
+        if need_v:
+            gv = merge(_unslab(np.matmul(np.swapaxes(weights, -1, -2), gb), T, block, first))
+        return gq, gk, gv
+
+    return _result(out, (q, k, v), vjp)
 
 
 def concat(parts, axis: int = 0) -> Tensor:

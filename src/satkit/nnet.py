@@ -1,33 +1,36 @@
 """Self-attention building blocks, encoder and prediction networks.
 
-Everything is post-norm: LayerNorm(x + Sublayer(x)), eps 1e-6. Attention
-windows are expressed as additive masks of 0 / LOG_ZERO built for every call,
-so an unbounded window and a window wider than the sequence produce the same
-(all-zero) mask bit for bit.
+Everything is post-norm: LayerNorm(x + Sublayer(x)), eps 1e-6.
 
 Whole sequences are evaluated only by the Tensor modules: training records
 the tape, and everything else (the full-matrix encoder policy, dev scoring,
 the exhaustive decoding oracle) calls the same modules inside
 ``autodiff.no_grad()`` and reads ``.data``. The modules take one sequence,
-(n, d_m), or a zero-padded batch, (B, n, d_m), through the same code: linear
-layers act on the last axis, attention heads are split as (..., heads, n,
-d_k), and a window mask is (n_q, n_kv), shared by the batch, or
-(B, n_q, n_kv). The encoder blocks each real frame's view of the padded
-frames after it; the prediction network's causal mask already hides the
-padded labels after each sequence. A training step is therefore one tape
-over the whole batch, and a real row equals that of its sequence run alone
-up to rounding.
+(n, d_m), or a zero-padded batch, (B, n, d_m) with its ``lengths``, through
+the same code: linear layers act on the last axis, and all heads of an
+attention sublayer are one tape op, :func:`autodiff.attention`, which splits
+and merges the heads itself. That op takes the window as a ``ChunkSpec``'s
+two bounds and builds its own 0 / LOG_ZERO band mask from them and from
+``lengths``: a real frame sees only the real frames of its window, and a
+padded frame keeps its plain window and yields a row nothing reads. A
+bounded window is computed in blocks of query rows, each scoring only the
+strided slab of keys its rows can reach, so scores, mask and tape all grow
+linearly with the sequence; a window at least as wide as the sequence
+(unbounded, the prediction network's causal ``(inf, 0)``, or a short batch)
+is one block with every key, the dense product. A training step is therefore one tape over the whole batch, and a
+real row equals that of its sequence run alone up to rounding.
 
-Decoding one row at a time has its own kernel, the cached key/value row
-step: :meth:`MultiHeadAttention.kv_np` projects a row's key and value once,
-when the row enters a block, and :meth:`SABlock.apply_kv_np` computes a
-block's output rows from those cached projections. It is plain numpy because
-on the tape one block row costs about 2.6x as much (one query over 16 keys,
-d_m 64). :class:`IncrementalEncoder` runs it over each block's bounded
-window, so streaming and offline decoding push the same rows in the same
-order and agree bit for bit; :meth:`PredictionNetwork.advance_np` runs it
-over a causal prefix, the left-context caching of the Transformer
-Transducer.
+Decoding one row at a time has its own step, the cached key/value row step:
+:meth:`MultiHeadAttention.kv_np` projects a row's key and value once, when
+the row enters a block, and :meth:`SABlock.apply_kv_np` computes a block's
+output rows from those cached projections. It is plain numpy, never a
+Tensor, because on the tape one block row costs about 2.6x as much (one
+query over 16 keys, d_m 64); its softmax and context are the same numpy
+kernel as the tape op's forward, :func:`autodiff.softmax_context`.
+:class:`IncrementalEncoder` runs it over each block's bounded window, so
+streaming and offline decoding push the same rows in the same order and
+agree bit for bit; :meth:`PredictionNetwork.advance_np` runs it over a
+causal prefix, the left-context caching of the Transformer Transducer.
 """
 
 import math
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import LOG_ZERO, Tensor
+from .autodiff import Tensor
 from .vocab import BLANK, SOS
 
 LN_EPS = 1e-6
@@ -101,69 +104,32 @@ class ChunkSpec:
         return fmt(self.left), fmt(self.right)
 
 
-def window_mask(n_q: int, n_kv: int, chunk: ChunkSpec, q_offset: int = 0) -> np.ndarray:
-    """(n_q, n_kv) additive mask: 0 inside the window, LOG_ZERO outside.
-
-    Query i sits at key coordinate i + q_offset; key j is visible iff
-    -left <= j - (i + q_offset) <= right.
-    """
-    rel = np.arange(n_kv)[None, :] - (np.arange(n_q)[:, None] + q_offset)
-    ok = (rel >= -chunk.left) & (rel <= chunk.right)
-    return np.where(ok, 0.0, LOG_ZERO)
+UNBOUNDED = ChunkSpec.unbounded()
+CAUSAL = ChunkSpec(math.inf, 0)  # the prediction network's window
 
 
-def causal_mask(n: int) -> np.ndarray:
-    return window_mask(n, n, ChunkSpec(math.inf, 0))
+def pe_frequencies(d_m: int) -> np.ndarray:
+    """The frequencies 1 / 10000^(2i/d_m) of :func:`positional_encoding`."""
+    if d_m % 2:
+        raise ValueError(f"positional encoding needs even width, got {d_m}")
+    return np.power(10000.0, -np.arange(0, d_m, 2, dtype=np.float64) / d_m)
 
 
-def positional_encoding(length: int, d_m: int, start: int = 0) -> np.ndarray:
+def positional_encoding(length: int, d_m: int, start: int = 0, freqs=None) -> np.ndarray:
     """Sine/cosine position table for positions start .. start+length-1.
 
     Column 2i is sin(pos / 10000^(2i/d_m)), column 2i+1 the matching cos.
-    ``start`` lets a sequence slice keep its global positions.
+    ``start`` lets a sequence slice keep its global positions. ``freqs``,
+    :func:`pe_frequencies` of d_m, saves recomputing them on every call.
     """
     if length < 1:
         raise ValueError("positional encoding needs length >= 1")
-    if d_m % 2:
-        raise ValueError(f"positional encoding needs even width, got {d_m}")
-    pos = np.arange(start, start + length, dtype=np.float64)[:, None]
-    inv = np.power(10000.0, -np.arange(0, d_m, 2, dtype=np.float64) / d_m)
+    angle = np.arange(start, start + length, dtype=np.float64)[:, None] * (
+        pe_frequencies(d_m) if freqs is None else freqs)
     pe = np.empty((length, d_m))
-    pe[:, 0::2] = np.sin(pos * inv)
-    pe[:, 1::2] = np.cos(pos * inv)
+    pe[:, 0::2] = np.sin(angle)
+    pe[:, 1::2] = np.cos(angle)
     return pe
-
-
-def _check_open_rows(mask: np.ndarray):
-    if mask.size and mask.max(axis=-1).min() < 0.0:
-        raise ValueError("attention mask blocks every key for some query row")
-
-
-def _key_padding(mask: np.ndarray, lengths, shape) -> np.ndarray:
-    """(B, T, T) masks: ``mask`` with the padded keys of each sequence
-    blocked for its real query rows."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if len(shape) != 3 or lengths.shape != (shape[0],):
-        raise ad.ShapeError(f"lengths {lengths.shape} do not match a batch of {shape}")
-    if lengths.min() < 1 or lengths.max() > shape[1]:
-        raise ValueError(f"sequence lengths must lie in [1, {shape[1]}], got {lengths}")
-    pos = np.arange(shape[1])
-    real = pos[None, :] < lengths[:, None]                  # (B, T)
-    blocked = real[:, :, None] & ~real[:, None, :]          # real query, padded key
-    return np.where(blocked, LOG_ZERO, mask)
-
-
-def self_attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
-    """softmax(q k^T / sqrt(d_k)) v over already-projected 2-D inputs."""
-    if k.shape[0] != v.shape[0]:
-        raise ad.ShapeError(f"key/value lengths differ: {k.shape} vs {v.shape}")
-    d_k = q.shape[-1]
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(d_k))
-    if mask is not None:
-        mask = np.asarray(mask, dtype=scores.dtype)
-        _check_open_rows(mask)
-        scores = ad.add(scores, Tensor(mask))
-    return ad.matmul(ad.softmax_lastdim(scores), v)
 
 
 class MultiHeadAttention:
@@ -186,31 +152,15 @@ class MultiHeadAttention:
         }
         self._prefix = prefix
 
-    def _split(self, x: Tensor) -> Tensor:
-        # (..., n, d_m) -> (..., heads, n, d_k)
-        x = ad.reshape(x, x.shape[:-1] + (self.n_heads, self.d_k))
-        return ad.transpose(x, _swap_last_but_one(x.ndim))
-
-    def __call__(self, x_q: Tensor, x_kv: Tensor, mask=None) -> Tensor:
-        """Attention of the query rows over the key/value rows: (n, d_m)
-        each, or (B, n, d_m) for a batch. ``mask`` is an additive
-        (n_q, n_kv) window, or (B, n_q, n_kv) with one window per sequence."""
+    def __call__(self, x: Tensor, chunk: ChunkSpec = UNBOUNDED, lengths=None) -> Tensor:
+        """Self-attention of the rows of x, (n, d_m), or of a zero-padded
+        batch (B, n, d_m) whose sequence b holds ``lengths[b]`` rows, over
+        the window ``chunk`` (see :func:`autodiff.attention`)."""
         p, pre = self.params, self._prefix
-        q = self._split(ad.matmul(x_q, p[f"{pre}.w_q"]))
-        k = self._split(ad.matmul(x_kv, p[f"{pre}.w_k"]))
-        v = self._split(ad.matmul(x_kv, p[f"{pre}.w_v"]))
-        k_t = ad.transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
-        scores = ad.matmul(q, k_t)
-        if mask is not None:
-            mask = np.asarray(mask, dtype=scores.dtype)
-            _check_open_rows(mask)
-            if mask.ndim == 3:  # one window per sequence, shared by its heads
-                mask = mask[:, None]
-        weights = ad.softmax_lastdim(scores, 1.0 / math.sqrt(self.d_k), mask)
-        ctx = ad.matmul(weights, v)
-        merged = ad.transpose(ctx, _swap_last_but_one(ctx.ndim))
-        merged = ad.reshape(merged, merged.shape[:-2] + (self.d_m,))
-        return ad.matmul(merged, p[f"{pre}.w_o"])
+        q, k, v = (ad.matmul(x, p[f"{pre}.{w}"]) for w in ("w_q", "w_k", "w_v"))
+        ctx = ad.attention(q, k, v, chunk.left, chunk.right, lengths,
+                           1.0 / math.sqrt(self.d_k), self.n_heads)
+        return ad.matmul(ctx, p[f"{pre}.w_o"])
 
     def kv_np(self, x_kv: np.ndarray):
         """Key and value projections of the rows ``x_kv``, (n, d_m) each."""
@@ -226,22 +176,8 @@ class MultiHeadAttention:
         q = sp(x_q @ p[f"{pre}.w_q"].data, n_q)
         k = sp(k, n_kv)
         v = sp(v, n_kv)
-        scores = q @ k.transpose(0, 2, 1) / math.sqrt(self.d_k)
-        if mask is not None:
-            _check_open_rows(mask)
-            scores = scores + mask
-        w = _np_softmax(scores)
-        return (w @ v).transpose(1, 0, 2).reshape(n_q, self.d_m) @ p[f"{pre}.w_o"].data
-
-
-def _swap_last_but_one(ndim: int) -> tuple:
-    """Axis order that swaps the two axes before the last one."""
-    return tuple(range(ndim - 3)) + (ndim - 2, ndim - 3, ndim - 1)
-
-
-def _np_softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+        _, ctx = ad.softmax_context(q @ k.transpose(0, 2, 1) / math.sqrt(self.d_k), mask, v)
+        return ctx.transpose(1, 0, 2).reshape(n_q, self.d_m) @ p[f"{pre}.w_o"].data
 
 
 def _np_layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -291,10 +227,10 @@ class SABlock:
         self.params[f"{prefix}.ln2.b"] = zeros_param(d_m)
         self._prefix = prefix
 
-    def __call__(self, x: Tensor, mask=None, dropout_rate: float = 0.0,
-                 rng=None, training: bool = False) -> Tensor:
+    def __call__(self, x: Tensor, chunk: ChunkSpec = UNBOUNDED, lengths=None,
+                 dropout_rate: float = 0.0, rng=None, training: bool = False) -> Tensor:
         p, pre = self.params, self._prefix
-        a = ad.dropout(self.attn(x, x, mask), dropout_rate, rng, training)
+        a = ad.dropout(self.attn(x, chunk, lengths), dropout_rate, rng, training)
         y = ad.layer_norm(ad.add(x, a), p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"], LN_EPS)
         f = ad.dropout(self.ffn(y), dropout_rate, rng, training)
         return ad.layer_norm(ad.add(y, f), p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"], LN_EPS)
@@ -322,6 +258,7 @@ class Encoder:
                  n_blocks: int, chunk: ChunkSpec, rng):
         self.d_in, self.d_m, self.n_blocks = d_in, d_m, n_blocks
         self.chunk = chunk
+        self.pe_freqs = pe_frequencies(d_m)
         self.blocks = [SABlock(d_m, n_heads, d_ff, rng, f"enc.{i}") for i in range(n_blocks)]
         self.params = {
             "enc.in.w": glorot(rng, d_in, d_m),
@@ -348,13 +285,10 @@ class Encoder:
         chunk = chunk if chunk is not None else self.chunk
         T = feats.shape[-2]
         x = ad.add(ad.matmul(feats, self.params["enc.in.w"]), self.params["enc.in.b"])
-        x = ad.add(x, Tensor(positional_encoding(T, self.d_m, start).astype(x.dtype)))
+        x = ad.add(x, Tensor(positional_encoding(T, self.d_m, start, self.pe_freqs).astype(x.dtype)))
         x = ad.dropout(x, dropout_rate, rng, training)
-        mask = window_mask(T, T, chunk)
-        if lengths is not None:
-            mask = _key_padding(mask, lengths, feats.shape)
         for block in self.blocks:
-            x = block(x, mask, dropout_rate, rng, training)
+            x = block(x, chunk, lengths, dropout_rate, rng, training)
         return x
 
     def apply_np(self, feats: np.ndarray, chunk: ChunkSpec = None, start: int = 0) -> np.ndarray:
@@ -383,7 +317,7 @@ class IncrementalEncoder:
         if not chunk.bounded:
             raise ValueError("incremental encoding needs a bounded chunk window")
         self.left, self.right = int(chunk.left), int(chunk.right)
-        self.d_m = encoder.d_m
+        self.d_m, self._pe_freqs = encoder.d_m, encoder.pe_freqs
         self.blocks = list(encoder.blocks)
         self._w_in = encoder.params["enc.in.w"].data
         self._b_in = encoder.params["enc.in.b"].data
@@ -396,7 +330,7 @@ class IncrementalEncoder:
         """Feed the next stacked row; returns the output rows it made final
         (at most one)."""
         x = stacked_row @ self._w_in + self._b_in
-        x = x + positional_encoding(1, self.d_m, start=self._entered[0])[0]
+        x = x + positional_encoding(1, self.d_m, self._entered[0], self._pe_freqs)[0]
         return self._enter(0, x)
 
     def finish(self) -> list:
@@ -447,6 +381,7 @@ class PredictionNetwork:
     def __init__(self, vocab_size: int, d_m: int, n_heads: int, d_ff: int,
                  n_blocks: int, rng):
         self.vocab_size, self.d_m, self.n_blocks = vocab_size, d_m, n_blocks
+        self.pe_freqs = pe_frequencies(d_m)
         self.blocks = [SABlock(d_m, n_heads, d_ff, rng, f"pred.{i}") for i in range(n_blocks)]
         self.params = {"pred.emb": glorot(rng, vocab_size, d_m)}
         for b in self.blocks:
@@ -460,11 +395,10 @@ class PredictionNetwork:
         ids = _label_ids(labels)
         n = ids.shape[-1]
         x = ad.scale(ad.index_rows(self.params["pred.emb"], ids), math.sqrt(self.d_m))
-        x = ad.add(x, Tensor(positional_encoding(n, self.d_m).astype(x.dtype)))
+        x = ad.add(x, Tensor(positional_encoding(n, self.d_m, 0, self.pe_freqs).astype(x.dtype)))
         x = ad.dropout(x, dropout_rate, rng, training)
-        mask = causal_mask(n)
         for block in self.blocks:
-            x = block(x, mask, dropout_rate, rng, training)
+            x = block(x, CAUSAL, None, dropout_rate, rng, training)
         return x
 
     def init_state(self):
@@ -480,7 +414,7 @@ class PredictionNetwork:
         """
         tok = SOS if token is None else int(token)
         x = self.params["pred.emb"].data[tok] * math.sqrt(self.d_m)
-        x = (x + positional_encoding(1, self.d_m, start=state.length)[0])[None, :]
+        x = (x + positional_encoding(1, self.d_m, state.length, self.pe_freqs)[0])[None, :]
         layers, d = [], self.d_m
         for block, cache in zip(self.blocks, state.layers):
             kv = np.concatenate(block.attn.kv_np(x), axis=1)

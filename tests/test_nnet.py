@@ -1,7 +1,9 @@
-"""Attention building blocks: masks, positional encodings, parity between
-the tape modules and the cached key/value row step, windowed locality."""
+"""Attention building blocks: the banded attention op against a dense
+oracle, positional encodings, parity between the tape modules and the cached
+key/value row step, windowed locality."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +12,39 @@ from hypothesis import strategies as st
 
 from satkit import autodiff as ad
 from satkit.autodiff import LOG_ZERO, ShapeError, Tensor
-from satkit.nnet import (ChunkSpec, Encoder, FeedForward, IncrementalEncoder,
-                         MultiHeadAttention, PredictionNetwork, SABlock,
-                         causal_mask, glorot, positional_encoding,
-                         self_attention, window_mask)
+from satkit.nnet import (CAUSAL, ChunkSpec, Encoder, FeedForward, IncrementalEncoder,
+                         MultiHeadAttention, PredictionNetwork, SABlock, glorot,
+                         positional_encoding)
+
+
+def window_mask(n_q: int, n_kv: int, chunk: ChunkSpec, q_offset: int = 0) -> np.ndarray:
+    """(n_q, n_kv) additive mask: 0 inside the window, LOG_ZERO outside.
+
+    Query i sits at key coordinate i + q_offset; key j is visible iff
+    -left <= j - (i + q_offset) <= right.
+    """
+    rel = np.arange(n_kv)[None, :] - (np.arange(n_q)[:, None] + q_offset)
+    ok = (rel >= -chunk.left) & (rel <= chunk.right)
+    return np.where(ok, 0.0, LOG_ZERO)
+
+
+def causal_mask(n: int) -> np.ndarray:
+    return window_mask(n, n, CAUSAL)
+
+
+def self_attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
+    """Dense oracle: softmax(q k^T / sqrt(d_k) + mask) v over already-projected
+    2-D inputs, every key scored for every query."""
+    if k.shape[0] != v.shape[0]:
+        raise ShapeError(f"key/value lengths differ: {k.shape} vs {v.shape}")
+    d_k = q.shape[-1]
+    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(d_k))
+    if mask is not None:
+        mask = np.asarray(mask, dtype=scores.dtype)
+        if mask.max(axis=-1).min() < 0.0:
+            raise ValueError("attention mask blocks every key for some query row")
+        scores = ad.add(scores, Tensor(mask))
+    return ad.matmul(ad.softmax_lastdim(scores), v)
 
 
 def test_glorot_bounds_and_row_blocks():
@@ -108,6 +139,27 @@ def test_positional_encoding_start_offset_is_exact():
     np.testing.assert_array_equal(part, full[11:16])
 
 
+def test_positional_encoding_rows_keep_their_bits():
+    # rows built from a network's precomputed frequencies equal the formula
+    # that recomputes them per call, at the first rows and deep into a stream
+    def per_call(length, d_m, start):
+        pos = np.arange(start, start + length, dtype=np.float64)[:, None]
+        inv = np.power(10000.0, -np.arange(0, d_m, 2, dtype=np.float64) / d_m)
+        pe = np.empty((length, d_m))
+        pe[:, 0::2] = np.sin(pos * inv)
+        pe[:, 1::2] = np.cos(pos * inv)
+        return pe
+
+    rng = np.random.default_rng(18)
+    enc = Encoder(6, 16, 2, 16, 1, ChunkSpec(2, 1), rng)
+    net = PredictionNetwork(9, 16, 2, 16, 1, rng)
+    for freqs in (enc.pe_freqs, net.pe_freqs, None):
+        for start in (0, 1, 12_000):
+            for length in (1, 5):
+                np.testing.assert_array_equal(positional_encoding(length, 16, start, freqs),
+                                              per_call(length, 16, start))
+
+
 def test_positional_encoding_errors():
     with pytest.raises(ValueError):
         positional_encoding(4, 7)
@@ -140,13 +192,116 @@ def test_self_attention_rejects_fully_masked_row():
                        Tensor(np.zeros((4, 4))))
 
 
+WINDOWS = [(0, 0), (3, 0), (0, 4), (10, 5), (math.inf, 0), (math.inf, math.inf)]
+# T_max 37 is no multiple of the 16-row blocks and makes every bounded window
+# above banded; 1 and 5 are shorter than most windows
+RAGGED = (37, 5, 1, 20)
+
+
+def _op_inputs(rng, lengths, heads=2, d=3):
+    shape = (len(lengths), max(lengths), heads * d)
+    return [rng.standard_normal(shape) for _ in range(3)]
+
+
+@pytest.mark.parametrize("left,right", WINDOWS)
+def test_attention_op_matches_dense_oracle(left, right):
+    # each real row equals the dense oracle run on its sequence alone
+    rng = np.random.default_rng(30)
+    chunk = ChunkSpec(left, right)
+    for lengths in (RAGGED, (1,)):
+        q, k, v = _op_inputs(rng, lengths)
+        out = ad.attention(q, k, v, left, right, lengths, 1.0 / math.sqrt(3), heads=2).data
+        for b, n in enumerate(lengths):
+            for h in (slice(0, 3), slice(3, 6)):
+                want = self_attention(Tensor(q[b, :n, h]), Tensor(k[b, :n, h]),
+                                      Tensor(v[b, :n, h]), window_mask(n, n, chunk)).data
+                np.testing.assert_allclose(out[b, :n, h], want, atol=1e-12, rtol=0)
+    # one sequence as (T, heads * d): every row real
+    one = ad.attention(q[0], k[0], v[0], left, right, None, 0.5, heads=2).data
+    np.testing.assert_array_equal(
+        one, ad.attention(q[:1], k[:1], v[:1], left, right, None, 0.5, heads=2).data[0])
+
+
+@pytest.mark.parametrize("left,right", WINDOWS)
+def test_attention_op_finite_differences(left, right):
+    rng = np.random.default_rng(31)
+    inputs = _op_inputs(rng, RAGGED, d=2)
+    w = rng.standard_normal(inputs[0].shape)
+
+    def loss(q, k, v):
+        out = ad.attention(q, k, v, left, right, RAGGED, 0.7, heads=2)
+        return ad.sum_all(ad.mul(out, Tensor(w)))
+
+    tensors = [Tensor(x, requires_grad=True) for x in inputs]
+    loss(*tensors).backward()
+    eps = 1e-6
+    with ad.no_grad():
+        for i, t in enumerate(tensors):
+            fd = np.zeros_like(t.data)
+            for idx in np.ndindex(t.shape):
+                probe = [x.copy() for x in inputs]
+                probe[i][idx] += eps
+                hi = loss(*probe).item()
+                probe[i][idx] -= 2 * eps
+                fd[idx] = (hi - loss(*probe).item()) / (2 * eps)
+            np.testing.assert_allclose(t.grad, fd, rtol=0, atol=1e-6 * max(1.0, np.abs(fd).max()))
+
+
+def test_attention_op_rejects_blocked_rows_and_bad_lengths():
+    rng = np.random.default_rng(32)
+    q, k, v = _op_inputs(rng, RAGGED)
+    # no key left of row 0: the dense path (inf, -1) and the banded (3, -1)
+    for left, right in ((math.inf, -1), (3, -1)):
+        with pytest.raises(ValueError, match="blocks every key"):
+            ad.attention(q, k, v, left, right, RAGGED)
+    with pytest.raises(ValueError, match="blocks every key"):
+        MultiHeadAttention(6, 2, rng, "t").attend_np(
+            np.zeros((2, 6)), np.zeros((3, 6)), np.zeros((3, 6)),
+            np.array([[0.0, 0.0, 0.0], [LOG_ZERO] * 3]))
+    with pytest.raises(ValueError):
+        ad.attention(q, k, v, 2, 1, (37, 0, 1, 20))
+    with pytest.raises(ShapeError):
+        ad.attention(q, k, v, 2, 1, (37, 5))
+    with pytest.raises(ShapeError):
+        ad.attention(q, k[:, :-1], v, 2, 1)
+    with pytest.raises(ShapeError):
+        ad.attention(q, k, v, 2, 1, heads=4)
+
+
+def test_attention_op_softmax_checks_finite():
+    rng = np.random.default_rng(33)
+    q, k, v = _op_inputs(rng, (37,))
+    q[0, 30, 4] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        ad.attention(q, k, v, 10, 5)
+
+
+def _encoder_peak_bytes(enc, batch, frames):
+    feats = np.random.default_rng(34).standard_normal((batch, frames, enc.d_in))
+    tracemalloc.start()
+    try:
+        out = enc(Tensor(feats), lengths=np.full(batch, frames))
+        ad.sum_all(out).backward()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bounded_window_training_memory_is_linear_in_length():
+    # the same 460 frames as 8 x 58 and as 1 x 460: a bounded window must
+    # not make the long shape's tape grow with T^2
+    enc = Encoder(24, 64, 4, 128, 2, ChunkSpec(10, 5), np.random.default_rng(35))
+    short = _encoder_peak_bytes(enc, 8, 58)
+    long = _encoder_peak_bytes(enc, 1, 460)
+    assert long <= 1.25 * short, (long, short)
+
+
 def test_multi_head_tape_np_parity():
     rng = np.random.default_rng(1)
     mha = MultiHeadAttention(8, 2, rng, "t")
     x = rng.standard_normal((5, 8))
-    mask = window_mask(5, 5, ChunkSpec(1, 1))
-    got = mha(Tensor(x), Tensor(x), mask).data
-    want = mha.attend_np(x, *mha.kv_np(x), mask)
+    got = mha(Tensor(x), ChunkSpec(1, 1)).data
+    want = mha.attend_np(x, *mha.kv_np(x), window_mask(5, 5, ChunkSpec(1, 1)))
     np.testing.assert_allclose(got, want, atol=1e-12)
     with pytest.raises(ValueError):
         MultiHeadAttention(8, 3, rng, "bad")
@@ -159,7 +314,7 @@ def test_multi_head_single_head_equals_plain_attention():
     p = {k.split(".")[-1]: v.data for k, v in mha.params.items()}
     plain = self_attention(Tensor(x @ p["w_q"]), Tensor(x @ p["w_k"]),
                            Tensor(x @ p["w_v"])).data @ p["w_o"]
-    np.testing.assert_allclose(mha(Tensor(x), Tensor(x)).data, plain, atol=1e-12)
+    np.testing.assert_allclose(mha(Tensor(x)).data, plain, atol=1e-12)
 
 
 def test_feed_forward_parity_and_form():
@@ -177,14 +332,13 @@ def test_sa_block_parity_and_dropout():
     rng = np.random.default_rng(4)
     block = SABlock(8, 2, 16, rng, "b")
     x = rng.standard_normal((5, 8))
-    mask = causal_mask(5)
-    rows = block.apply_kv_np(x, *block.attn.kv_np(x), mask)
-    np.testing.assert_allclose(block(Tensor(x), mask).data, rows, atol=1e-12)
+    rows = block.apply_kv_np(x, *block.attn.kv_np(x), causal_mask(5))
+    np.testing.assert_allclose(block(Tensor(x), CAUSAL).data, rows, atol=1e-12)
     # training dropout perturbs, evaluation never does
-    drop = block(Tensor(x), mask, dropout_rate=0.5,
+    drop = block(Tensor(x), CAUSAL, dropout_rate=0.5,
                  rng=np.random.default_rng(0), training=True).data
     assert not np.allclose(drop, rows)
-    same = block(Tensor(x), mask, dropout_rate=0.5,
+    same = block(Tensor(x), CAUSAL, dropout_rate=0.5,
                  rng=np.random.default_rng(0), training=False).data
     np.testing.assert_allclose(same, rows, atol=1e-12)
 

@@ -1,5 +1,5 @@
-"""Command line surface: train, decode, plot-lattice, bench, lm-train,
-gen-data, eval-cer.
+"""Command line surface: gen-data, train, decode, eval-cer, lm-train,
+plot-lattice.
 
 Every command is reproducible from its flags plus the seed; artifacts are
 byte-identical across runs (timing output aside). Errors print one line to
@@ -15,14 +15,12 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import bench as bench_mod
 from . import ngram
 from .data import (SIL, TaskSpec, generate_split, load_dataset,
                    normalize_dataset, read_token_file, save_dataset,
                    stack_downsample, write_token_file)
 from .decode import (DecodeConfig, beam_decode, corpus_cer, greedy_trace,
                      stream_decode)
-from .kernels import BACKEND
 from .model import ModelConfig, SATModel
 from .nnet import ChunkSpec
 from .train import TrainConfig, Trainer
@@ -92,6 +90,9 @@ def cmd_train(args) -> int:
     vocab = Vocab.load(f"{args.data}/vocab.txt")
     train_utts = _load_split(args.data, "train", args.normalize)
     dev_utts = _load_split(args.data, "dev", args.normalize)
+    for split, utts in (("train", train_utts), ("dev", dev_utts)):
+        if not utts:
+            raise ValueError(f"the {split} split of {args.data} has no utterances")
     os.makedirs(args.out, exist_ok=True)
     metrics = args.metrics or f"{args.out}/metrics.csv"
     run_meta = {k: v for k, v in vars(args).items() if k != "func"}
@@ -254,14 +255,6 @@ def cmd_plot_lattice(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    lat = bench_mod.run_lattice_bench(repeats=args.repeats, seed=args.seed)
-    batch = bench_mod.run_batch_bench(repeats=args.repeats, seed=args.seed)
-    print(f"active lattice backend: {BACKEND}")
-    print(bench_mod.format_report(lat, batch))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="satkit",
@@ -358,11 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="plot every token, not just emitted ones")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_plot_lattice)
-
-    p = sub.add_parser("bench", help="lattice kernel benchmark")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -57,6 +57,9 @@ class DecodeConfig:
             raise ValueError(f"beam width must be >= 1, got {self.beam_width}")
         if self.lm_weight < 0:
             raise ValueError(f"LM weight must be >= 0, got {self.lm_weight}")
+        if self.max_symbols_per_frame < 0:
+            raise ValueError(f"max symbols per frame must be >= 0, "
+                             f"got {self.max_symbols_per_frame}")
         if self.mode not in ("offline", "streaming"):
             raise ValueError(f"mode must be offline or streaming, got {self.mode!r}")
 

@@ -1,67 +1,23 @@
-"""Lattice kernel backend selection and the one checked entry point.
-
-Prefers the compiled extension, falls back to the numpy implementation when
-the extension was not built. ``SATKIT_LATTICE_BACKEND`` overrides: "compiled"
-(error if missing), "numpy", or "auto" (default).
+"""Transducer forward-backward: the lattice kernel and its checked entry point.
 
 :func:`forward_backward` scores one (T, U+1, K) lattice or a padded batch
 (B, T_max, U_max+1, K) with per-utterance frame and target counts. It checks
-ranks, lengths, targets and contiguity before it dispatches, because the
-compiled kernel runs without bounds checks and trusts its caller's shapes.
-The numpy backend runs a batch as one anti-diagonal loop; the compiled one
-loops its per-utterance kernel over the batch.
-"""
+ranks, lengths, targets and contiguity before the dynamic programming runs;
+one lattice is scored as a batch of one.
 
-import os
+The DP is vectorized over lattice anti-diagonals. A batch runs one
+anti-diagonal loop for all of its utterances: the tables are stored skewed,
+one row per anti-diagonal, so a step updates every utterance's cells on one
+diagonal with whole-row array operations, and a cell past utterance b's own
+(T_b, U_b) keeps its sentinel, so each utterance's tables equal those of its
+lattice scored alone. Blank is always token 0. All dynamic programming runs
+in log space with a finite sentinel (``LOG_ZERO``) standing in for minus
+infinity, with absorbing add semantics.
+"""
 
 import numpy as np
 
-from . import latfb_np
-from .autodiff import LOG_ZERO
-
-_requested = os.environ.get("SATKIT_LATTICE_BACKEND", "auto")
-if _requested not in ("auto", "compiled", "numpy"):
-    raise ValueError("SATKIT_LATTICE_BACKEND must be auto, compiled or numpy, "
-                     "got %r" % _requested)
-
-
-def per_utterance(fb_one):
-    """The batch contract from a one-utterance kernel: a batch is scored by
-    calling ``fb_one`` on each utterance's own (T_b, U_b+1, K) lattice."""
-
-    def forward_backward(log_probs, targets, t_lengths=None, u_lengths=None):
-        if log_probs.ndim == 3:
-            return fb_one(log_probs, targets)
-        B = log_probs.shape[0]
-        loss = np.empty(B)
-        grad = np.zeros_like(log_probs)
-        alpha = np.full(log_probs.shape[:3], LOG_ZERO)
-        beta = np.full(log_probs.shape[:3], LOG_ZERO)
-        for b in range(B):
-            T, U1 = int(t_lengths[b]), int(u_lengths[b]) + 1
-            loss[b], grad[b, :T, :U1], alpha[b, :T, :U1], beta[b, :T, :U1] = \
-                fb_one(log_probs[b, :T, :U1], targets[b])
-        return loss, grad, alpha, beta
-
-    return forward_backward
-
-
-def available_backends():
-    """Name -> forward_backward callable for every importable backend. Each
-    takes the unchecked arguments of :func:`forward_backward`."""
-    out = {"numpy": latfb_np.forward_backward}
-    try:
-        from . import _latfb
-        out["compiled"] = per_utterance(_latfb.forward_backward)
-    except ImportError:
-        if _requested == "compiled":
-            raise
-    return out
-
-
-_backends = available_backends()
-BACKEND = "numpy" if _requested == "numpy" or "compiled" not in _backends else "compiled"
-_active = _backends[BACKEND]
+from .autodiff import LOG_ZERO, LOG_ZERO_GUARD
 
 
 def _ids(name, targets, U, K) -> np.ndarray:
@@ -76,14 +32,16 @@ def _ids(name, targets, U, K) -> np.ndarray:
 
 
 def forward_backward(log_probs, targets, t_lengths=None, u_lengths=None):
-    """Transducer loss, gradient and DP tables from the active backend.
+    """Transducer loss, gradient and DP tables.
 
     One utterance: ``log_probs`` (T, U+1, K) and ``targets`` its U ids;
-    returns (loss, grad, alpha, beta) with a float loss, grad shaped like
-    ``log_probs`` and (T, U+1) tables. A batch: ``log_probs`` (B, T_max,
-    U_max+1, K), ``targets`` B id sequences and ``t_lengths``/``u_lengths``
-    the (B,) frame and target counts; returns a (B,) loss and the stacked
-    grad and tables, with zero gradient and ``LOG_ZERO`` tables in padding.
+    returns (loss, grad, alpha, beta) with a float loss (the negative
+    log-likelihood), grad = d(loss)/d(log_probs) shaped like ``log_probs``
+    and the (T, U+1) forward/backward tables. A batch: ``log_probs`` (B,
+    T_max, U_max+1, K), ``targets`` B id sequences and
+    ``t_lengths``/``u_lengths`` the (B,) frame and target counts; returns a
+    (B,) loss and the stacked grad and tables, with zero gradient and
+    ``LOG_ZERO`` tables in padding.
 
     Raises ValueError unless ``log_probs`` is a C-contiguous float64 array,
     every 1 <= T_b <= T_max and 0 <= U_b <= U_max, ``len(targets[b]) ==
@@ -98,7 +56,9 @@ def forward_backward(log_probs, targets, t_lengths=None, u_lengths=None):
         T, U1, K = log_probs.shape
         if T < 1:
             raise ValueError("forward_backward: lattice needs at least one time frame")
-        return _active(log_probs, _ids("forward_backward", targets, U1 - 1, K))
+        y = _ids("forward_backward", targets, U1 - 1, K)
+        loss, grad, alpha, beta = _batch(log_probs[None], [y], np.array([T]), np.array([U1 - 1]))
+        return float(loss[0]), grad[0], alpha[0], beta[0]
     if log_probs.ndim != 4:
         raise ValueError(f"forward_backward: expects a (T, U+1, K) lattice or a "
                          f"(B, T, U+1, K) batch, got {log_probs.shape}")
@@ -120,4 +80,82 @@ def forward_backward(log_probs, targets, t_lengths=None, u_lengths=None):
                          f"batch of {B}")
     ys = [_ids(f"forward_backward: utterance {b}", targets[b], int(u_len[b]), K)
           for b in range(B)]
-    return _active(log_probs, ys, t_len.astype(np.int64), u_len.astype(np.int64))
+    return _batch(log_probs, ys, t_len.astype(np.int64), u_len.astype(np.int64))
+
+
+def _logadd(a, b):
+    m = np.maximum(a, b)
+    out = m + np.log1p(np.exp(np.minimum(a, b) - m))
+    return np.where(m <= LOG_ZERO_GUARD, LOG_ZERO, out)
+
+
+def _batch(lp, targets, t_len, u_len):
+    B, T, U1, _ = lp.shape
+    U = U1 - 1
+    bs = np.arange(B)
+    y = np.zeros((B, U), dtype=np.int64)
+    for b in range(B):
+        y[b, :u_len[b]] = targets[b]
+    t_idx, u_idx = np.arange(T), np.arange(U1)
+    valid = (t_idx[None, :, None] < t_len[:, None, None]) & (u_idx[None, None, :] <= u_len[:, None, None])
+
+    lp_blank = lp[:, :, :, 0]
+    # Label log prob of each cell; LOG_ZERO where the utterance has no
+    # label left to emit (u >= U_b), which also covers the ghost column u = U.
+    lpl_pad = np.full((B, T, U1), LOG_ZERO)
+    lp_label = lp[bs[:, None, None], t_idx[None, :, None], u_idx[None, None, :U], y[:, None, :]]
+    has_label = u_idx[None, None, :U] < u_len[:, None, None]
+    lpl_pad[:, :, :U] = np.where(has_label, lp_label, LOG_ZERO)
+
+    # Skewed layout: row n of a (B, T+U, U+1) table is anti-diagonal n, with
+    # cell (n - u, u) in column u, so each step of the recurrence reads and
+    # writes whole rows. Cells off the grid are impossible and never valid.
+    n_diag = T + U
+    skew_t = np.arange(n_diag)[:, None] - u_idx[None, :]
+    on_grid = (skew_t >= 0) & (skew_t < T)
+    at_t = np.clip(skew_t, 0, T - 1)
+
+    def skew(table, fill):
+        return np.where(on_grid, table[:, at_t, u_idx[None, :]], fill)
+
+    ok = skew(valid, False)
+    lpb_s, lpl_s = skew(lp_blank, LOG_ZERO), skew(lpl_pad, LOG_ZERO)
+
+    alpha_s = np.full((B, n_diag, U1), LOG_ZERO)
+    alpha_s[:, 0, 0] = 0.0
+    from_label = np.full((B, U1), LOG_ZERO)  # column 0 has no label move
+    for n in range(1, n_diag):
+        prev = alpha_s[:, n - 1]
+        from_blank = prev + lpb_s[:, n - 1]
+        from_label[:, 1:] = (prev + lpl_s[:, n - 1])[:, :U]
+        alpha_s[:, n] = np.where(ok[:, n], _logadd(from_blank, from_label), LOG_ZERO)
+
+    # Ghost row/column turn the terminal blank into the uniform recurrence:
+    # beta at (T_b, U_b) = 0 is "finished". Cells outside an utterance keep
+    # their value, so the terminal survives and the rest stay LOG_ZERO.
+    beta_s = np.full((B, n_diag + 1, U1 + 1), LOG_ZERO)
+    beta_s[bs, t_len + u_len, u_len] = 0.0
+    for n in range(n_diag - 1, -1, -1):
+        below = beta_s[:, n + 1]
+        beta_s[:, n, :U1] = np.where(ok[:, n], _logadd(
+            below[:, :U1] + lpb_s[:, n],
+            below[:, 1:] + lpl_s[:, n],
+        ), beta_s[:, n, :U1])
+
+    diag = t_idx[:, None] + u_idx[None, :]
+    alpha = alpha_s[:, diag, u_idx]
+    beta = np.where(valid, beta_s[:, diag, u_idx], LOG_ZERO)
+    beta_down = beta_s[:, diag + 1, u_idx]  # beta at (t + 1, u), ghost row included
+
+    last_t = t_len - 1
+    loss = -(alpha[bs, last_t, u_len] + lp_blank[bs, last_t, u_len])
+    log_like = beta[:, 0, 0][:, None, None]
+
+    grad = np.zeros_like(lp)
+    occ_blank = np.exp(alpha + lp_blank + beta_down - log_like)
+    grad[:, :, :, 0] = np.where(valid, -occ_blank, 0.0)
+    if U:
+        occ_label = np.exp(alpha[:, :, :U] + lp_label + beta[:, :, 1:] - log_like)
+        b, t, u = np.nonzero(valid[:, :, :U] & has_label)
+        grad[b, t, u, y[b, u]] = -occ_label[b, t, u]
+    return loss, grad, alpha, beta

@@ -3,8 +3,8 @@
 The lattice is a (T, U+1, K) grid of log distributions over the vocabulary,
 one per (time frame, emitted-prefix length) node. Token 0 is the blank.
 Training minimizes the negative log-likelihood of the target sequence summed
-over all monotone alignment paths; the DP kernels in :mod:`satkit.kernels`
-supply both the loss and its analytic gradient, which is grafted onto the
+over all monotone alignment paths; the DP kernel in :mod:`satkit.kernels`
+supplies both the loss and its analytic gradient, which is grafted onto the
 autodiff tape as a single composite op.
 
 A training batch is one padded (B, T_max, U_max+1, K) grid: the joint adds
@@ -133,8 +133,8 @@ def transducer_loss(lattice: PosteriorLattice, validate: bool = True) -> Tensor:
 
 
 def forward_backward_arrays(lattice: PosteriorLattice):
-    """Raw (loss, grad, alpha, beta) from the active kernel backend; for a
-    batch each is stacked over the utterances (see :mod:`satkit.kernels`)."""
+    """Raw (loss, grad, alpha, beta) from :func:`satkit.kernels.forward_backward`;
+    for a batch each is stacked over the utterances."""
     lp = np.ascontiguousarray(lattice.log_probs.data, dtype=np.float64)
     if lattice.lengths is None:
         return kernels.forward_backward(lp, lattice.targets)

@@ -73,6 +73,21 @@ def test_train_rejects_config_data_conflicts(tmp_path, data_dir, capsys):
     assert err.startswith("error:") and "vocab_size" in err
 
 
+def test_train_rejects_an_empty_split(tmp_path, capsys):
+    for split in ("train", "dev"):
+        data = tmp_path / f"no-{split}"
+        args = gen_args(data)
+        args[args.index(f"--n-{split}") + 1] = "0"
+        assert main(args) == 0
+        out = tmp_path / f"run-{split}"
+        code = main(["train", "--data", str(data), "--out", str(out),
+                     *MODEL_FLAGS, "--epochs", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{split} split" in err
+        assert not out.exists()
+
+
 def test_decode_offline_and_determinism(run_dir, data_dir, tmp_path, capsys):
     hyp1 = tmp_path / "hyp1.txt"
     args = ["decode", "--checkpoint", str(run_dir / "best.ckpt"), "--data",
@@ -193,13 +208,6 @@ def test_plot_lattice_unknown_utt(run_dir, data_dir, tmp_path, capsys):
                  "--data", str(data_dir), "--split", "dev", "--utt", "nope",
                  "--out-prefix", str(tmp_path / "x")]) == 1
     assert "not in" in capsys.readouterr().err
-
-
-def test_bench_smoke(capsys):
-    assert main(["bench", "--repeats", "1", "--seed", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "active lattice backend:" in out
-    assert "lattice" in out and "numpy" in out
 
 
 def test_resume_from_cli(run_dir, data_dir, tmp_path, capsys):

@@ -77,6 +77,8 @@ def test_decode_config_validation():
         DecodeConfig(lm_weight=-0.1)
     with pytest.raises(ValueError):
         DecodeConfig(mode="batch")
+    with pytest.raises(ValueError):
+        DecodeConfig(max_symbols_per_frame=-1)
 
 
 # ------------------------------------------------------------- greedy vs beam

@@ -1,5 +1,5 @@
 """Lattice loss oracles: hand cases, path enumeration, finite differences,
-probability conservation, kernel backend parity."""
+probability conservation, batched against single-lattice kernel calls."""
 
 import math
 
@@ -9,12 +9,9 @@ import pytest
 from satkit import autodiff as ad
 from satkit.autodiff import Tensor
 from satkit import kernels
-from satkit.kernels import available_backends, per_utterance
 from satkit.lattice import (JointNetwork, PosteriorLattice, brute_force_loss,
                             forward_backward_arrays, tape_loss,
                             transducer_loss)
-
-BACKENDS = sorted(available_backends())
 
 
 def random_lattice(rng, t_len, u_len, k_size):
@@ -53,9 +50,8 @@ def test_uniform_path_count_formula():
         assert transducer_loss(lat).item() == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_brute_force_equivalence(backend):
-    fb = available_backends()[backend]
+def test_brute_force_equivalence():
+    fb = kernels.forward_backward
     rng = np.random.default_rng(11)
     for _ in range(30):
         t_len = int(rng.integers(1, 5))
@@ -73,9 +69,8 @@ def test_brute_force_budget_guard():
         brute_force_loss(lat, max_paths=1000)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_gradient_matches_finite_differences(backend):
-    fb = available_backends()[backend]
+def test_gradient_matches_finite_differences():
+    fb = kernels.forward_backward
     rng = np.random.default_rng(7)
     for _ in range(5):
         lat = random_lattice(rng, int(rng.integers(2, 5)), int(rng.integers(1, 4)), 4)
@@ -95,10 +90,9 @@ def test_gradient_matches_finite_differences(backend):
             assert grad[t, u, k] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_anti_diagonal_conservation(backend):
+def test_anti_diagonal_conservation():
     # sum over {t+u=n} of alpha+beta equals the total path mass for every n
-    fb = available_backends()[backend]
+    fb = kernels.forward_backward
     rng = np.random.default_rng(3)
     for _ in range(10):
         lat = random_lattice(rng, int(rng.integers(2, 6)), int(rng.integers(0, 4)), 5)
@@ -139,23 +133,6 @@ def test_tape_loss_cross_checks_kernel():
         loss, grad, _, _ = forward_backward_arrays(lat)
         assert ref.item() == pytest.approx(loss, rel=1e-12)
         np.testing.assert_allclose(tape_grad, grad, atol=1e-12)
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernel not built")
-def test_backend_parity():
-    rng = np.random.default_rng(13)
-    backends = available_backends()
-    for _ in range(10):
-        lat = random_lattice(rng, int(rng.integers(1, 8)), int(rng.integers(0, 6)), 6)
-        results = {n: fb(lat.log_probs.data, lat.targets)
-                   for n, fb in backends.items()}
-        base = results[BACKENDS[0]]
-        for name in BACKENDS[1:]:
-            loss, grad, alpha, beta = results[name]
-            assert loss == pytest.approx(base[0], rel=1e-12)
-            np.testing.assert_allclose(grad, base[1], atol=1e-12)
-            np.testing.assert_allclose(alpha, base[2], atol=1e-10)
-            np.testing.assert_allclose(beta, base[3], atol=1e-10)
 
 
 def test_gradient_is_negative_posterior_mass():
@@ -271,10 +248,8 @@ def random_batch(rng, lengths, k_size, pad=None):
     return grid, singles
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_batched_kernel_matches_per_utterance_calls(backend):
-    fb = available_backends()[backend]
-    looped = per_utterance(available_backends()["numpy"])
+def test_batched_kernel_matches_per_utterance_calls():
+    fb = kernels.forward_backward
     rng = np.random.default_rng(31)
     shapes = [[(1, 0)], [(1, 0), (3, 2)], [(1, 3), (4, 0), (2, 2)], [(5, 4)]]
     for _ in range(12):
@@ -300,9 +275,6 @@ def test_batched_kernel_matches_per_utterance_calls(backend):
             assert not grad[b][pad].any()
             assert np.all(alpha[b][pad] == ad.LOG_ZERO)
             assert np.all(beta[b][pad] == ad.LOG_ZERO)
-        # the per-utterance loop that serves the compiled backend agrees
-        for got, ref in zip(looped(grid, targets, t_len, u_len), (loss, grad, alpha, beta)):
-            np.testing.assert_allclose(got, ref, atol=1e-10)
 
 
 def test_batched_lattice_loss_is_per_utterance():
@@ -329,8 +301,7 @@ def test_batched_lattice_loss_is_per_utterance():
         PosteriorLattice(Tensor(grid), [[2, 3, 2], [], [2]], [3, 1, 4])
 
 
-def test_kernel_entry_rejects_bad_inputs(monkeypatch):
-    monkeypatch.setattr(kernels, "_active", available_backends()["numpy"])
+def test_kernel_entry_rejects_bad_inputs():
     rng = np.random.default_rng(41)
     grid, singles = random_batch(rng, [(3, 2), (2, 1)], 5)
     targets = [s.targets for s in singles]

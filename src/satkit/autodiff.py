@@ -27,7 +27,6 @@ import numpy as np
 # Log-space "impossible" marker. Kept finite so exp() underflows to exactly
 # 0.0 instead of producing inf/nan through arithmetic.
 LOG_ZERO = -1.0e30
-LOG_ZERO_GUARD = -1.0e29
 
 DEFAULT_DTYPE = np.float64
 
@@ -321,31 +320,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(out, (a, b), vjp)
 
 
-def _sum_to(g, shape):
-    """Sum ``g`` over the axes that ``shape`` holds at extent 1."""
-    axes = tuple(i for i, (n, m) in enumerate(zip(shape, g.shape)) if n == 1 and m != 1)
-    return g.sum(axis=axes, keepdims=True) if axes else g
-
-
-def broadcast_add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of equal-rank tensors where each axis either matches
-    or has extent 1 on one side, e.g. (B, T, 1, J) + (B, 1, U, J) ->
-    (B, T, U, J), the transducer joint grid."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    _same_dtype("broadcast_add", a, b)
-    if a.ndim != b.ndim or any(n != m and 1 not in (n, m) for n, m in zip(a.shape, b.shape)):
-        raise ShapeError(f"broadcast_add: {a.shape} and {b.shape} do not broadcast")
-    out = a.data + b.data
-    a_shape, b_shape = a.shape, b.shape
-    need_a, need_b = _needs_grad(a), _needs_grad(b)
-
-    def vjp(g):
-        return (_sum_to(g, a_shape) if need_a else None,
-                _sum_to(g, b_shape) if need_b else None)
-
-    return _result(out, (a, b), vjp)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product, same suffix rule as ``add``."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -382,19 +356,6 @@ def relu(x: Tensor) -> Tensor:
 
     def vjp(g):
         return (g * (out > 0.0),)  # out > 0 exactly where x > 0
-
-    return _result(out, (x,), vjp)
-
-
-def tanh(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    out = np.tanh(x.data)
-
-    def vjp(g):
-        d = out * out
-        np.subtract(1.0, d, out=d)
-        d *= g
-        return (d,)
 
     return _result(out, (x,), vjp)
 
@@ -454,21 +415,6 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return _result(out, (x,), vjp)
 
 
-def log_softmax_lastdim(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    _check_finite("log_softmax_lastdim", x.data)
-    out = x.data - x.data.max(axis=-1, keepdims=True)
-    out -= np.log(np.exp(out).sum(axis=-1, keepdims=True))
-
-    def vjp(g):
-        d = np.exp(out)
-        d *= g.sum(axis=-1, keepdims=True)
-        np.subtract(g, d, out=d)
-        return (d,)
-
-    return _result(out, (x,), vjp)
-
-
 def logsumexp_lastdim(x: Tensor) -> Tensor:
     """Log of summed exponentials over the final axis; output drops that axis."""
     x = _as_tensor(x)
@@ -482,6 +428,113 @@ def logsumexp_lastdim(x: Tensor) -> Tensor:
         return (soft * g[..., None],)
 
     return _result(out, (x,), vjp)
+
+
+# Bytes of tanh rows in one tile of joint_log_softmax: a tile's rows, logits
+# and cotangents then fit in L2 cache together.
+_JOINT_TILE_BYTES = 1 << 19
+
+
+def _joint_tiles(B, T, rows):
+    """(b0, b1, t0, t1) blocks of at most ``rows`` frames covering (B, T):
+    whole utterances when one fits, else frame ranges of one utterance.
+    Blocks are balanced, so none is much smaller than the others."""
+    def split(n, parts):
+        return [(i * n // parts, (i + 1) * n // parts) for i in range(parts)]
+
+    if rows >= T:
+        return [(b0, b1, 0, T) for b0, b1 in split(B, -(-B // (rows // max(T, 1))))]
+    return [(b, b + 1, t0, t1) for b in range(B) for t0, t1 in split(T, -(-T // rows))]
+
+
+def joint_log_softmax(f: Tensor, g: Tensor, w_out: Tensor) -> Tensor:
+    """The transducer joint as one op:
+    ``log_softmax(tanh(f[..., :, None, :] + g[..., None, :, :]) @ w_out)``.
+
+    ``f`` is (T, J) or (B, T, J) frame projections, ``g`` (U+1, J) or
+    (B, U+1, J) prediction projections and ``w_out`` (J, K); the result is
+    the (..., T, U+1, K) grid of log distributions. Non-finite logits raise
+    ``ValueError``.
+
+    The grid is built in tiles of frames sized by ``_JOINT_TILE_BYTES``: a
+    tile's sums become its tanh rows in place, are projected straight into
+    the output and normalized there, so the only grid-sized arrays are the
+    result and, when recording, the tanh grid the vjp reads. The vjp goes
+    tile by tile from the log-prob cotangent G to the logits
+    (``G - softmax * sum_k G``), then to ``w_out`` and through tanh to the
+    per-frame and per-label sums that are the cotangents of ``f`` and ``g``.
+    """
+    f, g, w_out = _as_tensor(f), _as_tensor(g), _as_tensor(w_out)
+    _same_dtype("joint_log_softmax", f, g, w_out)
+    if (f.ndim not in (2, 3) or g.ndim != f.ndim or f.shape[:-2] != g.shape[:-2]
+            or w_out.ndim != 2 or g.shape[-1] != f.shape[-1] or w_out.shape[0] != f.shape[-1]):
+        raise ShapeError(f"joint_log_softmax: expects (..., T, J), (..., U+1, J) and (J, K), "
+                         f"got {f.shape}, {g.shape} and {w_out.shape}")
+    fb = f.data if f.ndim == 3 else f.data[None]
+    gb = g.data if g.ndim == 3 else g.data[None]
+    w = w_out.data
+    (B, T, J), U1, K = fb.shape, gb.shape[1], w.shape[1]
+    dtype, batched = f.dtype, f.ndim == 3
+    need_f, need_g, need_w = _needs_grad(f), _needs_grad(g), _needs_grad(w_out)
+    keep = _recording and (need_f or need_g or need_w)
+    rows = max(1, _JOINT_TILE_BYTES // max(1, U1 * J * dtype.itemsize))
+    tiles = _joint_tiles(B, T, rows)
+    n_max = max(((b1 - b0) * (t1 - t0) * U1 for b0, b1, t0, t1 in tiles), default=0)
+
+    out = np.empty((B, T, U1, K), dtype)
+    # the tanh grid the vjp reads, or one tile's worth reused across tiles
+    h = np.empty((B, T, U1, J), dtype) if keep else np.empty(n_max * J, dtype)
+    ez = np.empty((n_max, K), dtype)
+    for b0, b1, t0, t1 in tiles:
+        nb, nt = b1 - b0, t1 - t0
+        n = nb * nt * U1
+        ht = h[b0:b1, t0:t1] if keep else h[:n * J].reshape(nb, nt, U1, J)
+        np.add(fb[b0:b1, t0:t1, None], gb[b0:b1, None], out=ht)
+        np.tanh(ht, out=ht)
+        z = out[b0:b1, t0:t1].reshape(n, K)
+        np.matmul(ht.reshape(n, J), w, out=z)
+        _check_finite("joint_log_softmax", z)
+        z -= z.max(axis=-1, keepdims=True)
+        z -= np.log(np.exp(z, out=ez[:n]).sum(axis=-1, keepdims=True))
+
+    def vjp(G):
+        G = G.reshape(out.shape)
+        df = np.empty((B, T, J), dtype) if need_f else None
+        dg = np.zeros((B, U1, J), dtype) if need_g else None
+        dw_t = np.zeros((K, J), dtype) if need_w else None
+        d = np.empty((n_max, K), dtype)
+        dh = np.empty((n_max, J), dtype)
+        sq = np.empty((n_max, J), dtype)
+        # Short sums as products with ones: BLAS beats numpy's reductions
+        # over a short last axis or a middle one.
+        ones = np.ones(max(K, U1, T), dtype)
+        for b0, b1, t0, t1 in tiles:
+            nb, nt = b1 - b0, t1 - t0
+            n = nb * nt * U1
+            Gt = G[b0:b1, t0:t1].reshape(n, K)
+            ht = h[b0:b1, t0:t1].reshape(n, J)
+            dz = np.exp(out[b0:b1, t0:t1].reshape(n, K), out=d[:n])
+            dz *= (Gt @ ones[:K])[:, None]
+            np.subtract(Gt, dz, out=dz)
+            if need_w:
+                dw_t += dz.T @ ht
+            if need_f or need_g:
+                dht = np.matmul(dz, w.T, out=dh[:n])
+                np.multiply(ht, ht, out=sq[:n])
+                np.subtract(1.0, sq[:n], out=sq[:n])
+                dht *= sq[:n]
+                dht = dht.reshape(nb, nt, U1, J)
+                if need_f:
+                    df[b0:b1, t0:t1] = ones[:U1] @ dht
+                if need_g:
+                    dg[b0:b1] += (ones[:nt] @ dht.reshape(nb, nt, U1 * J)).reshape(nb, U1, J)
+        dw = None if dw_t is None else dw_t.T
+        if not batched:
+            df = None if df is None else df[0]
+            dg = None if dg is None else dg[0]
+        return df, dg, dw
+
+    return _result(out if batched else out[0], (f, g, w_out), vjp)
 
 
 def _check_open_rows(mask: np.ndarray):

@@ -8,16 +8,20 @@ one lattice is scored as a batch of one.
 The DP is vectorized over lattice anti-diagonals. A batch runs one
 anti-diagonal loop for all of its utterances: the tables are stored skewed,
 one row per anti-diagonal, so a step updates every utterance's cells on one
-diagonal with whole-row array operations, and a cell past utterance b's own
-(T_b, U_b) keeps its sentinel, so each utterance's tables equal those of its
+diagonal with whole-row array operations. The transition weights are masked
+once, before the loops: a blank or label move that leaves utterance b's own
+(T_b, U_b) grid, or starts in its padding, weighs ``LOG_ZERO``. A step is
+then two adds and one ``logaddexp``; cells outside an utterance fill with
+ever more negative sums that no cell inside it ever reads, and are reset to
+``LOG_ZERO`` at the end, so each utterance's tables equal those of its
 lattice scored alone. Blank is always token 0. All dynamic programming runs
 in log space with a finite sentinel (``LOG_ZERO``) standing in for minus
-infinity, with absorbing add semantics.
+infinity.
 """
 
 import numpy as np
 
-from .autodiff import LOG_ZERO, LOG_ZERO_GUARD
+from .autodiff import LOG_ZERO
 
 
 def _ids(name, targets, U, K) -> np.ndarray:
@@ -83,12 +87,6 @@ def forward_backward(log_probs, targets, t_lengths=None, u_lengths=None):
     return _batch(log_probs, ys, t_len.astype(np.int64), u_len.astype(np.int64))
 
 
-def _logadd(a, b):
-    m = np.maximum(a, b)
-    out = m + np.log1p(np.exp(np.minimum(a, b) - m))
-    return np.where(m <= LOG_ZERO_GUARD, LOG_ZERO, out)
-
-
 def _batch(lp, targets, t_len, u_len):
     B, T, U1, _ = lp.shape
     U = U1 - 1
@@ -97,65 +95,76 @@ def _batch(lp, targets, t_len, u_len):
     for b in range(B):
         y[b, :u_len[b]] = targets[b]
     t_idx, u_idx = np.arange(T), np.arange(U1)
-    valid = (t_idx[None, :, None] < t_len[:, None, None]) & (u_idx[None, None, :] <= u_len[:, None, None])
+    t_b, u_b = t_len[:, None, None], u_len[:, None, None]
+    valid = (t_idx[None, :, None] < t_b) & (u_idx[None, None, :] <= u_b)
 
+    # Transition weights of each cell, LOG_ZERO where the move leaves the
+    # utterance or the cell is padding: a blank from the last frame is
+    # allowed only as the terminal one (u = U_b), a label only while one is
+    # left to emit (u < U_b, which also covers the ghost column u = U).
     lp_blank = lp[:, :, :, 0]
-    # Label log prob of each cell; LOG_ZERO where the utterance has no
-    # label left to emit (u >= U_b), which also covers the ghost column u = U.
-    lpl_pad = np.full((B, T, U1), LOG_ZERO)
-    lp_label = lp[bs[:, None, None], t_idx[None, :, None], u_idx[None, None, :U], y[:, None, :]]
-    has_label = u_idx[None, None, :U] < u_len[:, None, None]
-    lpl_pad[:, :, :U] = np.where(has_label, lp_label, LOG_ZERO)
+    stays = valid & ((t_idx[None, :, None] < t_b - 1) | (u_idx[None, None, :] == u_b))
+    move_blank = np.where(stays, lp_blank, LOG_ZERO)
+    label_at = (bs[:, None, None], t_idx[None, :, None], u_idx[None, None, :U], y[:, None, :])
+    lp_label = lp[label_at]
+    has_label = valid[:, :, :U] & (u_idx[None, None, :U] < u_b)
+    move_label = np.full((B, T, U1), LOG_ZERO)
+    move_label[:, :, :U] = np.where(has_label, lp_label, LOG_ZERO)
 
-    # Skewed layout: row n of a (B, T+U, U+1) table is anti-diagonal n, with
-    # cell (n - u, u) in column u, so each step of the recurrence reads and
-    # writes whole rows. Cells off the grid are impossible and never valid.
+    # Skewed layout: row n of a (T+U, B, U+1) table is anti-diagonal n, with
+    # utterance b's cell (n - u, u) in column u, so each step of the
+    # recurrence reads and writes whole contiguous rows. Cells off the grid
+    # make no move.
     n_diag = T + U
     skew_t = np.arange(n_diag)[:, None] - u_idx[None, :]
-    on_grid = (skew_t >= 0) & (skew_t < T)
+    on_grid = ((skew_t >= 0) & (skew_t < T))[:, None]
     at_t = np.clip(skew_t, 0, T - 1)
 
-    def skew(table, fill):
-        return np.where(on_grid, table[:, at_t, u_idx[None, :]], fill)
+    def skew(table):
+        return np.where(on_grid, table[:, at_t, u_idx].transpose(1, 0, 2), LOG_ZERO)
 
-    ok = skew(valid, False)
-    lpb_s, lpl_s = skew(lp_blank, LOG_ZERO), skew(lpl_pad, LOG_ZERO)
-
-    alpha_s = np.full((B, n_diag, U1), LOG_ZERO)
-    alpha_s[:, 0, 0] = 0.0
+    mb, ml = skew(move_blank), skew(move_label)
+    from_blank = np.empty((B, U1))
     from_label = np.full((B, U1), LOG_ZERO)  # column 0 has no label move
-    for n in range(1, n_diag):
-        prev = alpha_s[:, n - 1]
-        from_blank = prev + lpb_s[:, n - 1]
-        from_label[:, 1:] = (prev + lpl_s[:, n - 1])[:, :U]
-        alpha_s[:, n] = np.where(ok[:, n], _logadd(from_blank, from_label), LOG_ZERO)
+    alpha_s = np.full((n_diag, B, U1), LOG_ZERO)
+    alpha_s[0, :, 0] = 0.0
+    for prev, cur, blank, label in zip(alpha_s[:-1], alpha_s[1:], mb, ml[:, :, :U]):
+        np.add(prev, blank, out=from_blank)
+        np.add(prev[:, :U], label, out=from_label[:, 1:])
+        np.logaddexp(from_blank, from_label, out=cur)
 
     # Ghost row/column turn the terminal blank into the uniform recurrence:
-    # beta at (T_b, U_b) = 0 is "finished". Cells outside an utterance keep
-    # their value, so the terminal survives and the rest stay LOG_ZERO.
-    beta_s = np.full((B, n_diag + 1, U1 + 1), LOG_ZERO)
-    beta_s[bs, t_len + u_len, u_len] = 0.0
-    for n in range(n_diag - 1, -1, -1):
-        below = beta_s[:, n + 1]
-        beta_s[:, n, :U1] = np.where(ok[:, n], _logadd(
-            below[:, :U1] + lpb_s[:, n],
-            below[:, 1:] + lpl_s[:, n],
-        ), beta_s[:, n, :U1])
+    # beta at (T_b, U_b) = 0 is "finished". That cell lies outside the
+    # utterance, so the sweep of its anti-diagonal overwrites it; it is set
+    # again right after, before the next row reads it.
+    beta_s = np.full((n_diag + 1, B, U1 + 1), LOG_ZERO)
+    ends = (t_len + u_len, bs, u_len)
+    beta_s[ends] = 0.0
+    end_rows = set(ends[0].tolist())
+    for n, cur, below, blank, label in zip(range(n_diag - 1, -1, -1), beta_s[-2::-1, :, :U1],
+                                           beta_s[:0:-1], mb[::-1], ml[::-1]):
+        np.add(below[:, :U1], blank, out=from_blank)
+        np.add(below[:, 1:], label, out=from_label)
+        np.logaddexp(from_blank, from_label, out=cur)
+        if n in end_rows:
+            beta_s[ends] = 0.0
 
-    diag = t_idx[:, None] + u_idx[None, :]
-    alpha = alpha_s[:, diag, u_idx]
-    beta = np.where(valid, beta_s[:, diag, u_idx], LOG_ZERO)
-    beta_down = beta_s[:, diag + 1, u_idx]  # beta at (t + 1, u), ghost row included
+    def unskew(table, row):  # (rows, B, cols) -> (B, T, U+1), cell (t, u) from row t + u + row
+        return np.moveaxis(table[t_idx[:, None] + u_idx + row, :, u_idx], -1, 0)
+
+    alpha = np.where(valid, unskew(alpha_s, 0), LOG_ZERO)
+    beta = np.where(valid, unskew(beta_s, 0), LOG_ZERO)
+    beta_down = unskew(beta_s, 1)  # beta at (t + 1, u), ghost row included
 
     last_t = t_len - 1
     loss = -(alpha[bs, last_t, u_len] + lp_blank[bs, last_t, u_len])
     log_like = beta[:, 0, 0][:, None, None]
 
+    # A masked move has zero occupancy, and padding reads no log prob. Cells
+    # with no label left point their label at column 0, which the blank
+    # write then fills.
     grad = np.zeros_like(lp)
-    occ_blank = np.exp(alpha + lp_blank + beta_down - log_like)
-    grad[:, :, :, 0] = np.where(valid, -occ_blank, 0.0)
     if U:
-        occ_label = np.exp(alpha[:, :, :U] + lp_label + beta[:, :, 1:] - log_like)
-        b, t, u = np.nonzero(valid[:, :, :U] & has_label)
-        grad[b, t, u, y[b, u]] = -occ_label[b, t, u]
+        grad[label_at] = -np.exp(alpha[:, :, :U] + move_label[:, :, :U] + beta[:, :, 1:] - log_like)
+    grad[:, :, :, 0] = -np.exp(alpha + move_blank + beta_down - log_like)
     return loss, grad, alpha, beta

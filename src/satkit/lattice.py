@@ -7,11 +7,13 @@ over all monotone alignment paths; the DP kernel in :mod:`satkit.kernels`
 supplies both the loss and its analytic gradient, which is grafted onto the
 autodiff tape as a single composite op.
 
-A training batch is one padded (B, T_max, U_max+1, K) grid: the joint adds
-(B, T, 1, J) encoder projections to (B, 1, U+1, J) prediction projections
-with one broadcast add, and one kernel call scores every utterance within
-its own frame and target counts. A single utterance is the same code
-without the batch axis.
+A training batch is one padded (B, T_max, U_max+1, K) grid. The joint
+projects the (B, T, d_enc) encoder frames and the (B, U+1, d_pred)
+prediction states once each, then one fused tape op
+(:func:`satkit.autodiff.joint_log_softmax`) combines every frame with every
+state in cache-sized tiles and writes the normalized log probs; one kernel
+call scores every utterance within its own frame and target counts. A
+single utterance is the same code without the batch axis.
 """
 
 import itertools
@@ -74,15 +76,17 @@ class PosteriorLattice:
 
     @property
     def T(self):
-        return self.log_probs.shape[0]
+        """Frames of the grid: T_max for a batch."""
+        return self.log_probs.shape[-3]
 
     @property
     def U(self):
-        return self.log_probs.shape[1] - 1
+        """Target count of the grid: U_max for a batch."""
+        return self.log_probs.shape[-2] - 1
 
     @property
     def K(self):
-        return self.log_probs.shape[2]
+        return self.log_probs.shape[-1]
 
     def validate_normalized(self):
         """Error unless every (t, u) row is a normalized log distribution."""
@@ -127,7 +131,9 @@ def transducer_loss(lattice: PosteriorLattice, validate: bool = True) -> Tensor:
 
     def vjp(g):
         g = np.asarray(g, dtype=dtype)
-        return (g.reshape(g.shape + (1, 1, 1)) * grad.astype(dtype, copy=False),)
+        scaled = grad.astype(dtype, copy=False)  # the kernel's own array: scale it in place
+        scaled *= g.reshape(g.shape + (1, 1, 1))
+        return (scaled,)
 
     return ad.op_result(np.asarray(loss, dtype=np.float64), (lattice.log_probs,), vjp)
 
@@ -142,12 +148,20 @@ def forward_backward_arrays(lattice: PosteriorLattice):
                                     lattice.u_lengths)
 
 
+def _single(name, lattice: PosteriorLattice):
+    if lattice.lengths is not None:
+        raise ValueError(f"{name} scores one utterance's lattice, got a batch of "
+                         f"{lattice.log_probs.shape[0]}")
+
+
 def brute_force_loss(lattice: PosteriorLattice, max_paths: int = 200_000) -> float:
     """Loss by explicit enumeration of every monotone alignment path.
 
     Exponential in lattice size; errors out rather than grind when the path
-    count exceeds ``max_paths``. Reference oracle for the DP kernels.
+    count exceeds ``max_paths``. Reference oracle for the DP kernels; scores
+    one utterance, not a batch.
     """
+    _single("brute_force_loss", lattice)
     T, U = lattice.T, lattice.U
     n_paths = math.comb(T + U - 1, U) if U else 1
     if n_paths > max_paths:
@@ -174,8 +188,10 @@ def tape_loss(lattice: PosteriorLattice) -> Tensor:
     """Loss built cell-by-cell from autodiff primitives.
 
     Slow scalar construction used to cross-check the kernel's hand-derived
-    gradient against the tape's on tiny lattices.
+    gradient against the tape's on tiny lattices. Scores one utterance, not a
+    batch.
     """
+    _single("tape_loss", lattice)
     lp = lattice.log_probs
     T, U = lattice.T, lattice.U
     y = lattice.targets
@@ -203,11 +219,12 @@ class JointNetwork:
     """Combines one encoder frame with one prediction state into a log
     distribution over the vocabulary: log_softmax(W_out tanh(W_in [f; g])).
 
-    ``combine="concat"`` stores W_in as two column blocks so the grid can be
-    built without materializing T*(U+1) concatenations; ``combine="add"``
-    shares a single input projection between both sides (f and g added in a
-    common basis). Applied to full sequences it materializes the whole
-    lattice.
+    ``combine="concat"`` stores W_in as two column blocks, so each side is
+    projected once and no T*(U+1) concatenations are built;
+    ``combine="add"`` shares a single input projection between both sides
+    (f and g added in a common basis). Applied to full sequences it returns
+    the whole lattice; the grid of tanh rows behind it is built tile by
+    tile inside :func:`satkit.autodiff.joint_log_softmax`.
     """
 
     def __init__(self, d_enc: int, d_pred: int, d_joint: int, vocab_size: int,
@@ -250,13 +267,8 @@ class JointNetwork:
                 f"joint network fed {enc.shape} x {pred.shape}, expected widths "
                 f"{self.d_enc} and {self.d_pred}")
         w_f, w_g = self.input_weights()
-        f = ad.matmul(enc, w_f)
-        g = ad.matmul(pred, w_g)
-        # (..., T, 1, J) + (..., 1, U+1, J): one grid, no copies of either side.
-        grid = ad.broadcast_add(ad.reshape(f, f.shape[:-1] + (1, self.d_joint)),
-                                ad.reshape(g, g.shape[:-2] + (1,) + g.shape[-2:]))
-        logits = ad.matmul(ad.tanh(grid), self.params["joint.w_out"])
-        return ad.log_softmax_lastdim(logits)
+        return ad.joint_log_softmax(ad.matmul(enc, w_f), ad.matmul(pred, w_g),
+                                    self.params["joint.w_out"])
 
     def lattice(self, enc: Tensor, pred: Tensor, targets, lengths=None) -> PosteriorLattice:
         """The lattice of one utterance, or of a padded batch whose frame

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from satkit import autodiff as ad
 from satkit.autodiff import GraphError, ShapeError, Tensor
+from unfused import broadcast_add, log_softmax_lastdim, tanh
+from unfused import joint_log_softmax as unfused_joint
 
 
 def fd_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -108,7 +110,7 @@ def test_scale_relu_tanh_exp_log_fd():
     x[np.abs(x) < 0.1] += 0.2  # stay away from the relu kink
     check_fd(lambda t: ad.sum_all(ad.relu(t)),
              lambda v: np.maximum(v, 0.0).sum(), x)
-    check_fd(lambda t: ad.sum_all(ad.tanh(t)),
+    check_fd(lambda t: ad.sum_all(tanh(t)),
              lambda v: np.tanh(v).sum(), rand(4, 3))
     check_fd(lambda t: ad.sum_all(ad.exp(t)),
              lambda v: np.exp(v).sum(), rand(4, 3))
@@ -148,7 +150,7 @@ def test_softmax_fd():
 
 
 def test_log_softmax_fd():
-    check_fd(_weighted(ad.log_softmax_lastdim),
+    check_fd(_weighted(log_softmax_lastdim),
              _weighted_np(lambda x: x - np.log(np.exp(x).sum(-1, keepdims=True))),
              rand(3, 5))
 
@@ -165,7 +167,7 @@ def test_logsumexp_fd_pinned_values():
 
 def test_softmax_checks_finite():
     bad = Tensor(np.array([[0.0, np.nan]]))
-    for op in (ad.softmax_lastdim, ad.log_softmax_lastdim, ad.logsumexp_lastdim):
+    for op in (ad.softmax_lastdim, log_softmax_lastdim, ad.logsumexp_lastdim):
         with pytest.raises(ValueError):
             op(bad)
 
@@ -177,7 +179,7 @@ def test_softmax_rows_are_distributions(rows, cols, seed):
     out = ad.softmax_lastdim(Tensor(x)).data
     assert np.all(out >= 0.0)
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
-    ls = ad.log_softmax_lastdim(Tensor(x)).data
+    ls = log_softmax_lastdim(Tensor(x)).data
     np.testing.assert_allclose(np.exp(ls).sum(axis=-1), 1.0, atol=1e-12)
     lse = ad.logsumexp_lastdim(Tensor(x)).data
     np.testing.assert_allclose(lse, np.log(np.exp(x).sum(-1)), rtol=1e-12)
@@ -223,19 +225,119 @@ def test_transpose_reshape_fd():
 def test_broadcast_add_fd():
     # the joint grid: (B, T, 1, J) + (B, 1, U, J), both operands differentiated
     g = rand(2, 1, 4, 3)
-    check_fd(_weighted(lambda t: ad.broadcast_add(t, Tensor(g))),
+    check_fd(_weighted(lambda t: broadcast_add(t, Tensor(g))),
              _weighted_np(lambda x: x + g), rand(2, 5, 1, 3))
     f = rand(2, 5, 1, 3)
-    check_fd(_weighted(lambda t: ad.broadcast_add(Tensor(f), t)),
+    check_fd(_weighted(lambda t: broadcast_add(Tensor(f), t)),
              _weighted_np(lambda x: f + x), rand(2, 1, 4, 3))
     # equal shapes and a per-sequence mask broadcast over heads
     m = rand(2, 1, 4, 4)
-    check_fd(_weighted(lambda t: ad.broadcast_add(t, Tensor(m))),
+    check_fd(_weighted(lambda t: broadcast_add(t, Tensor(m))),
              _weighted_np(lambda x: x + m), rand(2, 3, 4, 4))
     with pytest.raises(ShapeError):
-        ad.broadcast_add(Tensor(rand(2, 3)), Tensor(rand(3, 3)))
+        broadcast_add(Tensor(rand(2, 3)), Tensor(rand(3, 3)))
     with pytest.raises(ShapeError):
-        ad.broadcast_add(Tensor(rand(2, 1, 3)), Tensor(rand(1, 3)))
+        broadcast_add(Tensor(rand(2, 1, 3)), Tensor(rand(1, 3)))
+
+
+def _joint_inputs(rng, f_shape, g_shape, k):
+    f = rng.standard_normal(f_shape)
+    g = rng.standard_normal(g_shape)
+    w = rng.standard_normal((f_shape[-1], k)) * 0.5
+    return f, g, w
+
+
+def _joint_run(op, f, g, w, weights, frozen_w=False):
+    """Values and the (f, g, w_out) gradients of sum(weights * op(f, g, w))."""
+    tf, tg = Tensor(f, requires_grad=True), Tensor(g, requires_grad=True)
+    tw = Tensor(w, requires_grad=not frozen_w)
+    out = op(tf, tg, tw)
+    ad.sum_all(ad.mul(out, Tensor(weights))).backward()
+    return out.data, tf.grad, tg.grad, tw.grad
+
+
+def _assert_joint_matches_unfused(f, g, w, frozen_w=False):
+    rng = np.random.default_rng(5)
+    shape = f.shape[:-1] + g.shape[-2:-1] + (w.shape[1],)
+    weights = rng.standard_normal(shape)
+    got = _joint_run(ad.joint_log_softmax, f, g, w, weights, frozen_w)
+    want = _joint_run(unfused_joint, f, g, w, weights, frozen_w)
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-13, atol=1e-13)
+    with ad.no_grad():  # evaluation reuses one tile buffer: same values
+        np.testing.assert_array_equal(
+            ad.joint_log_softmax(Tensor(f), Tensor(g), Tensor(w)).data, got[0])
+    for name, a, b in zip(("f", "g", "w_out"), got[1:], want[1:]):
+        if b is None:
+            assert a is None, name
+            continue
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max(),
+                                   err_msg=name)
+
+
+def test_joint_log_softmax_matches_unfused_ops():
+    rng = np.random.default_rng(61)
+    # one sequence, and a batch; T shorter than one tile: a single tile
+    f, g, w = _joint_inputs(rng, (6, 8), (4, 8), 5)
+    assert len(ad._joint_tiles(1, 6, ad._JOINT_TILE_BYTES // (4 * 8 * 8))) == 1
+    _assert_joint_matches_unfused(f, g, w)
+    f, g, w = _joint_inputs(rng, (3, 7, 8), (3, 5, 8), 6)
+    _assert_joint_matches_unfused(f, g, w)
+    # a frozen output projection gets no gradient
+    _assert_joint_matches_unfused(f, g, w, frozen_w=True)
+
+
+def test_joint_log_softmax_tiles(monkeypatch):
+    # a budget of 3 frames per tile, which 10 frames do not fill evenly:
+    # 4 tiles per utterance of 2 or 3 frames
+    U1, J = 4, 8
+    monkeypatch.setattr(ad, "_JOINT_TILE_BYTES", 3 * U1 * J * 8)
+    tiles = ad._joint_tiles(2, 10, 3)
+    sizes = [t1 - t0 for _, _, t0, t1 in tiles]
+    assert len(tiles) == 8 and set(sizes) == {2, 3} and sizes[-1] != sizes[-2]
+    rng = np.random.default_rng(67)
+    _assert_joint_matches_unfused(*_joint_inputs(rng, (10, J), (U1, J), 5))
+    _assert_joint_matches_unfused(*_joint_inputs(rng, (2, 10, J), (2, U1, J), 5))
+    # short utterances are grouped whole: 5 of 2 frames in tiles of 1 or 2
+    monkeypatch.setattr(ad, "_JOINT_TILE_BYTES", 4 * U1 * J * 8)
+    tiles = ad._joint_tiles(5, 2, 4)
+    assert [(b0, b1) for b0, b1, _, _ in tiles] == [(0, 1), (1, 3), (3, 5)]
+    f, g, w = _joint_inputs(rng, (5, 2, J), (5, U1, J), 5)
+    _assert_joint_matches_unfused(f, g, w)
+    _assert_joint_matches_unfused(f, g, w, frozen_w=True)
+
+
+def test_joint_log_softmax_fd():
+    rng = np.random.default_rng(71)
+    f, g, w = _joint_inputs(rng, (2, 3, 4), (2, 2, 4), 3)
+    check_fd(_weighted(lambda t: ad.joint_log_softmax(t, Tensor(g), Tensor(w))),
+             _weighted_np(lambda x: _joint_np(x, g, w)), f)
+    check_fd(_weighted(lambda t: ad.joint_log_softmax(Tensor(f), t, Tensor(w))),
+             _weighted_np(lambda x: _joint_np(f, x, w)), g)
+    check_fd(_weighted(lambda t: ad.joint_log_softmax(Tensor(f), Tensor(g), t)),
+             _weighted_np(lambda x: _joint_np(f, g, x)), w)
+
+
+def _joint_np(f, g, w):
+    z = np.tanh(f[..., :, None, :] + g[..., None, :, :]) @ w
+    return z - np.log(np.exp(z).sum(-1, keepdims=True))
+
+
+def test_joint_log_softmax_checks():
+    f, g, w = rand(3, 4), rand(2, 4), rand(4, 5)
+    bad = w.copy()
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        ad.joint_log_softmax(Tensor(f), Tensor(g), Tensor(bad))
+    bad = f.copy()
+    bad[2, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        ad.joint_log_softmax(Tensor(bad), Tensor(g), Tensor(w))
+    for f_, g_, w_ in [(f, rand(2, 3), w), (f, g, rand(3, 5)), (rand(2, 3, 4), g, w),
+                       (rand(2, 3, 4), rand(3, 2, 4), w), (rand(4), g, w)]:
+        with pytest.raises(ShapeError):
+            ad.joint_log_softmax(Tensor(f_), Tensor(g_), Tensor(w_))
+    with pytest.raises(ShapeError):
+        ad.joint_log_softmax(Tensor(f), Tensor(g), Tensor(w.astype(np.float32)))
 
 
 def test_matmul_stack_times_matrix_fd():
@@ -293,7 +395,7 @@ def test_dropout_semantics():
 
 def test_second_backward_errors():
     x = Tensor(rand(3), requires_grad=True)
-    loss = ad.sum_all(ad.tanh(x))
+    loss = ad.sum_all(tanh(x))
     loss.backward()
     with pytest.raises(GraphError):
         loss.backward()

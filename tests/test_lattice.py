@@ -2,6 +2,7 @@
 probability conservation, batched against single-lattice kernel calls."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from satkit import kernels
 from satkit.lattice import (JointNetwork, PosteriorLattice, brute_force_loss,
                             forward_backward_arrays, tape_loss,
                             transducer_loss)
+from unfused import joint_log_softmax as unfused_joint
 
 
 def random_lattice(rng, t_len, u_len, k_size):
@@ -335,3 +337,172 @@ def test_kernel_entry_rejects_bad_inputs():
     for message, call in cases:
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def test_batch_lattice_dimensions_and_single_utterance_oracles():
+    rng = np.random.default_rng(43)
+    grid, singles = random_batch(rng, [(3, 2), (2, 1)], 5)
+    lat = PosteriorLattice(Tensor(grid), [s.targets for s in singles], [3, 2])
+    assert (lat.T, lat.U, lat.K) == (3, 2, 5)
+    one = singles[0]
+    assert (one.T, one.U, one.K) == (3, 2, 5)
+    for oracle in (brute_force_loss, tape_loss):
+        with pytest.raises(ValueError, match="batch"):
+            oracle(lat)
+
+
+def _joint_grads(joint, enc, pred, log_probs_fn, weights):
+    for p in joint.params.values():
+        p.requires_grad = True
+        p.zero_grad()
+    te, tp = Tensor(enc, requires_grad=True), Tensor(pred, requires_grad=True)
+    out = log_probs_fn(te, tp)
+    ad.sum_all(ad.mul(out, Tensor(weights))).backward()
+    grads = {k: p.grad.copy() for k, p in joint.params.items()}
+    return out.data, dict(grads, enc=te.grad, pred=tp.grad)
+
+
+@pytest.mark.parametrize("combine", ["concat", "add"])
+def test_joint_network_matches_unfused_composition(combine):
+    rng = np.random.default_rng(47)
+    joint = JointNetwork(6, 6, 8, 5, rng, combine=combine)
+    enc, pred = rng.standard_normal((2, 7, 6)), rng.standard_normal((2, 4, 6))
+    weights = rng.standard_normal((2, 7, 4, 5))
+
+    def oracle(e, p):
+        w_f, w_g = joint.input_weights()
+        return unfused_joint(ad.matmul(e, w_f), ad.matmul(p, w_g), joint.params["joint.w_out"])
+
+    got, got_grads = _joint_grads(joint, enc, pred, joint.log_probs, weights)
+    want, want_grads = _joint_grads(joint, enc, pred, oracle, weights)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+    assert got_grads.keys() == want_grads.keys()
+    for name, w in want_grads.items():
+        np.testing.assert_allclose(got_grads[name], w, rtol=1e-12,
+                                   atol=1e-12 * np.abs(w).max(), err_msg=name)
+
+
+def test_joint_and_loss_peak_memory():
+    # joint plus transducer loss, forward and backward, at a long training
+    # shape: at most 2.25 float64 (B, T, U+1, J) grids live at once
+    B, T, U, K, J = 2, 230, 50, 19, 64
+    rng = np.random.default_rng(53)
+    joint = JointNetwork(J, J, J, K, rng)
+    for p in joint.params.values():
+        p.requires_grad = True
+    enc = Tensor(rng.standard_normal((B, T, J)), requires_grad=True)
+    pred = Tensor(rng.standard_normal((B, U + 1, J)), requires_grad=True)
+    targets = [rng.integers(2, K, size=U), rng.integers(2, K, size=U - 7)]
+    tracemalloc.start()
+    try:
+        lat = joint.lattice(enc, pred, targets, [T, T - 20])
+        ad.sum_all(transducer_loss(lat)).backward()
+        del lat
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid = B * T * (U + 1) * J * 8
+    assert peak <= 2.25 * grid, (peak / 2**20, peak / grid)
+
+
+# The anti-diagonal kernel as it was before its transitions were masked:
+# each step combines the two moves with an absorbing log-add and keeps
+# LOG_ZERO outside the utterance by an explicit select. Reference for the
+# masked kernel.
+LOG_ZERO_GUARD = -1.0e29
+
+
+def _reference_logadd(a, b):
+    m = np.maximum(a, b)
+    out = m + np.log1p(np.exp(np.minimum(a, b) - m))
+    return np.where(m <= LOG_ZERO_GUARD, ad.LOG_ZERO, out)
+
+
+def reference_batch(lp, targets, t_len, u_len):
+    LOG_ZERO = ad.LOG_ZERO
+    B, T, U1, _ = lp.shape
+    U = U1 - 1
+    bs = np.arange(B)
+    y = np.zeros((B, U), dtype=np.int64)
+    for b in range(B):
+        y[b, :u_len[b]] = targets[b]
+    t_idx, u_idx = np.arange(T), np.arange(U1)
+    valid = (t_idx[None, :, None] < t_len[:, None, None]) & (u_idx[None, None, :] <= u_len[:, None, None])
+
+    lp_blank = lp[:, :, :, 0]
+    lpl_pad = np.full((B, T, U1), LOG_ZERO)
+    lp_label = lp[bs[:, None, None], t_idx[None, :, None], u_idx[None, None, :U], y[:, None, :]]
+    has_label = u_idx[None, None, :U] < u_len[:, None, None]
+    lpl_pad[:, :, :U] = np.where(has_label, lp_label, LOG_ZERO)
+
+    n_diag = T + U
+    skew_t = np.arange(n_diag)[:, None] - u_idx[None, :]
+    on_grid = (skew_t >= 0) & (skew_t < T)
+    at_t = np.clip(skew_t, 0, T - 1)
+
+    def skew(table, fill):
+        return np.where(on_grid, table[:, at_t, u_idx[None, :]], fill)
+
+    ok = skew(valid, False)
+    lpb_s, lpl_s = skew(lp_blank, LOG_ZERO), skew(lpl_pad, LOG_ZERO)
+
+    alpha_s = np.full((B, n_diag, U1), LOG_ZERO)
+    alpha_s[:, 0, 0] = 0.0
+    from_label = np.full((B, U1), LOG_ZERO)
+    for n in range(1, n_diag):
+        prev = alpha_s[:, n - 1]
+        from_blank = prev + lpb_s[:, n - 1]
+        from_label[:, 1:] = (prev + lpl_s[:, n - 1])[:, :U]
+        alpha_s[:, n] = np.where(ok[:, n], _reference_logadd(from_blank, from_label), LOG_ZERO)
+
+    beta_s = np.full((B, n_diag + 1, U1 + 1), LOG_ZERO)
+    beta_s[bs, t_len + u_len, u_len] = 0.0
+    for n in range(n_diag - 1, -1, -1):
+        below = beta_s[:, n + 1]
+        beta_s[:, n, :U1] = np.where(ok[:, n], _reference_logadd(
+            below[:, :U1] + lpb_s[:, n],
+            below[:, 1:] + lpl_s[:, n],
+        ), beta_s[:, n, :U1])
+
+    diag = t_idx[:, None] + u_idx[None, :]
+    alpha = alpha_s[:, diag, u_idx]
+    beta = np.where(valid, beta_s[:, diag, u_idx], LOG_ZERO)
+    beta_down = beta_s[:, diag + 1, u_idx]
+
+    last_t = t_len - 1
+    loss = -(alpha[bs, last_t, u_len] + lp_blank[bs, last_t, u_len])
+    log_like = beta[:, 0, 0][:, None, None]
+
+    grad = np.zeros_like(lp)
+    occ_blank = np.exp(alpha + lp_blank + beta_down - log_like)
+    grad[:, :, :, 0] = np.where(valid, -occ_blank, 0.0)
+    if U:
+        occ_label = np.exp(alpha[:, :, :U] + lp_label + beta[:, :, 1:] - log_like)
+        b, t, u = np.nonzero(valid[:, :, :U] & has_label)
+        grad[b, t, u, y[b, u]] = -occ_label[b, t, u]
+    return loss, grad, alpha, beta
+
+
+def test_masked_kernel_matches_reference_recurrence():
+    rng = np.random.default_rng(59)
+    shapes = [[(1, 0)], [(6, 0), (1, 4)], [(9, 3), (2, 7), (9, 7), (5, 0)]]
+    for _ in range(10):
+        b = int(rng.integers(1, 6))
+        shapes.append([(int(rng.integers(1, 12)), int(rng.integers(0, 9))) for _ in range(b)])
+    for lengths in shapes:
+        grid, singles = random_batch(rng, lengths, 6, pad=np.nan)
+        targets = [lat.targets for lat in singles]
+        t_len = np.array([t for t, _ in lengths])
+        u_len = np.array([u for _, u in lengths])
+        got = kernels.forward_backward(grid, targets, t_len, u_len)
+        want = reference_batch(grid, targets, t_len, u_len)
+        for name, a, b in zip(("loss", "grad", "alpha", "beta"), got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12, err_msg=name)
+        loss, grad, alpha, beta = got
+        assert np.all(np.isfinite(loss))
+        for b, (t, u) in enumerate(lengths):
+            pad = np.ones(grid.shape[1:3], dtype=bool)
+            pad[:t, :u + 1] = False
+            assert not grad[b][pad].any()
+            assert np.all(alpha[b][pad] == ad.LOG_ZERO)
+            assert np.all(beta[b][pad] == ad.LOG_ZERO)

@@ -81,9 +81,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def numpy(self):
-        return self.data
-
     def item(self):
         return float(self.data)
 
@@ -95,9 +92,6 @@ class Tensor:
                 self.grad = np.zeros_like(self.data)
             else:
                 self.grad.fill(0.0)
-
-    def detach(self):
-        return Tensor(self.data.copy())
 
     def backward(self):
         backward(self)
@@ -366,21 +360,6 @@ def exp(x: Tensor) -> Tensor:
 
     def vjp(g):
         return (g * out,)
-
-    return _result(out, (x,), vjp)
-
-
-def log(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    if not np.all(np.isfinite(x.data)):
-        raise ValueError("log: non-finite input")
-    if np.any(x.data <= 0.0):
-        raise ValueError("log: input must be strictly positive")
-    out = np.log(x.data)
-    x_data = x.data
-
-    def vjp(g):
-        return (g / x_data,)
 
     return _result(out, (x,), vjp)
 
@@ -753,18 +732,6 @@ def index_rows(x: Tensor, indices) -> Tensor:
         full = np.zeros(x_shape, dtype=x_dtype)
         np.add.at(full, idx, g)
         return (full,)
-
-    return _result(out, (x,), vjp)
-
-
-def transpose(x: Tensor, axes=None) -> Tensor:
-    x = _as_tensor(x)
-    perm = tuple(axes) if axes is not None else tuple(reversed(range(x.ndim)))
-    out = np.transpose(x.data, perm)
-    inv = np.argsort(perm)
-
-    def vjp(g):
-        return (np.transpose(g, inv),)
 
     return _result(out, (x,), vjp)
 

@@ -20,7 +20,7 @@ from .data import (SIL, TaskSpec, generate_split, load_dataset,
                    normalize_dataset, read_token_file, save_dataset,
                    stack_downsample, write_token_file)
 from .decode import (DecodeConfig, beam_decode, corpus_cer, greedy_trace,
-                     stream_decode)
+                     stacked_stream)
 from .model import ModelConfig, SATModel
 from .nnet import ChunkSpec
 from .train import TrainConfig, Trainer
@@ -122,21 +122,18 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _decode_one(model, vocab, utt, cfg: DecodeConfig, chunk, lm):
-    mc = model.config
+def _decode_one(model, utt, cfg: DecodeConfig, lm, vocab):
+    """Beam hypotheses for one utterance, best first. Streaming mode runs
+    the same beam over the rows of the raw-frame stream."""
     if cfg.mode == "streaming":
-        emitted = [k for _, k in stream_decode(model, utt.feats, cfg,
-                                               stack_left=mc.stack_left,
-                                               stack_right=mc.stack_right,
-                                               factor=mc.factor)]
-        return [vocab.string(emitted)], None
-    stacked = stack_downsample(utt.feats, mc.stack_left, mc.stack_right,
-                               mc.factor)
-    hyps = beam_decode(model, stacked, lm=lm, vocab=vocab, cfg=cfg, chunk=chunk)
-    best = vocab.string(list(hyps[0].prefix))
-    nbest = [(h.combined(cfg.lm_weight), vocab.string(list(h.prefix)))
-             for h in hyps]
-    return [best], nbest
+        stacked, frame_exact = stacked_stream(model, utt.feats), True
+    else:
+        mc = model.config
+        stacked = stack_downsample(utt.feats, mc.stack_left, mc.stack_right,
+                                   mc.factor)
+        frame_exact = None
+    return beam_decode(model, stacked, lm=lm, vocab=vocab, cfg=cfg,
+                       frame_exact=frame_exact)
 
 
 def cmd_decode(args) -> int:
@@ -161,14 +158,16 @@ def cmd_decode(args) -> int:
     refs = []
     hyps = []
     for u in utts:
-        (best,), nbest = _decode_one(model, vocab, u, cfg, chunk, lm)
+        ranked = _decode_one(model, u, cfg, lm, vocab)
+        best = vocab.string(list(ranked[0].prefix))
         hyp_entries.append((u.utt_id, best))
         refs.append(u.targets)
         hyps.append(best)
-        if nbest and args.nbest > 1:
-            for rank, (score, toks) in enumerate(nbest[:args.nbest], 1):
-                nbest_lines.append(
-                    f"{u.utt_id} {rank} {score:.10g} {' '.join(toks)}")
+        if args.nbest > 1:
+            for rank, h in enumerate(ranked[:args.nbest], 1):
+                toks = vocab.string(list(h.prefix))
+                nbest_lines.append(f"{u.utt_id} {rank} "
+                                   f"{h.combined(cfg.lm_weight):.10g} {' '.join(toks)}")
     write_token_file(args.out, hyp_entries)
     if nbest_lines:
         with open(args.out + ".nbest", "w", encoding="utf-8") as f:

@@ -1,16 +1,19 @@
 """Greedy, beam, and streaming decoding over the transducer output graph.
 
-Searches run on the cached key/value row step of :mod:`satkit.nnet`. When
-the chunk window is bounded, encoder rows come from
+Every search reads encoder rows from one generator, :func:`_encoder_rows`,
+over stacked rows: a matrix, or a raw-frame stream stacked by
+:func:`stacked_stream`. For a bounded chunk window it pushes them through
 :class:`~satkit.nnet.IncrementalEncoder`, which computes each row once from
-a cache of the rows in its window; offline and streaming decoding push the
-same stacked rows through it in the same order, which is what makes the two
-bit-identical. Prediction states advance one label at a time through
-:meth:`~satkit.nnet.PredictionNetwork.advance_np`. Whole-matrix encoding
+a cache of the rows in its window and yields it as soon as it is final.
+Offline and streaming decoding push the same stacked rows in the same
+order, so greedy and beam search give the same bits on both; the streaming
+beam is :func:`beam_decode` over a stream. Whole-matrix encoding
 (:meth:`~satkit.nnet.Encoder.apply_np`, the tape modules run under
 ``no_grad``) serves unbounded windows and fast dev-set scoring during
 training, where bit-level agreement with streaming is not needed; the
 exhaustive oracle scores whole label sequences on the tape modules too.
+Prediction states advance one label at a time through
+:meth:`~satkit.nnet.PredictionNetwork.advance_np`.
 
 The beam is the frame-synchronous prefix search of Graves (arXiv
 1211.3711): within a frame, hypotheses expand by labels until pruned out or
@@ -131,40 +134,37 @@ class _JointScorer:
         return _log_softmax_np(np.tanh(f_part + g_part) @ self.w_out)
 
 
-class _EncoderRows:
-    """Lazy encoder outputs with the two evaluation policies: rows pulled
-    from an :class:`IncrementalEncoder` as far as needed (frame-exact), or
-    one full-matrix pass."""
+def _encoder_rows(model, stacked, chunk=None, frame_exact=None):
+    """Encoder output rows of an iterable of stacked rows, in order: the one
+    row source of every search.
 
-    def __init__(self, model, stacked: np.ndarray, chunk, frame_exact):
-        self.model = model
-        self.stacked = stacked
-        self.chunk = chunk if chunk is not None else model.encoder.chunk
-        if frame_exact is None:
-            frame_exact = self.chunk.bounded
-        self._incremental = (IncrementalEncoder(model.encoder, self.chunk)
-                             if frame_exact else None)
-        self._rows = []
-        self._pushed = 0
-        self._matrix = None
+    Frame-exact (the default for a bounded window), each stacked row goes
+    through an :class:`IncrementalEncoder` and every row is yielded as soon
+    as it is final, so stacked rows may arrive one at a time from a stream.
+    Otherwise ``stacked`` is a matrix, encoded in one full-matrix pass when
+    the first row is pulled.
+    """
+    chunk = chunk if chunk is not None else model.encoder.chunk
+    if frame_exact is None:
+        frame_exact = chunk.bounded
+    if not frame_exact:
+        if len(stacked):  # the encoder refuses an empty matrix
+            yield from model.encoder.apply_np(stacked, chunk)
+        return
+    encoder = IncrementalEncoder(model.encoder, chunk)
+    for row in stacked:
+        yield from encoder.push(row)
+    yield from encoder.finish()
 
-    def __len__(self):
-        return self.stacked.shape[0]
 
-    def __iter__(self):
-        return (self.row(t) for t in range(len(self)))
-
-    def row(self, t: int) -> np.ndarray:
-        if self._incremental is None:
-            if self._matrix is None:
-                self._matrix = self.model.encoder.apply_np(self.stacked, self.chunk)
-            return self._matrix[t]
-        while len(self._rows) <= t and self._pushed < len(self):
-            self._rows += self._incremental.push(self.stacked[self._pushed])
-            self._pushed += 1
-        if len(self._rows) <= t:
-            self._rows += self._incremental.finish()
-        return self._rows[t]
+def stacked_stream(model, raw_frames):
+    """Stacked rows of a raw-frame stream with the model's stacking, each as
+    soon as it exists (edge replication only at end of stream)."""
+    mc = model.config
+    stacker = StreamStacker(mc.stack_left, mc.stack_right, mc.factor)
+    for frame in raw_frames:
+        yield from stacker.push(frame)
+    yield from stacker.finish()
 
 
 def _best_label(lp: np.ndarray) -> int:
@@ -201,33 +201,25 @@ def _greedy_steps(model, rows, max_symbols, trace=None):
                         t, max_symbols)
 
 
-def _greedy_over_rows(model, rows, max_symbols, collect_trace=False):
-    trace = [] if collect_trace else None
-    emitted = list(_greedy_steps(model, rows, max_symbols, trace))
-    labels = [k for _, k in emitted]
-    emitted_at = [t for t, _ in emitted]
-    if collect_trace:
-        return labels, emitted_at, trace
-    return labels, emitted_at
-
-
 def greedy_decode(model, stacked: np.ndarray, chunk=None, frame_exact=None,
                   max_symbols: int = 10):
     """Best-label-per-step decoding; returns the emitted label ids."""
-    rows = _EncoderRows(model, stacked, chunk, frame_exact)
-    labels, _ = _greedy_over_rows(model, rows, max_symbols)
-    return labels
+    rows = _encoder_rows(model, stacked, chunk, frame_exact)
+    return [k for _, k in _greedy_steps(model, rows, max_symbols)]
 
 
 def greedy_trace(model, stacked: np.ndarray, chunk=None, frame_exact=None,
                  max_symbols: int = 10):
-    """Greedy pass keeping the (t, u, log-prob row) visited at every step.
+    """Greedy pass keeping the (t, u, log-prob row) visited at every step;
+    returns (labels, emission frames, trace).
 
     Feeds the lattice plot: the trace rows are the exact distributions the
     greedy search sampled its argmax from.
     """
-    rows = _EncoderRows(model, stacked, chunk, frame_exact)
-    return _greedy_over_rows(model, rows, max_symbols, collect_trace=True)
+    trace = []
+    rows = _encoder_rows(model, stacked, chunk, frame_exact)
+    emitted = list(_greedy_steps(model, rows, max_symbols, trace))
+    return [k for _, k in emitted], [t for t, _ in emitted], trace
 
 
 class _LMScorer:
@@ -265,16 +257,17 @@ def _rank_key(lm_weight):
 
 
 def beam_decode(model, stacked: np.ndarray, lm=None, vocab=None,
-                cfg: DecodeConfig = None, chunk=None, frame_exact=None):
+                cfg: DecodeConfig = None, frame_exact=None):
     """Frame-synchronous beam search; returns hypotheses best-first.
 
-    With lm set, vocab must map label ids to the LM's token strings.
+    With lm set, vocab must map label ids to the LM's token strings. With
+    ``frame_exact=True``, ``stacked`` may be any iterable of stacked rows,
+    such as :func:`stacked_stream`.
     """
     cfg = cfg or DecodeConfig()
     if lm is not None and vocab is None:
         raise ValueError("LM fusion needs the vocab to name the labels")
-    rows = _EncoderRows(model, stacked, chunk if chunk is not None else cfg.chunk,
-                        frame_exact)
+    rows = _encoder_rows(model, stacked, cfg.chunk, frame_exact)
     scorer = _JointScorer(model)
     width, lm_weight = cfg.beam_width, cfg.lm_weight
     rank_key = _rank_key(lm_weight)
@@ -290,8 +283,8 @@ def beam_decode(model, stacked: np.ndarray, lm=None, vocab=None,
     init = Hypothesis(prefix=(), state=model.prednet.init_state())
     active = {(): (init, scorer.g_part(init.state))}
     final = []
-    for t in range(len(rows)):
-        f_part = scorer.f_part(rows.row(t))
+    for t, enc_row in enumerate(rows):
+        f_part = scorer.f_part(enc_row)
         settled = {}
         for step in range(cfg.max_symbols_per_frame + 1):
             expand = step < cfg.max_symbols_per_frame
@@ -381,8 +374,7 @@ def exhaustive_decode(model, stacked: np.ndarray, max_len: int, token_ids,
     from . import autodiff as ad
     from . import lattice as lat
 
-    rows = _EncoderRows(model, stacked, chunk, frame_exact)
-    enc = ad.Tensor(np.stack(list(rows)))
+    enc = ad.Tensor(np.stack(list(_encoder_rows(model, stacked, chunk, frame_exact))))
     best = None
     for n in range(max_len + 1):
         for y in itertools.product(token_ids, repeat=n):
@@ -395,30 +387,22 @@ def exhaustive_decode(model, stacked: np.ndarray, max_len: int, token_ids,
     return list(best[0]), best[1]
 
 
-def stream_decode(model, raw_frames, cfg: DecodeConfig = None,
-                  stack_left: int = 3, stack_right: int = 1, factor: int = 3):
+def stream_decode(model, raw_frames, cfg: DecodeConfig = None):
     """Greedy streaming decode over an incremental raw-frame source.
 
-    Yields (stacked_frame_index, label_id) as emissions happen. A stacked
-    frame exists once raw frame factor*s + stack_right has arrived (edge
-    replication only at end of stream); its encoder output is final once
-    stacked frames through s + B*N_r exist. Decisions for frame s therefore
-    lag the input by factor*B*N_r + stack_right raw frames, and the final
-    frames flush when the source ends. The stacker and the encoder keep
-    state of a fixed size, however long the stream.
+    Yields (stacked_frame_index, label_id) as emissions happen, the same
+    as :func:`greedy_trace` on the stacked matrix. Frames are stacked with
+    the model's own stacking. A stacked frame exists once raw frame
+    factor*s + stack_right has arrived (edge replication only at end of
+    stream); its encoder output is final once stacked frames through
+    s + B*N_r exist. Decisions for frame s therefore lag the input by
+    factor*B*N_r + stack_right raw frames, and the final frames flush when
+    the source ends. The stacker and the encoder keep state of a fixed size,
+    however long the stream. The streaming beam is :func:`beam_decode` over
+    ``stacked_stream(model, raw_frames)`` with ``frame_exact=True``; it
+    returns its hypotheses when the stream ends.
     """
     cfg = cfg or DecodeConfig(mode="streaming")
-    chunk = cfg.chunk if cfg.chunk is not None else model.encoder.chunk
-    rows = _stream_rows(StreamStacker(stack_left, stack_right, factor),
-                        IncrementalEncoder(model.encoder, chunk), raw_frames)
+    rows = _encoder_rows(model, stacked_stream(model, raw_frames), cfg.chunk,
+                         frame_exact=True)
     yield from _greedy_steps(model, rows, cfg.max_symbols_per_frame)
-
-
-def _stream_rows(stacker, encoder, raw_frames):
-    """Encoder output rows of a raw-frame stream, each as soon as it is final."""
-    for frame in raw_frames:
-        for row in stacker.push(frame):
-            yield from encoder.push(row)
-    for row in stacker.finish():
-        yield from encoder.push(row)
-    yield from encoder.finish()

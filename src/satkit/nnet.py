@@ -99,10 +99,6 @@ class ChunkSpec:
         conv = lambda s: math.inf if s == "inf" else int(s)
         return ChunkSpec(conv(left), conv(right))
 
-    def config_values(self):
-        fmt = lambda v: "inf" if v == math.inf else str(int(v))
-        return fmt(self.left), fmt(self.right)
-
 
 UNBOUNDED = ChunkSpec.unbounded()
 CAUSAL = ChunkSpec(math.inf, 0)  # the prediction network's window

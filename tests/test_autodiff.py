@@ -114,16 +114,6 @@ def test_scale_relu_tanh_exp_log_fd():
              lambda v: np.tanh(v).sum(), rand(4, 3))
     check_fd(lambda t: ad.sum_all(ad.exp(t)),
              lambda v: np.exp(v).sum(), rand(4, 3))
-    pos = np.abs(rand(4, 3)) + 0.5
-    check_fd(lambda t: ad.sum_all(ad.log(t)),
-             lambda v: np.log(v).sum(), pos)
-
-
-def test_log_domain_errors():
-    with pytest.raises(ValueError):
-        ad.log(Tensor(np.array([1.0, -0.5])))
-    with pytest.raises(ValueError):
-        ad.log(Tensor(np.array([np.inf])))
 
 
 def _weighted(build_op):
@@ -214,10 +204,6 @@ def test_index_rows_accumulates_duplicates():
 
 
 def test_transpose_reshape_fd():
-    check_fd(_weighted(lambda t: ad.transpose(t)),
-             _weighted_np(lambda x: x.T), rand(3, 5))
-    check_fd(_weighted(lambda t: ad.transpose(t, (1, 0, 2))),
-             _weighted_np(lambda x: np.transpose(x, (1, 0, 2))), rand(2, 3, 4))
     check_fd(_weighted(lambda t: ad.reshape(t, (6, 2))),
              _weighted_np(lambda x: x.reshape(6, 2)), rand(3, 4))
 

@@ -125,6 +125,31 @@ def test_decode_streaming_mode(run_dir, data_dir, tmp_path):
     assert len(hyp.read_text().splitlines()) == 4
 
 
+def test_decode_streaming_beam_matches_offline(run_dir, data_dir, tmp_path,
+                                               capsys):
+    # streaming runs the offline beam, LM and n-best over the stream's rows
+    lm = tmp_path / "lm.txt"
+    assert main(["lm-train", "--text", f"{data_dir}/train/text",
+                 "--skip-utt-ids", "--order", "2", "--out", str(lm)]) == 0
+    args = ["decode", "--checkpoint", str(run_dir / "best.ckpt"), "--data",
+            str(data_dir), "--split", "dev", "--beam-width", "3", "--lm",
+            str(lm), "--nbest", "3"]
+    window = ["--chunk-left", "3", "--chunk-right", "1"]
+    written = {}
+    for mode in ("offline", "streaming"):
+        hyp = tmp_path / f"{mode}.txt"
+        assert main(args + window + ["--mode", mode, "--out", str(hyp)]) == 0
+        written[mode] = (hyp.read_bytes(),
+                         (tmp_path / f"{mode}.txt.nbest").read_bytes())
+    assert written["streaming"] == written["offline"]
+    assert len(written["offline"][1].splitlines()) > 4
+    # the trained window is unbounded: streaming needs a bounded one
+    capsys.readouterr()
+    assert main(args + ["--mode", "streaming", "--out",
+                        str(tmp_path / "x.txt")]) == 1
+    assert "bounded chunk window" in capsys.readouterr().err
+
+
 def test_decode_chunk_override_needs_both(run_dir, data_dir, tmp_path, capsys):
     code = main(["decode", "--checkpoint", str(run_dir / "best.ckpt"),
                  "--data", str(data_dir), "--split", "dev", "--chunk-left",

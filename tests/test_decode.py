@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satkit.decode import (DecodeConfig, Hypothesis, _EncoderRows,
+from satkit.decode import (DecodeConfig, Hypothesis, _encoder_rows,
                            _JointScorer, beam_decode, cer, corpus_cer,
                            edit_distance, exhaustive_decode, greedy_decode,
-                           greedy_trace, stream_decode)
+                           greedy_trace, stacked_stream, stream_decode)
 from satkit.model import ModelConfig, SATModel
 from satkit.ngram import BOS
 from satkit.ngram import train as lm_train
@@ -198,7 +198,7 @@ def _reference_beam(model, stacked, lm=None, vocab=None, cfg=None):
     oracle: one log-prob row, K label expansions, one ``lm.score`` per
     (hypothesis, label) and one ``advance_np`` per surviving expansion."""
     cfg = cfg or DecodeConfig()
-    rows = _EncoderRows(model, stacked, cfg.chunk, None)
+    rows = list(_encoder_rows(model, stacked, cfg.chunk))
     scorer = _JointScorer(model)
     width = cfg.beam_width
 
@@ -210,7 +210,7 @@ def _reference_beam(model, stacked, lm=None, vocab=None, cfg=None):
     active = {(): (init, scorer.g_part(init.state))}
     final = []
     for t in range(len(rows)):
-        f_part = scorer.f_part(rows.row(t))
+        f_part = scorer.f_part(rows[t])
         settled = {}
         for step in range(cfg.max_symbols_per_frame + 1):
             expand = step < cfg.max_symbols_per_frame
@@ -412,14 +412,54 @@ def test_stream_decode_matches_offline_bitwise():
         rng = np.random.default_rng(500 + seed)
         raw = rng.normal(size=(25, model.config.feature_dim))
         stacked = stack_downsample(raw, 3, 1, 3)
-        offline_labels, offline_frames = [], []
         # offline greedy on the bounded window is the frame-exact path
-        from satkit.decode import _EncoderRows, _greedy_over_rows
-        rows = _EncoderRows(model, stacked, None, None)
-        offline_labels, offline_frames = _greedy_over_rows(model, rows, 10)
+        offline_labels, offline_frames, _ = greedy_trace(model, stacked)
         got = list(stream_decode(model, iter(raw)))
         assert [k for _, k in got] == offline_labels, f"seed {seed}"
         assert [t for t, _ in got] == offline_frames, f"seed {seed}"
+
+
+def test_stream_decode_uses_the_model_stacking():
+    # (2, 2) stacking has the width of the default (3, 1), so only reading
+    # the model's config tells them apart
+    from satkit.data import stack_downsample
+
+    cfg = ModelConfig(feature_dim=3, d_m=8, n_heads=2, d_ff=16,
+                      n_enc_blocks=1, n_pred_blocks=1, d_joint=8, vocab_size=6,
+                      chunk_left="3", chunk_right="1", stack_left=2,
+                      stack_right=2, dropout=0.0)
+    model = SATModel(cfg, seed=4)
+    rng = np.random.default_rng(41)
+    emitted = 0
+    for i in range(20):
+        raw = rng.normal(size=(40, cfg.feature_dim))
+        labels, frames, _ = greedy_trace(model, stack_downsample(raw, 2, 2, 3))
+        got = list(stream_decode(model, iter(raw)))
+        assert [k for _, k in got] == labels, i
+        assert [t for t, _ in got] == frames, i
+        emitted += len(labels)
+    assert emitted > 0
+
+
+def test_streaming_beam_matches_offline_bitwise(caplog):
+    # the beam over a raw-frame stream reads the same frame-exact rows as
+    # offline: hypotheses and both scores agree bit for bit
+    from satkit.data import stack_downsample
+
+    caplog.set_level(logging.ERROR, logger="satkit.decode")
+    vocab, lm = lm_fixture()
+    for seed in range(6):
+        model = tiny_model(seed=seed, vocab_size=vocab.size, left=3, right=1)
+        raw = np.random.default_rng(600 + seed).normal(
+            size=(30, model.config.feature_dim))
+        for width, fused in ((1, None), (3, lm), (6, lm)):
+            cfg = DecodeConfig(beam_width=width, lm_weight=0.5)
+            offline = beam_decode(model, stack_downsample(raw, 3, 1, 3),
+                                  lm=fused, vocab=vocab, cfg=cfg)
+            streamed = beam_decode(model, stacked_stream(model, iter(raw)),
+                                   lm=fused, vocab=vocab, cfg=cfg,
+                                   frame_exact=True)
+            assert offline and _bits(streamed) == _bits(offline), (seed, width)
 
 
 def test_stream_decode_emission_lag():
@@ -445,28 +485,35 @@ def test_stream_decode_emission_lag():
     assert seen > 0
 
 
-def test_stream_state_is_bounded():
+def test_stream_state_is_bounded(monkeypatch):
     # 6000 raw frames: the raw ring and every block's row cache keep a fixed
     # size, and memory held at the end is within 4 KB of that a quarter in
     # (keeping one row per frame would add hundreds of KB)
     import tracemalloc
 
-    from satkit.data import StreamStacker
-    from satkit.decode import _stream_rows
-    from satkit.nnet import IncrementalEncoder
+    import satkit.decode as dec
 
+    made = {}
+
+    def recorded(cls):
+        def build(*args):
+            made[cls.__name__] = obj = cls(*args)
+            return obj
+        return build
+
+    monkeypatch.setattr(dec, "StreamStacker", recorded(dec.StreamStacker))
+    monkeypatch.setattr(dec, "IncrementalEncoder", recorded(dec.IncrementalEncoder))
     cfg = ModelConfig(feature_dim=3, d_m=8, n_heads=2, d_ff=16,
                       n_enc_blocks=2, n_pred_blocks=1, d_joint=8, vocab_size=6,
                       chunk_left="4", chunk_right="2", dropout=0.0)
     model = SATModel(cfg, seed=0)
-    stacker = StreamStacker(3, 1, 3)
-    encoder = IncrementalEncoder(model.encoder)
     rng = np.random.default_rng(7)
     frames = (rng.normal(size=3) for _ in range(6000))
     n_rows, held = 0, {}
     tracemalloc.start()
     try:
-        for _row in _stream_rows(stacker, encoder, frames):
+        for _row in _encoder_rows(model, stacked_stream(model, frames)):
+            stacker, encoder = made["StreamStacker"], made["IncrementalEncoder"]
             n_rows += 1
             assert len(stacker.ring) <= 3 + 1 + 1
             assert [w.shape[0] for w in encoder.windows] == [4 + 2 + 1] * 2

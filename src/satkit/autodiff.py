@@ -14,6 +14,12 @@ Shapes are strict: each primitive documents the exact shapes it accepts
 (there is no general broadcasting), and mismatches raise ``ShapeError``
 naming the primitive and both shapes.
 
+The module keeps only what the model and the losses call: matrix products,
+elementwise add/mul/scale/relu, a row gather, layer norm, a sum, dropout and
+the fused joint and attention ops. A layer with a closed-form gradient,
+like the lattice loss, records itself through :func:`op_result` as one node
+with a hand-written vector-Jacobian product.
+
 64-bit floats are the default; 32-bit tensors can be created explicitly and
 ops preserve the operand dtype (mixing dtypes is an error).
 """
@@ -354,16 +360,6 @@ def relu(x: Tensor) -> Tensor:
     return _result(out, (x,), vjp)
 
 
-def exp(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    out = np.exp(x.data)
-
-    def vjp(g):
-        return (g * out,)
-
-    return _result(out, (x,), vjp)
-
-
 def _check_finite(name, x: np.ndarray):
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name}: non-finite input")
@@ -380,33 +376,6 @@ def _softmax_vjp(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     d = g - (g * out).sum(axis=-1, keepdims=True)
     d *= out
     return d
-
-
-def softmax_lastdim(x: Tensor) -> Tensor:
-    """Softmax over the final axis. Rows are probability vectors."""
-    x = _as_tensor(x)
-    _check_finite("softmax_lastdim", x.data)
-    out = _softmax_inplace(x.data.copy())
-
-    def vjp(g):
-        return (_softmax_vjp(g, out),)
-
-    return _result(out, (x,), vjp)
-
-
-def logsumexp_lastdim(x: Tensor) -> Tensor:
-    """Log of summed exponentials over the final axis; output drops that axis."""
-    x = _as_tensor(x)
-    _check_finite("logsumexp_lastdim", x.data)
-    m = x.data.max(axis=-1, keepdims=True)
-    out = (m + np.log(np.exp(x.data - m).sum(axis=-1, keepdims=True))).squeeze(-1)
-    x_data = x.data
-
-    def vjp(g):
-        soft = np.exp(x_data - out[..., None])
-        return (soft * g[..., None],)
-
-    return _result(out, (x,), vjp)
 
 
 # Bytes of tanh rows in one tile of joint_log_softmax: a tile's rows, logits
@@ -675,47 +644,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, left, right, lengths=None,
     return _result(out, (q, k, v), vjp)
 
 
-def concat(parts, axis: int = 0) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ShapeError("concat: no inputs")
-    _same_dtype("concat", *parts)
-    base = list(parts[0].shape)
-    for p in parts[1:]:
-        other = list(p.shape)
-        if len(other) != len(base) or any(
-            i != (axis % len(base)) and other[i] != base[i] for i in range(len(base))
-        ):
-            raise ShapeError(f"concat: {p.shape} incompatible with {parts[0].shape} on axis {axis}")
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-
-    def vjp(g):
-        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
-
-    return _result(out, tuple(parts), vjp)
-
-
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    """Contiguous slice [start:stop) along one axis."""
-    x = _as_tensor(x)
-    n = x.shape[axis]
-    if not (0 <= start <= stop <= n):
-        raise ShapeError(f"slice_axis: [{start}:{stop}) out of range for axis {axis} of {x.shape}")
-    key = [slice(None)] * x.ndim
-    key[axis] = slice(start, stop)
-    key = tuple(key)
-    out = x.data[key]
-    x_shape, x_dtype = x.shape, x.dtype
-
-    def vjp(g):
-        full = np.zeros(x_shape, dtype=x_dtype)
-        full[key] = g
-        return (full,)
-
-    return _result(out, (x,), vjp)
-
-
 def index_rows(x: Tensor, indices) -> Tensor:
     """Gather rows of a 2-D tensor (embedding lookup); the result has shape
     ``indices.shape + (x.shape[1],)``."""
@@ -732,17 +660,6 @@ def index_rows(x: Tensor, indices) -> Tensor:
         full = np.zeros(x_shape, dtype=x_dtype)
         np.add.at(full, idx, g)
         return (full,)
-
-    return _result(out, (x,), vjp)
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    x = _as_tensor(x)
-    out = x.data.reshape(shape)
-    x_shape = x.shape
-
-    def vjp(g):
-        return (g.reshape(x_shape),)
 
     return _result(out, (x,), vjp)
 

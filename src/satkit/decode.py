@@ -142,12 +142,15 @@ def _encoder_rows(model, stacked, chunk=None, frame_exact=None):
     through an :class:`IncrementalEncoder` and every row is yielded as soon
     as it is final, so stacked rows may arrive one at a time from a stream.
     Otherwise ``stacked`` is a matrix, encoded in one full-matrix pass when
-    the first row is pulled.
+    the first row is pulled; a stream there raises ``ValueError``.
     """
     chunk = chunk if chunk is not None else model.encoder.chunk
     if frame_exact is None:
         frame_exact = chunk.bounded
     if not frame_exact:
+        if not hasattr(stacked, "__len__"):
+            raise ValueError("a stream of stacked rows needs a bounded window "
+                             "and frame_exact=True")
         if len(stacked):  # the encoder refuses an empty matrix
             yield from model.encoder.apply_np(stacked, chunk)
         return

@@ -5,7 +5,9 @@ one per (time frame, emitted-prefix length) node. Token 0 is the blank.
 Training minimizes the negative log-likelihood of the target sequence summed
 over all monotone alignment paths; the DP kernel in :mod:`satkit.kernels`
 supplies both the loss and its analytic gradient, which is grafted onto the
-autodiff tape as a single composite op.
+autodiff tape as a single composite op (:func:`transducer_loss`, or with the
+path regularizer :func:`satkit.pathreg.joint_loss`). Path enumeration
+(:func:`brute_force_loss`) is the oracle for the kernel.
 
 A training batch is one padded (B, T_max, U_max+1, K) grid. The joint
 projects the (B, T, d_enc) encoder frames and the (B, U+1, d_pred)
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import kernels
-from .autodiff import LOG_ZERO, Tensor
+from .autodiff import Tensor
 from .vocab import BLANK, SOS
 
 
@@ -182,37 +184,6 @@ def brute_force_loss(lattice: PosteriorLattice, max_paths: int = 200_000) -> flo
             s += lp[t, u, BLANK]
         scores[i] = s
     return float(-np.logaddexp.reduce(scores))
-
-
-def tape_loss(lattice: PosteriorLattice) -> Tensor:
-    """Loss built cell-by-cell from autodiff primitives.
-
-    Slow scalar construction used to cross-check the kernel's hand-derived
-    gradient against the tape's on tiny lattices. Scores one utterance, not a
-    batch.
-    """
-    _single("tape_loss", lattice)
-    lp = lattice.log_probs
-    T, U = lattice.T, lattice.U
-    y = lattice.targets
-
-    def ent(t, u, k):
-        cell = ad.slice_axis(ad.slice_axis(ad.slice_axis(lp, 0, t, t + 1), 1, u, u + 1), 2, k, k + 1)
-        return ad.reshape(cell, (1,))
-
-    def logadd(a, b):
-        return ad.logsumexp_lastdim(ad.concat([a, b], axis=0))
-
-    dead = Tensor(np.full(1, LOG_ZERO))
-    alpha = {(0, 0): Tensor(np.zeros(1))}
-    for n in range(1, T + U):
-        for t in range(max(0, n - U), min(T - 1, n) + 1):
-            u = n - t
-            fb = alpha[(t - 1, u)] + ent(t - 1, u, BLANK) if t > 0 else dead
-            fl = alpha[(t, u - 1)] + ent(t, u - 1, int(y[u - 1])) if u > 0 else dead
-            alpha[(t, u)] = ad.reshape(logadd(fb, fl), (1,))
-    total = alpha[(T - 1, U)] + ent(T - 1, U, BLANK)
-    return ad.reshape(ad.scale(total, -1.0), ())
 
 
 class JointNetwork:

@@ -4,15 +4,23 @@ A frame-level alignment (one token per downsampled frame, blank for silence)
 is unrolled into the unique lattice path it induces; the regularizer is a
 per-node cross-entropy along that path, each node weighted by
 w = 1 - p(blank | t, u) so confidently-blank nodes contribute nothing.
+
+The regularizer reads only the token and blank cells of the T+U aligned
+nodes, gathered from the log-prob array. :func:`joint_loss`, which training
+runs, is one tape op: one kernel call gives the transducer loss and its
+gradient, and the op's vjp scales that gradient in place and adds the
+regularizer's terms into it, so the kernel's gradient is the only
+grid-sized cotangent of a step.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .lattice import PosteriorLattice, transducer_loss
+from .lattice import PosteriorLattice, forward_backward_arrays, transducer_loss
 from .vocab import BLANK
 
 
@@ -71,24 +79,20 @@ class ParConfig:
     labels_only: bool = False
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError(f"regularization weight must be non-negative, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"regularization weight must be finite and non-negative, "
+                             f"got {self.beta}")
 
 
-def par_loss(lat: PosteriorLattice, path, cfg: ParConfig = None) -> Tensor:
-    """-sum over path triples of (1 - p(blank|t,u)) * log p(token|t,u).
-
-    One lattice and its path give a scalar; a lattice batch and a list of
-    B paths give the (B,) per-utterance sums, from one gather over the
-    batch's grid. ``labels_only`` drops the blank-target triples from the
-    sum; ``detach_weight`` (default) treats the weights as constants in the
-    gradient.
+def _par_terms(lat: PosteriorLattice, path, cfg: ParConfig):
+    """PAR per utterance from the cells its path triples read, and a
+    function ``add_grad(flat, gb)`` that adds the gradient of
+    ``sum_b gb[b] * PAR_b`` into ``flat``, a flat view of a grid shaped like
+    ``lat.log_probs``. Values are (B,) for a batch and 0-d for one lattice.
     """
-    cfg = cfg or ParConfig()
     batched = lat.lengths is not None
     paths = list(path) if batched else [path]
-    shape = lat.log_probs.shape
-    T_max, U1, K = shape[-3:]
+    T_max, U1, K = lat.log_probs.shape[-3:]
     t_lens = lat.lengths if batched else [T_max]
     u_lens = lat.u_lengths if batched else [U1 - 1]
     if len(paths) != len(t_lens):
@@ -103,33 +107,81 @@ def par_loss(lat: PosteriorLattice, path, cfg: ParConfig = None) -> Tensor:
             tok.append(k)
             owner.append(b)
     node = np.asarray(node, dtype=np.int64)
+    tok_at = node + np.asarray(tok, dtype=np.int64)
+    blank_at = node + BLANK
+    owner = np.asarray(owner, dtype=np.int64)
+    lp = lat.log_probs.data.reshape(-1)
+    tok_lp = lp[tok_at]
+    e = np.exp(lp[blank_at])
+    w = 1.0 - e
     n = node.shape[0]
-    flat = ad.reshape(lat.log_probs, (int(np.prod(shape)), 1))
     # seg[b, i] = 1 when triple i lies on utterance b's path.
-    seg = np.zeros((len(paths), n), dtype=flat.dtype)
-    seg[np.asarray(owner, dtype=np.int64), np.arange(n)] = 1.0
-    if cfg.detach_weight:
-        tok_lp = ad.index_rows(flat, node + np.asarray(tok, dtype=np.int64))
-        w = 1.0 - np.exp(flat.data[node + BLANK])
-        per_utt = ad.matmul(Tensor(seg * w.T), tok_lp)
-    else:
-        both = ad.index_rows(flat, np.concatenate([node + np.asarray(tok, dtype=np.int64),
-                                                   node + BLANK]))
-        tok_lp, blank_lp = ad.slice_axis(both, 0, 0, n), ad.slice_axis(both, 0, n, 2 * n)
-        w = ad.add(ad.scale(ad.exp(blank_lp), -1.0), Tensor(np.ones((n, 1), dtype=flat.dtype)))
-        per_utt = ad.matmul(Tensor(seg), ad.mul(w, tok_lp))
-    return ad.reshape(ad.scale(per_utt, -1.0), (len(paths),) if batched else ())
+    seg = np.zeros((len(paths), n), dtype=lp.dtype)
+    seg[owner, np.arange(n)] = 1.0
+    values = -((seg * w) @ tok_lp[:, None])[:, 0]
+
+    def add_grad(flat, gb):
+        gi = gb[owner]
+        np.add.at(flat, tok_at, -gi * w)
+        if not cfg.detach_weight:  # d/d lp_blank of -(1 - e^lp_blank) lp_tok
+            np.add.at(flat, blank_at, gi * tok_lp * e)
+
+    return (values if batched else values.reshape(())), add_grad
+
+
+def par_loss(lat: PosteriorLattice, path, cfg: ParConfig = None) -> Tensor:
+    """-sum over path triples of (1 - p(blank|t,u)) * log p(token|t,u).
+
+    One lattice and its path give a scalar; a lattice batch and a list of
+    B paths give the (B,) per-utterance sums. Only the token and blank
+    cells of the T+U aligned nodes are read. ``labels_only`` drops the
+    blank-target triples from the sum; ``detach_weight`` (default) treats
+    the weights as constants in the gradient.
+    """
+    values, add_grad = _par_terms(lat, path, cfg or ParConfig())
+    shape, dtype = lat.log_probs.shape, lat.log_probs.dtype
+
+    def vjp(g):
+        grad = np.zeros(shape, dtype=dtype)
+        add_grad(grad.reshape(-1), np.asarray(g, dtype=dtype).reshape(-1))
+        return (grad,)
+
+    return ad.op_result(values, (lat.log_probs,), vjp)
+
+
+def _regularized(lat: PosteriorLattice, path, cfg: ParConfig, validate: bool):
+    """(transducer + beta * PAR per utterance as one tape op, the transducer
+    values, the PAR values or None at beta = 0).
+
+    One kernel call gives the transducer loss and its gradient; the op's
+    vjp scales that gradient in place and adds the PAR terms into it, so no
+    other grid-sized cotangent exists.
+    """
+    if cfg.beta == 0.0:
+        base = transducer_loss(lat, validate=validate)
+        return base, base.data, None
+    if validate:
+        lat.validate_normalized()
+    par, add_grad = _par_terms(lat, path, cfg)
+    loss, grad, _, _ = forward_backward_arrays(lat)
+    loss = np.asarray(loss, dtype=np.float64)
+    beta, dtype = cfg.beta, lat.log_probs.dtype
+
+    def vjp(g):
+        g = np.asarray(g, dtype=dtype)
+        scaled = grad.astype(dtype, order="C", copy=False)  # the kernel's own array
+        scaled *= g.reshape(g.shape + (1, 1, 1))
+        add_grad(scaled.reshape(-1), g.reshape(-1) * beta)
+        return (scaled,)
+
+    return ad.op_result(loss + par * beta, (lat.log_probs,), vjp), loss, par
 
 
 def joint_loss(lat: PosteriorLattice, path: AlignmentPath,
                cfg: ParConfig = None, validate: bool = True) -> Tensor:
-    """transducer loss + beta * path regularizer.
+    """transducer loss + beta * path regularizer, per utterance, as one op.
 
     beta = 0 returns the transducer loss tensor itself, so that run is
     bit-identical to an unregularized one.
     """
-    cfg = cfg or ParConfig()
-    base = transducer_loss(lat, validate=validate)
-    if cfg.beta == 0.0:
-        return base
-    return ad.add(base, ad.scale(par_loss(lat, path, cfg), cfg.beta))
+    return _regularized(lat, path, cfg or ParConfig(), validate)[0]

@@ -2,11 +2,13 @@
 
 Each step runs the whole padded batch as one tape: one encoder pass over the
 (B, T_max, d) features with key-padding masks from the frame counts, one
-prediction-net pass, one (B, T_max, U_max+1, K) joint grid, one batched
-lattice forward-backward and one path-regularizer gather. It backpropagates
-the mean joint loss of the batch once. A step whose loss or gradient norm is
-not finite is skipped: the optimizer does not move, ``Trainer.skipped_steps``
-counts it and a warning names the utterances at fault.
+prediction-net pass, one (B, T_max, U_max+1, K) joint grid, and one loss op
+(the code behind :func:`satkit.pathreg.joint_loss`): one batched lattice
+forward-backward plus, at beta > 0, a gather of the T+U aligned cells of
+each path. It backpropagates the mean joint loss of the batch once. A step
+whose loss or gradient norm is not finite is skipped: the optimizer does not
+move, ``Trainer.skipped_steps`` counts it and a warning names the utterances
+at fault.
 
 Metrics stream to a CSV with columns step,lr,transducer_loss,par_loss,
 joint_loss,dev_cer,step_seconds,frames_per_sec,grad_norm. Per-step rows leave
@@ -30,10 +32,9 @@ from . import autodiff as ad
 from . import checkpoint as ckpt
 from .data import make_batches
 from .decode import corpus_cer, greedy_decode
-from .lattice import transducer_loss
 from .model import SATModel
 from .optim import NoamWarmup, SGDMomentum
-from .pathreg import ParConfig, build_path, par_loss
+from .pathreg import ParConfig, _regularized, build_path
 
 log = logging.getLogger(__name__)
 
@@ -142,12 +143,7 @@ class Trainer:
         n = len(batch.targets)
         lat = self.model.forward_lattice(batch.feats, batch.targets, training=True,
                                          rng=self.rng, lengths=batch.feat_lengths)
-        base = transducer_loss(lat, validate=False)
-        per_utt = base
-        reg = None
-        if self.par_cfg.beta > 0.0:
-            reg = par_loss(lat, paths, self.par_cfg)
-            per_utt = ad.add(base, ad.scale(reg, self.par_cfg.beta))
+        per_utt, base, reg = _regularized(lat, paths, self.par_cfg, validate=False)
         mean = ad.scale(ad.sum_all(per_utt), 1.0 / n)
         ad.zero_grads(self.model.params)
         mean.backward()
@@ -157,8 +153,8 @@ class Trainer:
             self.optimizer.step()
         else:
             self._skip(batch, per_utt.data)
-        return {"transducer": float(base.data.sum()) / n,
-                "par": float(reg.data.sum()) / n if reg is not None else 0.0,
+        return {"transducer": float(base.sum()) / n,
+                "par": float(reg.sum()) / n if reg is not None else 0.0,
                 "joint": mean.item(), "grad_norm": grad_norm}
 
     def _skip(self, batch, per_utt):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from satkit import autodiff as ad
 from satkit.autodiff import GraphError, ShapeError, Tensor
-from unfused import broadcast_add, log_softmax_lastdim, tanh
+from unfused import (broadcast_add, concat, exp, log_softmax_lastdim, logsumexp_lastdim,
+                     reshape, slice_axis, softmax_lastdim, tanh)
 from unfused import joint_log_softmax as unfused_joint
 
 
@@ -112,7 +113,7 @@ def test_scale_relu_tanh_exp_log_fd():
              lambda v: np.maximum(v, 0.0).sum(), x)
     check_fd(lambda t: ad.sum_all(tanh(t)),
              lambda v: np.tanh(v).sum(), rand(4, 3))
-    check_fd(lambda t: ad.sum_all(ad.exp(t)),
+    check_fd(lambda t: ad.sum_all(exp(t)),
              lambda v: np.exp(v).sum(), rand(4, 3))
 
 
@@ -134,7 +135,7 @@ def _weighted_np(op):
 
 
 def test_softmax_fd():
-    check_fd(_weighted(ad.softmax_lastdim),
+    check_fd(_weighted(softmax_lastdim),
              _weighted_np(lambda x: np.exp(x) / np.exp(x).sum(-1, keepdims=True)),
              rand(3, 5))
 
@@ -148,7 +149,7 @@ def test_log_softmax_fd():
 def test_logsumexp_fd_pinned_values():
     # d/da log(e^a + e^b) = softmax; checked at a=1, b=2 with eps 1e-6
     x = np.array([[1.0, 2.0]])
-    got = tape_grad(lambda t: ad.sum_all(ad.logsumexp_lastdim(t)), x)
+    got = tape_grad(lambda t: ad.sum_all(logsumexp_lastdim(t)), x)
     want = fd_grad(lambda v: np.log(np.exp(v).sum()), x.copy(), eps=1e-6)
     np.testing.assert_allclose(got, want, rtol=1e-6)
     soft = np.exp(x) / np.exp(x).sum()
@@ -157,7 +158,7 @@ def test_logsumexp_fd_pinned_values():
 
 def test_softmax_checks_finite():
     bad = Tensor(np.array([[0.0, np.nan]]))
-    for op in (ad.softmax_lastdim, log_softmax_lastdim, ad.logsumexp_lastdim):
+    for op in (softmax_lastdim, log_softmax_lastdim, logsumexp_lastdim):
         with pytest.raises(ValueError):
             op(bad)
 
@@ -166,30 +167,30 @@ def test_softmax_checks_finite():
 @given(st.integers(1, 6), st.integers(2, 8), st.integers(0, 2**32 - 1))
 def test_softmax_rows_are_distributions(rows, cols, seed):
     x = np.random.default_rng(seed).normal(0.0, 3.0, size=(rows, cols))
-    out = ad.softmax_lastdim(Tensor(x)).data
+    out = softmax_lastdim(Tensor(x)).data
     assert np.all(out >= 0.0)
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
     ls = log_softmax_lastdim(Tensor(x)).data
     np.testing.assert_allclose(np.exp(ls).sum(axis=-1), 1.0, atol=1e-12)
-    lse = ad.logsumexp_lastdim(Tensor(x)).data
+    lse = logsumexp_lastdim(Tensor(x)).data
     np.testing.assert_allclose(lse, np.log(np.exp(x).sum(-1)), rtol=1e-12)
 
 
 def test_concat_slice_fd():
     b = rand(2, 4)
-    check_fd(_weighted(lambda t: ad.concat([t, Tensor(b)], axis=0)),
+    check_fd(_weighted(lambda t: concat([t, Tensor(b)], axis=0)),
              _weighted_np(lambda x: np.concatenate([x, b], axis=0)),
              rand(3, 4))
-    check_fd(_weighted(lambda t: ad.slice_axis(t, 1, 1, 3)),
+    check_fd(_weighted(lambda t: slice_axis(t, 1, 1, 3)),
              _weighted_np(lambda x: x[:, 1:3]), rand(4, 5))
 
 
 def test_concat_axis1_and_shape_error():
     a, b = Tensor(rand(3, 2), requires_grad=True), Tensor(rand(3, 4))
-    out = ad.concat([a, b], axis=1)
+    out = concat([a, b], axis=1)
     assert out.shape == (3, 6)
     with pytest.raises(ShapeError):
-        ad.concat([Tensor(rand(3, 2)), Tensor(rand(4, 3))], axis=1)
+        concat([Tensor(rand(3, 2)), Tensor(rand(4, 3))], axis=1)
 
 
 def test_index_rows_accumulates_duplicates():
@@ -204,7 +205,7 @@ def test_index_rows_accumulates_duplicates():
 
 
 def test_transpose_reshape_fd():
-    check_fd(_weighted(lambda t: ad.reshape(t, (6, 2))),
+    check_fd(_weighted(lambda t: reshape(t, (6, 2))),
              _weighted_np(lambda x: x.reshape(6, 2)), rand(3, 4))
 
 

@@ -73,6 +73,16 @@ def test_train_rejects_config_data_conflicts(tmp_path, data_dir, capsys):
     assert err.startswith("error:") and "vocab_size" in err
 
 
+def test_train_rejects_a_non_finite_beta(tmp_path, data_dir, capsys):
+    for beta in ("nan", "inf", "-1"):
+        code = main(["train", "--data", str(data_dir), "--out", str(tmp_path / beta),
+                     *MODEL_FLAGS, "--epochs", "1", "--beta", beta])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "finite and non-negative" in err
+
+
 def test_train_rejects_an_empty_split(tmp_path, capsys):
     for split in ("train", "dev"):
         data = tmp_path / f"no-{split}"

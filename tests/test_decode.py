@@ -543,6 +543,21 @@ def test_frame_exact_requires_bounded_window():
     assert isinstance(greedy_decode(model, x, frame_exact=False), list)
 
 
+def test_streams_need_a_bounded_window_and_frame_exact():
+    unbounded = tiny_model(seed=0)
+    x = random_stacked(unbounded, t_len=4, seed=3)
+    raw = np.random.default_rng(4).normal(size=(12, unbounded.config.feature_dim))
+    calls = [lambda: greedy_decode(unbounded, iter(x)),
+             lambda: beam_decode(unbounded, stacked_stream(unbounded, iter(raw))),
+             lambda: greedy_decode(tiny_model(seed=0, left=2, right=1), iter(x),
+                                   frame_exact=False)]
+    for call in calls:
+        with pytest.raises(ValueError, match="bounded window and frame_exact=True"):
+            call()
+    bounded = tiny_model(seed=0, left=2, right=1)
+    assert greedy_decode(bounded, iter(x)) == greedy_decode(bounded, x)
+
+
 def test_decode_chunk_override_changes_rows():
     from satkit.nnet import ChunkSpec
 

@@ -11,9 +11,10 @@ from satkit import autodiff as ad
 from satkit.autodiff import Tensor
 from satkit import kernels
 from satkit.lattice import (JointNetwork, PosteriorLattice, brute_force_loss,
-                            forward_backward_arrays, tape_loss,
-                            transducer_loss)
+                            forward_backward_arrays, transducer_loss)
+from satkit.pathreg import ParConfig, build_path, joint_loss
 from unfused import joint_log_softmax as unfused_joint
+from unfused import tape_loss
 
 
 def random_lattice(rng, t_len, u_len, k_size):
@@ -382,9 +383,10 @@ def test_joint_network_matches_unfused_composition(combine):
                                    atol=1e-12 * np.abs(w).max(), err_msg=name)
 
 
-def test_joint_and_loss_peak_memory():
-    # joint plus transducer loss, forward and backward, at a long training
-    # shape: at most 2.25 float64 (B, T, U+1, J) grids live at once
+def _joint_and_loss_peak(beta):
+    """tracemalloc peak of joint plus loss, forward and backward, at a long
+    training shape, in float64 (B, T, U+1, J) grids; beta > 0 adds the path
+    regularizer with detached weights."""
     B, T, U, K, J = 2, 230, 50, 19, 64
     rng = np.random.default_rng(53)
     joint = JointNetwork(J, J, J, K, rng)
@@ -393,16 +395,35 @@ def test_joint_and_loss_peak_memory():
     enc = Tensor(rng.standard_normal((B, T, J)), requires_grad=True)
     pred = Tensor(rng.standard_normal((B, U + 1, J)), requires_grad=True)
     targets = [rng.integers(2, K, size=U), rng.integers(2, K, size=U - 7)]
+    lengths = [T, T - 20]
+    paths = []
+    for y, t_len in zip(targets, lengths):
+        ali = np.zeros(t_len, dtype=np.int64)
+        ali[np.sort(rng.choice(t_len, size=len(y), replace=False))] = y
+        paths.append(build_path(ali, y))
     tracemalloc.start()
     try:
-        lat = joint.lattice(enc, pred, targets, [T, T - 20])
-        ad.sum_all(transducer_loss(lat)).backward()
+        lat = joint.lattice(enc, pred, targets, lengths)
+        ad.sum_all(joint_loss(lat, paths, ParConfig(beta=beta))).backward()
         del lat
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    grid = B * T * (U + 1) * J * 8
+    return peak, B * T * (U + 1) * J * 8
+
+
+def test_joint_and_loss_peak_memory():
+    # joint plus transducer loss, forward and backward, at a long training
+    # shape: at most 2.25 float64 (B, T, U+1, J) grids live at once
+    peak, grid = _joint_and_loss_peak(0.0)
     assert peak <= 2.25 * grid, (peak / 2**20, peak / grid)
+
+
+def test_regularized_joint_and_loss_peak_memory():
+    # the path regularizer adds into the kernel's own gradient: no further
+    # grid-sized array lives, so the peak stays under 2 grids
+    peak, grid = _joint_and_loss_peak(10.0)
+    assert peak <= 2.0 * grid, (peak / 2**20, peak / grid)
 
 
 # The anti-diagonal kernel as it was before its transitions were masked:

@@ -15,6 +15,7 @@ from satkit.autodiff import LOG_ZERO, ShapeError, Tensor
 from satkit.nnet import (CAUSAL, ChunkSpec, Encoder, FeedForward, IncrementalEncoder,
                          MultiHeadAttention, PredictionNetwork, SABlock, glorot,
                          positional_encoding)
+from unfused import softmax_lastdim
 
 
 def window_mask(n_q: int, n_kv: int, chunk: ChunkSpec, q_offset: int = 0) -> np.ndarray:
@@ -44,7 +45,7 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
         if mask.max(axis=-1).min() < 0.0:
             raise ValueError("attention mask blocks every key for some query row")
         scores = ad.add(scores, Tensor(mask))
-    return ad.matmul(ad.softmax_lastdim(scores), v)
+    return ad.matmul(softmax_lastdim(scores), v)
 
 
 def test_glorot_bounds_and_row_blocks():

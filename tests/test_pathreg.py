@@ -8,6 +8,7 @@ from satkit.autodiff import Tensor
 from satkit.lattice import PosteriorLattice, transducer_loss
 from satkit.pathreg import (AlignmentMismatch, ParConfig, build_path,
                             joint_loss, par_loss)
+import unfused
 
 PHI = 0  # blank id
 A, B = 2, 3
@@ -205,5 +206,84 @@ def test_joint_loss_combines_terms():
 
 
 def test_par_config_validation():
-    with pytest.raises(ValueError):
-        ParConfig(beta=-1.0)
+    for beta in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            ParConfig(beta=beta)
+    assert ParConfig(beta=0.0).beta == 0.0
+
+
+def _batch(rng, shapes, k=6):
+    """A padded lattice batch with one alignment path per (frames, labels)
+    shape; returns (log probs, targets, frame counts, paths)."""
+    T, U = max(t for t, _ in shapes), max(u for _, u in shapes)
+    logits = rng.standard_normal((len(shapes), T, U + 1, k))
+    lp = logits - np.log(np.exp(logits).sum(-1, keepdims=True))
+    targets, paths = [], []
+    for t_len, u_len in shapes:
+        y = [int(v) for v in rng.integers(2, k, size=u_len)]
+        ali = [PHI] * t_len
+        for f, tok in zip(sorted(rng.choice(t_len, size=u_len, replace=False)), y):
+            ali[f] = tok
+        targets.append(y)
+        paths.append(build_path(ali, y))
+    return lp, targets, [t for t, _ in shapes], paths
+
+
+def _run(fn, lp, targets, lengths, paths, cfg):
+    """Values and log-prob gradient of fn's mean over the batch, as
+    ``Trainer.train_batch`` differentiates it; ``lengths`` None scores
+    the first utterance alone."""
+    t = Tensor(lp.copy(), requires_grad=True)
+    if lengths is None:
+        out = fn(PosteriorLattice(t, targets), paths, cfg)
+    else:
+        out = fn(PosteriorLattice(t, targets, lengths), paths, cfg)
+    ad.scale(ad.sum_all(out), 1.0 / max(1, out.data.size)).backward()
+    return out.data, t.grad
+
+
+@pytest.mark.parametrize("detach", [True, False])
+@pytest.mark.parametrize("labels_only", [False, True])
+@pytest.mark.parametrize("case", ["one", "ragged", "no-labels"])
+def test_par_and_joint_loss_match_unfused_composition(case, labels_only, detach):
+    # The tape composition of the regularizer is the oracle. With detached
+    # weights every value and gradient bit agrees; with attached ones a blank
+    # triple's token and blank terms land on one cell in another order.
+    rng = np.random.default_rng(11)
+    shapes = {"one": [(9, 4)], "ragged": [(12, 5), (7, 2), (10, 0)],
+              "no-labels": [(6, 0), (4, 1)]}[case]
+    lp, targets, lengths, paths = _batch(rng, shapes)
+    inputs = [(lp, targets, lengths, paths)]
+    if case == "one":  # the single-lattice form: no batch axis
+        inputs.append((lp[0], targets[0], None, paths[0]))
+    if case == "no-labels":  # a U = 0 path alone
+        inputs.append((lp[0, :, :1], targets[0], None, paths[0]))
+    for beta in (0.0, 2.5, 10.0):
+        cfg = ParConfig(beta=beta, detach_weight=detach, labels_only=labels_only)
+        for grid, ys, lens, ps in inputs:
+            if labels_only and not any(len(y) for y in (ys if lens else [ys])):
+                continue  # the composition cannot gather zero cells
+            pairs = [(joint_loss, unfused.joint_loss)]
+            if beta == 10.0:
+                pairs.append((par_loss, unfused.par_loss))
+            for new, old in pairs:
+                got = _run(new, grid, ys, lens, ps, cfg)
+                want = _run(old, grid, ys, lens, ps, cfg)
+                assert got[0].shape == want[0].shape
+                if detach or beta == 0.0:
+                    np.testing.assert_array_equal(got[0], want[0])
+                    np.testing.assert_array_equal(got[1], want[1])
+                else:
+                    np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0)
+                    np.testing.assert_allclose(got[1], want[1], rtol=1e-12,
+                                               atol=1e-12 * np.abs(want[1]).max())
+
+
+def test_labels_only_without_labels_is_zero():
+    rng = np.random.default_rng(12)
+    lp, targets, lengths, paths = _batch(rng, [(5, 0), (3, 0)])
+    for detach in (True, False):
+        cfg = ParConfig(labels_only=True, detach_weight=detach)
+        values, grad = _run(par_loss, lp, targets, lengths, paths, cfg)
+        np.testing.assert_array_equal(values, [0.0, 0.0])
+        np.testing.assert_array_equal(grad, np.zeros_like(lp))

@@ -14,6 +14,7 @@ from satkit.lattice import transducer_loss
 from satkit.model import ModelConfig, SATModel
 from satkit.pathreg import ParConfig, par_loss
 from satkit.train import METRICS_COLUMNS, TrainConfig, Trainer
+import unfused
 
 
 def toy_setup(noise=0.0, n_train=12, n_dev=4, task_seed=21):
@@ -225,6 +226,55 @@ def test_train_batch_matches_per_utterance_reference(batch_size, beta, window):
         assert np.abs(p.grad - want_grads[name]).max() <= 1e-10 * scale, name
         norm += float((want_grads[name] ** 2).sum())
     assert stats["grad_norm"] == pytest.approx(np.sqrt(norm), rel=1e-10)
+
+
+def _oracle_train_batch(trainer, batch, paths):
+    """``Trainer.train_batch`` with the regularized loss composed on the tape
+    from the transducer loss and the unfused path regularizer."""
+    n = len(batch.targets)
+    lat = trainer.model.forward_lattice(batch.feats, batch.targets, training=True,
+                                        rng=trainer.rng, lengths=batch.feat_lengths)
+    base = transducer_loss(lat, validate=False)
+    reg = unfused.par_loss(lat, paths, trainer.par_cfg)
+    per_utt = ad.add(base, ad.scale(reg, trainer.par_cfg.beta))
+    mean = ad.scale(ad.sum_all(per_utt), 1.0 / n)
+    ad.zero_grads(trainer.model.params)
+    mean.backward()
+    grad_norm = np.sqrt(sum(float(np.vdot(p.grad, p.grad))
+                            for p in trainer.model.params.values()))
+    trainer.optimizer.step()
+    return {"transducer": float(base.data.sum()) / n, "par": float(reg.data.sum()) / n,
+            "joint": mean.item(), "grad_norm": grad_norm}
+
+
+def test_regularized_steps_match_unfused_composition_bitwise(tmp_path):
+    vocab, tr_utts, dev_utts = toy_setup(noise=0.3, n_train=12)
+    runs = {}
+    for name, step in (("fused", None), ("oracle", _oracle_train_batch)):
+        metrics = tmp_path / f"{name}.csv"
+        trainer = Trainer(toy_model(vocab, seed=7, dropout=0.1, window=("2", "1"),
+                                    n_enc_blocks=2),
+                          vocab, tr_utts, dev_utts,
+                          TrainConfig(epochs=1, batch_size=4, beta=10.0,
+                                      optimizer="noam", warmup_steps=4),
+                          metrics_path=str(metrics))
+        history = []
+        for i in range(3):
+            batch, paths = trainer.batches[i], trainer.paths[i]
+            if step is None:
+                stats = trainer.train_batch(batch, paths)
+            else:
+                stats = step(trainer, batch, paths)
+            history.append(stats)
+            trainer._write_row(i + 1, trainer.optimizer.lr, stats["transducer"],
+                               stats["par"], stats["joint"])
+        runs[name] = (trainer.model.params, history, metrics.read_text())
+    (params, stats, csv_text), (want_params, want_stats, want_csv) = runs["fused"], runs["oracle"]
+    assert stats == want_stats
+    assert csv_text == want_csv
+    assert csv_text.count("\n") == 4
+    for name, p in params.items():
+        np.testing.assert_array_equal(p.data, want_params[name].data, err_msg=name)
 
 
 def test_batch_padding_leaves_each_utterance_unchanged():

@@ -1,15 +1,25 @@
-"""The transducer joint as separate tape primitives: the reference that
-``autodiff.joint_log_softmax`` must reproduce.
+"""Tape primitives the library no longer ships, and the references built
+from them that its fused ops must reproduce.
 
 ``broadcast_add``, ``tanh`` and ``log_softmax_lastdim`` are the ops the
 fused joint replaced, with their original arithmetic; ``joint_log_softmax``
 composes them the way ``JointNetwork.log_probs`` once did.
+
+``reshape``, ``exp``, ``slice_axis``, ``concat``, ``logsumexp_lastdim`` and
+``softmax_lastdim`` are the element and shape ops the library once kept for
+references like these. ``tape_loss`` builds the transducer DP cell by cell
+from them, and ``par_loss``/``joint_loss`` compose the path-aware
+regularizer the way ``pathreg`` once did: a gather through ``index_rows``
+from the whole grid and a one-hot matrix product per utterance.
 """
 
 import numpy as np
 
 from satkit import autodiff as ad
-from satkit.autodiff import ShapeError, Tensor
+from satkit.autodiff import LOG_ZERO, ShapeError, Tensor
+from satkit.lattice import PosteriorLattice, _single, transducer_loss
+from satkit.pathreg import ParConfig
+from satkit.vocab import BLANK
 
 
 def _sum_to(g, shape):
@@ -65,6 +75,169 @@ def joint_log_softmax(f: Tensor, g: Tensor, w_out: Tensor) -> Tensor:
     """log_softmax(tanh(f[..., :, None, :] + g[..., None, :, :]) @ w_out),
     one tape node per step."""
     j = f.shape[-1]
-    grid = broadcast_add(ad.reshape(f, f.shape[:-1] + (1, j)),
-                         ad.reshape(g, g.shape[:-2] + (1,) + g.shape[-2:]))
+    grid = broadcast_add(reshape(f, f.shape[:-1] + (1, j)),
+                         reshape(g, g.shape[:-2] + (1,) + g.shape[-2:]))
     return log_softmax_lastdim(ad.matmul(tanh(grid), w_out))
+
+
+def reshape(x: Tensor, shape) -> Tensor:
+    x = ad._as_tensor(x)
+    out = x.data.reshape(shape)
+    x_shape = x.shape
+
+    def vjp(g):
+        return (g.reshape(x_shape),)
+
+    return ad.op_result(out, (x,), vjp)
+
+
+def exp(x: Tensor) -> Tensor:
+    x = ad._as_tensor(x)
+    out = np.exp(x.data)
+
+    def vjp(g):
+        return (g * out,)
+
+    return ad.op_result(out, (x,), vjp)
+
+
+def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    """Contiguous slice [start:stop) along one axis."""
+    x = ad._as_tensor(x)
+    n = x.shape[axis]
+    if not (0 <= start <= stop <= n):
+        raise ShapeError(f"slice_axis: [{start}:{stop}) out of range for axis {axis} of {x.shape}")
+    key = [slice(None)] * x.ndim
+    key[axis] = slice(start, stop)
+    key = tuple(key)
+    out = x.data[key]
+    x_shape, x_dtype = x.shape, x.dtype
+
+    def vjp(g):
+        full = np.zeros(x_shape, dtype=x_dtype)
+        full[key] = g
+        return (full,)
+
+    return ad.op_result(out, (x,), vjp)
+
+
+def concat(parts, axis: int = 0) -> Tensor:
+    parts = [ad._as_tensor(p) for p in parts]
+    if not parts:
+        raise ShapeError("concat: no inputs")
+    ad._same_dtype("concat", *parts)
+    base = list(parts[0].shape)
+    for p in parts[1:]:
+        other = list(p.shape)
+        if len(other) != len(base) or any(
+            i != (axis % len(base)) and other[i] != base[i] for i in range(len(base))
+        ):
+            raise ShapeError(f"concat: {p.shape} incompatible with {parts[0].shape} on axis {axis}")
+    out = np.concatenate([p.data for p in parts], axis=axis)
+    sizes = [p.shape[axis] for p in parts]
+
+    def vjp(g):
+        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
+
+    return ad.op_result(out, tuple(parts), vjp)
+
+
+def softmax_lastdim(x: Tensor) -> Tensor:
+    """Softmax over the final axis. Rows are probability vectors."""
+    x = ad._as_tensor(x)
+    ad._check_finite("softmax_lastdim", x.data)
+    out = ad._softmax_inplace(x.data.copy())
+
+    def vjp(g):
+        return (ad._softmax_vjp(g, out),)
+
+    return ad.op_result(out, (x,), vjp)
+
+
+def logsumexp_lastdim(x: Tensor) -> Tensor:
+    """Log of summed exponentials over the final axis; output drops that axis."""
+    x = ad._as_tensor(x)
+    ad._check_finite("logsumexp_lastdim", x.data)
+    m = x.data.max(axis=-1, keepdims=True)
+    out = (m + np.log(np.exp(x.data - m).sum(axis=-1, keepdims=True))).squeeze(-1)
+    x_data = x.data
+
+    def vjp(g):
+        soft = np.exp(x_data - out[..., None])
+        return (soft * g[..., None],)
+
+    return ad.op_result(out, (x,), vjp)
+
+
+def tape_loss(lattice: PosteriorLattice) -> Tensor:
+    """Loss built cell-by-cell from autodiff primitives.
+
+    Slow scalar construction used to cross-check the kernel's hand-derived
+    gradient against the tape's on tiny lattices. Scores one utterance, not a
+    batch.
+    """
+    _single("tape_loss", lattice)
+    lp = lattice.log_probs
+    T, U = lattice.T, lattice.U
+    y = lattice.targets
+
+    def ent(t, u, k):
+        cell = slice_axis(slice_axis(slice_axis(lp, 0, t, t + 1), 1, u, u + 1), 2, k, k + 1)
+        return reshape(cell, (1,))
+
+    def logadd(a, b):
+        return logsumexp_lastdim(concat([a, b], axis=0))
+
+    dead = Tensor(np.full(1, LOG_ZERO))
+    alpha = {(0, 0): Tensor(np.zeros(1))}
+    for n in range(1, T + U):
+        for t in range(max(0, n - U), min(T - 1, n) + 1):
+            u = n - t
+            fb = alpha[(t - 1, u)] + ent(t - 1, u, BLANK) if t > 0 else dead
+            fl = alpha[(t, u - 1)] + ent(t, u - 1, int(y[u - 1])) if u > 0 else dead
+            alpha[(t, u)] = reshape(logadd(fb, fl), (1,))
+    total = alpha[(T - 1, U)] + ent(T - 1, U, BLANK)
+    return reshape(ad.scale(total, -1.0), ())
+
+
+def par_loss(lat: PosteriorLattice, path, cfg: ParConfig = None) -> Tensor:
+    """-sum over path triples of (1 - p(blank|t,u)) * log p(token|t,u), as a
+    chain of tape ops over the whole flattened grid."""
+    cfg = cfg or ParConfig()
+    batched = lat.lengths is not None
+    paths = list(path) if batched else [path]
+    shape = lat.log_probs.shape
+    T_max, U1, K = shape[-3:]
+    node, tok, owner = [], [], []
+    for b, p in enumerate(paths):
+        for (t, u, k) in (p.label_triples if cfg.labels_only else p.triples):
+            node.append(((b * T_max + t) * U1 + u) * K)
+            tok.append(k)
+            owner.append(b)
+    node = np.asarray(node, dtype=np.int64)
+    n = node.shape[0]
+    flat = reshape(lat.log_probs, (int(np.prod(shape)), 1))
+    # seg[b, i] = 1 when triple i lies on utterance b's path.
+    seg = np.zeros((len(paths), n), dtype=flat.dtype)
+    seg[np.asarray(owner, dtype=np.int64), np.arange(n)] = 1.0
+    if cfg.detach_weight:
+        tok_lp = ad.index_rows(flat, node + np.asarray(tok, dtype=np.int64))
+        w = 1.0 - np.exp(flat.data[node + BLANK])
+        per_utt = ad.matmul(Tensor(seg * w.T), tok_lp)
+    else:
+        both = ad.index_rows(flat, np.concatenate([node + np.asarray(tok, dtype=np.int64),
+                                                   node + BLANK]))
+        tok_lp, blank_lp = slice_axis(both, 0, 0, n), slice_axis(both, 0, n, 2 * n)
+        w = ad.add(ad.scale(exp(blank_lp), -1.0), Tensor(np.ones((n, 1), dtype=flat.dtype)))
+        per_utt = ad.matmul(Tensor(seg), ad.mul(w, tok_lp))
+    return reshape(ad.scale(per_utt, -1.0), (len(paths),) if batched else ())
+
+
+def joint_loss(lat: PosteriorLattice, path, cfg: ParConfig = None,
+               validate: bool = True) -> Tensor:
+    """transducer loss + beta * ``par_loss``, composed on the tape."""
+    cfg = cfg or ParConfig()
+    base = transducer_loss(lat, validate=validate)
+    if cfg.beta == 0.0:
+        return base
+    return ad.add(base, ad.scale(par_loss(lat, path, cfg), cfg.beta))

@@ -517,11 +517,11 @@ def _row_blocks(x: np.ndarray, n_blk: int, block: int) -> np.ndarray:
     return x.reshape(B, H, n_blk, block, d)
 
 
-def _slab_view(x: np.ndarray, start: int, n_blk: int, block: int, rows: int, **kw):
-    """(B, H, n_blk, rows, d) view of x: block j is x[:, :, start + j*block:][:rows]."""
+def _slab_view(x: np.ndarray, offset: int, n_blk: int, block: int, rows: int, **kw):
+    """(B, H, n_blk, rows, d) view of x: block j is x[:, :, offset + j*block:][:rows]."""
     s = x.strides
     return np.lib.stride_tricks.as_strided(
-        x[:, :, start:], x.shape[:2] + (n_blk, rows, x.shape[3]),
+        x[:, :, offset:], x.shape[:2] + (n_blk, rows, x.shape[3]),
         (s[0], s[1], block * s[2], s[2], s[3]), **kw)
 
 

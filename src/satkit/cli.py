@@ -22,7 +22,6 @@ from .data import (SIL, TaskSpec, generate_split, load_dataset,
 from .decode import (DecodeConfig, beam_decode, corpus_cer, greedy_trace,
                      stacked_stream)
 from .model import ModelConfig, SATModel
-from .nnet import ChunkSpec
 from .train import TrainConfig, Trainer
 from .vocab import BLANK, Vocab
 
@@ -93,13 +92,8 @@ def cmd_train(args) -> int:
     for split, utts in (("train", train_utts), ("dev", dev_utts)):
         if not utts:
             raise ValueError(f"the {split} split of {args.data} has no utterances")
-    os.makedirs(args.out, exist_ok=True)
-    metrics = args.metrics or f"{args.out}/metrics.csv"
-    run_meta = {k: v for k, v in vars(args).items() if k != "func"}
-    if args.resume:
-        trainer = Trainer.resume(args.resume, vocab, train_utts, dev_utts,
-                                 metrics_path=metrics)
-    else:
+    if not args.resume:
+        # a rejected config must not leave an output directory behind
         mcfg = _model_config(args)
         _check_data_fit(mcfg, vocab, train_utts)
         model = SATModel(mcfg, seed=args.seed)
@@ -111,6 +105,13 @@ def cmd_train(args) -> int:
             adaptive=not args.plain_noam, beta=args.beta,
             detach_weight=not args.no_detach_weight,
             labels_only=args.labels_only, shuffle=not args.no_shuffle)
+    os.makedirs(args.out, exist_ok=True)
+    metrics = args.metrics or f"{args.out}/metrics.csv"
+    run_meta = {k: v for k, v in vars(args).items() if k != "func"}
+    if args.resume:
+        trainer = Trainer.resume(args.resume, vocab, train_utts, dev_utts,
+                                 metrics_path=metrics)
+    else:
         trainer = Trainer(model, vocab, train_utts, dev_utts, tcfg,
                           metrics_path=metrics)
         trainer.model.config.save(f"{args.out}/model.config")
@@ -126,14 +127,12 @@ def _decode_one(model, utt, cfg: DecodeConfig, lm, vocab):
     """Beam hypotheses for one utterance, best first. Streaming mode runs
     the same beam over the rows of the raw-frame stream."""
     if cfg.mode == "streaming":
-        stacked, frame_exact = stacked_stream(model, utt.feats), True
+        stacked = stacked_stream(model, utt.feats)
     else:
         mc = model.config
         stacked = stack_downsample(utt.feats, mc.stack_left, mc.stack_right,
                                    mc.factor)
-        frame_exact = None
-    return beam_decode(model, stacked, lm=lm, vocab=vocab, cfg=cfg,
-                       frame_exact=frame_exact)
+    return beam_decode(model, stacked, lm=lm, vocab=vocab, cfg=cfg)
 
 
 def cmd_decode(args) -> int:
@@ -143,16 +142,16 @@ def cmd_decode(args) -> int:
         raise ValueError(f"checkpoint vocab_size {model.config.vocab_size} "
                          f"but the vocab file has {vocab.size} entries")
     utts = _load_split(args.data, args.split, args.normalize)
-    chunk = None
     if args.chunk_left is not None or args.chunk_right is not None:
         if args.chunk_left is None or args.chunk_right is None:
             raise ValueError("a chunk override needs both --chunk-left and "
                              "--chunk-right")
-        chunk = ChunkSpec.parse(args.chunk_left, args.chunk_right)
+        mc = model.config
+        mc.chunk_left, mc.chunk_right = args.chunk_left, args.chunk_right
+        model.encoder.chunk = mc.chunk()
     lm = ngram.NgramModel.load(args.lm) if args.lm else None
     cfg = DecodeConfig(beam_width=args.beam_width, lm_weight=args.lm_weight,
-                       max_symbols_per_frame=args.max_symbols, mode=args.mode,
-                       chunk=chunk)
+                       max_symbols_per_frame=args.max_symbols, mode=args.mode)
     hyp_entries = []
     nbest_lines = []
     refs = []
@@ -318,8 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-symbols", type=int, default=10)
     p.add_argument("--lm", help="n-gram model for shallow fusion")
     p.add_argument("--lm-weight", type=float, default=0.2)
-    p.add_argument("--chunk-left", help="window override (int or inf)")
-    p.add_argument("--chunk-right", help="window override (int or inf)")
+    p.add_argument("--chunk-left", help="decode with this window instead of "
+                   "the trained one (int or inf, with --chunk-right)")
+    p.add_argument("--chunk-right", help="decode with this window instead of "
+                   "the trained one (int or inf, with --chunk-left)")
     p.add_argument("--nbest", type=int, default=1)
     p.add_argument("--out", required=True, help="hypothesis file")
     p.set_defaults(func=cmd_decode)

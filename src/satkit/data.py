@@ -98,15 +98,15 @@ def apply_norm(features: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.nd
     return out
 
 
-def normalize_dataset(utterances, scope: str = "per-speaker", utt2spk=None):
-    """Normalize features in place over the requested statistics scope."""
+def normalize_dataset(utterances, scope: str = "per-speaker"):
+    """Normalize features in place over the requested statistics scope;
+    per-speaker pools the utterances that share ``Utterance.speaker``."""
     if scope == "per-utterance":
         groups = {u.utt_id: [u] for u in utterances}
     elif scope == "per-speaker":
-        utt2spk = utt2spk or {}
         groups = {}
         for u in utterances:
-            groups.setdefault(utt2spk.get(u.utt_id, u.speaker), []).append(u)
+            groups.setdefault(u.speaker, []).append(u)
     else:
         raise ValueError(f"unknown scope {scope!r}")
     for members in groups.values():
@@ -306,9 +306,8 @@ class Batch:
     alignments: list           # list of id lists or None
 
 
-def make_batches(utterances, vocab: Vocab, batch_size: int,
-                 sort_by_length: bool = True, left: int = 3, right: int = 1,
-                 factor: int = 3):
+def make_batches(utterances, vocab: Vocab, batch_size: int, left: int = 3,
+                 right: int = 1, factor: int = 3):
     """Stack/downsample each utterance and group into padded batches.
 
     Sorting by stacked length keeps padding waste down. Frames past each
@@ -318,9 +317,8 @@ def make_batches(utterances, vocab: Vocab, batch_size: int,
     # Stacked length is ceil(frames / factor); each utterance is stacked
     # straight into its batch, so only one stacked copy exists at a time.
     lengths = [-(-u.feats.shape[0] // factor) for u in utterances]
-    order = list(range(len(utterances)))
-    if sort_by_length:
-        order.sort(key=lambda i: (lengths[i], utterances[i].utt_id))
+    order = sorted(range(len(utterances)),
+                   key=lambda i: (lengths[i], utterances[i].utt_id))
     batches = []
     for i in range(0, len(order), batch_size):
         part = [utterances[j] for j in order[i:i + batch_size]]

@@ -2,17 +2,19 @@
 
 Every search reads encoder rows from one generator, :func:`_encoder_rows`,
 over stacked rows: a matrix, or a raw-frame stream stacked by
-:func:`stacked_stream`. For a bounded chunk window it pushes them through
+:func:`stacked_stream`. The model's window, ``model.encoder.chunk``, picks
+the encoder path. A bounded window pushes the stacked rows through
 :class:`~satkit.nnet.IncrementalEncoder`, which computes each row once from
 a cache of the rows in its window and yields it as soon as it is final.
 Offline and streaming decoding push the same stacked rows in the same
 order, so greedy and beam search give the same bits on both; the streaming
-beam is :func:`beam_decode` over a stream. Whole-matrix encoding
+beam is :func:`beam_decode` over a stream. An unbounded window cannot
+stream: it encodes the whole matrix in one pass
 (:meth:`~satkit.nnet.Encoder.apply_np`, the tape modules run under
-``no_grad``) serves unbounded windows and fast dev-set scoring during
-training, where bit-level agreement with streaming is not needed; the
-exhaustive oracle scores whole label sequences on the tape modules too.
-Prediction states advance one label at a time through
+``no_grad``). Dev-set scoring during training takes that pass for every
+window and runs :func:`greedy_steps` over its rows; the exhaustive oracle
+scores whole label sequences on the tape modules too. Prediction states
+advance one label at a time through
 :meth:`~satkit.nnet.PredictionNetwork.advance_np`.
 
 The beam is the frame-synchronous prefix search of Graves (arXiv
@@ -53,7 +55,6 @@ class DecodeConfig:
     lm_weight: float = 0.2
     max_symbols_per_frame: int = 10
     mode: str = "offline"
-    chunk: object = None  # ChunkSpec override; None = model's training window
 
     def __post_init__(self):
         if self.beam_width < 1:
@@ -134,27 +135,24 @@ class _JointScorer:
         return _log_softmax_np(np.tanh(f_part + g_part) @ self.w_out)
 
 
-def _encoder_rows(model, stacked, chunk=None, frame_exact=None):
+def _encoder_rows(model, stacked):
     """Encoder output rows of an iterable of stacked rows, in order: the one
     row source of every search.
 
-    Frame-exact (the default for a bounded window), each stacked row goes
+    Under a bounded window (``model.encoder.chunk``), each stacked row goes
     through an :class:`IncrementalEncoder` and every row is yielded as soon
     as it is final, so stacked rows may arrive one at a time from a stream.
-    Otherwise ``stacked`` is a matrix, encoded in one full-matrix pass when
-    the first row is pulled; a stream there raises ``ValueError``.
+    Under an unbounded window ``stacked`` must be a matrix, encoded in one
+    whole-matrix pass when the first row is pulled; a stream there raises
+    ``ValueError``.
     """
-    chunk = chunk if chunk is not None else model.encoder.chunk
-    if frame_exact is None:
-        frame_exact = chunk.bounded
-    if not frame_exact:
+    if not model.encoder.chunk.bounded:
         if not hasattr(stacked, "__len__"):
-            raise ValueError("a stream of stacked rows needs a bounded window "
-                             "and frame_exact=True")
+            raise ValueError("a stream of stacked rows needs a bounded chunk window")
         if len(stacked):  # the encoder refuses an empty matrix
-            yield from model.encoder.apply_np(stacked, chunk)
+            yield from model.encoder.apply_np(stacked)
         return
-    encoder = IncrementalEncoder(model.encoder, chunk)
+    encoder = IncrementalEncoder(model.encoder)
     for row in stacked:
         yield from encoder.push(row)
     yield from encoder.finish()
@@ -178,7 +176,7 @@ def _best_label(lp: np.ndarray) -> int:
     return int(np.argmax(masked))
 
 
-def _greedy_steps(model, rows, max_symbols, trace=None):
+def greedy_steps(model, rows, max_symbols, trace=None):
     """Greedy search over an iterable of encoder rows, pulled one at a time;
     yields (frame, label) per emission. A ``trace`` list receives the
     (t, u, log-prob row) of every step."""
@@ -204,15 +202,13 @@ def _greedy_steps(model, rows, max_symbols, trace=None):
                         t, max_symbols)
 
 
-def greedy_decode(model, stacked: np.ndarray, chunk=None, frame_exact=None,
-                  max_symbols: int = 10):
+def greedy_decode(model, stacked: np.ndarray, max_symbols: int = 10):
     """Best-label-per-step decoding; returns the emitted label ids."""
-    rows = _encoder_rows(model, stacked, chunk, frame_exact)
-    return [k for _, k in _greedy_steps(model, rows, max_symbols)]
+    rows = _encoder_rows(model, stacked)
+    return [k for _, k in greedy_steps(model, rows, max_symbols)]
 
 
-def greedy_trace(model, stacked: np.ndarray, chunk=None, frame_exact=None,
-                 max_symbols: int = 10):
+def greedy_trace(model, stacked: np.ndarray, max_symbols: int = 10):
     """Greedy pass keeping the (t, u, log-prob row) visited at every step;
     returns (labels, emission frames, trace).
 
@@ -220,8 +216,8 @@ def greedy_trace(model, stacked: np.ndarray, chunk=None, frame_exact=None,
     greedy search sampled its argmax from.
     """
     trace = []
-    rows = _encoder_rows(model, stacked, chunk, frame_exact)
-    emitted = list(_greedy_steps(model, rows, max_symbols, trace))
+    rows = _encoder_rows(model, stacked)
+    emitted = list(greedy_steps(model, rows, max_symbols, trace))
     return [k for _, k in emitted], [t for t, _ in emitted], trace
 
 
@@ -260,17 +256,17 @@ def _rank_key(lm_weight):
 
 
 def beam_decode(model, stacked: np.ndarray, lm=None, vocab=None,
-                cfg: DecodeConfig = None, frame_exact=None):
+                cfg: DecodeConfig = None):
     """Frame-synchronous beam search; returns hypotheses best-first.
 
-    With lm set, vocab must map label ids to the LM's token strings. With
-    ``frame_exact=True``, ``stacked`` may be any iterable of stacked rows,
-    such as :func:`stacked_stream`.
+    With lm set, vocab must map label ids to the LM's token strings. Under
+    a bounded window, ``stacked`` may be any iterable of stacked rows, such
+    as :func:`stacked_stream`.
     """
     cfg = cfg or DecodeConfig()
     if lm is not None and vocab is None:
         raise ValueError("LM fusion needs the vocab to name the labels")
-    rows = _encoder_rows(model, stacked, cfg.chunk, frame_exact)
+    rows = _encoder_rows(model, stacked)
     scorer = _JointScorer(model)
     width, lm_weight = cfg.beam_width, cfg.lm_weight
     rank_key = _rank_key(lm_weight)
@@ -366,8 +362,7 @@ def beam_decode(model, stacked: np.ndarray, lm=None, vocab=None,
     return final
 
 
-def exhaustive_decode(model, stacked: np.ndarray, max_len: int, token_ids,
-                      chunk=None, frame_exact=None):
+def exhaustive_decode(model, stacked: np.ndarray, max_len: int, token_ids):
     """Argmax over every label sequence up to max_len by full lattice scoring.
 
     Exponential reference oracle for beam search on tiny inputs.
@@ -377,7 +372,7 @@ def exhaustive_decode(model, stacked: np.ndarray, max_len: int, token_ids,
     from . import autodiff as ad
     from . import lattice as lat
 
-    enc = ad.Tensor(np.stack(list(_encoder_rows(model, stacked, chunk, frame_exact))))
+    enc = ad.Tensor(np.stack(list(_encoder_rows(model, stacked))))
     best = None
     for n in range(max_len + 1):
         for y in itertools.product(token_ids, repeat=n):
@@ -401,11 +396,10 @@ def stream_decode(model, raw_frames, cfg: DecodeConfig = None):
     s + B*N_r exist. Decisions for frame s therefore lag the input by
     factor*B*N_r + stack_right raw frames, and the final frames flush when
     the source ends. The stacker and the encoder keep state of a fixed size,
-    however long the stream. The streaming beam is :func:`beam_decode` over
-    ``stacked_stream(model, raw_frames)`` with ``frame_exact=True``; it
-    returns its hypotheses when the stream ends.
+    however long the stream. The model's window must be bounded. The
+    streaming beam is :func:`beam_decode` over ``stacked_stream(model,
+    raw_frames)``; it returns its hypotheses when the stream ends.
     """
     cfg = cfg or DecodeConfig(mode="streaming")
-    rows = _encoder_rows(model, stacked_stream(model, raw_frames), cfg.chunk,
-                         frame_exact=True)
-    yield from _greedy_steps(model, rows, cfg.max_symbols_per_frame)
+    rows = _encoder_rows(model, stacked_stream(model, raw_frames))
+    yield from greedy_steps(model, rows, cfg.max_symbols_per_frame)

@@ -88,11 +88,8 @@ class SATModel:
         for part in (self.encoder, self.prednet, self.joint):
             self.params.update(part.params)
 
-    def num_params(self) -> int:
-        return sum(p.data.size for p in self.params.values())
-
-    def forward_lattice(self, stacked, target_ids, chunk: ChunkSpec = None,
-                        training: bool = False, rng=None, lengths=None) -> PosteriorLattice:
+    def forward_lattice(self, stacked, target_ids, training: bool = False,
+                        rng=None, lengths=None) -> PosteriorLattice:
         """Stacked features + target ids -> the full posterior lattice.
 
         One utterance: (T, d) features and one id sequence. A padded batch:
@@ -101,7 +98,7 @@ class SATModel:
         one joint call.
         """
         feats = stacked if isinstance(stacked, Tensor) else Tensor(np.asarray(stacked))
-        enc = self.encoder(feats, chunk=chunk, dropout_rate=self.config.dropout,
+        enc = self.encoder(feats, dropout_rate=self.config.dropout,
                            rng=rng, training=training, lengths=lengths)
         pred = self.prednet(target_ids, dropout_rate=self.config.dropout,
                             rng=rng, training=training)

@@ -3,8 +3,8 @@
 Everything is post-norm: LayerNorm(x + Sublayer(x)), eps 1e-6.
 
 Whole sequences are evaluated only by the Tensor modules: training records
-the tape, and everything else (the full-matrix encoder policy, dev scoring,
-the exhaustive decoding oracle) calls the same modules inside
+the tape, and everything else (decoding under an unbounded window, dev
+scoring, the exhaustive decoding oracle) calls the same modules inside
 ``autodiff.no_grad()`` and reads ``.data``. The modules take one sequence,
 (n, d_m), or a zero-padded batch, (B, n, d_m) with its ``lengths``, through
 the same code: linear layers act on the last axis, and all heads of an
@@ -111,18 +111,19 @@ def pe_frequencies(d_m: int) -> np.ndarray:
     return np.power(10000.0, -np.arange(0, d_m, 2, dtype=np.float64) / d_m)
 
 
-def positional_encoding(length: int, d_m: int, start: int = 0, freqs=None) -> np.ndarray:
-    """Sine/cosine position table for positions start .. start+length-1.
+def positional_encoding(positions, d_m: int, freqs=None) -> np.ndarray:
+    """Sine/cosine position table, one row per entry of ``positions``.
 
     Column 2i is sin(pos / 10000^(2i/d_m)), column 2i+1 the matching cos.
-    ``start`` lets a sequence slice keep its global positions. ``freqs``,
-    :func:`pe_frequencies` of d_m, saves recomputing them on every call.
+    A whole sequence reads ``np.arange(n)``; a row step reads its one global
+    position. ``freqs``, :func:`pe_frequencies` of d_m, saves recomputing
+    them on every call.
     """
-    if length < 1:
-        raise ValueError("positional encoding needs length >= 1")
-    angle = np.arange(start, start + length, dtype=np.float64)[:, None] * (
-        pe_frequencies(d_m) if freqs is None else freqs)
-    pe = np.empty((length, d_m))
+    pos = np.asarray(positions, dtype=np.float64)
+    if pos.ndim != 1 or pos.size < 1:
+        raise ValueError("positional encoding needs at least one position")
+    angle = pos[:, None] * (pe_frequencies(d_m) if freqs is None else freqs)
+    pe = np.empty((pos.size, d_m))
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle)
     return pe
@@ -245,9 +246,10 @@ class SABlock:
 class Encoder:
     """Feature-side stack: linear projection + positional encoding + B blocks.
 
-    Every block applies the same chunk window. ``start`` pins positional
-    encodings to global frame indices so slice-wise evaluation matches the
-    full pass.
+    Every block applies the encoder's one window, ``chunk``: the window the
+    model was trained with, and the one every decode path reads. A bounded
+    window decodes through :class:`IncrementalEncoder`, an unbounded one
+    through :meth:`apply_np`; to decode with another window, set ``chunk``.
     """
 
     def __init__(self, d_in: int, d_m: int, n_heads: int, d_ff: int,
@@ -263,9 +265,8 @@ class Encoder:
         for b in self.blocks:
             self.params.update(b.params)
 
-    def __call__(self, feats: Tensor, chunk: ChunkSpec = None, start: int = 0,
-                 dropout_rate: float = 0.0, rng=None, training: bool = False,
-                 lengths=None) -> Tensor:
+    def __call__(self, feats: Tensor, dropout_rate: float = 0.0, rng=None,
+                 training: bool = False, lengths=None) -> Tensor:
         """(T, d_in) -> (T, d_m), or a zero-padded batch (B, T_max, d_in) ->
         (B, T_max, d_m) whose sequence b holds ``lengths[b]`` frames.
 
@@ -278,19 +279,18 @@ class Encoder:
                                 f"(B, T, {self.d_in}), got {feats.shape}")
         if feats.shape[-1] != self.d_in:
             raise ad.ShapeError(f"encoder expects width {self.d_in}, got {feats.shape}")
-        chunk = chunk if chunk is not None else self.chunk
-        T = feats.shape[-2]
+        pe = positional_encoding(np.arange(feats.shape[-2]), self.d_m, self.pe_freqs)
         x = ad.add(ad.matmul(feats, self.params["enc.in.w"]), self.params["enc.in.b"])
-        x = ad.add(x, Tensor(positional_encoding(T, self.d_m, start, self.pe_freqs).astype(x.dtype)))
+        x = ad.add(x, Tensor(pe.astype(x.dtype)))
         x = ad.dropout(x, dropout_rate, rng, training)
         for block in self.blocks:
-            x = block(x, chunk, lengths, dropout_rate, rng, training)
+            x = block(x, self.chunk, lengths, dropout_rate, rng, training)
         return x
 
-    def apply_np(self, feats: np.ndarray, chunk: ChunkSpec = None, start: int = 0) -> np.ndarray:
+    def apply_np(self, feats: np.ndarray) -> np.ndarray:
         """Evaluation-mode output over the whole matrix, recording nothing."""
         with ad.no_grad():
-            return self(Tensor(feats), chunk, start).data
+            return self(Tensor(feats)).data
 
 
 class IncrementalEncoder:
@@ -305,11 +305,12 @@ class IncrementalEncoder:
     ``right`` rows, whose windows the end of the sequence clips. Output row t
     of the top block is therefore final once stacked row t + B*right has been
     pushed, and callers that push the same rows get the same bits. Rows agree
-    with the whole-matrix :meth:`Encoder.apply_np` to rounding.
+    with the whole-matrix :meth:`Encoder.apply_np` to rounding. The window
+    is the encoder's ``chunk``.
     """
 
-    def __init__(self, encoder: Encoder, chunk: ChunkSpec = None):
-        chunk = chunk if chunk is not None else encoder.chunk
+    def __init__(self, encoder: Encoder):
+        chunk = encoder.chunk
         if not chunk.bounded:
             raise ValueError("incremental encoding needs a bounded chunk window")
         self.left, self.right = int(chunk.left), int(chunk.right)
@@ -326,7 +327,7 @@ class IncrementalEncoder:
         """Feed the next stacked row; returns the output rows it made final
         (at most one)."""
         x = stacked_row @ self._w_in + self._b_in
-        x = x + positional_encoding(1, self.d_m, self._entered[0], self._pe_freqs)[0]
+        x = x + positional_encoding([self._entered[0]], self.d_m, self._pe_freqs)[0]
         return self._enter(0, x)
 
     def finish(self) -> list:
@@ -391,7 +392,8 @@ class PredictionNetwork:
         ids = _label_ids(labels)
         n = ids.shape[-1]
         x = ad.scale(ad.index_rows(self.params["pred.emb"], ids), math.sqrt(self.d_m))
-        x = ad.add(x, Tensor(positional_encoding(n, self.d_m, 0, self.pe_freqs).astype(x.dtype)))
+        x = ad.add(x, Tensor(positional_encoding(np.arange(n), self.d_m,
+                                                 self.pe_freqs).astype(x.dtype)))
         x = ad.dropout(x, dropout_rate, rng, training)
         for block in self.blocks:
             x = block(x, CAUSAL, None, dropout_rate, rng, training)
@@ -410,7 +412,7 @@ class PredictionNetwork:
         """
         tok = SOS if token is None else int(token)
         x = self.params["pred.emb"].data[tok] * math.sqrt(self.d_m)
-        x = (x + positional_encoding(1, self.d_m, state.length, self.pe_freqs)[0])[None, :]
+        x = (x + positional_encoding([state.length], self.d_m, self.pe_freqs)[0])[None, :]
         layers, d = [], self.d_m
         for block, cache in zip(self.blocks, state.layers):
             kv = np.concatenate(block.attn.kv_np(x), axis=1)

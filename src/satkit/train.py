@@ -31,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from . import checkpoint as ckpt
 from .data import make_batches
-from .decode import corpus_cer, greedy_decode
+from .decode import corpus_cer, greedy_steps
 from .model import SATModel
 from .optim import NoamWarmup, SGDMomentum
 from .pathreg import ParConfig, _regularized, build_path
@@ -67,6 +67,11 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        self.par()  # the regularizer's own check of beta
+
+    def par(self) -> ParConfig:
+        return ParConfig(beta=self.beta, detach_weight=self.detach_weight,
+                         labels_only=self.labels_only)
 
 
 class Trainer:
@@ -89,9 +94,7 @@ class Trainer:
         self.dev = [make_batches([u], vocab, 1, left=mc.stack_left,
                                  right=mc.stack_right, factor=mc.factor)[0]
                     for u in dev_utts]
-        self.par_cfg = ParConfig(beta=self.cfg.beta,
-                                 detach_weight=self.cfg.detach_weight,
-                                 labels_only=self.cfg.labels_only)
+        self.par_cfg = self.cfg.par()
         self.paths = None
         if self.cfg.beta > 0.0:
             self.paths = []
@@ -167,18 +170,17 @@ class Trainer:
     def evaluate(self) -> float:
         """Corpus CER of greedy decoding over the dev set.
 
-        Runs the whole-sequence encoder path; bounded windows mask to the
-        same receptive field there, so only reduction order differs from
-        the per-frame decode path.
+        Encodes each utterance in one whole-matrix pass, whatever the
+        window; a bounded window masks to the same receptive field there,
+        so only reduction order differs from the row-by-row decode path.
         """
         refs = []
         hyps = []
         for batch in self.dev:
             t_len = int(batch.feat_lengths[0])
-            labels = greedy_decode(self.model, batch.feats[0, :t_len],
-                                   frame_exact=False)
+            rows = self.model.encoder.apply_np(batch.feats[0, :t_len])
             refs.append(batch.targets[0])
-            hyps.append(labels)
+            hyps.append([k for _, k in greedy_steps(self.model, rows, max_symbols=10)])
         return corpus_cer(refs, hyps)
 
     def run_epoch(self) -> dict:

@@ -83,6 +83,18 @@ def test_train_rejects_a_non_finite_beta(tmp_path, data_dir, capsys):
         assert "finite and non-negative" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--beta", "nan"), ("--epochs", "0")])
+def test_rejected_train_config_leaves_no_directory(tmp_path, data_dir, capsys,
+                                                   flag, value):
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(data_dir), "--out", str(out),
+                 *MODEL_FLAGS, "--epochs", "1", flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_train_rejects_an_empty_split(tmp_path, capsys):
     for split in ("train", "dev"):
         data = tmp_path / f"no-{split}"

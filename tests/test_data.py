@@ -102,11 +102,13 @@ def test_normalize_per_speaker_pools_within_speaker():
     np.testing.assert_allclose(utts[2].feats.mean(axis=0), 0.0, atol=1e-5)
 
 
-def test_normalize_utt2spk_override_and_bad_scope():
+def test_normalize_shared_speaker_and_bad_scope():
+    # load_dataset folds utt2spk into Utterance.speaker: utterances that
+    # share a speaker pool their statistics
     rng = np.random.default_rng(2)
-    utts = [_utt("u1", rng.normal(loc=4, size=(25, 2)), "x"),
-            _utt("u2", rng.normal(loc=-4, size=(25, 2)), "y")]
-    normalize_dataset(utts, scope="per-speaker", utt2spk={"u1": "z", "u2": "z"})
+    utts = [_utt("u1", rng.normal(loc=4, size=(25, 2)), "z"),
+            _utt("u2", rng.normal(loc=-4, size=(25, 2)), "z")]
+    normalize_dataset(utts, scope="per-speaker")
     pooled = np.concatenate([u.feats for u in utts])
     np.testing.assert_allclose(pooled.mean(axis=0), 0.0, atol=1e-5)
     with pytest.raises(ValueError):
@@ -263,12 +265,3 @@ def test_make_batches_padding_and_mask():
             assert b.alignments[i] is not None
     # sorted by stacked length across the batch stream
     assert lengths == sorted(lengths)
-
-
-def test_make_batches_unsorted_keeps_order():
-    spec = TaskSpec(vocab_size=5, feature_dim=4, seed=17)
-    vocab = spec.vocab()
-    utts = generate_split(spec, 5, "train")
-    batches = make_batches(utts, vocab, batch_size=2, sort_by_length=False)
-    flat = [uid for b in batches for uid in b.utt_ids]
-    assert flat == [u.utt_id for u in utts]

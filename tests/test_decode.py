@@ -198,7 +198,7 @@ def _reference_beam(model, stacked, lm=None, vocab=None, cfg=None):
     oracle: one log-prob row, K label expansions, one ``lm.score`` per
     (hypothesis, label) and one ``advance_np`` per surviving expansion."""
     cfg = cfg or DecodeConfig()
-    rows = list(_encoder_rows(model, stacked, cfg.chunk))
+    rows = list(_encoder_rows(model, stacked))
     scorer = _JointScorer(model)
     width = cfg.beam_width
 
@@ -457,8 +457,7 @@ def test_streaming_beam_matches_offline_bitwise(caplog):
             offline = beam_decode(model, stack_downsample(raw, 3, 1, 3),
                                   lm=fused, vocab=vocab, cfg=cfg)
             streamed = beam_decode(model, stacked_stream(model, iter(raw)),
-                                   lm=fused, vocab=vocab, cfg=cfg,
-                                   frame_exact=True)
+                                   lm=fused, vocab=vocab, cfg=cfg)
             assert offline and _bits(streamed) == _bits(offline), (seed, width)
 
 
@@ -535,27 +534,38 @@ def test_stream_decode_empty_and_validation():
 
 
 def test_frame_exact_requires_bounded_window():
+    # the window alone picks the encoder path: under an unbounded window a
+    # matrix decodes in one whole-matrix pass, and a stream, which could only
+    # be encoded row by row, is refused
     model = tiny_model(seed=0)
     x = random_stacked(model, t_len=4, seed=3)
-    with pytest.raises(ValueError):
-        greedy_decode(model, x, frame_exact=True)
+    with pytest.raises(ValueError, match="needs a bounded chunk window"):
+        greedy_decode(model, iter(x))
     # matrix path still fine
-    assert isinstance(greedy_decode(model, x, frame_exact=False), list)
+    rows = np.stack(list(_encoder_rows(model, x)))
+    assert np.array_equal(rows, model.encoder.apply_np(x))
+    assert isinstance(greedy_decode(model, x), list)
+    assert beam_decode(model, x)
 
 
 def test_streams_need_a_bounded_window_and_frame_exact():
+    # every stream raises under an unbounded window; under a bounded one a
+    # matrix and the same rows as a stream give the same bits, because both
+    # go through the incremental encoder
     unbounded = tiny_model(seed=0)
-    x = random_stacked(unbounded, t_len=4, seed=3)
+    x = random_stacked(unbounded, t_len=6, seed=3)
     raw = np.random.default_rng(4).normal(size=(12, unbounded.config.feature_dim))
     calls = [lambda: greedy_decode(unbounded, iter(x)),
              lambda: beam_decode(unbounded, stacked_stream(unbounded, iter(raw))),
-             lambda: greedy_decode(tiny_model(seed=0, left=2, right=1), iter(x),
-                                   frame_exact=False)]
+             lambda: list(stream_decode(unbounded, iter(raw)))]
     for call in calls:
-        with pytest.raises(ValueError, match="bounded window and frame_exact=True"):
+        with pytest.raises(ValueError, match="needs a bounded chunk window"):
             call()
     bounded = tiny_model(seed=0, left=2, right=1)
+    matrix = np.stack(list(_encoder_rows(bounded, x)))
+    assert np.array_equal(np.stack(list(_encoder_rows(bounded, iter(x)))), matrix)
     assert greedy_decode(bounded, iter(x)) == greedy_decode(bounded, x)
+    assert _bits(beam_decode(bounded, iter(x))) == _bits(beam_decode(bounded, x))
 
 
 def test_decode_chunk_override_changes_rows():
@@ -564,5 +574,6 @@ def test_decode_chunk_override_changes_rows():
     model = tiny_model(seed=5, left=2, right=1)
     x = random_stacked(model, t_len=8, seed=9)
     base = greedy_trace(model, x)[2]
-    wider = greedy_trace(model, x, chunk=ChunkSpec(4, 2))[2]
+    model.encoder.chunk = ChunkSpec(4, 2)
+    wider = greedy_trace(model, x)[2]
     assert any(not np.array_equal(a[2], b[2]) for a, b in zip(base, wider))

@@ -124,7 +124,7 @@ def test_causal_mask():
 
 def test_positional_encoding_closed_form():
     d_m = 8
-    pe = positional_encoding(5, d_m)
+    pe = positional_encoding(np.arange(5), d_m)
     for pos in (0, 3):
         for i in range(d_m // 2):
             angle = pos / 10000.0 ** (2 * i / d_m)
@@ -133,8 +133,8 @@ def test_positional_encoding_closed_form():
 
 
 def test_positional_encoding_start_offset_is_exact():
-    full = positional_encoding(20, 6)
-    part = positional_encoding(5, 6, start=11)
+    full = positional_encoding(np.arange(20), 6)
+    part = positional_encoding(np.arange(11, 16), 6)
     np.testing.assert_array_equal(part, full[11:16])
 
 
@@ -155,15 +155,18 @@ def test_positional_encoding_rows_keep_their_bits():
     for freqs in (enc.pe_freqs, net.pe_freqs, None):
         for start in (0, 1, 12_000):
             for length in (1, 5):
-                np.testing.assert_array_equal(positional_encoding(length, 16, start, freqs),
+                positions = np.arange(start, start + length)
+                np.testing.assert_array_equal(positional_encoding(positions, 16, freqs),
                                               per_call(length, 16, start))
 
 
 def test_positional_encoding_errors():
     with pytest.raises(ValueError):
-        positional_encoding(4, 7)
+        positional_encoding(np.arange(4), 7)
     with pytest.raises(ValueError):
-        positional_encoding(0, 8)
+        positional_encoding(np.arange(0), 8)
+    with pytest.raises(ValueError):
+        positional_encoding(3, 8)  # a count, not positions
 
 
 def test_self_attention_uniform_and_masked():
@@ -393,9 +396,8 @@ def test_encoder_tape_np_parity():
     enc = Encoder(6, 8, 2, 16, 2, ChunkSpec(2, 1), rng)
     feats = rng.standard_normal((7, 6))
     assert np.array_equal(enc.apply_np(feats), enc(Tensor(feats)).data)
-    wide = ChunkSpec(3, 0)
-    assert np.array_equal(enc.apply_np(feats, wide, start=4),
-                          enc(Tensor(feats), wide, start=4).data)
+    enc.chunk = ChunkSpec(3, 0)
+    assert np.array_equal(enc.apply_np(feats), enc(Tensor(feats)).data)
 
 
 def test_encoder_windowed_locality_is_exact():
@@ -419,9 +421,9 @@ def test_encoder_windowed_locality_is_exact():
     assert not np.array_equal(enc.apply_np(inside)[t], base[t])
 
 
-def encode_incrementally(enc, feats, chunk=None):
+def encode_incrementally(enc, feats):
     """Every output row of ``feats`` through an IncrementalEncoder."""
-    inc = IncrementalEncoder(enc, chunk)
+    inc = IncrementalEncoder(enc)
     rows = []
     for x in feats:
         rows += inc.push(x)
@@ -439,8 +441,9 @@ def test_incremental_encoder_matches_matrix_path():
     rows = encode_incrementally(enc, feats)
     for t in (0, 5, 11):
         np.testing.assert_allclose(rows[t], full[t], atol=1e-9)
+    enc.chunk = ChunkSpec.unbounded()
     with pytest.raises(ValueError):
-        IncrementalEncoder(enc, ChunkSpec.unbounded())
+        IncrementalEncoder(enc)
 
 
 def test_incremental_encoder_ignores_frames_outside_field():
@@ -550,6 +553,6 @@ def test_prediction_embeddings_are_scaled():
     rng = np.random.default_rng(16)
     net = PredictionNetwork(9, 16, 2, 16, 0, rng)
     out = net([]).data
-    want = net.params["pred.emb"].data[1] * 4.0 + positional_encoding(1, 16)[0]
+    want = net.params["pred.emb"].data[1] * 4.0 + positional_encoding([0], 16)[0]
     np.testing.assert_allclose(out[0], want, atol=1e-15)
     np.testing.assert_allclose(net.init_state().g, want, atol=1e-15)

@@ -40,6 +40,37 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        TrainConfig(beta=float("nan"))
+
+
+def test_dev_scoring_encodes_whole_matrices(monkeypatch):
+    # under a bounded window too, evaluate() encodes each dev utterance in
+    # one whole-matrix pass and runs greedy search over those rows; it never
+    # builds the row-by-row encoder that decoding uses
+    import satkit.decode
+    from satkit.decode import corpus_cer, greedy_decode, greedy_steps
+
+    vocab, tr_utts, dev_utts = toy_setup(n_dev=6)
+    model = toy_model(vocab, seed=3, window=("2", "1"), n_enc_blocks=2)
+    trainer = Trainer(model, vocab, tr_utts, dev_utts,
+                      TrainConfig(epochs=2, batch_size=4, lr=0.05))
+    trainer.run()
+    refs, hyps = [], []
+    for batch in trainer.dev:
+        rows = model.encoder.apply_np(batch.feats[0, :batch.feat_lengths[0]])
+        refs.append(batch.targets[0])
+        hyps.append([k for _, k in greedy_steps(model, rows, max_symbols=10)])
+    want = corpus_cer(refs, hyps)
+
+    def refuse(_encoder):
+        raise AssertionError("dev scoring built an IncrementalEncoder")
+
+    monkeypatch.setattr(satkit.decode, "IncrementalEncoder", refuse)
+    with pytest.raises(AssertionError):
+        greedy_decode(model, trainer.dev[0].feats[0])
+    assert trainer.evaluate() == want
+    assert trainer.history[-1]["dev_cer"] == want
 
 
 def test_loss_decreases_and_history_shape():

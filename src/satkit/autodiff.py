@@ -15,10 +15,12 @@ Shapes are strict: each primitive documents the exact shapes it accepts
 naming the primitive and both shapes.
 
 The module keeps only what the model and the losses call: matrix products,
-elementwise add/mul/scale/relu, a row gather, layer norm, a sum, dropout and
-the fused joint and attention ops. A layer with a closed-form gradient,
-like the lattice loss, records itself through :func:`op_result` as one node
-with a hand-written vector-Jacobian product.
+elementwise add/mul/scale, a row gather, a sum, dropout and the fused ops:
+attention, the feed-forward sublayer, the residual add with its layer norm,
+and the joint. A layer with a closed-form gradient, like the lattice loss,
+records itself through :func:`op_result` as one node with a hand-written
+vector-Jacobian product. :class:`ParamArena` lays a model's parameters out
+in one array, so that an optimizer updates them all at once.
 
 64-bit floats are the default; 32-bit tensors can be created explicitly and
 ops preserve the operand dtype (mixing dtypes is an error).
@@ -239,6 +241,52 @@ def zero_grads(params) -> None:
         p.zero_grad()
 
 
+# float64 elements per 64-byte cache line: every arena slot starts on one.
+_LINE = 8
+
+
+class ParamArena:
+    """Every parameter's ``data`` and ``grad`` as views into two contiguous
+    float64 arrays, ``data`` and ``grad``.
+
+    Slots follow sorted-name order and each starts on a 64-byte boundary;
+    the padding between them is zero and stays zero, since no op writes
+    there. Building the arena copies each parameter's values into its slot
+    and rebinds ``p.data`` and ``p.grad`` to the views, so whole-model
+    updates can run over one array. Code that keeps the arena must write
+    into the views (``p.data[...] = ...``), never rebind them.
+    """
+
+    def __init__(self, params: dict):
+        self.shapes, self.slots, n = {}, {}, 0
+        for name in sorted(params):
+            p = params[name]
+            if p.dtype != np.float64 or not p.requires_grad:
+                raise ValueError(f"arena: {name!r} is not a trainable float64 parameter")
+            self.shapes[name] = p.shape
+            self.slots[name] = slice(n, n + p.data.size)
+            n += -(-p.data.size // _LINE) * _LINE
+        self.size = n
+        self.data, self.grad = self.zeros(), self.zeros()
+        data, grad = self.views(self.data), self.views(self.grad)
+        for name, p in params.items():
+            data[name][...] = p.data
+            if p.grad is not None:
+                grad[name][...] = p.grad
+            p.data, p.grad = data[name], grad[name]
+
+    def zeros(self) -> np.ndarray:
+        """A zeroed flat float64 array laid out like the arena, starting on a
+        64-byte boundary: optimizer state that updates with the arena."""
+        buf = np.zeros(self.size + _LINE)
+        start = (-buf.ctypes.data % 64) // buf.itemsize
+        return buf[start:start + self.size]
+
+    def views(self, flat: np.ndarray) -> dict:
+        """name -> the slot of ``flat`` shaped like that parameter."""
+        return {name: flat[s].reshape(self.shapes[name]) for name, s in self.slots.items()}
+
+
 def op_result(data, parents, vjp) -> Tensor:
     """Record a composite op with a hand-written vector-Jacobian product.
 
@@ -346,16 +394,6 @@ def scale(x: Tensor, alpha: float) -> Tensor:
 
     def vjp(g):
         return (g * alpha,)
-
-    return _result(out, (x,), vjp)
-
-
-def relu(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    out = np.maximum(x.data, 0.0)
-
-    def vjp(g):
-        return (g * (out > 0.0),)  # out > 0 exactly where x > 0
 
     return _result(out, (x,), vjp)
 
@@ -670,38 +708,87 @@ def mean_lastdim(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x, -1, keepdims=True) / x.shape[-1]
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize the final axis to zero mean / unit variance, then apply
-    learned gain and bias (both 1-D of the final extent)."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    _same_dtype("layer_norm", x, gain, bias)
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """The feed-forward sublayer as one op: ``max(0, x @ w1 + b1) @ w2 + b2``.
+
+    ``x`` is (..., d), ``w1`` (d, f), ``b1`` (f,), ``w2`` (f, m) and ``b2``
+    (m,); the result is (..., m). Both products act on the flattened rows,
+    and the bias adds and the relu run in place on the product they follow,
+    so the forward pass allocates only the hidden rows and the result. The
+    vjp keeps the inputs and the hidden rows, as the five ops it replaces
+    did, and computes their cotangents with the same arithmetic.
+    """
+    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    _same_dtype("ffn", x, w1, b1, w2, b2)
+    if (x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != w1.shape[0]
+            or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1]
+            or b2.shape != w2.shape[1:]):
+        raise ShapeError(f"ffn: expects (..., d), (d, f), (f,), (f, m) and (m,), got "
+                         f"{x.shape}, {w1.shape}, {b1.shape}, {w2.shape} and {b2.shape}")
+    (d, f), m = w1.shape, w2.shape[1]
+    x_shape, h_shape = x.shape, x.shape[:-1] + (f,)
+    h = x.data.reshape(-1, d) @ w1.data
+    h += b1.data
+    np.maximum(h, 0.0, out=h)
+    out = h @ w2.data
+    out += b2.data
+    need_x, need_w1, need_b1, need_w2, need_b2 = (
+        _needs_grad(t) for t in (x, w1, b1, w2, b2))
+    x_data = x.data if need_w1 else None
+    w1_data, w2_data = w1.data, w2.data
+
+    def vjp(g):
+        gb2 = _reduce_to(g, (m,)) if need_b2 else None
+        g = g.reshape(-1, m)
+        gw2 = h.T @ g if need_w2 else None
+        gx = gw1 = gb1 = None
+        if need_x or need_w1 or need_b1:
+            gh = g @ w2_data.T
+            gh *= h > 0.0
+            if need_b1:
+                gb1 = _reduce_to(gh.reshape(h_shape), (f,))
+            if need_x:
+                gx = (gh @ w1_data.T).reshape(x_shape)
+            if need_w1:
+                gw1 = x_data.reshape(-1, d).T @ gh
+        return gx, gw1, gb1, gw2, gb2
+
+    return _result(out.reshape(x_shape[:-1] + (m,)), (x, w1, b1, w2, b2), vjp)
+
+
+def add_layer_norm(x: Tensor, a: Tensor, gain: Tensor, bias: Tensor,
+                   eps: float = 1e-6) -> Tensor:
+    """A residual add and a layer norm as one op: the final axis of ``x + a``
+    normalized to zero mean / unit variance, then scaled by ``gain`` and
+    shifted by ``bias`` (both 1-D of the final extent). ``x`` and ``a`` have
+    equal shapes; both receive the cotangent of the sum."""
+    x, a, gain, bias = (_as_tensor(t) for t in (x, a, gain, bias))
+    _same_dtype("add_layer_norm", x, a, gain, bias)
     d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(
-            f"layer_norm: gain/bias must be ({d},), got {gain.shape} and {bias.shape}"
-        )
-    xc = x.data - mean_lastdim(x.data)
+    if a.shape != x.shape or gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(f"add_layer_norm: expects equal x and a and ({d},) gain and "
+                         f"bias, got {x.shape}, {a.shape}, {gain.shape} and {bias.shape}")
+    xc = x.data + a.data
+    xc -= mean_lastdim(xc)
     inv = 1.0 / np.sqrt(mean_lastdim(xc * xc) + eps)
     out = xc * inv
     out *= gain.data
     out += bias.data
-    gain_data, gain_shape, bias_shape = gain.data, gain.shape, bias.shape
-    need_x, need_gain, need_bias = _needs_grad(x), _needs_grad(gain), _needs_grad(bias)
+    gain_data = gain.data
+    need_x, need_a, need_gain, need_bias = (_needs_grad(t) for t in (x, a, gain, bias))
 
     def vjp(g):
         gx = None
-        if need_x:
+        if need_x or need_a:
             dxhat = g * gain_data
             dvar = (dxhat * xc).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
-            dmu = (-dxhat * inv).sum(axis=-1, keepdims=True) + dvar * (-2.0 * xc).mean(
-                axis=-1, keepdims=True
-            )
+            dmu = (-dxhat * inv).sum(axis=-1, keepdims=True) + dvar * mean_lastdim(-2.0 * xc)
             gx = dxhat * inv + dvar * 2.0 * xc / d + dmu / d
-        ggain = _reduce_to(g * (xc * inv), gain_shape) if need_gain else None
-        gbias = _reduce_to(g, bias_shape) if need_bias else None
-        return gx, ggain, gbias
+        ggain = _reduce_to(g * (xc * inv), (d,)) if need_gain else None
+        gbias = _reduce_to(g, (d,)) if need_bias else None
+        return gx if need_x else None, gx if need_a else None, ggain, gbias
 
-    return _result(out, (x, gain, bias), vjp)
+    return _result(out, (x, a, gain, bias), vjp)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -73,7 +73,10 @@ def load_checkpoint(path):
 
 
 def restore_params(params: dict, arrays: dict) -> None:
-    """Copy checkpoint arrays into live parameter tensors, validating shape."""
+    """Copy checkpoint arrays into live parameter tensors, validating shape.
+
+    Values are written into each parameter's existing array, so parameters
+    that live in an optimizer's arena stay there."""
     for name, p in params.items():
         if name not in arrays:
             raise KeyError(f"checkpoint is missing parameter {name!r}")
@@ -82,7 +85,7 @@ def restore_params(params: dict, arrays: dict) -> None:
             raise ValueError(
                 f"parameter {name!r}: checkpoint shape {arr.shape} "
                 f"conflicts with model shape {p.data.shape}")
-        p.data = arr.astype(p.data.dtype, copy=True)
+        p.data[...] = arr
 
 
 def rng_state_to_meta(rng: np.random.Generator) -> dict:

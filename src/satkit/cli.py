@@ -92,11 +92,15 @@ def cmd_train(args) -> int:
     for split, utts in (("train", train_utts), ("dev", dev_utts)):
         if not utts:
             raise ValueError(f"the {split} split of {args.data} has no utterances")
-    if not args.resume:
-        # a rejected config must not leave an output directory behind
+    metrics = args.metrics or f"{args.out}/metrics.csv"
+    # Everything that can reject the run (config, data fit, alignments, the
+    # resume checkpoint) runs first: a rejected run leaves no directory.
+    if args.resume:
+        trainer = Trainer.resume(args.resume, vocab, train_utts, dev_utts,
+                                 metrics_path=metrics)
+    else:
         mcfg = _model_config(args)
         _check_data_fit(mcfg, vocab, train_utts)
-        model = SATModel(mcfg, seed=args.seed)
         tcfg = TrainConfig(
             epochs=args.epochs, batch_size=args.batch_size, seed=args.seed,
             optimizer=args.optimizer, lr=args.lr, momentum=args.momentum,
@@ -105,16 +109,12 @@ def cmd_train(args) -> int:
             adaptive=not args.plain_noam, beta=args.beta,
             detach_weight=not args.no_detach_weight,
             labels_only=args.labels_only, shuffle=not args.no_shuffle)
+        trainer = Trainer(SATModel(mcfg, seed=args.seed), vocab, train_utts,
+                          dev_utts, tcfg, metrics_path=metrics)
     os.makedirs(args.out, exist_ok=True)
-    metrics = args.metrics or f"{args.out}/metrics.csv"
-    run_meta = {k: v for k, v in vars(args).items() if k != "func"}
-    if args.resume:
-        trainer = Trainer.resume(args.resume, vocab, train_utts, dev_utts,
-                                 metrics_path=metrics)
-    else:
-        trainer = Trainer(model, vocab, train_utts, dev_utts, tcfg,
-                          metrics_path=metrics)
+    if not args.resume:
         trainer.model.config.save(f"{args.out}/model.config")
+    run_meta = {k: v for k, v in vars(args).items() if k != "func"}
     already = len(trainer.history)
     history = trainer.run(checkpoint_dir=args.out, run_meta=run_meta)
     for h in history[already:]:

@@ -1,6 +1,9 @@
 """Self-attention building blocks, encoder and prediction networks.
 
-Everything is post-norm: LayerNorm(x + Sublayer(x)), eps 1e-6.
+Everything is post-norm: LayerNorm(x + Sublayer(x)), eps 1e-6. On the tape,
+each residual add and its layer norm are one op,
+:func:`autodiff.add_layer_norm`, and the feed-forward sublayer is one op,
+:func:`autodiff.ffn`.
 
 Whole sequences are evaluated only by the Tensor modules: training records
 the tape, and everything else (decoding under an unbounded window, dev
@@ -197,8 +200,7 @@ class FeedForward:
 
     def __call__(self, x: Tensor) -> Tensor:
         p, pre = self.params, self._prefix
-        h = ad.relu(ad.add(ad.matmul(x, p[f"{pre}.w1"]), p[f"{pre}.b1"]))
-        return ad.add(ad.matmul(h, p[f"{pre}.w2"]), p[f"{pre}.b2"])
+        return ad.ffn(x, *(p[f"{pre}.{w}"] for w in ("w1", "b1", "w2", "b2")))
 
     def apply_np(self, x: np.ndarray) -> np.ndarray:
         p, pre = self.params, self._prefix
@@ -228,9 +230,9 @@ class SABlock:
                  dropout_rate: float = 0.0, rng=None, training: bool = False) -> Tensor:
         p, pre = self.params, self._prefix
         a = ad.dropout(self.attn(x, chunk, lengths), dropout_rate, rng, training)
-        y = ad.layer_norm(ad.add(x, a), p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"], LN_EPS)
+        y = ad.add_layer_norm(x, a, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"], LN_EPS)
         f = ad.dropout(self.ffn(y), dropout_rate, rng, training)
-        return ad.layer_norm(ad.add(y, f), p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"], LN_EPS)
+        return ad.add_layer_norm(y, f, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"], LN_EPS)
 
     def apply_kv_np(self, x_new: np.ndarray, k: np.ndarray, v: np.ndarray,
                     mask=None) -> np.ndarray:

@@ -11,7 +11,8 @@ move, ``Trainer.skipped_steps`` counts it and a warning names the utterances
 at fault.
 
 Metrics stream to a CSV with columns step,lr,transducer_loss,par_loss,
-joint_loss,dev_cer,step_seconds,frames_per_sec,grad_norm. Per-step rows leave
+joint_loss,dev_cer,step_seconds,frames_per_sec,grad_norm, whose header the
+first row writes, so building a trainer writes no file. Per-step rows leave
 dev_cer empty; step_seconds is the step's wall time, frames_per_sec the
 batch's real (unpadded) stacked frames over it, and grad_norm the L2 norm of
 all parameter gradients. Each epoch appends one summary row (epoch-mean
@@ -87,6 +88,9 @@ class Trainer:
         self.model = model
         self.vocab = vocab
         self.cfg = cfg or TrainConfig()
+        # First: the batches below reuse the memory of the parameter arrays
+        # that the optimizer's arena replaces.
+        self.optimizer = self._make_optimizer()
         mc = model.config
         self.batches = make_batches(train_utts, vocab, self.cfg.batch_size,
                                     left=mc.stack_left, right=mc.stack_right,
@@ -108,16 +112,12 @@ class Trainer:
                     rows.append(build_path(ali, batch.targets[i]))
                 self.paths.append(rows)
         self.rng = np.random.default_rng(self.cfg.seed)
-        self.optimizer = self._make_optimizer()
         self.epoch = 0
         self.global_step = 0
         self.skipped_steps = 0
         self.best_dev = None
         self.history = []
         self.metrics_path = metrics_path
-        if metrics_path is not None and not os.path.exists(metrics_path):
-            with open(metrics_path, "w", encoding="utf-8") as f:
-                f.write(METRICS_COLUMNS + "\n")
 
     def _make_optimizer(self):
         c = self.cfg
@@ -134,7 +134,10 @@ class Trainer:
             return
         fmt = lambda v: v if isinstance(v, str) else f"{v:.10g}"
         cells = [str(step)] + [fmt(v) for v in (lr, tr, pr, jn, dev, *timing)]
+        new = not os.path.exists(self.metrics_path)
         with open(self.metrics_path, "a", encoding="utf-8") as f:
+            if new:
+                f.write(METRICS_COLUMNS + "\n")
             f.write(",".join(cells) + "\n")
 
     def train_batch(self, batch, paths=None):
@@ -148,7 +151,7 @@ class Trainer:
                                          rng=self.rng, lengths=batch.feat_lengths)
         per_utt, base, reg = _regularized(lat, paths, self.par_cfg, validate=False)
         mean = ad.scale(ad.sum_all(per_utt), 1.0 / n)
-        ad.zero_grads(self.model.params)
+        self.optimizer.zero_grad()
         mean.backward()
         grad_norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad))
                                   for p in self.model.params.values()))

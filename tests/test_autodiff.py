@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from satkit import autodiff as ad
 from satkit.autodiff import GraphError, ShapeError, Tensor
-from unfused import (broadcast_add, concat, exp, log_softmax_lastdim, logsumexp_lastdim,
-                     reshape, slice_axis, softmax_lastdim, tanh)
+import unfused
+from unfused import (broadcast_add, concat, exp, layer_norm, log_softmax_lastdim,
+                     logsumexp_lastdim, relu, reshape, slice_axis, softmax_lastdim, tanh)
 from unfused import joint_log_softmax as unfused_joint
 
 
@@ -109,7 +110,7 @@ def test_scale_relu_tanh_exp_log_fd():
              lambda x: (-2.5 * x).sum(), rand(4, 3))
     x = rand(4, 3)
     x[np.abs(x) < 0.1] += 0.2  # stay away from the relu kink
-    check_fd(lambda t: ad.sum_all(ad.relu(t)),
+    check_fd(lambda t: ad.sum_all(relu(t)),
              lambda v: np.maximum(v, 0.0).sum(), x)
     check_fd(lambda t: ad.sum_all(tanh(t)),
              lambda v: np.tanh(v).sum(), rand(4, 3))
@@ -352,20 +353,123 @@ def _ln_np(x, gain, bias, eps=1e-6):
 
 def test_layer_norm_fd_all_inputs():
     gain, bias = rand(5), rand(5)
-    check_fd(_weighted(lambda t: ad.layer_norm(t, Tensor(gain), Tensor(bias))),
+    check_fd(_weighted(lambda t: layer_norm(t, Tensor(gain), Tensor(bias))),
              _weighted_np(lambda x: _ln_np(x, gain, bias)), rand(4, 5))
     x = rand(4, 5)
-    check_fd(_weighted(lambda t: ad.layer_norm(Tensor(x), t, Tensor(bias))),
+    check_fd(_weighted(lambda t: layer_norm(Tensor(x), t, Tensor(bias))),
              _weighted_np(lambda g: _ln_np(x, g, bias)), rand(5))
-    check_fd(_weighted(lambda t: ad.layer_norm(Tensor(x), Tensor(gain), t)),
+    check_fd(_weighted(lambda t: layer_norm(Tensor(x), Tensor(gain), t)),
              _weighted_np(lambda b: _ln_np(x, gain, b)), rand(5))
 
 
 def test_layer_norm_output_moments():
     x = Tensor(rand(6, 8))
-    out = ad.layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8))).data
+    out = layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8))).data
     np.testing.assert_allclose(out.mean(-1), 0.0, atol=1e-12)
     np.testing.assert_allclose(out.std(-1), 1.0, atol=1e-3)
+
+
+def _fused_inputs(seed, lead, sizes):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-1.0, 1.0, size=lead + sizes[0]), [
+        rng.uniform(-1.0, 1.0, size=s) for s in sizes[1:]]
+
+
+def _assert_fused_matches_unfused(fused, composed, x, args, frozen=()):
+    """Forward bit for bit, gradients of every tracked input to 1e-12."""
+    weights = None
+    runs = []
+    for op in (fused, composed):
+        ts = [Tensor(a.copy(), requires_grad=i not in frozen) for i, a in enumerate([x] + args)]
+        out = op(*ts)
+        if weights is None:
+            weights = np.random.default_rng(3).standard_normal(out.shape)
+        ad.sum_all(ad.mul(out, Tensor(weights))).backward()
+        runs.append((out.data, [t.grad if t.requires_grad else None for t in ts]))
+    (out, grads), (want_out, want_grads) = runs
+    np.testing.assert_array_equal(out, want_out)
+    for i, (a, b) in enumerate(zip(grads, want_grads)):
+        if b is None:
+            continue
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max(), err_msg=str(i))
+
+
+FFN_SIZES = [(6,), (6, 10), (10,), (10, 5), (5,)]
+
+
+@pytest.mark.parametrize("lead", [(7,), (3, 4)])
+def test_ffn_matches_unfused_composition(lead):
+    x, args = _fused_inputs(11, lead, FFN_SIZES)
+    _assert_fused_matches_unfused(ad.ffn, unfused.ffn, x, args)
+    # a constant input or weight gets no gradient, the others theirs
+    _assert_fused_matches_unfused(ad.ffn, unfused.ffn, x, args, frozen=(0, 3))
+    with ad.no_grad():
+        np.testing.assert_array_equal(ad.ffn(Tensor(x), *map(Tensor, args)).data,
+                                      unfused.ffn(Tensor(x), *map(Tensor, args)).data)
+
+
+@pytest.mark.parametrize("lead", [(4,), (2, 3)])
+def test_ffn_fd(lead):
+    x, args = _fused_inputs(13, lead, [(3,), (3, 4), (4,), (4, 2), (2,)])
+    inputs = [x] + args
+    pre = x.reshape(-1, 3) @ args[0] + args[1]
+    assert np.abs(pre).min() > 1e-4  # finite differences stay off the relu kink
+
+    def np_ffn(x, w1, b1, w2, b2):
+        return np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
+
+    for i in range(5):
+        def build(t, i=i):
+            return ad.ffn(*[t if j == i else Tensor(a) for j, a in enumerate(inputs)])
+
+        def f(v, i=i):
+            return np_ffn(*[v if j == i else a for j, a in enumerate(inputs)])
+
+        check_fd(_weighted(build), _weighted_np(f), inputs[i].copy())
+
+
+LN_SIZES = [(6,), (6,), (6,)]
+
+
+def _add_ln(x, a, gain, bias):
+    return ad.add_layer_norm(x, a, gain, bias, 1e-6)
+
+
+@pytest.mark.parametrize("lead", [(5,), (2, 4)])
+def test_add_layer_norm_matches_unfused_composition(lead):
+    x, (gain, bias) = _fused_inputs(17, lead, LN_SIZES)
+    a = np.random.default_rng(19).uniform(-1.0, 1.0, size=x.shape)
+    _assert_fused_matches_unfused(_add_ln, unfused.add_layer_norm, x, [a, gain, bias])
+    _assert_fused_matches_unfused(_add_ln, unfused.add_layer_norm, x, [a, gain, bias],
+                                  frozen=(1, 2))
+
+
+@pytest.mark.parametrize("lead", [(4,), (2, 3)])
+def test_add_layer_norm_fd(lead):
+    x, (gain, bias) = _fused_inputs(23, lead, [(5,), (5,), (5,)])
+    a = np.random.default_rng(29).uniform(-1.0, 1.0, size=x.shape)
+    inputs = [x, a, gain, bias]
+    for i in range(4):
+        def build(t, i=i):
+            return _add_ln(*[t if j == i else Tensor(v) for j, v in enumerate(inputs)])
+
+        def f(v, i=i):
+            xs, av, g, b = [v if j == i else w for j, w in enumerate(inputs)]
+            return _ln_np(xs + av, g, b)
+
+        check_fd(_weighted(build), _weighted_np(f), inputs[i].copy())
+
+
+def test_fused_sublayer_shape_errors():
+    x, args = _fused_inputs(31, (4,), FFN_SIZES)
+    with pytest.raises(ShapeError):
+        ad.ffn(Tensor(x[:, :5]), *map(Tensor, args))
+    with pytest.raises(ShapeError):
+        ad.ffn(Tensor(x), *map(Tensor, args[:3]), Tensor(np.zeros(4)))
+    with pytest.raises(ShapeError):
+        ad.add_layer_norm(Tensor(x), Tensor(x[:3]), Tensor(np.ones(6)), Tensor(np.zeros(6)))
+    with pytest.raises(ShapeError):
+        ad.add_layer_norm(Tensor(x), Tensor(x), Tensor(np.ones(5)), Tensor(np.zeros(6)))
 
 
 def test_dropout_semantics():
@@ -434,7 +538,7 @@ def test_only_leaves_keep_gradients():
     x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
     w = Tensor(np.array([0.5, 0.5, 2.0]), requires_grad=True)
     h = ad.mul(x, w)
-    y = ad.relu(h)
+    y = relu(h)
     loss = ad.sum_all(ad.mul(y, y))
     assert h.requires_grad and y.requires_grad and loss.requires_grad
     loss.backward()
@@ -448,7 +552,7 @@ def test_only_leaves_keep_gradients():
 def test_no_grad_records_nothing_and_restores_recording():
     x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
     with ad.no_grad():
-        y = ad.sum_all(ad.relu(ad.mul(x, x)))
+        y = ad.sum_all(relu(ad.mul(x, x)))
     assert y._ctx is None and not y.requires_grad
     assert float(y.data) == 14.0
     with pytest.raises(RuntimeError):

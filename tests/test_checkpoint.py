@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from satkit.autodiff import Tensor
+from satkit.autodiff import ParamArena, Tensor
 from satkit.checkpoint import (load_checkpoint, restore_params,
                                rng_state_from_meta, rng_state_to_meta,
                                save_checkpoint)
@@ -48,6 +48,19 @@ def test_restore_params_validation(tmp_path):
     # restored data is a private copy
     arrays["a"][0, 0] = -1.0
     assert params["a"].data[0, 0] == 5.0
+
+
+def test_restore_params_writes_into_arena_views(tmp_path):
+    params = {"a": Tensor(np.zeros((2, 2)), requires_grad=True),
+              "b": Tensor(np.ones(3), requires_grad=True)}
+    arena = ParamArena(params)
+    save_checkpoint(tmp_path / "c.ckpt", {"a": np.full((2, 2), 5.0), "b": np.arange(3.0)}, {})
+    _, _, arrays = load_checkpoint(tmp_path / "c.ckpt")
+    restore_params(params, arrays)
+    for name, p in params.items():
+        assert np.shares_memory(p.data, arena.data), name
+        np.testing.assert_array_equal(p.data, arrays[name])
+    np.testing.assert_array_equal(arena.data[arena.slots["b"]], [0.0, 1.0, 2.0])
 
 
 def test_interrupted_save_keeps_previous_file(tmp_path, monkeypatch):

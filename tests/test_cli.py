@@ -2,6 +2,7 @@
 
 import logging
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,22 @@ def test_rejected_train_config_leaves_no_directory(tmp_path, data_dir, capsys,
     code = main(["train", "--data", str(data_dir), "--out", str(out),
                  *MODEL_FLAGS, "--epochs", "1", flag, value])
     assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["missing resume checkpoint", "beta without alignments"])
+def test_rejected_resume_or_alignments_leave_no_directory(tmp_path, data_dir, capsys, case):
+    if case == "missing resume checkpoint":
+        flags = ["--data", str(data_dir), "--resume", str(tmp_path / "missing.ckpt")]
+    else:
+        no_align = tmp_path / "no-align"
+        shutil.copytree(data_dir, no_align)
+        (no_align / "train" / "align").unlink()
+        flags = ["--data", str(no_align), *MODEL_FLAGS, "--epochs", "1", "--beta", "1"]
+    out = tmp_path / "run"
+    assert main(["train", "--out", str(out), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert not out.exists()

@@ -12,6 +12,7 @@ from satkit.autodiff import Tensor
 from satkit.data import TaskSpec, generate_split, make_batches, normalize_dataset
 from satkit.lattice import transducer_loss
 from satkit.model import ModelConfig, SATModel
+from satkit.optim import SGDMomentum
 from satkit.pathreg import ParConfig, par_loss
 from satkit.train import METRICS_COLUMNS, TrainConfig, Trainer
 import unfused
@@ -306,6 +307,100 @@ def test_regularized_steps_match_unfused_composition_bitwise(tmp_path):
     assert csv_text.count("\n") == 4
     for name, p in params.items():
         np.testing.assert_array_equal(p.data, want_params[name].data, err_msg=name)
+
+
+def _assert_params_in_arena(trainer):
+    arena = trainer.optimizer.arena
+    for name, p in trainer.model.params.items():
+        assert np.shares_memory(p.data, arena.data), name
+        assert np.shares_memory(p.grad, arena.grad), name
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "noam"])
+def test_parameters_live_in_the_arena_after_build_and_resume(tmp_path, optimizer):
+    vocab, tr_utts, dev_utts = toy_setup()
+    trainer = Trainer(toy_model(vocab, seed=2), vocab, tr_utts, dev_utts,
+                      TrainConfig(epochs=1, batch_size=4, optimizer=optimizer))
+    _assert_params_in_arena(trainer)
+    trainer.run()
+    trainer.save(tmp_path / "last.ckpt")
+    back = Trainer.resume(tmp_path / "last.ckpt", vocab, tr_utts, dev_utts)
+    _assert_params_in_arena(back)
+    for name, p in back.model.params.items():
+        np.testing.assert_array_equal(p.data, trainer.model.params[name].data)
+    # the resumed step moves the same arena as the original run's
+    batch = trainer.batches[0]
+    trainer.train_batch(batch)
+    back.train_batch(batch)
+    for name, p in back.model.params.items():
+        np.testing.assert_array_equal(p.data, trainer.model.params[name].data, err_msg=name)
+
+
+def _per_parameter_step(opt):
+    """The optimizer's update as a loop over parameters (``tests/unfused.py``)."""
+    params = opt.params
+    state = [{k: np.zeros_like(p.data) for k, p in params.items()} for _ in range(2)]
+
+    def step():
+        opt.step_count += 1
+        if isinstance(opt, SGDMomentum):
+            unfused.sgd_step(params, state[0], opt.lr, opt.momentum)
+        else:
+            unfused.noam_step(params, *state, opt.lr, opt.step_count)
+
+    return step
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+@pytest.mark.parametrize("optimizer", ["sgd", "noam"])
+def test_fused_steps_match_unfused_ops_and_per_parameter_updates_bitwise(
+        monkeypatch, optimizer, dropout):
+    # three steps through the fused sublayer ops and the arena update give
+    # the bits of the unfused ops and a per-parameter update loop
+    vocab, tr_utts, dev_utts = toy_setup(noise=0.3)
+    runs = []
+    for oracle in (False, True):
+        if oracle:
+            monkeypatch.setattr(ad, "ffn", unfused.ffn)
+            monkeypatch.setattr(ad, "add_layer_norm", unfused.add_layer_norm)
+        trainer = Trainer(toy_model(vocab, seed=5, dropout=dropout, n_enc_blocks=2),
+                          vocab, tr_utts, dev_utts,
+                          TrainConfig(epochs=1, batch_size=4, optimizer=optimizer,
+                                      lr=0.05, warmup_steps=3))
+        if oracle:
+            trainer.optimizer.step = _per_parameter_step(trainer.optimizer)
+        stats = [trainer.train_batch(trainer.batches[i]) for i in range(3)]
+        runs.append((stats, {k: p.data.copy() for k, p in trainer.model.params.items()}))
+    (stats, params), (want_stats, want_params) = runs
+    assert stats == want_stats
+    for name, value in params.items():
+        np.testing.assert_array_equal(value, want_params[name], err_msg=name)
+
+
+def test_train_step_tape_node_count(monkeypatch):
+    # a train-short-shaped step: two encoder and two prediction blocks,
+    # batch 4, no regularizer, dropout 0
+    vocab, tr_utts, dev_utts = toy_setup()
+    cfg = ModelConfig(feature_dim=4, d_m=8, n_heads=2, d_ff=16, n_enc_blocks=2,
+                      n_pred_blocks=2, d_joint=8, vocab_size=vocab.size, dropout=0.0)
+    trainer = Trainer(SATModel(cfg), vocab, tr_utts, dev_utts,
+                      TrainConfig(epochs=1, batch_size=4, optimizer="noam"))
+    counts = []
+    real = ad.backward
+
+    def counting(loss):
+        seen, stack = set(), [loss._ctx]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack += [p for p in node.parents if isinstance(p, ad._Node)]
+        counts.append(len(seen))
+        real(loss)
+
+    monkeypatch.setattr(ad, "backward", counting)
+    trainer.train_batch(trainer.batches[0])
+    assert len(counts) == 1 and counts[0] <= 44  # 68 with unfused sublayers
 
 
 def test_batch_padding_leaves_each_utterance_unchanged():

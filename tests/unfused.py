@@ -3,7 +3,11 @@ from them that its fused ops must reproduce.
 
 ``broadcast_add``, ``tanh`` and ``log_softmax_lastdim`` are the ops the
 fused joint replaced, with their original arithmetic; ``joint_log_softmax``
-composes them the way ``JointNetwork.log_probs`` once did.
+composes them the way ``JointNetwork.log_probs`` once did. Likewise ``relu``
+and ``layer_norm`` are the ops the fused sublayers replaced: ``ffn`` and
+``add_layer_norm`` compose them the way ``FeedForward`` and ``SABlock`` once
+did, and ``sgd_step`` and ``noam_step`` are the per-parameter optimizer
+updates that the arena's tiled ones reproduce.
 
 ``reshape``, ``exp``, ``slice_axis``, ``concat``, ``logsumexp_lastdim`` and
 ``softmax_lastdim`` are the element and shape ops the library once kept for
@@ -78,6 +82,84 @@ def joint_log_softmax(f: Tensor, g: Tensor, w_out: Tensor) -> Tensor:
     grid = broadcast_add(reshape(f, f.shape[:-1] + (1, j)),
                          reshape(g, g.shape[:-2] + (1,) + g.shape[-2:]))
     return log_softmax_lastdim(ad.matmul(tanh(grid), w_out))
+
+
+def relu(x: Tensor) -> Tensor:
+    x = ad._as_tensor(x)
+    out = np.maximum(x.data, 0.0)
+
+    def vjp(g):
+        return (g * (out > 0.0),)  # out > 0 exactly where x > 0
+
+    return ad.op_result(out, (x,), vjp)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+    """Normalize the final axis to zero mean / unit variance, then apply
+    learned gain and bias (both 1-D of the final extent)."""
+    x, gain, bias = ad._as_tensor(x), ad._as_tensor(gain), ad._as_tensor(bias)
+    ad._same_dtype("layer_norm", x, gain, bias)
+    d = x.shape[-1]
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(
+            f"layer_norm: gain/bias must be ({d},), got {gain.shape} and {bias.shape}"
+        )
+    xc = x.data - ad.mean_lastdim(x.data)
+    inv = 1.0 / np.sqrt(ad.mean_lastdim(xc * xc) + eps)
+    out = xc * inv
+    out *= gain.data
+    out += bias.data
+    gain_data = gain.data
+
+    def vjp(g):
+        dxhat = g * gain_data
+        dvar = (dxhat * xc).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
+        dmu = (-dxhat * inv).sum(axis=-1, keepdims=True) + dvar * (-2.0 * xc).mean(
+            axis=-1, keepdims=True
+        )
+        gx = dxhat * inv + dvar * 2.0 * xc / d + dmu / d
+        return gx, ad._reduce_to(g * (xc * inv), (d,)), ad._reduce_to(g, (d,))
+
+    return ad.op_result(out, (x, gain, bias), vjp)
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """max(0, x @ w1 + b1) @ w2 + b2 as five tape nodes."""
+    return ad.add(ad.matmul(relu(ad.add(ad.matmul(x, w1), b1)), w2), b2)
+
+
+def add_layer_norm(x: Tensor, a: Tensor, gain: Tensor, bias: Tensor,
+                   eps: float = 1e-6) -> Tensor:
+    """layer_norm(x + a) as two tape nodes."""
+    return layer_norm(ad.add(x, a), gain, bias, eps)
+
+
+def sgd_step(params: dict, velocity: dict, lr: float, momentum: float) -> None:
+    """One momentum-SGD update, parameter by parameter in sorted-name order."""
+    for name in sorted(params):
+        p, v = params[name], velocity[name]
+        v *= momentum
+        v += p.grad
+        p.data -= lr * v
+
+
+def noam_step(params: dict, m: dict, v: dict, lr: float, t: int, adaptive: bool = True,
+              beta1: float = 0.9, beta2: float = 0.98, eps: float = 1e-9) -> None:
+    """One Noam update at step t, parameter by parameter in sorted-name order."""
+    for name in sorted(params):
+        p = params[name]
+        g = p.grad
+        if not adaptive:
+            p.data -= lr * g
+            continue
+        mn, vn = m[name], v[name]
+        mn *= beta1
+        mn += (1.0 - beta1) * g
+        vn *= beta2
+        vn += (1.0 - beta2) * g * g
+        mhat = mn / (1.0 - beta1 ** t)
+        vhat = vn / (1.0 - beta2 ** t)
+        p.data -= lr * mhat / (np.sqrt(vhat) + eps)
 
 
 def reshape(x: Tensor, shape) -> Tensor:

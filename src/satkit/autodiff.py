@@ -17,10 +17,15 @@ naming the primitive and both shapes.
 The module keeps only what the model and the losses call: matrix products,
 elementwise add/mul/scale, a row gather, a sum, dropout and the fused ops:
 attention, the feed-forward sublayer, the residual add with its layer norm,
-and the joint. A layer with a closed-form gradient, like the lattice loss,
+and the joint. Ops are called by name; ``Tensor`` has no operator sugar.
+The first three fused ops each run a plain-array forward
+(:func:`attend`, :func:`ffn_forward`, :func:`add_layer_norm_forward`) that
+the decode row step in :mod:`satkit.nnet` calls too, so that arithmetic
+exists once. A layer with a closed-form gradient, like the lattice loss,
 records itself through :func:`op_result` as one node with a hand-written
 vector-Jacobian product. :class:`ParamArena` lays a model's parameters out
-in one array, so that an optimizer updates them all at once.
+in one array, so that an optimizer updates them all at once and zeroes
+their gradients in one fill.
 
 64-bit floats are the default; 32-bit tensors can be created explicitly and
 ops preserve the operand dtype (mixing dtypes is an error).
@@ -69,7 +74,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_ctx")
 
     def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else None)
+        arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
@@ -92,42 +97,12 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def zero_grad(self):
-        """Zero the gradient in place: a training loop keeps one gradient
-        array per parameter instead of allocating it anew every step."""
-        if self.requires_grad:
-            if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            else:
-                self.grad.fill(0.0)
-
     def backward(self):
         backward(self)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
-
-    # Small amount of operator sugar; model code mostly calls the named ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 @contextlib.contextmanager
@@ -234,11 +209,6 @@ def backward(loss: Tensor) -> None:
                 if p.grad is None:
                     p.grad = np.zeros_like(p.data)
                 p.grad += pg
-
-
-def zero_grads(params) -> None:
-    for p in params.values() if isinstance(params, dict) else params:
-        p.zero_grad()
 
 
 # float64 elements per 64-byte cache line: every arena slot starts on one.
@@ -528,18 +498,25 @@ def _check_open_rows(mask: np.ndarray):
         raise ValueError("attention mask blocks every key for some query row")
 
 
-def softmax_context(scores: np.ndarray, mask, v: np.ndarray):
-    """The attention kernel, shared by :func:`attention` and the decode row
-    step: softmax over the last axis of ``scores + mask``, then the context
-    ``weights @ v``. ``mask`` is an additive 0 / LOG_ZERO array broadcast
-    against ``scores``, or None; one that closes every key of a row raises.
-    ``scores`` is overwritten with the weights. Returns (weights, context).
+def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask, scale: float,
+           check: bool = False):
+    """The attention forward on plain arrays, shared by :func:`attention`
+    and the decode row step: ``softmax(scale * q @ k^T + mask) @ v`` over
+    the last two axes of head-split queries, keys and values. ``mask`` is
+    an additive 0 / LOG_ZERO array broadcast against the scores, or None;
+    one that closes every key of a row raises. With ``check``, non-finite
+    scores raise too; the tape op checks, the per-row decode step does not.
+    Returns (weights, context).
     """
+    scores = q @ k.swapaxes(-1, -2)
+    if check:
+        _check_finite("attention", scores)
+    scores *= scale
     if mask is not None:
         _check_open_rows(mask)
         scores += mask
     weights = _softmax_inplace(scores)
-    return weights, np.matmul(weights, v)
+    return weights, weights @ v
 
 
 # Fewest query rows per block of banded attention: smaller blocks waste less
@@ -618,14 +595,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, left, right, lengths=None,
     ``math.inf`` to lift a bound), with weights softmax(scale * q.k). In a
     batch, a real query sees only the real keys of its window and a padded
     query keeps its plain window. A window that leaves some query without a
-    key raises ``ValueError``.
+    key, or non-finite scores, raise ``ValueError``.
 
     A bounded window is computed in blocks of ``block >= left + right + 1``
     query rows. Block j scores only the ``block + left + right`` keys its
     rows can reach, a strided slab of the zero-padded keys, so scores are
     (B, H, n_blocks, block, slab) and cost O(T) rather than O(T^2). A window
     at least as wide as the sequence is one block whose slab is all T keys:
-    the dense product.
+    the dense product. Either way the blocks go through :func:`attend`.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     _same_dtype("attention", q, k, v)
@@ -659,10 +636,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, left, right, lengths=None,
     qb = _row_blocks(split(q.data), n_blk, block)
     ks = _slabs(split(k.data), n_blk, block, first, slab)
     vs = _slabs(split(v.data), n_blk, block, first, slab)
-    scores = np.matmul(qb, np.swapaxes(ks, -1, -2))
-    _check_finite("attention", scores)
-    scores *= scale
-    weights, ctx = softmax_context(scores, mask, vs)
+    weights, ctx = attend(qb, ks, vs, mask, scale, check=True)
     out = merge(ctx.reshape(B, H, n_blk * block, d))
     need_q, need_k, need_v = _needs_grad(q), _needs_grad(k), _needs_grad(v)
 
@@ -708,15 +682,29 @@ def mean_lastdim(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x, -1, keepdims=True) / x.shape[-1]
 
 
+def ffn_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
+                b2: np.ndarray):
+    """The forward of :func:`ffn` on plain (rows, d) arrays, shared with the
+    decode row step. Returns the (rows, f) hidden rows and the (rows, m)
+    result."""
+    h = x @ w1
+    h += b1
+    np.maximum(h, 0.0, out=h)
+    out = h @ w2
+    out += b2
+    return h, out
+
+
 def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """The feed-forward sublayer as one op: ``max(0, x @ w1 + b1) @ w2 + b2``.
 
     ``x`` is (..., d), ``w1`` (d, f), ``b1`` (f,), ``w2`` (f, m) and ``b2``
     (m,); the result is (..., m). Both products act on the flattened rows,
-    and the bias adds and the relu run in place on the product they follow,
-    so the forward pass allocates only the hidden rows and the result. The
-    vjp keeps the inputs and the hidden rows, as the five ops it replaces
-    did, and computes their cotangents with the same arithmetic.
+    and the bias adds and the relu run in place on the product they follow
+    (:func:`ffn_forward`), so the forward pass allocates only the hidden
+    rows and the result. The vjp keeps the inputs and the hidden rows, as
+    the five ops it replaces did, and computes their cotangents with the
+    same arithmetic.
     """
     x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
     _same_dtype("ffn", x, w1, b1, w2, b2)
@@ -727,11 +715,7 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
                          f"{x.shape}, {w1.shape}, {b1.shape}, {w2.shape} and {b2.shape}")
     (d, f), m = w1.shape, w2.shape[1]
     x_shape, h_shape = x.shape, x.shape[:-1] + (f,)
-    h = x.data.reshape(-1, d) @ w1.data
-    h += b1.data
-    np.maximum(h, 0.0, out=h)
-    out = h @ w2.data
-    out += b2.data
+    h, out = ffn_forward(x.data.reshape(-1, d), w1.data, b1.data, w2.data, b2.data)
     need_x, need_w1, need_b1, need_w2, need_b2 = (
         _needs_grad(t) for t in (x, w1, b1, w2, b2))
     x_data = x.data if need_w1 else None
@@ -756,6 +740,20 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return _result(out.reshape(x_shape[:-1] + (m,)), (x, w1, b1, w2, b2), vjp)
 
 
+def add_layer_norm_forward(x: np.ndarray, a: np.ndarray, gain: np.ndarray,
+                           bias: np.ndarray, eps: float):
+    """The forward of :func:`add_layer_norm` on plain arrays, shared with
+    the decode row step. Returns the centred sum ``xc``, the inverse
+    standard deviation ``inv`` (last extent 1) and the result."""
+    xc = x + a
+    xc -= mean_lastdim(xc)
+    inv = 1.0 / np.sqrt(mean_lastdim(xc * xc) + eps)
+    out = xc * inv
+    out *= gain
+    out += bias
+    return xc, inv, out
+
+
 def add_layer_norm(x: Tensor, a: Tensor, gain: Tensor, bias: Tensor,
                    eps: float = 1e-6) -> Tensor:
     """A residual add and a layer norm as one op: the final axis of ``x + a``
@@ -768,12 +766,7 @@ def add_layer_norm(x: Tensor, a: Tensor, gain: Tensor, bias: Tensor,
     if a.shape != x.shape or gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"add_layer_norm: expects equal x and a and ({d},) gain and "
                          f"bias, got {x.shape}, {a.shape}, {gain.shape} and {bias.shape}")
-    xc = x.data + a.data
-    xc -= mean_lastdim(xc)
-    inv = 1.0 / np.sqrt(mean_lastdim(xc * xc) + eps)
-    out = xc * inv
-    out *= gain.data
-    out += bias.data
+    xc, inv, out = add_layer_norm_forward(x.data, a.data, gain.data, bias.data, eps)
     gain_data = gain.data
     need_x, need_a, need_gain, need_bias = (_needs_grad(t) for t in (x, a, gain, bias))
 

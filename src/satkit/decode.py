@@ -12,8 +12,7 @@ beam is :func:`beam_decode` over a stream. An unbounded window cannot
 stream: it encodes the whole matrix in one pass
 (:meth:`~satkit.nnet.Encoder.apply_np`, the tape modules run under
 ``no_grad``). Dev-set scoring during training takes that pass for every
-window and runs :func:`greedy_steps` over its rows; the exhaustive oracle
-scores whole label sequences on the tape modules too. Prediction states
+window and runs :func:`greedy_steps` over its rows. Prediction states
 advance one label at a time through
 :meth:`~satkit.nnet.PredictionNetwork.advance_np`.
 
@@ -360,29 +359,6 @@ def beam_decode(model, stacked: np.ndarray, lm=None, vocab=None,
         final = [hyp for _, (hyp, _) in ranked[:width]]
         states = {c: v for c, v in states.items() if c[:-1] in active}
     return final
-
-
-def exhaustive_decode(model, stacked: np.ndarray, max_len: int, token_ids):
-    """Argmax over every label sequence up to max_len by full lattice scoring.
-
-    Exponential reference oracle for beam search on tiny inputs.
-    """
-    import itertools
-
-    from . import autodiff as ad
-    from . import lattice as lat
-
-    enc = ad.Tensor(np.stack(list(_encoder_rows(model, stacked))))
-    best = None
-    for n in range(max_len + 1):
-        for y in itertools.product(token_ids, repeat=n):
-            with ad.no_grad():
-                lp = model.joint.log_probs(enc, model.prednet(list(y)))
-            grid = lat.PosteriorLattice(lp, np.array(y, dtype=np.int64))
-            score = -lat.forward_backward_arrays(grid)[0]
-            if best is None or score > best[1] or (score == best[1] and y < best[0]):
-                best = (y, score)
-    return list(best[0]), best[1]
 
 
 def stream_decode(model, raw_frames, cfg: DecodeConfig = None):

@@ -1,4 +1,4 @@
-"""Transducer output lattice: joint network, loss, gradients, oracles.
+"""Transducer output lattice: joint network, loss and gradients.
 
 The lattice is a (T, U+1, K) grid of log distributions over the vocabulary,
 one per (time frame, emitted-prefix length) node. Token 0 is the blank.
@@ -6,8 +6,7 @@ Training minimizes the negative log-likelihood of the target sequence summed
 over all monotone alignment paths; the DP kernel in :mod:`satkit.kernels`
 supplies both the loss and its analytic gradient, which is grafted onto the
 autodiff tape as a single composite op (:func:`transducer_loss`, or with the
-path regularizer :func:`satkit.pathreg.joint_loss`). Path enumeration
-(:func:`brute_force_loss`) is the oracle for the kernel.
+path regularizer :func:`satkit.pathreg.joint_loss`).
 
 A training batch is one padded (B, T_max, U_max+1, K) grid. The joint
 projects the (B, T, d_enc) encoder frames and the (B, U+1, d_pred)
@@ -18,8 +17,6 @@ call scores every utterance within its own frame and target counts. A
 single utterance is the same code without the batch axis.
 """
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,42 +145,6 @@ def forward_backward_arrays(lattice: PosteriorLattice):
         return kernels.forward_backward(lp, lattice.targets)
     return kernels.forward_backward(lp, lattice.targets, lattice.lengths,
                                     lattice.u_lengths)
-
-
-def _single(name, lattice: PosteriorLattice):
-    if lattice.lengths is not None:
-        raise ValueError(f"{name} scores one utterance's lattice, got a batch of "
-                         f"{lattice.log_probs.shape[0]}")
-
-
-def brute_force_loss(lattice: PosteriorLattice, max_paths: int = 200_000) -> float:
-    """Loss by explicit enumeration of every monotone alignment path.
-
-    Exponential in lattice size; errors out rather than grind when the path
-    count exceeds ``max_paths``. Reference oracle for the DP kernels; scores
-    one utterance, not a batch.
-    """
-    _single("brute_force_loss", lattice)
-    T, U = lattice.T, lattice.U
-    n_paths = math.comb(T + U - 1, U) if U else 1
-    if n_paths > max_paths:
-        raise ValueError(f"{n_paths} paths exceed enumeration budget {max_paths}")
-    lp = lattice.log_probs.data.astype(np.float64)
-    y = lattice.targets
-    scores = np.empty(n_paths)
-    # A path is fixed by the frame at which each target token is emitted
-    # (non-decreasing); blanks fill every frame advance, including the
-    # terminal one.
-    for i, emit_at in enumerate(itertools.combinations_with_replacement(range(T), U)):
-        u = 0
-        s = 0.0
-        for t in range(T):
-            while u < U and emit_at[u] == t:
-                s += lp[t, u, y[u]]
-                u += 1
-            s += lp[t, u, BLANK]
-        scores[i] = s
-    return float(-np.logaddexp.reduce(scores))
 
 
 class JointNetwork:

@@ -7,33 +7,35 @@ each residual add and its layer norm are one op,
 
 Whole sequences are evaluated only by the Tensor modules: training records
 the tape, and everything else (decoding under an unbounded window, dev
-scoring, the exhaustive decoding oracle) calls the same modules inside
-``autodiff.no_grad()`` and reads ``.data``. The modules take one sequence,
-(n, d_m), or a zero-padded batch, (B, n, d_m) with its ``lengths``, through
-the same code: linear layers act on the last axis, and all heads of an
-attention sublayer are one tape op, :func:`autodiff.attention`, which splits
-and merges the heads itself. That op takes the window as a ``ChunkSpec``'s
-two bounds and builds its own 0 / LOG_ZERO band mask from them and from
-``lengths``: a real frame sees only the real frames of its window, and a
-padded frame keeps its plain window and yields a row nothing reads. A
-bounded window is computed in blocks of query rows, each scoring only the
-strided slab of keys its rows can reach, so scores, mask and tape all grow
-linearly with the sequence; a window at least as wide as the sequence
-(unbounded, the prediction network's causal ``(inf, 0)``, or a short batch)
-is one block with every key, the dense product. A training step is therefore one tape over the whole batch, and a
+scoring) calls the same modules inside ``autodiff.no_grad()`` and reads
+``.data``. The modules take one sequence, (n, d_m), or a zero-padded batch,
+(B, n, d_m) with its ``lengths``, through the same code: linear layers act
+on the last axis, and all heads of an attention sublayer are one tape op,
+:func:`autodiff.attention`, which splits and merges the heads itself. That
+op takes the window as a ``ChunkSpec``'s two bounds and builds its own 0 /
+LOG_ZERO band mask from them and from ``lengths``: a real frame sees only
+the real frames of its window, and a padded frame keeps its plain window and
+yields a row nothing reads. A bounded window is computed in blocks of query
+rows, each scoring only the strided slab of keys its rows can reach, so
+scores, mask and tape all grow linearly with the sequence; a window at least
+as wide as the sequence (unbounded, the prediction network's causal
+``(inf, 0)``, or a short batch) is one block with every key, the dense
+product. A training step is therefore one tape over the whole batch, and a
 real row equals that of its sequence run alone up to rounding.
 
-Decoding one row at a time has its own step, the cached key/value row step:
+Decoding one row at a time takes the cached key/value row step:
 :meth:`MultiHeadAttention.kv_np` projects a row's key and value once, when
 the row enters a block, and :meth:`SABlock.apply_kv_np` computes a block's
-output rows from those cached projections. It is plain numpy, never a
-Tensor, because on the tape one block row costs about 2.6x as much (one
-query over 16 keys, d_m 64); its softmax and context are the same numpy
-kernel as the tape op's forward, :func:`autodiff.softmax_context`.
-:class:`IncrementalEncoder` runs it over each block's bounded window, so
-streaming and offline decoding push the same rows in the same order and
-agree bit for bit; :meth:`PredictionNetwork.advance_np` runs it over a
-causal prefix, the left-context caching of the Transformer Transducer.
+output rows from those cached projections. It records no tape, because on
+the tape one block row costs about 2.6x as much (one query over 16 keys, d_m
+64), but it has no arithmetic of its own: it runs the plain-array forwards
+of the block's fused ops, :func:`autodiff.attend`,
+:func:`autodiff.add_layer_norm_forward` and :func:`autodiff.ffn_forward`,
+the same functions the tape ops call. :class:`IncrementalEncoder` runs it
+over each block's bounded window, so streaming and offline decoding push the
+same rows in the same order and agree bit for bit;
+:meth:`PredictionNetwork.advance_np` runs it over a causal prefix, the
+left-context caching of the Transformer Transducer.
 """
 
 import math
@@ -144,6 +146,7 @@ class MultiHeadAttention:
         if d_m % n_heads:
             raise ValueError(f"d_m={d_m} not divisible by n_heads={n_heads}")
         self.d_m, self.n_heads, self.d_k = d_m, n_heads, d_m // n_heads
+        self.scale = 1.0 / math.sqrt(self.d_k)
         self.params = {
             f"{prefix}.w_q": glorot(rng, d_m, d_m),
             f"{prefix}.w_k": glorot(rng, d_m, d_m),
@@ -158,32 +161,13 @@ class MultiHeadAttention:
         the window ``chunk`` (see :func:`autodiff.attention`)."""
         p, pre = self.params, self._prefix
         q, k, v = (ad.matmul(x, p[f"{pre}.{w}"]) for w in ("w_q", "w_k", "w_v"))
-        ctx = ad.attention(q, k, v, chunk.left, chunk.right, lengths,
-                           1.0 / math.sqrt(self.d_k), self.n_heads)
+        ctx = ad.attention(q, k, v, chunk.left, chunk.right, lengths, self.scale, self.n_heads)
         return ad.matmul(ctx, p[f"{pre}.w_o"])
 
     def kv_np(self, x_kv: np.ndarray):
         """Key and value projections of the rows ``x_kv``, (n, d_m) each."""
         p, pre = self.params, self._prefix
         return x_kv @ p[f"{pre}.w_k"].data, x_kv @ p[f"{pre}.w_v"].data
-
-    def attend_np(self, x_q: np.ndarray, k: np.ndarray, v: np.ndarray, mask=None) -> np.ndarray:
-        """Attention output for the query rows ``x_q`` over already-projected
-        keys ``k`` and values ``v`` (see :meth:`kv_np`)."""
-        p, pre = self.params, self._prefix
-        n_q, n_kv = x_q.shape[0], k.shape[0]
-        sp = lambda x, n: (x.reshape(n, self.n_heads, self.d_k)).transpose(1, 0, 2)
-        q = sp(x_q @ p[f"{pre}.w_q"].data, n_q)
-        k = sp(k, n_kv)
-        v = sp(v, n_kv)
-        _, ctx = ad.softmax_context(q @ k.transpose(0, 2, 1) / math.sqrt(self.d_k), mask, v)
-        return ctx.transpose(1, 0, 2).reshape(n_q, self.d_m) @ p[f"{pre}.w_o"].data
-
-
-def _np_layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    xc = x - ad.mean_lastdim(x)
-    var = ad.mean_lastdim(xc * xc)
-    return xc / np.sqrt(var + LN_EPS) * gain + bias
 
 
 class FeedForward:
@@ -201,11 +185,6 @@ class FeedForward:
     def __call__(self, x: Tensor) -> Tensor:
         p, pre = self.params, self._prefix
         return ad.ffn(x, *(p[f"{pre}.{w}"] for w in ("w1", "b1", "w2", "b2")))
-
-    def apply_np(self, x: np.ndarray) -> np.ndarray:
-        p, pre = self.params, self._prefix
-        h = np.maximum(x @ p[f"{pre}.w1"].data + p[f"{pre}.b1"].data, 0.0)
-        return h @ p[f"{pre}.w2"].data + p[f"{pre}.b2"].data
 
 
 class SABlock:
@@ -225,6 +204,11 @@ class SABlock:
         self.params[f"{prefix}.ln2.g"] = ones_param(d_m)
         self.params[f"{prefix}.ln2.b"] = zeros_param(d_m)
         self._prefix = prefix
+        # What the row step reads, as Tensors: an optimizer's arena rebinds
+        # their ``data``.
+        self._row_params = tuple(self.params[f"{prefix}.{name}"] for name in (
+            "attn.w_q", "attn.w_o", "ln1.g", "ln1.b", "ffn.w1", "ffn.b1", "ffn.w2",
+            "ffn.b2", "ln2.g", "ln2.b"))
 
     def __call__(self, x: Tensor, chunk: ChunkSpec = UNBOUNDED, lengths=None,
                  dropout_rate: float = 0.0, rng=None, training: bool = False) -> Tensor:
@@ -237,12 +221,20 @@ class SABlock:
     def apply_kv_np(self, x_new: np.ndarray, k: np.ndarray, v: np.ndarray,
                     mask=None) -> np.ndarray:
         """Block output for the query rows ``x_new`` attending over keys ``k``
-        and values ``v`` already projected by ``self.attn.kv_np``."""
-        p, pre = self.params, self._prefix
-        y = _np_layer_norm(x_new + self.attn.attend_np(x_new, k, v, mask),
-                           p[f"{pre}.ln1.g"].data, p[f"{pre}.ln1.b"].data)
-        return _np_layer_norm(y + self.ffn.apply_np(y),
-                              p[f"{pre}.ln2.g"].data, p[f"{pre}.ln2.b"].data)
+        and values ``v`` already projected by ``self.attn.kv_np``: the tape
+        block's fused forwards on plain arrays. ``mask`` is an additive
+        (len(x_new), len(k)) 0 / LOG_ZERO mask, or None for every key."""
+        w_q, w_o, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = [
+            p.data for p in self._row_params]
+        heads, d_k = self.attn.n_heads, self.attn.d_k
+        q = (x_new @ w_q).reshape(-1, heads, d_k).transpose(1, 0, 2)
+        k = k.reshape(-1, heads, d_k).transpose(1, 0, 2)
+        v = v.reshape(-1, heads, d_k).transpose(1, 0, 2)
+        _, ctx = ad.attend(q, k, v, mask, self.attn.scale)
+        a = ctx.transpose(1, 0, 2).reshape(x_new.shape) @ w_o
+        y = ad.add_layer_norm_forward(x_new, a, ln1_g, ln1_b, LN_EPS)[2]
+        f = ad.ffn_forward(y, w1, b1, w2, b2)[1]
+        return ad.add_layer_norm_forward(y, f, ln2_g, ln2_b, LN_EPS)[2]
 
 
 class Encoder:

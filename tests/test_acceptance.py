@@ -12,22 +12,21 @@ import time
 import numpy as np
 import pytest
 
-from satkit import autodiff as ad
 from satkit.autodiff import Tensor
 from satkit.cli import main as cli_main
 from satkit.data import (TaskSpec, generate_split, normalize_dataset,
                          save_dataset, stack_downsample)
 from satkit.decode import (DecodeConfig, beam_decode, corpus_cer,
-                           exhaustive_decode, greedy_decode, greedy_trace,
-                           stream_decode)
-from satkit.lattice import (PosteriorLattice, brute_force_loss,
-                            forward_backward_arrays, transducer_loss)
+                           greedy_decode, greedy_trace, stream_decode)
+from satkit.lattice import (PosteriorLattice, forward_backward_arrays,
+                            transducer_loss)
 from satkit.model import ModelConfig, SATModel
 from satkit.ngram import train as lm_train
 from satkit.nnet import ChunkSpec, Encoder
 from satkit.pathreg import ParConfig, build_path, joint_loss
 from satkit.train import TrainConfig, Trainer
 from satkit.vocab import Vocab
+from unfused import brute_force_loss, exhaustive_decode, zero_grads
 
 TABLE_WINDOWS = ((5, 2), (10, 5), (20, 10))
 
@@ -161,7 +160,7 @@ def test_criterion_02_gradients_match_finite_differences():
             return joint_loss(lat, path, cfg)
 
         loss = loss_tensor()
-        ad.zero_grads(model.params)
+        zero_grads(model.params)
         loss.backward()
         grads = {n: p.grad.copy() for n, p in model.params.items()}
         for name in sorted(model.params):

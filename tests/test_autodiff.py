@@ -435,10 +435,13 @@ def _add_ln(x, a, gain, bias):
     return ad.add_layer_norm(x, a, gain, bias, 1e-6)
 
 
-@pytest.mark.parametrize("lead", [(5,), (2, 4)])
+@pytest.mark.parametrize("lead", [(5,), (2, 4), (1,)])
 def test_add_layer_norm_matches_unfused_composition(lead):
     x, (gain, bias) = _fused_inputs(17, lead, LN_SIZES)
     a = np.random.default_rng(19).uniform(-1.0, 1.0, size=x.shape)
+    # the tape op's result is its plain-array forward, the row step's
+    assert np.array_equal(_add_ln(*map(Tensor, (x, a, gain, bias))).data,
+                          ad.add_layer_norm_forward(x, a, gain, bias, 1e-6)[2])
     _assert_fused_matches_unfused(_add_ln, unfused.add_layer_norm, x, [a, gain, bias])
     _assert_fused_matches_unfused(_add_ln, unfused.add_layer_norm, x, [a, gain, bias],
                                   frozen=(1, 2))
@@ -526,9 +529,9 @@ def test_op_result_custom_vjp():
     np.testing.assert_array_equal(x.grad, np.full(3, 3.0))
 
 
-def test_sum_all_and_operator_sugar():
+def test_sum_all():
     a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    loss = ad.sum_all(2.0 * a - a)
+    loss = ad.sum_all(a)
     loss.backward()
     assert loss.item() == pytest.approx(3.0)
     np.testing.assert_allclose(a.grad, np.ones(2))

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from satkit.decode import (DecodeConfig, Hypothesis, _encoder_rows,
                            _JointScorer, beam_decode, cer, corpus_cer,
-                           edit_distance, exhaustive_decode, greedy_decode,
-                           greedy_trace, stacked_stream, stream_decode)
+                           edit_distance, greedy_decode, greedy_trace,
+                           stacked_stream, stream_decode)
 from satkit.model import ModelConfig, SATModel
 from satkit.ngram import BOS
 from satkit.ngram import train as lm_train
 from satkit.vocab import BLANK, SOS, Vocab
+from unfused import exhaustive_decode
 
 
 def tiny_model(seed=0, vocab_size=6, left="inf", right="inf"):

@@ -10,11 +10,11 @@ import pytest
 from satkit import autodiff as ad
 from satkit.autodiff import Tensor
 from satkit import kernels
-from satkit.lattice import (JointNetwork, PosteriorLattice, brute_force_loss,
-                            forward_backward_arrays, transducer_loss)
+from satkit.lattice import (JointNetwork, PosteriorLattice, forward_backward_arrays,
+                            transducer_loss)
 from satkit.pathreg import ParConfig, build_path, joint_loss
+from unfused import brute_force_loss, tape_loss, zero_grads
 from unfused import joint_log_softmax as unfused_joint
-from unfused import tape_loss
 
 
 def random_lattice(rng, t_len, u_len, k_size):
@@ -355,7 +355,7 @@ def test_batch_lattice_dimensions_and_single_utterance_oracles():
 def _joint_grads(joint, enc, pred, log_probs_fn, weights):
     for p in joint.params.values():
         p.requires_grad = True
-        p.zero_grad()
+    zero_grads(joint.params)
     te, tp = Tensor(enc, requires_grad=True), Tensor(pred, requires_grad=True)
     out = log_probs_fn(te, tp)
     ad.sum_all(ad.mul(out, Tensor(weights))).backward()

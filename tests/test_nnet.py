@@ -256,8 +256,9 @@ def test_attention_op_rejects_blocked_rows_and_bad_lengths():
     for left, right in ((math.inf, -1), (3, -1)):
         with pytest.raises(ValueError, match="blocks every key"):
             ad.attention(q, k, v, left, right, RAGGED)
+    # the row step runs the same forward, and so the same check
     with pytest.raises(ValueError, match="blocks every key"):
-        MultiHeadAttention(6, 2, rng, "t").attend_np(
+        SABlock(6, 2, 8, rng, "t").apply_kv_np(
             np.zeros((2, 6)), np.zeros((3, 6)), np.zeros((3, 6)),
             np.array([[0.0, 0.0, 0.0], [LOG_ZERO] * 3]))
     with pytest.raises(ValueError):
@@ -299,12 +300,21 @@ def test_bounded_window_training_memory_is_linear_in_length():
 
 
 def test_multi_head_tape_np_parity():
+    # the tape module's heads go through the plain forward the row step
+    # calls, bit for bit, for a batch and for one row
     rng = np.random.default_rng(1)
     mha = MultiHeadAttention(8, 2, rng, "t")
-    x = rng.standard_normal((5, 8))
-    got = mha(Tensor(x), ChunkSpec(1, 1)).data
-    want = mha.attend_np(x, *mha.kv_np(x), window_mask(5, 5, ChunkSpec(1, 1)))
-    np.testing.assert_allclose(got, want, atol=1e-12)
+    w = {k.split(".")[-1]: v.data for k, v in mha.params.items()}
+    for shape in ((3, 5, 8), (1, 8)):
+        x = rng.standard_normal(shape)
+
+        def heads(m):  # (..., n, 8) -> (..., 2, n, 4)
+            return np.swapaxes(m.reshape(m.shape[:-1] + (2, 4)), -2, -3)
+
+        _, ctx = ad.attend(heads(x @ w["w_q"]), heads(x @ w["w_k"]), heads(x @ w["w_v"]),
+                           None, mha.scale)
+        want = np.swapaxes(ctx, -2, -3).reshape(shape) @ w["w_o"]
+        assert np.array_equal(mha(Tensor(x)).data, want)
     with pytest.raises(ValueError):
         MultiHeadAttention(8, 3, rng, "bad")
 
@@ -320,14 +330,18 @@ def test_multi_head_single_head_equals_plain_attention():
 
 
 def test_feed_forward_parity_and_form():
+    # the tape module's result is the plain forward the row step calls, bit
+    # for bit, for a batch and for one row
     rng = np.random.default_rng(3)
     ffn = FeedForward(6, 12, rng, "f")
-    x = rng.standard_normal((4, 6))
-    np.testing.assert_allclose(ffn(Tensor(x)).data, ffn.apply_np(x), atol=1e-13)
     w1, b1 = ffn.params["f.w1"].data, ffn.params["f.b1"].data
     w2, b2 = ffn.params["f.w2"].data, ffn.params["f.b2"].data
-    want = np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
-    np.testing.assert_allclose(ffn.apply_np(x), want, atol=1e-13)
+    for shape in ((2, 4, 6), (1, 6)):
+        x = rng.standard_normal(shape)
+        got = ffn(Tensor(x)).data
+        want = ad.ffn_forward(x.reshape(-1, 6), w1, b1, w2, b2)[1]
+        assert np.array_equal(got, want.reshape(got.shape))
+        np.testing.assert_allclose(got, np.maximum(x @ w1 + b1, 0.0) @ w2 + b2, atol=1e-13)
 
 
 def test_sa_block_parity_and_dropout():

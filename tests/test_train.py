@@ -223,7 +223,7 @@ def test_lr_floor_stops_training():
 def _reference_step(model, batch, paths, beta):
     """Mean joint loss and parameter gradients, one utterance at a time."""
     cfg = ParConfig(beta=beta)
-    ad.zero_grads(model.params)
+    unfused.zero_grads(model.params)
     total = 0.0
     for i, ids in enumerate(batch.targets):
         lat = model.forward_lattice(batch.feats[i, :batch.feat_lengths[i]], ids)
@@ -270,7 +270,7 @@ def _oracle_train_batch(trainer, batch, paths):
     reg = unfused.par_loss(lat, paths, trainer.par_cfg)
     per_utt = ad.add(base, ad.scale(reg, trainer.par_cfg.beta))
     mean = ad.scale(ad.sum_all(per_utt), 1.0 / n)
-    ad.zero_grads(trainer.model.params)
+    unfused.zero_grads(trainer.model.params)
     mean.backward()
     grad_norm = np.sqrt(sum(float(np.vdot(p.grad, p.grad))
                             for p in trainer.model.params.values()))

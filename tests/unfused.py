@@ -15,15 +15,89 @@ references like these. ``tape_loss`` builds the transducer DP cell by cell
 from them, and ``par_loss``/``joint_loss`` compose the path-aware
 regularizer the way ``pathreg`` once did: a gather through ``index_rows``
 from the whole grid and a one-hot matrix product per utterance.
+
+The exhaustive oracles enumerate what the library computes by dynamic
+programming or search: ``brute_force_loss`` scores every alignment path of
+one lattice, and ``exhaustive_decode`` scores every label sequence up to a
+length. ``zero_grads`` zeroes gradients parameter by parameter, for tests
+that step a model's tape without an optimizer.
 """
+
+import itertools
+import math
 
 import numpy as np
 
 from satkit import autodiff as ad
 from satkit.autodiff import LOG_ZERO, ShapeError, Tensor
-from satkit.lattice import PosteriorLattice, _single, transducer_loss
+from satkit.decode import _encoder_rows
+from satkit.lattice import PosteriorLattice, forward_backward_arrays, transducer_loss
 from satkit.pathreg import ParConfig
 from satkit.vocab import BLANK
+
+
+def zero_grads(params) -> None:
+    """Zero each parameter's gradient in place (a dict or an iterable)."""
+    for p in params.values() if isinstance(params, dict) else params:
+        if p.requires_grad:
+            if p.grad is None:
+                p.grad = np.zeros_like(p.data)
+            else:
+                p.grad.fill(0.0)
+
+
+def _single(name, lattice: PosteriorLattice):
+    if lattice.lengths is not None:
+        raise ValueError(f"{name} scores one utterance's lattice, got a batch of "
+                         f"{lattice.log_probs.shape[0]}")
+
+
+def brute_force_loss(lattice: PosteriorLattice, max_paths: int = 200_000) -> float:
+    """Loss by explicit enumeration of every monotone alignment path.
+
+    Exponential in lattice size; errors out rather than grind when the path
+    count exceeds ``max_paths``. Reference oracle for the DP kernels; scores
+    one utterance, not a batch.
+    """
+    _single("brute_force_loss", lattice)
+    T, U = lattice.T, lattice.U
+    n_paths = math.comb(T + U - 1, U) if U else 1
+    if n_paths > max_paths:
+        raise ValueError(f"{n_paths} paths exceed enumeration budget {max_paths}")
+    lp = lattice.log_probs.data.astype(np.float64)
+    y = lattice.targets
+    scores = np.empty(n_paths)
+    # A path is fixed by the frame at which each target token is emitted
+    # (non-decreasing); blanks fill every frame advance, including the
+    # terminal one.
+    for i, emit_at in enumerate(itertools.combinations_with_replacement(range(T), U)):
+        u = 0
+        s = 0.0
+        for t in range(T):
+            while u < U and emit_at[u] == t:
+                s += lp[t, u, y[u]]
+                u += 1
+            s += lp[t, u, BLANK]
+        scores[i] = s
+    return float(-np.logaddexp.reduce(scores))
+
+
+def exhaustive_decode(model, stacked: np.ndarray, max_len: int, token_ids):
+    """Argmax over every label sequence up to max_len by full lattice scoring.
+
+    Exponential reference oracle for beam search on tiny inputs.
+    """
+    enc = Tensor(np.stack(list(_encoder_rows(model, stacked))))
+    best = None
+    for n in range(max_len + 1):
+        for y in itertools.product(token_ids, repeat=n):
+            with ad.no_grad():
+                lp = model.joint.log_probs(enc, model.prednet(list(y)))
+            grid = PosteriorLattice(lp, np.array(y, dtype=np.int64))
+            score = -forward_backward_arrays(grid)[0]
+            if best is None or score > best[1] or (score == best[1] and y < best[0]):
+                best = (y, score)
+    return list(best[0]), best[1]
 
 
 def _sum_to(g, shape):
@@ -275,10 +349,10 @@ def tape_loss(lattice: PosteriorLattice) -> Tensor:
     for n in range(1, T + U):
         for t in range(max(0, n - U), min(T - 1, n) + 1):
             u = n - t
-            fb = alpha[(t - 1, u)] + ent(t - 1, u, BLANK) if t > 0 else dead
-            fl = alpha[(t, u - 1)] + ent(t, u - 1, int(y[u - 1])) if u > 0 else dead
+            fb = ad.add(alpha[(t - 1, u)], ent(t - 1, u, BLANK)) if t > 0 else dead
+            fl = ad.add(alpha[(t, u - 1)], ent(t, u - 1, int(y[u - 1]))) if u > 0 else dead
             alpha[(t, u)] = reshape(logadd(fb, fl), (1,))
-    total = alpha[(T - 1, U)] + ent(T - 1, U, BLANK)
+    total = ad.add(alpha[(T - 1, U)], ent(T - 1, U, BLANK))
     return reshape(ad.scale(total, -1.0), ())
 
 

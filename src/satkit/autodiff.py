@@ -14,18 +14,18 @@ Shapes are strict: each primitive documents the exact shapes it accepts
 (there is no general broadcasting), and mismatches raise ``ShapeError``
 naming the primitive and both shapes.
 
-The module keeps only what the model and the losses call: matrix products,
-elementwise add/mul/scale, a row gather, a sum, dropout and the fused ops:
-attention, the feed-forward sublayer, the residual add with its layer norm,
-and the joint. Ops are called by name; ``Tensor`` has no operator sugar.
-The first three fused ops each run a plain-array forward
-(:func:`attend`, :func:`ffn_forward`, :func:`add_layer_norm_forward`) that
-the decode row step in :mod:`satkit.nnet` calls too, so that arithmetic
-exists once. A layer with a closed-form gradient, like the lattice loss,
-records itself through :func:`op_result` as one node with a hand-written
-vector-Jacobian product. :class:`ParamArena` lays a model's parameters out
-in one array, so that an optimizer updates them all at once and zeroes
-their gradients in one fill.
+The module keeps only what the model and the losses call: the product of a
+stack of rows and a weight matrix, elementwise add/mul/scale, a row gather,
+a sum, dropout and the fused ops: attention, the feed-forward sublayer, the
+residual add with its layer norm, and the joint. Ops are called by name;
+``Tensor`` has no operator sugar. Each fused op runs a plain-array forward
+(:func:`attend`, :func:`ffn_forward`, :func:`add_layer_norm_forward`,
+:func:`joint_forward`) that the decode row steps in :mod:`satkit.nnet` and
+:mod:`satkit.lattice` call too, so that arithmetic exists once. A layer
+with a closed-form gradient, like the lattice loss, records itself through
+:func:`op_result` as one node with a hand-written vector-Jacobian product.
+:class:`ParamArena` lays a model's parameters out in one array, so that an
+optimizer updates them all at once and zeroes their gradients in one fill.
 
 64-bit floats are the default; 32-bit tensors can be created explicitly and
 ops preserve the operand dtype (mixing dtypes is an error).
@@ -272,40 +272,26 @@ def op_result(data, parents, vjp) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes.
-
-    2-D x 2-D; stacked N-D x N-D with equal leading axes; or N-D x 2-D, a
-    shared weight applied to every row of a stack (computed as one 2-D
-    product over the flattened rows).
-    """
+    """Matrix product of an (..., k) stack and a (k, m) matrix: a shared
+    weight applied to every row of the stack, computed as one 2-D product
+    over the flattened rows."""
     a, b = _as_tensor(a), _as_tensor(b)
     _same_dtype("matmul", a, b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul: expects matrices, got {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
+    if a.ndim < 2 or b.ndim != 2:
+        raise ShapeError(f"matmul: expects (..., k) x (k, m), got {a.shape} x {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
     # Each side's gradient reads the other side's data.
     need_a, need_b = _needs_grad(a), _needs_grad(b)
     a_data = a.data if need_b else None
     b_data = b.data if need_a else None
-    if b.ndim == 2:
-        k, m = b.shape
-        a_shape = a.shape
-        out = (a.data.reshape(-1, k) @ b.data).reshape(a_shape[:-1] + (m,))
-
-        def vjp(g):
-            ga = (g.reshape(-1, m) @ b_data.T).reshape(a_shape) if need_a else None
-            gb = a_data.reshape(-1, k).T @ g.reshape(-1, m) if need_b else None
-            return ga, gb
-
-        return _result(out, (a, b), vjp)
-    if a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul: stacked shapes incompatible, {a.shape} x {b.shape}")
-    out = np.matmul(a.data, b.data)
+    k, m = b.shape
+    a_shape = a.shape
+    out = (a.data.reshape(-1, k) @ b.data).reshape(a_shape[:-1] + (m,))
 
     def vjp(g):
-        ga = np.matmul(g, np.swapaxes(b_data, -1, -2)) if need_a else None
-        gb = np.matmul(np.swapaxes(a_data, -1, -2), g) if need_b else None
+        ga = (g.reshape(-1, m) @ b_data.T).reshape(a_shape) if need_a else None
+        gb = a_data.reshape(-1, k).T @ g.reshape(-1, m) if need_b else None
         return ga, gb
 
     return _result(out, (a, b), vjp)
@@ -403,22 +389,39 @@ def _joint_tiles(B, T, rows):
     return [(b, b + 1, t0, t1) for b in range(B) for t0, t1 in split(T, -(-T // rows))]
 
 
+def joint_forward(f: np.ndarray, g: np.ndarray, w_out: np.ndarray, h=None, out=None,
+                  scratch=None) -> np.ndarray:
+    """``log_softmax(tanh(f + g) @ w_out)`` on plain arrays: the forward of
+    :func:`joint_log_softmax` on one tile, shared with the decode row step.
+    ``f + g`` broadcasts to the (..., J) sums, made tanh rows in place;
+    returns the (n, K) log-prob rows. ``h`` (the sums), ``out`` and
+    ``scratch`` (n, K) are optional buffers. The reductions are the ufuncs'
+    own, which ``ndarray.max``/``sum`` wrap at a cost per call."""
+    h = np.add(f, g, out=h)
+    np.tanh(h, out=h)
+    z = np.matmul(h.reshape(-1, h.shape[-1]), w_out, out=out)
+    z -= np.maximum.reduce(z, -1, keepdims=True)
+    z -= np.log(np.add.reduce(np.exp(z, out=scratch), -1, keepdims=True))
+    return z
+
+
 def joint_log_softmax(f: Tensor, g: Tensor, w_out: Tensor) -> Tensor:
     """The transducer joint as one op:
     ``log_softmax(tanh(f[..., :, None, :] + g[..., None, :, :]) @ w_out)``.
 
     ``f`` is (T, J) or (B, T, J) frame projections, ``g`` (U+1, J) or
     (B, U+1, J) prediction projections and ``w_out`` (J, K); the result is
-    the (..., T, U+1, K) grid of log distributions. Non-finite logits raise
-    ``ValueError``.
+    the (..., T, U+1, K) grid of log distributions. Non-finite logits, which
+    make non-finite log probs, raise ``ValueError``.
 
-    The grid is built in tiles of frames sized by ``_JOINT_TILE_BYTES``: a
-    tile's sums become its tanh rows in place, are projected straight into
-    the output and normalized there, so the only grid-sized arrays are the
-    result and, when recording, the tanh grid the vjp reads. The vjp goes
-    tile by tile from the log-prob cotangent G to the logits
-    (``G - softmax * sum_k G``), then to ``w_out`` and through tanh to the
-    per-frame and per-label sums that are the cotangents of ``f`` and ``g``.
+    The grid is built in tiles of frames sized by ``_JOINT_TILE_BYTES``, each
+    by :func:`joint_forward`: a tile's sums become its tanh rows in place, are
+    projected straight into the output and normalized there, so the only
+    grid-sized arrays are the result and, when recording, the tanh grid the vjp
+    reads. The vjp goes tile by tile from the log-prob cotangent G to the
+    logits (``G - softmax * sum_k G``), then to ``w_out`` and through tanh to
+    the per-frame and per-label sums that are the cotangents of ``f`` and
+    ``g``.
     """
     f, g, w_out = _as_tensor(f), _as_tensor(g), _as_tensor(w_out)
     _same_dtype("joint_log_softmax", f, g, w_out)
@@ -445,13 +448,9 @@ def joint_log_softmax(f: Tensor, g: Tensor, w_out: Tensor) -> Tensor:
         nb, nt = b1 - b0, t1 - t0
         n = nb * nt * U1
         ht = h[b0:b1, t0:t1] if keep else h[:n * J].reshape(nb, nt, U1, J)
-        np.add(fb[b0:b1, t0:t1, None], gb[b0:b1, None], out=ht)
-        np.tanh(ht, out=ht)
-        z = out[b0:b1, t0:t1].reshape(n, K)
-        np.matmul(ht.reshape(n, J), w, out=z)
+        z = joint_forward(fb[b0:b1, t0:t1, None], gb[b0:b1, None], w, ht,
+                          out[b0:b1, t0:t1].reshape(n, K), ez[:n])
         _check_finite("joint_log_softmax", z)
-        z -= z.max(axis=-1, keepdims=True)
-        z -= np.log(np.exp(z, out=ez[:n]).sum(axis=-1, keepdims=True))
 
     def vjp(G):
         G = G.reshape(out.shape)

@@ -11,7 +11,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -40,13 +40,14 @@ def _add_model_flags(p):
 def _model_config(args) -> ModelConfig:
     """Config file first, long-form flags override individual keys."""
     cfg = ModelConfig.load(args.model_config) if args.model_config else ModelConfig()
+    overrides = {}
     for key in ("feature_dim", "d_m", "n_heads", "d_ff", "n_enc_blocks",
                 "n_pred_blocks", "d_joint", "vocab_size", "dropout", "combine",
                 "chunk_left", "chunk_right"):
         val = getattr(args, key, None)
         if val is not None:
-            setattr(cfg, key, val)
-    return cfg
+            overrides[key] = val
+    return replace(cfg, **overrides)  # re-runs the config's checks
 
 
 def _load_split(data_dir, split, scope):

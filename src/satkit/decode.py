@@ -14,7 +14,9 @@ stream: it encodes the whole matrix in one pass
 ``no_grad``). Dev-set scoring during training takes that pass for every
 window and runs :func:`greedy_steps` over its rows. Prediction states
 advance one label at a time through
-:meth:`~satkit.nnet.PredictionNetwork.advance_np`.
+:meth:`~satkit.nnet.PredictionNetwork.advance_np`, and the joint's row step
+(:meth:`~satkit.lattice.JointNetwork.row_log_probs`) scores each (frame,
+state) pair, so the searches hold no model arithmetic.
 
 The beam is the frame-synchronous prefix search of Graves (arXiv
 1211.3711): within a frame, hypotheses expand by labels until pruned out or
@@ -22,7 +24,8 @@ the per-frame symbol guard trips, blanks move them to the next frame, and
 duplicate prefixes are merged by log-adding their transducer mass. LM fusion
 adds lambda_lm * log P_lm(token | prefix) at each label expansion; blanks
 never touch the LM term. Each step scores as arrays: the active hypotheses'
-log-prob rows stack into an (H, K) array, and the transducer, LM and
+log-prob rows, one row-step call each (a stacked product rounds each row
+differently), stack into an (H, K) array, and the transducer, LM and
 combined scores of every (hypothesis, label) child are array expressions.
 Only children that can survive pruning become :class:`Hypothesis` objects.
 A prediction state depends only on its prefix, so the search caches states
@@ -35,7 +38,6 @@ tokens of ``<s>`` plus the prefix), each built once per search from
 """
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,29 +113,6 @@ def corpus_cer(references, hypotheses) -> float:
     return sum(edit_distance(r, h) for r, h in zip(refs, hyps)) / total_len
 
 
-def _log_softmax_np(v: np.ndarray) -> np.ndarray:
-    m = v.max()
-    s = v - m
-    return s - math.log(np.exp(s).sum())
-
-
-class _JointScorer:
-    """Caches the per-frame and per-state halves of the joint network."""
-
-    def __init__(self, model):
-        self.w_f, self.w_g = (w.data for w in model.joint.input_weights())
-        self.w_out = model.joint.params["joint.w_out"].data
-
-    def f_part(self, enc_row: np.ndarray) -> np.ndarray:
-        return enc_row @ self.w_f
-
-    def g_part(self, state) -> np.ndarray:
-        return state.g @ self.w_g
-
-    def log_probs(self, f_part: np.ndarray, g_part: np.ndarray) -> np.ndarray:
-        return _log_softmax_np(np.tanh(f_part + g_part) @ self.w_out)
-
-
 def _encoder_rows(model, stacked):
     """Encoder output rows of an iterable of stacked rows, in order: the one
     row source of every search.
@@ -179,14 +158,14 @@ def greedy_steps(model, rows, max_symbols, trace=None):
     """Greedy search over an iterable of encoder rows, pulled one at a time;
     yields (frame, label) per emission. A ``trace`` list receives the
     (t, u, log-prob row) of every step."""
-    scorer = _JointScorer(model)
+    joint = model.joint
     state = model.prednet.init_state()
-    g_part = scorer.g_part(state)
+    g_part = joint.g_part(state.g)
     u = 0
     for t, enc_row in enumerate(rows):
-        f_part = scorer.f_part(enc_row)
+        f_part = joint.f_part(enc_row)
         for _ in range(max_symbols):
-            lp = scorer.log_probs(f_part, g_part)
+            lp = joint.row_log_probs(f_part, g_part)
             if trace is not None:
                 trace.append((t, u, lp))
             k = _best_label(lp)
@@ -195,7 +174,7 @@ def greedy_steps(model, rows, max_symbols, trace=None):
             yield t, k
             u += 1
             state = model.prednet.advance_np(state, k)
-            g_part = scorer.g_part(state)
+            g_part = joint.g_part(state.g)
         else:
             log.warning("frame %d hit the %d-symbol guard; forcing frame advance",
                         t, max_symbols)
@@ -266,23 +245,23 @@ def beam_decode(model, stacked: np.ndarray, lm=None, vocab=None,
     if lm is not None and vocab is None:
         raise ValueError("LM fusion needs the vocab to name the labels")
     rows = _encoder_rows(model, stacked)
-    scorer = _JointScorer(model)
+    joint = model.joint
     width, lm_weight = cfg.beam_width, cfg.lm_weight
     rank_key = _rank_key(lm_weight)
     # The blank and the start token hold the lowest ids; every later id is a
     # label the beam can emit.
     first = max(BLANK, SOS) + 1
-    labels = range(first, scorer.w_out.shape[1])
+    labels = range(first, joint.vocab_size)
     lm_rows = _LMScorer(lm, vocab, labels) if lm is not None else None
     # Child prefix -> (PredState, g_part); after each frame only the children
     # of the beam stay, so a hypothesis that stays in the beam reuses them.
     states = {}
 
     init = Hypothesis(prefix=(), state=model.prednet.init_state())
-    active = {(): (init, scorer.g_part(init.state))}
+    active = {(): (init, joint.g_part(init.state.g))}
     final = []
     for t, enc_row in enumerate(rows):
-        f_part = scorer.f_part(enc_row)
+        f_part = joint.f_part(enc_row)
         settled = {}
         for step in range(cfg.max_symbols_per_frame + 1):
             expand = step < cfg.max_symbols_per_frame
@@ -290,7 +269,7 @@ def beam_decode(model, stacked: np.ndarray, lm=None, vocab=None,
                 log.warning("frame %d hit the %d-symbol guard; forcing frame advance",
                             t, cfg.max_symbols_per_frame)
             hyps = [hyp for hyp, _ in active.values()]
-            lp = np.array([scorer.log_probs(f_part, g_part)
+            lp = np.array([joint.row_log_probs(f_part, g_part)
                            for _, g_part in active.values()])
             t_col = np.array([hyp.t_score for hyp in hyps])
             # Blank step: settle each hypothesis to frame t+1.
@@ -351,7 +330,7 @@ def beam_decode(model, stacked: np.ndarray, lm=None, vocab=None,
                 cached = states.get(child)
                 if cached is None:
                     state = model.prednet.advance_np(hyps[i].state, child[-1])
-                    cached = states[child] = (state, scorer.g_part(state))
+                    cached = states[child] = (state, joint.g_part(state.g))
                 hyp.state = cached[0]
                 active[child] = (hyp, cached[1])
         ranked = sorted(settled.items(), key=rank_key)

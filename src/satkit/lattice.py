@@ -5,8 +5,9 @@ one per (time frame, emitted-prefix length) node. Token 0 is the blank.
 Training minimizes the negative log-likelihood of the target sequence summed
 over all monotone alignment paths; the DP kernel in :mod:`satkit.kernels`
 supplies both the loss and its analytic gradient, which is grafted onto the
-autodiff tape as a single composite op (:func:`transducer_loss`, or with the
-path regularizer :func:`satkit.pathreg.joint_loss`).
+autodiff tape as one composite op: :func:`transducer_loss`, or with the
+path regularizer's terms added into the same op and the same gradient array,
+:func:`satkit.pathreg.joint_loss`.
 
 A training batch is one padded (B, T_max, U_max+1, K) grid. The joint
 projects the (B, T, d_enc) encoder frames and the (B, U+1, d_pred)
@@ -14,7 +15,8 @@ prediction states once each, then one fused tape op
 (:func:`satkit.autodiff.joint_log_softmax`) combines every frame with every
 state in cache-sized tiles and writes the normalized log probs; one kernel
 call scores every utterance within its own frame and target counts. A
-single utterance is the same code without the batch axis.
+single utterance is the same code without the batch axis. Decoding scores
+one (frame, state) pair per call through :class:`JointNetwork`'s row step.
 """
 
 from dataclasses import dataclass
@@ -123,18 +125,30 @@ def transducer_loss(lattice: PosteriorLattice, validate: bool = True) -> Tensor:
     row-normalization check so finite-difference probes can perturb single
     entries.
     """
+    return _kernel_loss(lattice, validate)[0]
+
+
+def _kernel_loss(lattice: PosteriorLattice, validate: bool, added=None, add_grad=None):
+    """(a tape op over ``lattice.log_probs`` valued kernel loss + ``added``,
+    the kernel loss). One kernel call; the vjp scales the kernel's own
+    gradient in place by the cotangent g, then ``add_grad(flat, g)`` adds
+    the gradient of ``sum_b g[b] * added[b]`` into a flat view of it."""
     if validate:
         lattice.validate_normalized()
     loss, grad, _, _ = forward_backward_arrays(lattice)
+    loss = np.asarray(loss, dtype=np.float64)
     dtype = lattice.log_probs.dtype
 
     def vjp(g):
         g = np.asarray(g, dtype=dtype)
-        scaled = grad.astype(dtype, copy=False)  # the kernel's own array: scale it in place
+        scaled = grad.astype(dtype, order="C", copy=False)  # the kernel's own array
         scaled *= g.reshape(g.shape + (1, 1, 1))
+        if add_grad is not None:
+            add_grad(scaled.reshape(-1), g.reshape(-1))
         return (scaled,)
 
-    return ad.op_result(np.asarray(loss, dtype=np.float64), (lattice.log_probs,), vjp)
+    values = loss if added is None else loss + added
+    return ad.op_result(values, (lattice.log_probs,), vjp), loss
 
 
 def forward_backward_arrays(lattice: PosteriorLattice):
@@ -156,7 +170,10 @@ class JointNetwork:
     ``combine="add"`` shares a single input projection between both sides
     (f and g added in a common basis). Applied to full sequences it returns
     the whole lattice; the grid of tanh rows behind it is built tile by
-    tile inside :func:`satkit.autodiff.joint_log_softmax`.
+    tile inside :func:`satkit.autodiff.joint_log_softmax`. The decode row
+    step projects an encoder row (:meth:`f_part`) and a prediction state
+    (:meth:`g_part`) once each and scores a pair of them with that op's
+    own forward (:meth:`row_log_probs`).
     """
 
     def __init__(self, d_enc: int, d_pred: int, d_joint: int, vocab_size: int,
@@ -168,26 +185,20 @@ class JointNetwork:
             raise ad.ShapeError("additive joint needs matching encoder/prediction widths")
         self.d_enc, self.d_pred = d_enc, d_pred
         self.d_joint, self.vocab_size = d_joint, vocab_size
-        self.combine = combine
         if combine == "concat":
             self.params = {
                 "joint.w_enc": glorot(rng, d_enc + d_pred, d_joint, rows=d_enc),
                 "joint.w_pred": glorot(rng, d_enc + d_pred, d_joint, rows=d_pred),
-                "joint.w_out": glorot(rng, d_joint, vocab_size),
             }
+            w_in = (self.params["joint.w_enc"], self.params["joint.w_pred"])
         else:
-            self.params = {
-                "joint.w_in": glorot(rng, d_enc, d_joint),
-                "joint.w_out": glorot(rng, d_joint, vocab_size),
-            }
-
-    def input_weights(self):
-        """(w_f, w_g): the input projections of the encoder frame and of the
-        prediction state; one shared matrix under ``combine="add"``."""
-        p = self.params
-        if self.combine == "concat":
-            return p["joint.w_enc"], p["joint.w_pred"]
-        return p["joint.w_in"], p["joint.w_in"]
+            self.params = {"joint.w_in": glorot(rng, d_enc, d_joint)}
+            w_in = (self.params["joint.w_in"],) * 2
+        self.params["joint.w_out"] = glorot(rng, d_joint, vocab_size)
+        # (w_f, w_g, w_out) Tensors: the encoder frame's and the prediction
+        # state's input projections (one shared matrix under "add"), then the
+        # output projection. An optimizer's arena rebinds their ``data``.
+        self.weights = (*w_in, self.params["joint.w_out"])
 
     def log_probs(self, enc: Tensor, pred: Tensor) -> Tensor:
         """(T, d_enc) x (U+1, d_pred) -> (T, U+1, K) normalized log probs; a
@@ -198,9 +209,21 @@ class JointNetwork:
             raise ad.ShapeError(
                 f"joint network fed {enc.shape} x {pred.shape}, expected widths "
                 f"{self.d_enc} and {self.d_pred}")
-        w_f, w_g = self.input_weights()
-        return ad.joint_log_softmax(ad.matmul(enc, w_f), ad.matmul(pred, w_g),
-                                    self.params["joint.w_out"])
+        w_f, w_g, w_out = self.weights
+        return ad.joint_log_softmax(ad.matmul(enc, w_f), ad.matmul(pred, w_g), w_out)
+
+    def f_part(self, enc_row: np.ndarray) -> np.ndarray:
+        """The (J,) input projection of one (d_enc,) encoder row."""
+        return enc_row @ self.weights[0].data
+
+    def g_part(self, pred_row: np.ndarray) -> np.ndarray:
+        """The (J,) input projection of one (d_pred,) prediction state row."""
+        return pred_row @ self.weights[1].data
+
+    def row_log_probs(self, f_part: np.ndarray, g_part: np.ndarray) -> np.ndarray:
+        """The (K,) log distribution of one (frame, state) pair from its two
+        projections: one cell of :meth:`log_probs`, by the same forward."""
+        return ad.joint_forward(f_part, g_part, self.weights[2].data)[0]
 
     def lattice(self, enc: Tensor, pred: Tensor, targets, lengths=None) -> PosteriorLattice:
         """The lattice of one utterance, or of a padded batch whose frame

@@ -33,6 +33,10 @@ class ModelConfig:
     stack_right: int = 1
     factor: int = 3
 
+    def __post_init__(self):
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
+
     @property
     def stacked_dim(self) -> int:
         return self.feature_dim * (self.stack_left + 1 + self.stack_right)

@@ -7,10 +7,10 @@ w = 1 - p(blank | t, u) so confidently-blank nodes contribute nothing.
 
 The regularizer reads only the token and blank cells of the T+U aligned
 nodes, gathered from the log-prob array. :func:`joint_loss`, which training
-runs, is one tape op: one kernel call gives the transducer loss and its
-gradient, and the op's vjp scales that gradient in place and adds the
-regularizer's terms into it, so the kernel's gradient is the only
-grid-sized cotangent of a step.
+runs, is the lattice's one kernel-loss op with beta * PAR added: one kernel
+call gives the transducer loss and its gradient, and the op's vjp scales
+that gradient in place and lets the regularizer add its terms into it, so
+the kernel's gradient is the only grid-sized cotangent of a step.
 """
 
 import math
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .lattice import PosteriorLattice, forward_backward_arrays, transducer_loss
+from .lattice import PosteriorLattice, _kernel_loss, transducer_loss
 from .vocab import BLANK
 
 
@@ -153,28 +153,18 @@ def _regularized(lat: PosteriorLattice, path, cfg: ParConfig, validate: bool):
     """(transducer + beta * PAR per utterance as one tape op, the transducer
     values, the PAR values or None at beta = 0).
 
-    One kernel call gives the transducer loss and its gradient; the op's
-    vjp scales that gradient in place and adds the PAR terms into it, so no
-    other grid-sized cotangent exists.
+    The op is the kernel's loss op with beta * PAR added: its vjp adds the
+    PAR terms into the kernel's own gradient, so no other grid-sized
+    cotangent exists.
     """
     if cfg.beta == 0.0:
         base = transducer_loss(lat, validate=validate)
         return base, base.data, None
-    if validate:
-        lat.validate_normalized()
     par, add_grad = _par_terms(lat, path, cfg)
-    loss, grad, _, _ = forward_backward_arrays(lat)
-    loss = np.asarray(loss, dtype=np.float64)
-    beta, dtype = cfg.beta, lat.log_probs.dtype
-
-    def vjp(g):
-        g = np.asarray(g, dtype=dtype)
-        scaled = grad.astype(dtype, order="C", copy=False)  # the kernel's own array
-        scaled *= g.reshape(g.shape + (1, 1, 1))
-        add_grad(scaled.reshape(-1), g.reshape(-1) * beta)
-        return (scaled,)
-
-    return ad.op_result(loss + par * beta, (lat.log_probs,), vjp), loss, par
+    beta = cfg.beta
+    op, loss = _kernel_loss(lat, validate, par * beta,
+                            lambda flat, g: add_grad(flat, g * beta))
+    return op, loss, par
 
 
 def joint_loss(lat: PosteriorLattice, path: AlignmentPath,

@@ -68,6 +68,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.warmup_steps < 1:
+            raise ValueError(f"warmup steps must be >= 1, got {self.warmup_steps}")
         self.par()  # the regularizer's own check of beta
 
     def par(self) -> ParConfig:

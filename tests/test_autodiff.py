@@ -57,9 +57,12 @@ def test_matmul_2d_fd():
 
 
 def test_matmul_3d_fd():
-    b = rand(2, 4, 3)
+    # a (B, T, k) stack against one (k, m) weight; a stack of weights is refused
+    b = rand(4, 3)
     check_fd(lambda t: ad.sum_all(ad.matmul(t, Tensor(b))),
              lambda x: (x @ b).sum(), rand(2, 5, 4))
+    with pytest.raises(ShapeError):
+        ad.matmul(Tensor(rand(2, 5, 4)), Tensor(rand(2, 4, 3)))
 
 
 def test_matmul_right_operand_fd():
@@ -75,6 +78,9 @@ def test_matmul_shape_errors():
         ad.matmul(Tensor(rand(2, 3, 4)), Tensor(rand(3, 4, 2)))
     with pytest.raises(ShapeError):
         ad.matmul(Tensor(rand(2, 3)), Tensor(rand(2, 3, 4)))
+    # the right operand is one weight matrix, never a stack of them
+    with pytest.raises(ShapeError):
+        ad.matmul(Tensor(rand(2, 3, 5, 4)), Tensor(rand(2, 3, 4, 2)))
 
 
 def test_add_same_shape_fd():
@@ -329,20 +335,15 @@ def test_joint_log_softmax_checks():
 
 
 def test_matmul_stack_times_matrix_fd():
-    # a shared weight on every row of a (B, T, d) stack, and 4-D head stacks
+    # a shared weight on every row of a (B, H, T, d) stack, and its gradient
     w = rand(4, 3)
-    check_fd(lambda t: ad.sum_all(ad.matmul(t, Tensor(w))),
-             lambda x: (x @ w).sum(), rand(2, 5, 4))
+    check_fd(_weighted(lambda t: ad.matmul(t, Tensor(w))),
+             _weighted_np(lambda v: v @ w), rand(2, 3, 5, 4))
     x = rand(2, 5, 4)
     check_fd(_weighted(lambda t: ad.matmul(Tensor(x), t)),
              _weighted_np(lambda v: x @ v), rand(4, 3))
-    b = rand(2, 3, 4, 2)
-    check_fd(_weighted(lambda t: ad.matmul(t, Tensor(b))),
-             _weighted_np(lambda v: v @ b), rand(2, 3, 5, 4))
     with pytest.raises(ShapeError):
         ad.matmul(Tensor(rand(2, 5, 4)), Tensor(rand(3, 3)))
-    with pytest.raises(ShapeError):
-        ad.matmul(Tensor(rand(2, 3, 5, 4)), Tensor(rand(3, 3, 4, 2)))
 
 
 def _ln_np(x, gain, bias, eps=1e-6):

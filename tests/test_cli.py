@@ -84,7 +84,8 @@ def test_train_rejects_a_non_finite_beta(tmp_path, data_dir, capsys):
         assert "finite and non-negative" in err
 
 
-@pytest.mark.parametrize("flag,value", [("--beta", "nan"), ("--epochs", "0")])
+@pytest.mark.parametrize("flag,value", [("--beta", "nan"), ("--epochs", "0"),
+                                        ("--warmup-steps", "0"), ("--dropout", "1.0")])
 def test_rejected_train_config_leaves_no_directory(tmp_path, data_dir, capsys,
                                                    flag, value):
     out = tmp_path / "run"

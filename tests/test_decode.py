@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satkit.decode import (DecodeConfig, Hypothesis, _encoder_rows,
-                           _JointScorer, beam_decode, cer, corpus_cer,
-                           edit_distance, greedy_decode, greedy_trace,
-                           stacked_stream, stream_decode)
+                           beam_decode, cer, corpus_cer, edit_distance,
+                           greedy_decode, greedy_trace, stacked_stream,
+                           stream_decode)
 from satkit.model import ModelConfig, SATModel
 from satkit.ngram import BOS
 from satkit.ngram import train as lm_train
@@ -177,6 +177,23 @@ def test_greedy_trace_rows_are_distributions():
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("window", [("inf", "inf"), ("2", "1")])
+def test_greedy_trace_rows_are_tape_lattice_cells(window):
+    # the row step scores each visited (t, u) as the training joint does
+    from satkit import autodiff as ad
+    from satkit.autodiff import Tensor
+
+    model = tiny_model(seed=4, left=window[0], right=window[1])
+    x = random_stacked(model, t_len=6, seed=17)
+    labels, _, trace = greedy_trace(model, x)
+    assert labels and len({u for _, u, _ in trace}) > 1
+    with ad.no_grad():
+        enc = Tensor(model.encoder.apply_np(x))
+        grid = model.joint.log_probs(enc, model.prednet(labels)).data
+    for t, u, lp in trace:
+        np.testing.assert_allclose(lp, grid[t, u], rtol=0, atol=1e-12)
+
+
 def test_symbol_guard_bounds_emissions(monkeypatch):
     import satkit.decode as dec
 
@@ -197,10 +214,11 @@ def test_symbol_guard_bounds_emissions(monkeypatch):
 def _reference_beam(model, stacked, lm=None, vocab=None, cfg=None):
     """The beam loop before array scoring and caching, kept verbatim as an
     oracle: one log-prob row, K label expansions, one ``lm.score`` per
-    (hypothesis, label) and one ``advance_np`` per surviving expansion."""
+    (hypothesis, label) and one ``advance_np`` per surviving expansion.
+    Rows are scored through the joint network's row step."""
     cfg = cfg or DecodeConfig()
     rows = list(_encoder_rows(model, stacked))
-    scorer = _JointScorer(model)
+    scorer = model.joint
     width = cfg.beam_width
 
     def lm_extend(prefix, label):
@@ -208,7 +226,7 @@ def _reference_beam(model, stacked, lm=None, vocab=None, cfg=None):
         return lm.score((BOS,) + strings, vocab.tokens[label])
 
     init = Hypothesis(prefix=(), state=model.prednet.init_state())
-    active = {(): (init, scorer.g_part(init.state))}
+    active = {(): (init, scorer.g_part(init.state.g))}
     final = []
     for t in range(len(rows)):
         f_part = scorer.f_part(rows[t])
@@ -217,7 +235,7 @@ def _reference_beam(model, stacked, lm=None, vocab=None, cfg=None):
             expand = step < cfg.max_symbols_per_frame
             expansions = {}
             for prefix, (hyp, g_part) in active.items():
-                lp = scorer.log_probs(f_part, g_part)
+                lp = scorer.row_log_probs(f_part, g_part)
                 blank_score = hyp.t_score + lp[BLANK]
                 if prefix in settled:
                     s = settled[prefix][0]
@@ -255,7 +273,7 @@ def _reference_beam(model, stacked, lm=None, vocab=None, cfg=None):
             for prefix, (hyp, _) in survivors.items():
                 parent_state, k = hyp.state
                 hyp.state = model.prednet.advance_np(parent_state, k)
-                active[prefix] = (hyp, scorer.g_part(hyp.state))
+                active[prefix] = (hyp, scorer.g_part(hyp.state.g))
         ranked = sorted(settled.items(),
                         key=lambda kv: (-kv[1][0].combined(cfg.lm_weight), kv[0]))
         active = dict(ranked[:width])

@@ -216,7 +216,7 @@ def test_joint_additive_mode():
     np.testing.assert_allclose(np.exp(out.data).sum(-1), 1.0, atol=1e-12)
     # both sides go through the one shared projection
     w_in = joint.params["joint.w_in"]
-    assert joint.input_weights() == (w_in, w_in)
+    assert joint.weights[:2] == (w_in, w_in)
     logits = np.tanh(enc.data[1] @ w_in.data + pred.data[0] @ w_in.data) \
         @ joint.params["joint.w_out"].data
     np.testing.assert_allclose(out.data[1, 0], logits - np.log(np.exp(logits).sum()),
@@ -225,6 +225,27 @@ def test_joint_additive_mode():
         JointNetwork(6, 4, 8, 5, rng, combine="add")
     with pytest.raises(ValueError):
         JointNetwork(6, 6, 8, 5, rng, combine="stack")
+
+
+@pytest.mark.parametrize("combine", ["concat", "add"])
+def test_joint_row_step_is_the_shared_forward(combine):
+    # one (frame, state) pair scored alone: the shared forward on a (1, J)
+    # row, and the tape op's one-cell grid, bit for bit
+    rng = np.random.default_rng(31)
+    joint = JointNetwork(6, 6, 8, 5, rng, combine=combine)
+    w_f, w_g = (w.data for w in joint.weights[:2])
+    w_o = joint.params["joint.w_out"].data
+    for _ in range(20):
+        enc, pred = rng.standard_normal(6), rng.standard_normal(6)
+        f, g = joint.f_part(enc), joint.g_part(pred)
+        np.testing.assert_array_equal(f, enc @ w_f)
+        np.testing.assert_array_equal(g, pred @ w_g)
+        got = joint.row_log_probs(f, g)
+        assert got.shape == (5,)
+        np.testing.assert_array_equal(got, ad.joint_forward(f[None], g[None], w_o)[0])
+        with ad.no_grad():
+            cell = joint.log_probs(Tensor(enc[None]), Tensor(pred[None])).data
+        np.testing.assert_array_equal(got, cell[0, 0])
 
 
 def test_joint_rejects_wrong_widths():
@@ -371,7 +392,7 @@ def test_joint_network_matches_unfused_composition(combine):
     weights = rng.standard_normal((2, 7, 4, 5))
 
     def oracle(e, p):
-        w_f, w_g = joint.input_weights()
+        w_f, w_g, _ = joint.weights
         return unfused_joint(ad.matmul(e, w_f), ad.matmul(p, w_g), joint.params["joint.w_out"])
 
     got, got_grads = _joint_grads(joint, enc, pred, joint.log_probs, weights)

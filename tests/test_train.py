@@ -43,6 +43,13 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="finite and non-negative"):
         TrainConfig(beta=float("nan"))
+    for steps in (0, -5):
+        with pytest.raises(ValueError, match="warmup steps"):
+            TrainConfig(optimizer="noam", warmup_steps=steps)
+    for rate in (1.0, 1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="dropout"):
+            ModelConfig(dropout=rate)
+    assert ModelConfig(dropout=0.0).dropout == 0.0
 
 
 def test_dev_scoring_encodes_whole_matrices(monkeypatch):

@@ -796,6 +796,8 @@ def sum_all(x: Tensor) -> Tensor:
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
     """Inverted dropout; identity when not training or rate is 0."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
     if not training or rate <= 0.0:
         return x
     keep = (rng.random(x.shape) >= rate).astype(x.dtype) / x.dtype.type(1.0 - rate)

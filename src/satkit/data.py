@@ -5,6 +5,10 @@ spans ``factor`` raw feature frames built from one template plus per-raw-frame
 noise, so the oracle alignment (one token per model frame) lines up with the
 downsampled sequence by construction.
 
+Frame stacking comes in two forms with the same bits: :func:`stack_downsample`
+over a whole matrix, and the generator :func:`stream_stack` over raw frames
+pulled one at a time, the first stage of streaming decoding.
+
 File formats:
   features   binary, magic "SATFEAT1", uint32 rows/cols, little-endian
              float32 row-major payload
@@ -26,6 +30,13 @@ FEAT_MAGIC = b"SATFEAT1"
 SIL = "sil"
 
 
+def check_stacking(left: int, right: int, factor: int) -> None:
+    """Refuse a stacking no stacker can run: negative context or factor < 1."""
+    if left < 0 or right < 0 or factor < 1:
+        raise ValueError(f"frame stacking needs stack_left >= 0, stack_right >= 0 and "
+                         f"factor >= 1, got {left}, {right} and {factor}")
+
+
 def stack_downsample(features: np.ndarray, left: int = 3, right: int = 1,
                      factor: int = 3) -> np.ndarray:
     """Frame stacking with edge replication, then keep every factor-th frame.
@@ -34,6 +45,7 @@ def stack_downsample(features: np.ndarray, left: int = 3, right: int = 1,
     clipped into range; output length is ceil(frames / factor). Always
     returns float64 (the model-facing dtype).
     """
+    check_stacking(left, right, factor)
     feats = np.asarray(features)
     if feats.ndim != 2 or feats.shape[0] < 1:
         raise ValueError(f"features must be (frames, dim) with frames >= 1, got {feats.shape}")
@@ -43,44 +55,33 @@ def stack_downsample(features: np.ndarray, left: int = 3, right: int = 1,
     return feats[idx].reshape(len(base), -1).astype(np.float64)
 
 
-class StreamStacker:
-    """:func:`stack_downsample` over raw frames that arrive one at a time.
+def stream_stack(frames, left: int = 3, right: int = 1, factor: int = 3):
+    """:func:`stack_downsample` over raw frames pulled one at a time.
 
-    Stacked frame s is built once raw frame factor*s + right has arrived;
-    :meth:`finish` builds the rest with end-of-stream edge replication. The
-    result is the same matrix, row by row. Only the newest left + right + 1
-    raw frames are kept, which covers every window still to be built.
+    Stacked row s is yielded once raw frame factor*s + right has been
+    pulled; the rest are yielded, with end-of-stream edge replication, when
+    ``frames`` ends. The rows are those of the matrix, bit for bit. Only the
+    newest left + right + 1 raw frames are kept, which covers every window
+    still to be built.
     """
+    check_stacking(left, right, factor)
+    ring = deque(maxlen=left + right + 1)
+    n = centre = 0  # raw frames pulled; raw index of the next row's centre
 
-    def __init__(self, left: int = 3, right: int = 1, factor: int = 3):
-        self.left, self.right, self.factor = left, right, factor
-        self.ring = deque(maxlen=left + right + 1)
-        self.n_raw = 0       # raw frames pushed
-        self.n_stacked = 0   # stacked frames returned
+    def row():
+        first = n - len(ring)  # raw index of ring[0]
+        return np.concatenate([ring[min(max(centre + o, 0), n - 1) - first]
+                               for o in range(-left, right + 1)]).astype(np.float64)
 
-    def push(self, frame) -> list:
-        """Add one raw frame; returns the stacked frames it completed."""
-        self.ring.append(np.asarray(frame))
-        self.n_raw += 1
-        out = []
-        while self.n_stacked * self.factor + self.right < self.n_raw:
-            out.append(self._stack())
-        return out
-
-    def finish(self) -> list:
-        """End of stream: returns the stacked frames not yet returned."""
-        out = []
-        while self.n_stacked * self.factor < self.n_raw:
-            out.append(self._stack())
-        return out
-
-    def _stack(self) -> np.ndarray:
-        centre = self.n_stacked * self.factor
-        first = self.n_raw - len(self.ring)  # raw index of ring[0]
-        window = [self.ring[min(max(centre + o, 0), self.n_raw - 1) - first]
-                  for o in range(-self.left, self.right + 1)]
-        self.n_stacked += 1
-        return np.concatenate(window).astype(np.float64)
+    for frame in frames:
+        ring.append(np.asarray(frame))
+        n += 1
+        if centre + right < n:
+            yield row()
+            centre += factor
+    while centre < n:
+        yield row()
+        centre += factor
 
 
 def norm_stats(feature_matrices):

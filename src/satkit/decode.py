@@ -3,11 +3,12 @@
 Every search reads encoder rows from one generator, :func:`_encoder_rows`,
 over stacked rows: a matrix, or a raw-frame stream stacked by
 :func:`stacked_stream`. The model's window, ``model.encoder.chunk``, picks
-the encoder path. A bounded window pushes the stacked rows through
-:class:`~satkit.nnet.IncrementalEncoder`, which computes each row once from
-a cache of the rows in its window and yields it as soon as it is final.
-Offline and streaming decoding push the same stacked rows in the same
-order, so greedy and beam search give the same bits on both; the streaming
+the encoder path. A bounded window pulls the stacked rows through
+:func:`~satkit.nnet.encoder_rows`, one generator stage per block, which
+computes each row once from a cache of the rows in its window and yields it
+as soon as it is final. Offline and streaming decoding pull the same stacked
+rows in the same order, so greedy and beam search give the same bits on
+both; the streaming
 beam is :func:`beam_decode` over a stream. An unbounded window cannot
 stream: it encodes the whole matrix in one pass
 (:meth:`~satkit.nnet.Encoder.apply_np`, the tape modules run under
@@ -42,9 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import StreamStacker
+from .data import stream_stack
 from .ngram import BOS
-from .nnet import IncrementalEncoder
+from .nnet import encoder_rows
 from .vocab import BLANK, SOS
 
 log = logging.getLogger(__name__)
@@ -117,9 +118,10 @@ def _encoder_rows(model, stacked):
     """Encoder output rows of an iterable of stacked rows, in order: the one
     row source of every search.
 
-    Under a bounded window (``model.encoder.chunk``), each stacked row goes
-    through an :class:`IncrementalEncoder` and every row is yielded as soon
-    as it is final, so stacked rows may arrive one at a time from a stream.
+    Under a bounded window (``model.encoder.chunk``), the stacked rows go
+    through :func:`~satkit.nnet.encoder_rows` and every row is yielded as
+    soon as it is final, so stacked rows may arrive one at a time from a
+    stream.
     Under an unbounded window ``stacked`` must be a matrix, encoded in one
     whole-matrix pass when the first row is pulled; a stream there raises
     ``ValueError``.
@@ -130,20 +132,15 @@ def _encoder_rows(model, stacked):
         if len(stacked):  # the encoder refuses an empty matrix
             yield from model.encoder.apply_np(stacked)
         return
-    encoder = IncrementalEncoder(model.encoder)
-    for row in stacked:
-        yield from encoder.push(row)
-    yield from encoder.finish()
+    yield from encoder_rows(model.encoder, stacked)
 
 
 def stacked_stream(model, raw_frames):
     """Stacked rows of a raw-frame stream with the model's stacking, each as
-    soon as it exists (edge replication only at end of stream)."""
+    soon as it exists (edge replication only at end of stream): the
+    :func:`~satkit.data.stream_stack` generator."""
     mc = model.config
-    stacker = StreamStacker(mc.stack_left, mc.stack_right, mc.factor)
-    for frame in raw_frames:
-        yield from stacker.push(frame)
-    yield from stacker.finish()
+    return stream_stack(raw_frames, mc.stack_left, mc.stack_right, mc.factor)
 
 
 def _best_label(lp: np.ndarray) -> int:
@@ -350,8 +347,12 @@ def stream_decode(model, raw_frames, cfg: DecodeConfig = None):
     stream); its encoder output is final once stacked frames through
     s + B*N_r exist. Decisions for frame s therefore lag the input by
     factor*B*N_r + stack_right raw frames, and the final frames flush when
-    the source ends. The stacker and the encoder keep state of a fixed size,
-    however long the stream. The model's window must be bounded. The
+    the source ends. The pipeline is a chain of generators, each pulling
+    from the one before: :func:`~satkit.data.stream_stack`, the encoder's
+    input stage and one stage per block (:func:`~satkit.nnet.encoder_rows`),
+    then :func:`greedy_steps`. Each stage keeps state of a fixed size, a
+    ring of raw frames or a block's window of rows, however long the
+    stream. The model's window must be bounded. The
     streaming beam is :func:`beam_decode` over ``stacked_stream(model,
     raw_frames)``; it returns its hypotheses when the stream ends.
     """

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .autodiff import Tensor
+from .data import check_stacking
 from .lattice import JointNetwork, PosteriorLattice
 from .nnet import ChunkSpec, Encoder, PredictionNetwork
 
@@ -36,6 +37,7 @@ class ModelConfig:
     def __post_init__(self):
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
+        check_stacking(self.stack_left, self.stack_right, self.factor)
 
     @property
     def stacked_dim(self) -> int:

@@ -34,18 +34,8 @@ class NgramModel:
     def prob(self, context, token) -> float:
         """P(token | context) with backoff; context longer than order-1 is
         truncated to its tail."""
-        token = self._map(token)
         ctx = tuple(context)[max(0, len(context) - (self.order - 1)):]
-        scale = 1.0
-        while True:
-            if (ctx, token) in self.probs:
-                return scale * self.probs[(ctx, token)]
-            if not ctx:
-                # Unigram entries exist for the whole vocabulary, so only an
-                # empty-vocab model could reach this.
-                raise KeyError(f"no unigram entry for {token!r}")
-            scale *= self.backoffs.get(ctx, 1.0)
-            ctx = ctx[1:]
+        return _lookup(self.probs, self.backoffs, ctx, self._map(token))
 
     def score(self, context, token) -> float:
         """log P(token | context)."""
@@ -159,8 +149,14 @@ def train(corpus, order: int = 5, discount: float = 0.75) -> NgramModel:
 
 
 def _lookup(probs, backoffs, ctx, tok):
+    """P(tok | ctx) from the stored entries: a miss multiplies the context's
+    leftover weight and retries one order down."""
     scale = 1.0
     while (ctx, tok) not in probs:
+        if not ctx:
+            # Unigram entries exist for the whole vocabulary, so only an
+            # empty-vocab model could reach this.
+            raise KeyError(f"no unigram entry for {tok!r}")
         scale *= backoffs.get(ctx, 1.0)
         ctx = ctx[1:]
     return scale * probs[(ctx, tok)]

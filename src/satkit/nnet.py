@@ -31,11 +31,11 @@ the tape one block row costs about 2.6x as much (one query over 16 keys, d_m
 64), but it has no arithmetic of its own: it runs the plain-array forwards
 of the block's fused ops, :func:`autodiff.attend`,
 :func:`autodiff.add_layer_norm_forward` and :func:`autodiff.ffn_forward`,
-the same functions the tape ops call. :class:`IncrementalEncoder` runs it
-over each block's bounded window, so streaming and offline decoding push the
-same rows in the same order and agree bit for bit;
-:meth:`PredictionNetwork.advance_np` runs it over a causal prefix, the
-left-context caching of the Transformer Transducer.
+the same functions the tape ops call. :func:`encoder_rows` runs it over each
+block's bounded window as a chain of generator stages, one per block, so
+streaming and offline decoding pull the same rows in the same order and agree
+bit for bit; :meth:`PredictionNetwork.advance_np` runs it over a causal
+prefix, the left-context caching of the Transformer Transducer.
 """
 
 import math
@@ -242,7 +242,7 @@ class Encoder:
 
     Every block applies the encoder's one window, ``chunk``: the window the
     model was trained with, and the one every decode path reads. A bounded
-    window decodes through :class:`IncrementalEncoder`, an unbounded one
+    window decodes through :func:`encoder_rows`, an unbounded one
     through :meth:`apply_np`; to decode with another window, set ``chunk``.
     """
 
@@ -287,78 +287,62 @@ class Encoder:
             return self(Tensor(feats)).data
 
 
-class IncrementalEncoder:
-    """Bounded-window encoder fed one stacked row at a time: the decoding
-    path for every bounded window, offline and streaming alike.
+def encoder_rows(encoder: Encoder, stacked):
+    """Output rows of a bounded-window encoder over an iterable of stacked
+    rows, each yielded as soon as it is final: the decoding path for every
+    bounded window, offline and streaming alike.
 
-    It runs the cached key/value row step over each block's window. Block i
-    keeps only the newest left + right + 1 rows that entered it, each stored
-    as [input | key projection | value projection]; the projections are made
-    once, when the row enters. The block computes its output row t exactly
-    once: when input row t + right enters, or in :meth:`finish` for the last
-    ``right`` rows, whose windows the end of the sequence clips. Output row t
-    of the top block is therefore final once stacked row t + B*right has been
-    pushed, and callers that push the same rows get the same bits. Rows agree
-    with the whole-matrix :meth:`Encoder.apply_np` to rounding. The window
-    is the encoder's ``chunk``.
+    The rows pass through an input stage, the input projection plus the
+    positional encoding, and then one :func:`_block_rows` stage per block.
+    Top row t is therefore yielded once stacked row t + B*right has been
+    pulled, and the last B*right rows when ``stacked`` ends; callers that
+    pull the same rows get the same bits. Rows agree with the whole-matrix
+    :meth:`Encoder.apply_np` to rounding. The window is the encoder's
+    ``chunk``.
     """
+    chunk = encoder.chunk
+    if not chunk.bounded:
+        raise ValueError("incremental encoding needs a bounded chunk window")
+    w_in, b_in = encoder.params["enc.in.w"].data, encoder.params["enc.in.b"].data
+    rows = (x @ w_in + b_in + positional_encoding([t], encoder.d_m, encoder.pe_freqs)[0]
+            for t, x in enumerate(stacked))
+    for block in encoder.blocks:
+        rows = _block_rows(block, rows, int(chunk.left), int(chunk.right))
+    return rows
 
-    def __init__(self, encoder: Encoder):
-        chunk = encoder.chunk
-        if not chunk.bounded:
-            raise ValueError("incremental encoding needs a bounded chunk window")
-        self.left, self.right = int(chunk.left), int(chunk.right)
-        self.d_m, self._pe_freqs = encoder.d_m, encoder.pe_freqs
-        self.blocks = list(encoder.blocks)
-        self._w_in = encoder.params["enc.in.w"].data
-        self._b_in = encoder.params["enc.in.b"].data
-        size = self.left + self.right + 1
-        self.windows = [np.empty((size, 3 * self.d_m)) for _ in self.blocks]
-        self._entered = [0] * len(self.blocks)   # rows that entered block i
-        self._done = [0] * len(self.blocks)      # output rows block i computed
 
-    def push(self, stacked_row: np.ndarray) -> list:
-        """Feed the next stacked row; returns the output rows it made final
-        (at most one)."""
-        x = stacked_row @ self._w_in + self._b_in
-        x = x + positional_encoding([self._entered[0]], self.d_m, self._pe_freqs)[0]
-        return self._enter(0, x)
+def _block_rows(block: SABlock, rows, left: int, right: int):
+    """Output rows of ``block`` over its input ``rows`` under the window
+    (left, right), by the cached key/value row step.
 
-    def finish(self) -> list:
-        """End of sequence: returns the output rows not yet returned."""
-        out = []
-        for i in range(len(self.blocks)):
-            while self._done[i] < self._entered[i]:
-                out += self._emit(i)
-        return out
+    Only the newest left + right + 1 input rows are kept, each stored as
+    [input | key projection | value projection]; the projections are made
+    once, when the row enters. Output row t is computed exactly once: when
+    input row t + right has entered, or, for the last ``right`` rows, whose
+    windows the end of the sequence clips, when ``rows`` ends.
+    """
+    d, size = block.attn.d_m, left + right + 1
+    window = np.empty((size, 3 * d))
+    n = t = 0  # rows that entered; output rows computed
 
-    def _enter(self, i: int, x: np.ndarray) -> list:
-        """Row x enters block i; returns the top-block rows this made final."""
-        window, d = self.windows[i], self.d_m
-        k, v = self.blocks[i].attn.kv_np(x[None, :])
-        n = self._entered[i]
-        if n >= window.shape[0]:
-            window[:-1] = window[1:]
-            n = window.shape[0] - 1
-        window[n, :d], window[n, d:2 * d], window[n, 2 * d:] = x, k[0], v[0]
-        self._entered[i] += 1
-        if self._done[i] + self.right < self._entered[i]:
-            return self._emit(i)
-        return []
-
-    def _emit(self, i: int) -> list:
-        """Compute the next output row of block i from its (clipped) window
-        and pass it on to block i + 1."""
-        window, d = self.windows[i], self.d_m
-        t = self._done[i]
-        first = max(0, self._entered[i] - window.shape[0])  # row index of window[0]
-        rows = window[max(0, t - self.left) - first:self._entered[i] - first]
+    def out():
+        first = max(0, n - size)  # row index of window[0]
+        kv = window[max(0, t - left) - first:n - first]
         x_t = window[t - first:t - first + 1, :d]
-        y = self.blocks[i].apply_kv_np(x_t, rows[:, d:2 * d], rows[:, 2 * d:])[0]
-        self._done[i] += 1
-        if i + 1 == len(self.blocks):
-            return [y]
-        return self._enter(i + 1, y)
+        return block.apply_kv_np(x_t, kv[:, d:2 * d], kv[:, 2 * d:])[0]
+
+    for x in rows:
+        k, v = block.attn.kv_np(x[None, :])
+        if n >= size:
+            window[:-1] = window[1:]
+        i = min(n, size - 1)
+        window[i, :d], window[i, d:2 * d], window[i, 2 * d:] = x, k[0], v[0]
+        n += 1
+        if t + right < n:
+            yield out()
+            t += 1
+    for t in range(t, n):
+        yield out()
 
 
 class PredictionNetwork:

@@ -124,6 +124,8 @@ class NoamWarmup(_ArenaOptimizer):
                  warmup_steps: int = 8000, d_m: int = 512,
                  adaptive: bool = True, beta1: float = 0.9,
                  beta2: float = 0.98, eps: float = 1e-9):
+        if warmup_steps < 1:
+            raise ValueError(f"warmup steps must be >= 1, got {warmup_steps}")
         super().__init__(params, n_scratch=2 if adaptive else 1)
         self.lr_factor = lr_factor
         self.warmup_steps = warmup_steps

@@ -488,6 +488,15 @@ def test_dropout_semantics():
     np.testing.assert_array_equal(same.data, np.ones(4))
 
 
+def test_dropout_rejects_a_rate_outside_unit_interval():
+    # checked before the not-training early return; rate 1 returned NaN rows
+    x = Tensor(np.ones((3, 4)))
+    for rate in (1.0, 1.5, -0.1, float("nan")):
+        for training in (True, False):
+            with pytest.raises(ValueError, match="dropout rate"):
+                ad.dropout(x, rate, np.random.default_rng(0), training)
+
+
 def test_second_backward_errors():
     x = Tensor(rand(3), requires_grad=True)
     loss = ad.sum_all(tanh(x))

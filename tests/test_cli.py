@@ -97,6 +97,19 @@ def test_rejected_train_config_leaves_no_directory(tmp_path, data_dir, capsys,
     assert not out.exists()
 
 
+def test_model_config_with_a_stacking_no_stacker_can_run(tmp_path, data_dir, capsys):
+    config = tmp_path / "model.config"
+    config.write_text("factor = 0\n")
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(data_dir), "--out", str(out),
+                 "--model-config", str(config), *MODEL_FLAGS, "--epochs", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "factor" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", ["missing resume checkpoint", "beta without alignments"])
 def test_rejected_resume_or_alignments_leave_no_directory(tmp_path, data_dir, capsys, case):
     if case == "missing resume checkpoint":

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satkit.data import (SIL, StreamStacker, TaskSpec, alignment_ids,
+from satkit.data import (SIL, TaskSpec, alignment_ids,
                          apply_norm, generate_split, load_dataset,
                          make_batches, norm_stats, normalize_dataset,
                          read_feats, read_token_file, save_dataset,
-                         stack_downsample, write_feats, write_token_file)
+                         stack_downsample, stream_stack, write_feats,
+                         write_token_file)
 from satkit.vocab import BLANK, Vocab
 
 
@@ -44,13 +45,20 @@ def test_stack_downsample_matches_naive(n, dim, left, right, factor):
     assert out.shape[0] == -(-n // factor)
     assert out.dtype == np.float64
     np.testing.assert_array_equal(out, naive_stack(feats, left, right, factor))
-    # the same rows, bit for bit, from frames pushed one at a time
-    stacker = StreamStacker(left, right, factor)
+    # the same rows, bit for bit, from frames pulled one at a time: row s
+    # right after raw frame factor*s + right is pulled, the rest at the end
+    pulled = 0
+
+    def source():
+        nonlocal pulled
+        for frame in feats:
+            pulled += 1
+            yield frame
+
     rows = []
-    for frame in feats:
-        rows += stacker.push(frame)
-        assert len(stacker.ring) <= left + right + 1
-    rows += stacker.finish()
+    for s, row in enumerate(stream_stack(source(), left, right, factor)):
+        assert pulled == min(n, factor * s + right + 1), s
+        rows.append(row)
     assert np.array_equal(np.asarray(rows), out)
 
 
@@ -59,6 +67,12 @@ def test_stack_downsample_validation():
         stack_downsample(np.zeros((0, 3)))
     with pytest.raises(ValueError):
         stack_downsample(np.zeros(5))
+    # a stacking no stacker can run is refused, not divided by zero or looped
+    for left, right, factor in ((3, 1, 0), (-1, 1, 3), (3, -1, 3)):
+        with pytest.raises(ValueError, match="frame stacking"):
+            stack_downsample(np.zeros((6, 2)), left, right, factor)
+        with pytest.raises(ValueError, match="frame stacking"):
+            next(stream_stack(iter(np.zeros((6, 2))), left, right, factor))
 
 
 # -------------------------------------------------------------- normalization

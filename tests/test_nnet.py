@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from satkit import autodiff as ad
 from satkit.autodiff import LOG_ZERO, ShapeError, Tensor
-from satkit.nnet import (CAUSAL, ChunkSpec, Encoder, FeedForward, IncrementalEncoder,
+from satkit.nnet import (CAUSAL, ChunkSpec, Encoder, FeedForward, encoder_rows,
                          MultiHeadAttention, PredictionNetwork, SABlock, glorot,
                          positional_encoding)
 from unfused import softmax_lastdim
@@ -436,14 +436,10 @@ def test_encoder_windowed_locality_is_exact():
 
 
 def encode_incrementally(enc, feats):
-    """Every output row of ``feats`` through an IncrementalEncoder."""
-    inc = IncrementalEncoder(enc)
-    rows = []
-    for x in feats:
-        rows += inc.push(x)
-    rows += inc.finish()
-    assert len(rows) == feats.shape[0]
-    return np.stack(rows)
+    """Every output row of ``feats`` through the row-by-row encoder."""
+    rows = np.stack(list(encoder_rows(enc, feats)))
+    assert rows.shape[0] == feats.shape[0]
+    return rows
 
 
 def test_incremental_encoder_matches_matrix_path():
@@ -456,8 +452,8 @@ def test_incremental_encoder_matches_matrix_path():
     for t in (0, 5, 11):
         np.testing.assert_allclose(rows[t], full[t], atol=1e-9)
     enc.chunk = ChunkSpec.unbounded()
-    with pytest.raises(ValueError):
-        IncrementalEncoder(enc)
+    with pytest.raises(ValueError, match="bounded chunk window"):
+        encoder_rows(enc, feats)
 
 
 def test_incremental_encoder_ignores_frames_outside_field():
@@ -487,14 +483,21 @@ def test_incremental_encoder_matches_matrix_path_over_windows(left, right):
 
 
 def test_incremental_encoder_output_lags_by_receptive_field():
-    # top row t is final once stacked row t + B*right is pushed, not later
+    # top row t is yielded right after stacked row t + B*right is pulled, not
+    # later; the last B*right rows when the source ends
     rng = np.random.default_rng(21)
     enc = Encoder(6, 8, 2, 16, 3, ChunkSpec(2, 1), rng)
-    inc = IncrementalEncoder(enc)
     feats = rng.standard_normal((10, 6))
-    counts = [len(inc.push(x)) for x in feats]
-    assert counts == [0, 0, 0] + [1] * 7
-    assert len(inc.finish()) == 3 and inc.finish() == []
+    pulled = 0
+
+    def source():
+        nonlocal pulled
+        for x in feats:
+            pulled += 1
+            yield x
+
+    at_yield = [pulled for _ in encoder_rows(enc, source())]
+    assert at_yield == [4, 5, 6, 7, 8, 9, 10] + [10] * 3
 
 
 def test_prediction_network_causal_prefix_extension():

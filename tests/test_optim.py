@@ -34,6 +34,14 @@ def test_noam_rejects_step_zero():
         noam_lr(0, 0.5, 8000, 512)
 
 
+def test_noam_rejects_warmup_below_one_when_built():
+    # not only at the first step, where 0 ** -1.5 raised and a negative
+    # warmup gave a complex learning rate
+    for steps in (0, -5):
+        with pytest.raises(ValueError, match="warmup steps"):
+            NoamWarmup({"w": _param([1.0])}, warmup_steps=steps)
+
+
 def _param(val):
     t = Tensor(np.array(val, dtype=np.float64), requires_grad=True)
     return t

@@ -50,6 +50,12 @@ def test_config_validation():
         with pytest.raises(ValueError, match="dropout"):
             ModelConfig(dropout=rate)
     assert ModelConfig(dropout=0.0).dropout == 0.0
+    # a stacking no stacker can run: factor 0 divided by zero or never
+    # returned, and stack_left -1 stacked frame t+1 alone
+    for bad in ({"factor": 0}, {"factor": -2}, {"stack_left": -1}, {"stack_right": -1}):
+        with pytest.raises(ValueError, match="frame stacking"):
+            ModelConfig(**bad)
+    assert ModelConfig(stack_left=0, stack_right=0, factor=1).stacked_dim == 8
 
 
 def test_dev_scoring_encodes_whole_matrices(monkeypatch):
@@ -71,10 +77,10 @@ def test_dev_scoring_encodes_whole_matrices(monkeypatch):
         hyps.append([k for _, k in greedy_steps(model, rows, max_symbols=10)])
     want = corpus_cer(refs, hyps)
 
-    def refuse(_encoder):
-        raise AssertionError("dev scoring built an IncrementalEncoder")
+    def refuse(_encoder, _stacked):
+        raise AssertionError("dev scoring encoded row by row")
 
-    monkeypatch.setattr(satkit.decode, "IncrementalEncoder", refuse)
+    monkeypatch.setattr(satkit.decode, "encoder_rows", refuse)
     with pytest.raises(AssertionError):
         greedy_decode(model, trainer.dev[0].feats[0])
     assert trainer.evaluate() == want

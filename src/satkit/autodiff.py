@@ -683,9 +683,9 @@ def mean_lastdim(x: np.ndarray) -> np.ndarray:
 
 def ffn_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
                 b2: np.ndarray):
-    """The forward of :func:`ffn` on plain (rows, d) arrays, shared with the
-    decode row step. Returns the (rows, f) hidden rows and the (rows, m)
-    result."""
+    """The forward of :func:`ffn` on plain (..., d) arrays, shared with the
+    decode row step, which passes (rows, 1, d) for one product per row.
+    Returns the (..., f) hidden rows and the (..., m) result."""
     h = x @ w1
     h += b1
     np.maximum(h, 0.0, out=h)

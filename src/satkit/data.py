@@ -144,6 +144,14 @@ class TaskSpec:
             raise ValueError(f"unknown task kind {self.kind!r}")
         if self.vocab_size < 2:
             raise ValueError(f"need at least 2 tokens, got {self.vocab_size}")
+        if self.feature_dim < 1:
+            raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
+        if not 1 <= self.min_tokens <= self.max_tokens:
+            raise ValueError(f"need 1 <= min_tokens <= max_tokens, got {self.min_tokens}, "
+                             f"{self.max_tokens}")
+        if not self.noise >= 0.0:
+            raise ValueError(f"noise must be >= 0, got {self.noise}")
+        check_stacking(0, 0, self.factor)
 
     def token_names(self):
         return [f"t{i}" for i in range(self.vocab_size)]

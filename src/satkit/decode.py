@@ -5,12 +5,12 @@ over stacked rows: a matrix, or a raw-frame stream stacked by
 :func:`stacked_stream`. The model's window, ``model.encoder.chunk``, picks
 the encoder path. A bounded window pulls the stacked rows through
 :func:`~satkit.nnet.encoder_rows`, one generator stage per block, which
-computes each row once from a cache of the rows in its window and yields it
-as soon as it is final. Offline and streaming decoding pull the same stacked
-rows in the same order, so greedy and beam search give the same bits on
-both; the streaming
-beam is :func:`beam_decode` over a stream. An unbounded window cannot
-stream: it encodes the whole matrix in one pass
+computes each row once from a cache of the rows in its window and passes it
+on as soon as it is final. A matrix enters a tile at a time and a stream one
+row at a time; a row's bits do not depend on that grouping, so greedy and
+beam search give the same bits offline and streaming. The streaming beam is
+:func:`beam_decode` over a stream. An unbounded window cannot stream: it
+encodes the whole matrix in one pass
 (:meth:`~satkit.nnet.Encoder.apply_np`, the tape modules run under
 ``no_grad``). Dev-set scoring during training takes that pass for every
 window and runs :func:`greedy_steps` over its rows. Prediction states
@@ -116,12 +116,12 @@ def corpus_cer(references, hypotheses) -> float:
 
 def _encoder_rows(model, stacked):
     """Encoder output rows of an iterable of stacked rows, in order: the one
-    row source of every search.
+    row source of every search, which pulls the rows one at a time.
 
     Under a bounded window (``model.encoder.chunk``), the stacked rows go
-    through :func:`~satkit.nnet.encoder_rows` and every row is yielded as
-    soon as it is final, so stacked rows may arrive one at a time from a
-    stream.
+    through :func:`~satkit.nnet.encoder_rows`: a matrix is encoded a tile at
+    a time, and a stream's rows as they arrive, each encoder row yielded as
+    soon as it is final, with the same bits either way.
     Under an unbounded window ``stacked`` must be a matrix, encoded in one
     whole-matrix pass when the first row is pulled; a stream there raises
     ``ValueError``.
@@ -350,9 +350,10 @@ def stream_decode(model, raw_frames, cfg: DecodeConfig = None):
     the source ends. The pipeline is a chain of generators, each pulling
     from the one before: :func:`~satkit.data.stream_stack`, the encoder's
     input stage and one stage per block (:func:`~satkit.nnet.encoder_rows`),
-    then :func:`greedy_steps`. Each stage keeps state of a fixed size, a
-    ring of raw frames or a block's window of rows, however long the
-    stream. The model's window must be bounded. The
+    then :func:`greedy_steps`. Rows pass between the stages one at a time,
+    each as soon as it is final, so no stage adds lag, and each stage keeps
+    state of a fixed size, a ring of raw frames or a block's buffer of rows,
+    however long the stream. The model's window must be bounded. The
     streaming beam is :func:`beam_decode` over ``stacked_stream(model,
     raw_frames)``; it returns its hypotheses when the stream ends.
     """

@@ -23,18 +23,18 @@ as wide as the sequence (unbounded, the prediction network's causal
 product. A training step is therefore one tape over the whole batch, and a
 real row equals that of its sequence run alone up to rounding.
 
-Decoding one row at a time takes the cached key/value row step:
-:meth:`MultiHeadAttention.kv_np` projects a row's key and value once, when
-the row enters a block, and :meth:`SABlock.apply_kv_np` computes a block's
-output rows from those cached projections. It records no tape, because on
-the tape one block row costs about 2.6x as much (one query over 16 keys, d_m
-64), but it has no arithmetic of its own: it runs the plain-array forwards
-of the block's fused ops, :func:`autodiff.attend`,
+Decoding takes the cached key/value row step, :meth:`SABlock.apply_kv_np`,
+over key and value rows projected once, when each row enters a block. It
+records no tape, because on the tape one block row costs about 2.6x as much
+(one query over 16 keys, d_m 64), but it has no arithmetic of its own: it
+runs the plain-array forwards of the block's fused ops, :func:`autodiff.attend`,
 :func:`autodiff.add_layer_norm_forward` and :func:`autodiff.ffn_forward`,
-the same functions the tape ops call. :func:`encoder_rows` runs it over each
-block's bounded window as a chain of generator stages, one per block, so
-streaming and offline decoding pull the same rows in the same order and agree
-bit for bit; :meth:`PredictionNetwork.advance_np` runs it over a causal
+the same functions the tape ops call, with one vector-matrix product per
+row, so a row's bits do not depend on how many rows share a call.
+:func:`encoder_rows` runs it over each block's bounded window as a chain of
+generator stages, one per block: a matrix flows through a tile at a time
+and a stream one row at a time, with the same bits.
+:meth:`PredictionNetwork.advance_np` runs it for one row over a causal
 prefix, the left-context caching of the Transformer Transducer.
 """
 
@@ -219,21 +219,23 @@ class SABlock:
         return ad.add_layer_norm(y, f, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"], LN_EPS)
 
     def apply_kv_np(self, x_new: np.ndarray, k: np.ndarray, v: np.ndarray,
-                    mask=None) -> np.ndarray:
-        """Block output for the query rows ``x_new`` attending over keys ``k``
-        and values ``v`` already projected by ``self.attn.kv_np``: the tape
-        block's fused forwards on plain arrays. ``mask`` is an additive
-        (len(x_new), len(k)) 0 / LOG_ZERO mask, or None for every key."""
+                    mask=None, q=None) -> np.ndarray:
+        """Block output for the query rows ``x_new``, (m, d_m), over projected
+        keys ``k`` and values ``v``: one (n, d_m) window for every row, or
+        (m, n, d_m), one per row; ``mask`` is an additive (m, n) 0 / LOG_ZERO
+        mask or None, ``q`` the rows' query projections if already made. One
+        vector-matrix product per row (a 2-D product switches BLAS kernels at
+        m = 2), so a row's bits do not depend on the rows sharing the call."""
         w_q, w_o, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = [
             p.data for p in self._row_params]
-        heads, d_k = self.attn.n_heads, self.attn.d_k
-        q = (x_new @ w_q).reshape(-1, heads, d_k).transpose(1, 0, 2)
-        k = k.reshape(-1, heads, d_k).transpose(1, 0, 2)
-        v = v.reshape(-1, heads, d_k).transpose(1, 0, 2)
-        _, ctx = ad.attend(q, k, v, mask, self.attn.scale)
-        a = ctx.transpose(1, 0, 2).reshape(x_new.shape) @ w_o
+        m, heads, d_k = len(x_new), self.attn.n_heads, self.attn.d_k
+        q = (np.matmul(x_new[:, None], w_q) if q is None else q).reshape(m, heads, 1, d_k)
+        k = k.reshape(k.shape[:-1] + (heads, d_k)).swapaxes(-2, -3)
+        v = v.reshape(v.shape[:-1] + (heads, d_k)).swapaxes(-2, -3)
+        _, ctx = ad.attend(q, k, v, None if mask is None else mask[:, None, None], self.attn.scale)
+        a = np.matmul(ctx.reshape(m, 1, -1), w_o)[:, 0]
         y = ad.add_layer_norm_forward(x_new, a, ln1_g, ln1_b, LN_EPS)[2]
-        f = ad.ffn_forward(y, w1, b1, w2, b2)[1]
+        f = ad.ffn_forward(y[:, None], w1, b1, w2, b2)[1][:, 0]
         return ad.add_layer_norm_forward(y, f, ln2_g, ln2_b, LN_EPS)[2]
 
 
@@ -287,62 +289,91 @@ class Encoder:
             return self(Tensor(feats)).data
 
 
-def encoder_rows(encoder: Encoder, stacked):
-    """Output rows of a bounded-window encoder over an iterable of stacked
-    rows, each yielded as soon as it is final: the decoding path for every
-    bounded window, offline and streaming alike.
+# Rows of a matrix enter the encoder this many at a time: each block takes a
+# tile in one row-step call, and its buffer does not grow with the matrix.
+_ROW_TILE = 64
 
-    The rows pass through an input stage, the input projection plus the
-    positional encoding, and then one :func:`_block_rows` stage per block.
-    Top row t is therefore yielded once stacked row t + B*right has been
-    pulled, and the last B*right rows when ``stacked`` ends; callers that
-    pull the same rows get the same bits. Rows agree with the whole-matrix
-    :meth:`Encoder.apply_np` to rounding. The window is the encoder's
-    ``chunk``.
+
+def encoder_rows(encoder: Encoder, stacked):
+    """Output rows of a bounded-window encoder over stacked rows, each
+    yielded as soon as it is final: the decoding path for every bounded
+    window, offline and streaming alike.
+
+    A 2-D matrix enters in tiles of ``_ROW_TILE`` rows, any other iterable
+    one row at a time. The rows pass through the input projection plus the
+    positional encoding, then one :func:`_block_rows` stage per block, so
+    top row t is yielded once stacked row t + B*right has been pulled, and
+    the last B*right rows once the input is complete. A row's bits do not
+    depend on the grouping, so a matrix and a stream of the same rows give
+    the same bits, equal to :meth:`Encoder.apply_np`'s up to rounding. The
+    window is the encoder's ``chunk``.
     """
     chunk = encoder.chunk
     if not chunk.bounded:
         raise ValueError("incremental encoding needs a bounded chunk window")
-    w_in, b_in = encoder.params["enc.in.w"].data, encoder.params["enc.in.b"].data
-    rows = (x @ w_in + b_in + positional_encoding([t], encoder.d_m, encoder.pe_freqs)[0]
-            for t, x in enumerate(stacked))
+    total = len(stacked) if isinstance(stacked, np.ndarray) and stacked.ndim == 2 else None
+    chunks = _input_rows(encoder, stacked, total)
     for block in encoder.blocks:
-        rows = _block_rows(block, rows, int(chunk.left), int(chunk.right))
-    return rows
+        chunks = _block_rows(block, chunks, int(chunk.left), int(chunk.right), total)
+    return (row for rows in chunks for row in rows)
 
 
-def _block_rows(block: SABlock, rows, left: int, right: int):
-    """Output rows of ``block`` over its input ``rows`` under the window
-    (left, right), by the cached key/value row step.
+def _input_rows(encoder: Encoder, stacked, total):
+    """The input projection, one product per row, plus the positional
+    encoding, made for ``_ROW_TILE`` positions at a time: a matrix of
+    ``total`` rows in tiles that start at those multiples, else row by row."""
+    w_in, b_in = encoder.params["enc.in.w"].data, encoder.params["enc.in.b"].data
+    chunks = ((stacked[t:t + _ROW_TILE] for t in range(0, total, _ROW_TILE))
+              if total is not None else (np.asarray(x)[None] for x in stacked))
+    t = 0
+    for x in chunks:
+        if t % _ROW_TILE == 0:
+            pe = positional_encoding(np.arange(t, t + _ROW_TILE), encoder.d_m, encoder.pe_freqs)
+        yield np.matmul(x[:, None], w_in)[:, 0] + b_in + pe[t % _ROW_TILE:][:len(x)]
+        t += len(x)
 
-    Only the newest left + right + 1 input rows are kept, each stored as
-    [input | key projection | value projection]; the projections are made
-    once, when the row enters. Output row t is computed exactly once: when
-    input row t + right has entered, or, for the last ``right`` rows, whose
-    windows the end of the sequence clips, when ``rows`` ends.
+
+def _block_rows(block: SABlock, chunks, left: int, right: int, total):
+    """Output rows of ``block`` under the window (left, right) over input
+    rows that arrive in chunks of any size, ``total`` of them if known.
+
+    A buffer holds [input | query | key | value] rows, projected as they
+    enter by one product per row with [w_q | w_k | w_v], which keeps the
+    bits of three, under a view of every key/value window. When a
+    chunk enters, every row now final (row t once input row t + right has
+    entered or the input is complete) is computed in one call and passed on
+    as one chunk. Slots outside the sequence are masked, and rows still
+    needed move to the front only when the buffer fills.
     """
     d, size = block.attn.d_m, left + right + 1
-    window = np.empty((size, 3 * d))
-    n = t = 0  # rows that entered; output rows computed
+    w_qkv = np.concatenate([block.params[f"{block._prefix}.attn.w_{w}"].data for w in "qkv"], 1)
+    tile = _ROW_TILE if total is not None else size  # a stream's chunks are rows
+    buf = np.zeros((tile + left + 2 * right, 4 * d))
+    wins = np.lib.stride_tricks.sliding_window_view(buf[:, 2 * d:], size, axis=0).swapaxes(1, 2)
+    n = t = base = 0  # rows entered; rows output; position of buf[left]
 
-    def out():
-        first = max(0, n - size)  # row index of window[0]
-        kv = window[max(0, t - left) - first:n - first]
-        x_t = window[t - first:t - first + 1, :d]
-        return block.apply_kv_np(x_t, kv[:, d:2 * d], kv[:, 2 * d:])[0]
+    def out(stop):
+        i, j, mask = t - base, stop - base, None
+        if t < left or stop + right > n:
+            pos = np.arange(t - left, stop - left)[:, None] + np.arange(size)
+            mask = np.where((pos < 0) | (pos >= n), ad.LOG_ZERO, 0.0)
+        x, win = buf[i + left:j + left], wins[i:j]
+        return block.apply_kv_np(x[:, :d], win[..., :d], win[..., d:], mask, x[:, d:2 * d])
 
-    for x in rows:
-        k, v = block.attn.kv_np(x[None, :])
-        if n >= size:
-            window[:-1] = window[1:]
-        i = min(n, size - 1)
-        window[i, :d], window[i, d:2 * d], window[i, 2 * d:] = x, k[0], v[0]
-        n += 1
-        if t + right < n:
-            yield out()
-            t += 1
-    for t in range(t, n):
-        yield out()
+    for x in (x[i:i + tile] for x in chunks for i in range(0, len(x), tile)):
+        end = n - base + left
+        if end + len(x) + right > len(buf):
+            buf[:end - t + base] = buf[t - base:end]
+            end, base = end - t + base, t
+        buf[end:end + len(x), :d] = x
+        np.matmul(x[:, None], w_qkv, out=buf[end:end + len(x), None, d:])
+        n += len(x)
+        stop = n if n == total else n - right
+        if stop > t:
+            yield out(stop)
+            t = stop
+    if t < n:
+        yield out(n)
 
 
 class PredictionNetwork:

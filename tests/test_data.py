@@ -182,6 +182,17 @@ def test_task_spec_validation():
         generate_split(TaskSpec(), 1, "eval")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("factor", 0), ("factor", -1), ("feature_dim", 0), ("noise", -1.0),
+    ("noise", float("nan")), ("min_tokens", 0), ("max_tokens", 2)])
+def test_task_spec_rejects_values_no_split_can_use(field, value):
+    # each would give empty features or targets, or fail deep inside numpy;
+    # max_tokens 2 is below the default min_tokens 3
+    with pytest.raises(ValueError, match=field):
+        TaskSpec(**{field: value})
+    TaskSpec(min_tokens=4, max_tokens=4)
+
+
 def test_alignment_feeds_lattice_path():
     from satkit.pathreg import build_path
 

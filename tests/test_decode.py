@@ -431,7 +431,7 @@ def test_stream_decode_matches_offline_bitwise():
         rng = np.random.default_rng(500 + seed)
         raw = rng.normal(size=(25, model.config.feature_dim))
         stacked = stack_downsample(raw, 3, 1, 3)
-        # offline greedy on the bounded window is the frame-exact path
+        # offline greedy reads the same encoder rows, in tiles
         offline_labels, offline_frames, _ = greedy_trace(model, stacked)
         got = list(stream_decode(model, iter(raw)))
         assert [k for _, k in got] == offline_labels, f"seed {seed}"
@@ -461,7 +461,7 @@ def test_stream_decode_uses_the_model_stacking():
 
 
 def test_streaming_beam_matches_offline_bitwise(caplog):
-    # the beam over a raw-frame stream reads the same frame-exact rows as
+    # the beam over a raw-frame stream reads the same encoder rows as
     # offline: hypotheses and both scores agree bit for bit
     from satkit.data import stack_downsample
 
@@ -537,7 +537,7 @@ def test_stream_decode_empty_and_validation():
         list(stream_decode(unbounded, iter(frames)))
 
 
-def test_frame_exact_requires_bounded_window():
+def test_unbounded_window_decodes_only_a_matrix():
     # the window alone picks the encoder path: under an unbounded window a
     # matrix decodes in one whole-matrix pass, and a stream, which could only
     # be encoded row by row, is refused
@@ -552,10 +552,11 @@ def test_frame_exact_requires_bounded_window():
     assert beam_decode(model, x)
 
 
-def test_streams_need_a_bounded_window_and_frame_exact():
+def test_streams_need_a_bounded_window():
     # every stream raises under an unbounded window; under a bounded one a
-    # matrix and the same rows as a stream give the same bits, because both
-    # go through the incremental encoder
+    # matrix, which enters the encoder in tiles, and the same rows as a
+    # stream, one row at a time, give the same bits, because a row's bits do
+    # not depend on how the rows are grouped
     unbounded = tiny_model(seed=0)
     x = random_stacked(unbounded, t_len=6, seed=3)
     raw = np.random.default_rng(4).normal(size=(12, unbounded.config.feature_dim))

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satkit import autodiff as ad
+from satkit import nnet
 from satkit.autodiff import LOG_ZERO, ShapeError, Tensor
 from satkit.nnet import (CAUSAL, ChunkSpec, Encoder, FeedForward, encoder_rows,
-                         MultiHeadAttention, PredictionNetwork, SABlock, glorot,
-                         positional_encoding)
-from unfused import softmax_lastdim
+                         MultiHeadAttention, PredictionNetwork, PredState, SABlock,
+                         glorot, positional_encoding)
+from unfused import advance_per_call, encoder_rows_per_call, softmax_lastdim
 
 
 def window_mask(n_q: int, n_kv: int, chunk: ChunkSpec, q_offset: int = 0) -> np.ndarray:
@@ -498,6 +499,90 @@ def test_incremental_encoder_output_lags_by_receptive_field():
 
     at_yield = [pulled for _ in encoder_rows(enc, source())]
     assert at_yield == [4, 5, 6, 7, 8, 9, 10] + [10] * 3
+
+
+WINDOWS = [(0, 0), (3, 0), (0, 4), (2, 1), (10, 5)]
+
+
+def encode_in_chunks(enc, feats, cuts, total):
+    """Encoder rows with the block stages' input split at ``cuts``."""
+    chunk = enc.chunk
+    chunks = np.split(np.concatenate(list(nnet._input_rows(enc, feats, len(feats)))), cuts)
+    for block in enc.blocks:
+        chunks = nnet._block_rows(block, chunks, int(chunk.left), int(chunk.right), total)
+    return np.concatenate(list(chunks))
+
+
+@pytest.mark.parametrize("left,right", WINDOWS)
+def test_encoder_rows_do_not_depend_on_grouping(left, right, monkeypatch):
+    # a matrix in tiles of any size, a stream one row at a time and a random
+    # split into chunks give the same bits: so streaming and offline decoding
+    # agree bit for bit whatever the tile size
+    rng = np.random.default_rng(40 + left + 7 * right)
+    for n_blocks in (1, 2, 3):
+        enc = Encoder(6, 8, 2, 16, n_blocks, ChunkSpec(left, right), rng)
+        for length in (1, 2, 5, 40):
+            feats = rng.standard_normal((length, 6))
+            want = encode_incrementally(enc, feats)
+            assert np.array_equal(np.stack(list(encoder_rows(enc, iter(feats)))), want)
+            cuts = np.sort(rng.choice(np.arange(1, length), size=min(length - 1, 6),
+                                      replace=False)) if length > 1 else []
+            for total in (None, length):
+                assert np.array_equal(encode_in_chunks(enc, feats, cuts, total), want)
+            for tile in (1, 2, 7):
+                monkeypatch.setattr(nnet, "_ROW_TILE", tile)
+                assert np.array_equal(encode_incrementally(enc, feats), want), tile
+                monkeypatch.undo()
+
+
+@pytest.mark.parametrize("left,right", WINDOWS)
+def test_encoder_rows_keep_per_call_bits_away_from_the_ends(left, right):
+    # rows whose windows no sequence end clips keep the bits of one row per
+    # call over a clipped window; the rest differ by rounding only, because
+    # their masked slots join the sums
+    rng = np.random.default_rng(60 + left + 7 * right)
+    for n_blocks in (1, 2, 3):
+        enc = Encoder(6, 8, 2, 16, n_blocks, ChunkSpec(left, right), rng)
+        for length in (1, 2, 5, 40):
+            feats = rng.standard_normal((length, 6))
+            got, want = encode_incrementally(enc, feats), encoder_rows_per_call(enc, feats)
+            lo, hi = n_blocks * left, max(0, length - n_blocks * right)
+            assert np.array_equal(got[lo:hi], want[lo:hi])
+            np.testing.assert_allclose(got, want, atol=1e-13, rtol=0)
+
+
+def test_row_step_calls_per_block():
+    # a matrix enters each block a tile at a time; a stream one row per call,
+    # each as soon as it is final
+    rng = np.random.default_rng(22)
+    enc = Encoder(6, 8, 2, 16, 3, ChunkSpec(2, 1), rng)
+    feats = rng.standard_normal((40, 6))
+    calls = [[] for _ in enc.blocks]
+    for block, sizes in zip(enc.blocks, calls):
+        def apply_kv_np(x_new, *args, step=block.apply_kv_np, sizes=sizes):
+            sizes.append(len(x_new))
+            return step(x_new, *args)
+        block.apply_kv_np = apply_kv_np
+    list(encoder_rows(enc, feats))
+    for sizes in calls:
+        assert sum(sizes) == 40
+        assert len(sizes) <= -(-40 // nnet._ROW_TILE) + 1, sizes
+    for sizes in calls:
+        sizes.clear()
+    list(encoder_rows(enc, iter(feats)))
+    assert calls == [[1] * 40] * 3
+
+
+def test_prediction_state_keeps_per_call_bits():
+    rng = np.random.default_rng(19)
+    net = PredictionNetwork(9, 8, 2, 16, 2, rng)
+    state = want = net.init_state()
+    assert np.array_equal(state.g, advance_per_call(
+        net, PredState([None] * net.n_blocks, 0, None), None).g)
+    for tok in (4, 2, 8, 3, 5, 1):
+        state, want = net.advance_np(state, tok), advance_per_call(net, want, tok)
+        assert np.array_equal(state.g, want.g)
+        assert all(np.array_equal(a, b) for a, b in zip(state.layers, want.layers))
 
 
 def test_prediction_network_causal_prefix_extension():

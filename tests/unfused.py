@@ -21,6 +21,12 @@ programming or search: ``brute_force_loss`` scores every alignment path of
 one lattice, and ``exhaustive_decode`` scores every label sequence up to a
 length. ``zero_grads`` zeroes gradients parameter by parameter, for tests
 that step a model's tape without an optimizer.
+
+``apply_kv_per_call``, ``encoder_rows_per_call`` and ``advance_per_call``
+are the decode row step as it was when each call took one key/value window
+for all its rows and the encoder computed one row per call: the bits that
+encoder rows keep away from the sequence ends, and prediction states keep
+everywhere.
 """
 
 import itertools
@@ -32,8 +38,9 @@ from satkit import autodiff as ad
 from satkit.autodiff import LOG_ZERO, ShapeError, Tensor
 from satkit.decode import _encoder_rows
 from satkit.lattice import PosteriorLattice, forward_backward_arrays, transducer_loss
+from satkit.nnet import LN_EPS, PredState, positional_encoding
 from satkit.pathreg import ParConfig
-from satkit.vocab import BLANK
+from satkit.vocab import BLANK, SOS
 
 
 def zero_grads(params) -> None:
@@ -206,6 +213,59 @@ def add_layer_norm(x: Tensor, a: Tensor, gain: Tensor, bias: Tensor,
                    eps: float = 1e-6) -> Tensor:
     """layer_norm(x + a) as two tape nodes."""
     return layer_norm(ad.add(x, a), gain, bias, eps)
+
+
+def apply_kv_per_call(block, x_new: np.ndarray, k: np.ndarray, v: np.ndarray,
+                      mask=None) -> np.ndarray:
+    """``SABlock.apply_kv_np`` with one (n, d_m) key/value window for all its
+    query rows, as it was before rows could come in chunks: each product is
+    one 2-D product over the call's rows."""
+    w_q, w_o, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = [
+        p.data for p in block._row_params]
+    heads, d_k = block.attn.n_heads, block.attn.d_k
+    q = (x_new @ w_q).reshape(-1, heads, d_k).transpose(1, 0, 2)
+    k = k.reshape(-1, heads, d_k).transpose(1, 0, 2)
+    v = v.reshape(-1, heads, d_k).transpose(1, 0, 2)
+    _, ctx = ad.attend(q, k, v, mask, block.attn.scale)
+    a = ctx.transpose(1, 0, 2).reshape(x_new.shape) @ w_o
+    y = ad.add_layer_norm_forward(x_new, a, ln1_g, ln1_b, LN_EPS)[2]
+    f = ad.ffn_forward(y, w1, b1, w2, b2)[1]
+    return ad.add_layer_norm_forward(y, f, ln2_g, ln2_b, LN_EPS)[2]
+
+
+def encoder_rows_per_call(encoder, stacked) -> np.ndarray:
+    """Bounded-window encoder rows computed one row per row-step call, each
+    over its window clipped to the sequence: the row step before rows could
+    come in chunks, whose masked fixed-width windows move only the rows
+    whose window a sequence end clips."""
+    left, right = int(encoder.chunk.left), int(encoder.chunk.right)
+    w_in, b_in = encoder.params["enc.in.w"].data, encoder.params["enc.in.b"].data
+    rows = [x @ w_in + b_in + positional_encoding([t], encoder.d_m, encoder.pe_freqs)[0]
+            for t, x in enumerate(stacked)]
+    d = encoder.d_m
+    for block in encoder.blocks:
+        kv = [np.concatenate(block.attn.kv_np(x[None, :]), axis=1)[0] for x in rows]
+        out = []
+        for t, x in enumerate(rows):
+            window = np.stack(kv[max(0, t - left):t + right + 1])
+            out.append(apply_kv_per_call(block, x[None, :], window[:, :d], window[:, d:])[0])
+        rows = out
+    return np.stack(rows)
+
+
+def advance_per_call(net, state, token):
+    """``PredictionNetwork.advance_np`` through :func:`apply_kv_per_call`."""
+    tok = SOS if token is None else int(token)
+    x = net.params["pred.emb"].data[tok] * math.sqrt(net.d_m)
+    x = (x + positional_encoding([state.length], net.d_m, net.pe_freqs)[0])[None, :]
+    layers, d = [], net.d_m
+    for block, cache in zip(net.blocks, state.layers):
+        kv = np.concatenate(block.attn.kv_np(x), axis=1)
+        if cache is not None:
+            kv = np.concatenate([cache, kv], axis=0)
+        layers.append(kv)
+        x = apply_kv_per_call(block, x, kv[:, :d], kv[:, d:])
+    return PredState(layers, state.length + 1, x[0])
 
 
 def sgd_step(params: dict, velocity: dict, lr: float, momentum: float) -> None:

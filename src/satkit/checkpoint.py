@@ -54,12 +54,20 @@ def save_checkpoint(path, arrays: dict, config: dict, meta: dict = None) -> None
 
 
 def load_checkpoint(path):
-    """Returns (config, meta, arrays)."""
+    """Returns (config, meta, arrays). A file cut short anywhere raises
+    ``ValueError`` naming it."""
+
+    def read(f, n):
+        data = f.read(n)
+        if len(data) < n:
+            raise ValueError(f"{path}: truncated checkpoint")
+        return data
+
     with open(path, "rb") as f:
         if f.read(8) != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        (hlen,) = struct.unpack("<Q", read(f, 8))
+        header = json.loads(read(f, hlen).decode("utf-8"))
         body = f.read()
     arrays = {}
     for entry in header["manifest"]:
@@ -67,6 +75,8 @@ def load_checkpoint(path):
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
+        if start + count * dtype.itemsize > len(body):
+            raise ValueError(f"{path}: truncated checkpoint")
         arr = np.frombuffer(body, dtype=dtype, count=count, offset=start)
         arrays[entry["name"]] = arr.reshape(shape).astype(dtype.newbyteorder("="))
     return header["config"], header["meta"], arrays

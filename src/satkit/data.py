@@ -234,11 +234,14 @@ def read_feats(path) -> np.ndarray:
     with open(path, "rb") as f:
         if f.read(8) != FEAT_MAGIC:
             raise ValueError(f"{path}: not a feature file")
-        rows, cols = struct.unpack("<II", f.read(8))
-        data = np.frombuffer(f.read(rows * cols * 4), dtype="<f4")
-    if data.size != rows * cols:
+        head = f.read(8)
+        if len(head) < 8:
+            raise ValueError(f"{path}: truncated feature header")
+        rows, cols = struct.unpack("<II", head)
+        payload = f.read(rows * cols * 4)
+    if len(payload) < rows * cols * 4:
         raise ValueError(f"{path}: truncated feature payload")
-    return data.reshape(rows, cols).astype(np.float32)
+    return np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float32)
 
 
 def write_token_file(path, entries) -> None:

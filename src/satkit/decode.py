@@ -1,23 +1,17 @@
 """Greedy, beam, and streaming decoding over the transducer output graph.
 
-Every search reads encoder rows from one generator, :func:`_encoder_rows`,
-over stacked rows: a matrix, or a raw-frame stream stacked by
-:func:`stacked_stream`. The model's window, ``model.encoder.chunk``, picks
-the encoder path. A bounded window pulls the stacked rows through
-:func:`~satkit.nnet.encoder_rows`, one generator stage per block, which
-computes each row once from a cache of the rows in its window and passes it
-on as soon as it is final. A matrix enters a tile at a time and a stream one
-row at a time; a row's bits do not depend on that grouping, so greedy and
-beam search give the same bits offline and streaming. The streaming beam is
-:func:`beam_decode` over a stream. An unbounded window cannot stream: it
-encodes the whole matrix in one pass
-(:meth:`~satkit.nnet.Encoder.apply_np`, the tape modules run under
-``no_grad``). Dev-set scoring during training takes that pass for every
-window and runs :func:`greedy_steps` over its rows. Prediction states
-advance one label at a time through
-:meth:`~satkit.nnet.PredictionNetwork.advance_np`, and the joint's row step
-(:meth:`~satkit.lattice.JointNetwork.row_log_probs`) scores each (frame,
-state) pair, so the searches hold no model arithmetic.
+Every search, and dev-set scoring during training, which is
+:func:`greedy_decode`, reads its encoder rows from
+:func:`~satkit.nnet.encoder_rows` over stacked rows: a matrix, or a
+raw-frame stream stacked by :func:`stacked_stream`. The encoder's window
+picks the path there, so this module holds no encoder logic. Under a
+bounded window a matrix and a stream give rows of the same bits, so greedy
+and beam search give the same bits offline and streaming; the streaming
+beam is :func:`beam_decode` over a stream. Under an unbounded window only a
+matrix can be decoded. Prediction states advance one label at a time
+through :meth:`~satkit.nnet.PredictionNetwork.advance_np`, and the joint's
+row step (:meth:`~satkit.lattice.JointNetwork.row_log_probs`) scores each
+(frame, state) pair, so the searches hold no model arithmetic.
 
 The beam is the frame-synchronous prefix search of Graves (arXiv
 1211.3711): within a frame, hypotheses expand by labels until pruned out or
@@ -39,6 +33,7 @@ tokens of ``<s>`` plus the prefix), each built once per search from
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +56,9 @@ class DecodeConfig:
     def __post_init__(self):
         if self.beam_width < 1:
             raise ValueError(f"beam width must be >= 1, got {self.beam_width}")
-        if self.lm_weight < 0:
-            raise ValueError(f"LM weight must be >= 0, got {self.lm_weight}")
+        if not (math.isfinite(self.lm_weight) and self.lm_weight >= 0):
+            raise ValueError(f"LM weight must be finite and non-negative, "
+                             f"got {self.lm_weight}")
         if self.max_symbols_per_frame < 0:
             raise ValueError(f"max symbols per frame must be >= 0, "
                              f"got {self.max_symbols_per_frame}")
@@ -114,27 +110,6 @@ def corpus_cer(references, hypotheses) -> float:
     return sum(edit_distance(r, h) for r, h in zip(refs, hyps)) / total_len
 
 
-def _encoder_rows(model, stacked):
-    """Encoder output rows of an iterable of stacked rows, in order: the one
-    row source of every search, which pulls the rows one at a time.
-
-    Under a bounded window (``model.encoder.chunk``), the stacked rows go
-    through :func:`~satkit.nnet.encoder_rows`: a matrix is encoded a tile at
-    a time, and a stream's rows as they arrive, each encoder row yielded as
-    soon as it is final, with the same bits either way.
-    Under an unbounded window ``stacked`` must be a matrix, encoded in one
-    whole-matrix pass when the first row is pulled; a stream there raises
-    ``ValueError``.
-    """
-    if not model.encoder.chunk.bounded:
-        if not hasattr(stacked, "__len__"):
-            raise ValueError("a stream of stacked rows needs a bounded chunk window")
-        if len(stacked):  # the encoder refuses an empty matrix
-            yield from model.encoder.apply_np(stacked)
-        return
-    yield from encoder_rows(model.encoder, stacked)
-
-
 def stacked_stream(model, raw_frames):
     """Stacked rows of a raw-frame stream with the model's stacking, each as
     soon as it exists (edge replication only at end of stream): the
@@ -151,7 +126,7 @@ def _best_label(lp: np.ndarray) -> int:
     return int(np.argmax(masked))
 
 
-def greedy_steps(model, rows, max_symbols, trace=None):
+def _greedy_steps(model, rows, max_symbols, trace=None):
     """Greedy search over an iterable of encoder rows, pulled one at a time;
     yields (frame, label) per emission. A ``trace`` list receives the
     (t, u, log-prob row) of every step."""
@@ -179,8 +154,8 @@ def greedy_steps(model, rows, max_symbols, trace=None):
 
 def greedy_decode(model, stacked: np.ndarray, max_symbols: int = 10):
     """Best-label-per-step decoding; returns the emitted label ids."""
-    rows = _encoder_rows(model, stacked)
-    return [k for _, k in greedy_steps(model, rows, max_symbols)]
+    rows = encoder_rows(model.encoder, stacked)
+    return [k for _, k in _greedy_steps(model, rows, max_symbols)]
 
 
 def greedy_trace(model, stacked: np.ndarray, max_symbols: int = 10):
@@ -191,8 +166,8 @@ def greedy_trace(model, stacked: np.ndarray, max_symbols: int = 10):
     greedy search sampled its argmax from.
     """
     trace = []
-    rows = _encoder_rows(model, stacked)
-    emitted = list(greedy_steps(model, rows, max_symbols, trace))
+    rows = encoder_rows(model.encoder, stacked)
+    emitted = list(_greedy_steps(model, rows, max_symbols, trace))
     return [k for _, k in emitted], [t for t, _ in emitted], trace
 
 
@@ -241,7 +216,7 @@ def beam_decode(model, stacked: np.ndarray, lm=None, vocab=None,
     cfg = cfg or DecodeConfig()
     if lm is not None and vocab is None:
         raise ValueError("LM fusion needs the vocab to name the labels")
-    rows = _encoder_rows(model, stacked)
+    rows = encoder_rows(model.encoder, stacked)
     joint = model.joint
     width, lm_weight = cfg.beam_width, cfg.lm_weight
     rank_key = _rank_key(lm_weight)
@@ -348,15 +323,16 @@ def stream_decode(model, raw_frames, cfg: DecodeConfig = None):
     s + B*N_r exist. Decisions for frame s therefore lag the input by
     factor*B*N_r + stack_right raw frames, and the final frames flush when
     the source ends. The pipeline is a chain of generators, each pulling
-    from the one before: :func:`~satkit.data.stream_stack`, the encoder's
-    input stage and one stage per block (:func:`~satkit.nnet.encoder_rows`),
-    then :func:`greedy_steps`. Rows pass between the stages one at a time,
-    each as soon as it is final, so no stage adds lag, and each stage keeps
-    state of a fixed size, a ring of raw frames or a block's buffer of rows,
-    however long the stream. The model's window must be bounded. The
-    streaming beam is :func:`beam_decode` over ``stacked_stream(model,
-    raw_frames)``; it returns its hypotheses when the stream ends.
+    from the one before: :func:`~satkit.data.stream_stack`, the encoder row
+    source :func:`~satkit.nnet.encoder_rows` (an input stage and one stage
+    per block), then :func:`greedy_decode`'s search. Rows pass between the
+    stages one at a time, each as soon as it is final, so no stage adds lag,
+    and each stage keeps state of a fixed size, a ring of raw frames or a
+    block's buffer of rows, however long the stream. Under an unbounded
+    window the row source refuses the stream. The streaming beam is
+    :func:`beam_decode` over ``stacked_stream(model, raw_frames)``; it
+    returns its hypotheses when the stream ends.
     """
     cfg = cfg or DecodeConfig(mode="streaming")
-    rows = _encoder_rows(model, stacked_stream(model, raw_frames))
-    yield from greedy_steps(model, rows, cfg.max_symbols_per_frame)
+    rows = encoder_rows(model.encoder, stacked_stream(model, raw_frames))
+    yield from _greedy_steps(model, rows, cfg.max_symbols_per_frame)

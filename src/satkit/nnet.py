@@ -6,11 +6,10 @@ each residual add and its layer norm are one op,
 :func:`autodiff.ffn`.
 
 Whole sequences are evaluated only by the Tensor modules: training records
-the tape, and everything else (decoding under an unbounded window, dev
-scoring) calls the same modules inside ``autodiff.no_grad()`` and reads
-``.data``. The modules take one sequence, (n, d_m), or a zero-padded batch,
-(B, n, d_m) with its ``lengths``, through the same code: linear layers act
-on the last axis, and all heads of an attention sublayer are one tape op,
+the tape, and :meth:`Encoder.apply_np` runs the same modules inside
+``autodiff.no_grad()``. The modules take one sequence, (n, d_m), or a
+zero-padded batch, (B, n, d_m) with its ``lengths``, through the same code:
+linear layers act on the last axis, and all heads of an attention sublayer are one tape op,
 :func:`autodiff.attention`, which splits and merges the heads itself. That
 op takes the window as a ``ChunkSpec``'s two bounds and builds its own 0 /
 LOG_ZERO band mask from them and from ``lengths``: a real frame sees only
@@ -23,19 +22,21 @@ as wide as the sequence (unbounded, the prediction network's causal
 product. A training step is therefore one tape over the whole batch, and a
 real row equals that of its sequence run alone up to rounding.
 
-Decoding takes the cached key/value row step, :meth:`SABlock.apply_kv_np`,
-over key and value rows projected once, when each row enters a block. It
-records no tape, because on the tape one block row costs about 2.6x as much
-(one query over 16 keys, d_m 64), but it has no arithmetic of its own: it
-runs the plain-array forwards of the block's fused ops, :func:`autodiff.attend`,
-:func:`autodiff.add_layer_norm_forward` and :func:`autodiff.ffn_forward`,
-the same functions the tape ops call, with one vector-matrix product per
-row, so a row's bits do not depend on how many rows share a call.
-:func:`encoder_rows` runs it over each block's bounded window as a chain of
-generator stages, one per block: a matrix flows through a tile at a time
-and a stream one row at a time, with the same bits.
-:meth:`PredictionNetwork.advance_np` runs it for one row over a causal
-prefix, the left-context caching of the Transformer Transducer.
+:func:`encoder_rows` is the one source of encoder rows, for decoding and
+dev scoring alike; the encoder's window picks its path. An unbounded window
+encodes a matrix whole. A bounded one takes the cached key/value row step,
+:meth:`SABlock.apply_kv_np`, over key and value rows projected once, when
+each row enters a block. It records no tape, because on the tape one block
+row costs about 2.6x as much (one query over 16 keys, d_m 64), but it has no
+arithmetic of its own: it runs the plain-array forwards of the block's fused
+ops, :func:`autodiff.attend`, :func:`autodiff.add_layer_norm_forward` and
+:func:`autodiff.ffn_forward`, the same functions the tape ops call, with one
+vector-matrix product per row, so a row's bits do not depend on how many
+rows share a call. Its stages form a chain of generators, one per block: a
+matrix flows through a tile at a time and a stream one row at a time, with
+the same bits. :meth:`PredictionNetwork.advance_np` runs the row step for
+one row over a causal prefix, the left-context caching of the Transformer
+Transducer.
 """
 
 import math
@@ -243,9 +244,9 @@ class Encoder:
     """Feature-side stack: linear projection + positional encoding + B blocks.
 
     Every block applies the encoder's one window, ``chunk``: the window the
-    model was trained with, and the one every decode path reads. A bounded
-    window decodes through :func:`encoder_rows`, an unbounded one
-    through :meth:`apply_np`; to decode with another window, set ``chunk``.
+    model was trained with, and the one :func:`encoder_rows`, the row source
+    of decoding and dev scoring, reads to pick its path. To decode with
+    another window, set ``chunk``.
     """
 
     def __init__(self, d_in: int, d_m: int, n_heads: int, d_ff: int,
@@ -295,23 +296,26 @@ _ROW_TILE = 64
 
 
 def encoder_rows(encoder: Encoder, stacked):
-    """Output rows of a bounded-window encoder over stacked rows, each
-    yielded as soon as it is final: the decoding path for every bounded
-    window, offline and streaming alike.
+    """Output rows of the encoder over stacked rows, in order: the one row
+    source of decoding, offline and streaming, and of dev scoring. The
+    encoder's window, ``chunk``, picks the path.
 
-    A 2-D matrix enters in tiles of ``_ROW_TILE`` rows, any other iterable
-    one row at a time. The rows pass through the input projection plus the
+    A bounded window passes the rows through the input projection plus the
     positional encoding, then one :func:`_block_rows` stage per block, so
     top row t is yielded once stacked row t + B*right has been pulled, and
-    the last B*right rows once the input is complete. A row's bits do not
-    depend on the grouping, so a matrix and a stream of the same rows give
-    the same bits, equal to :meth:`Encoder.apply_np`'s up to rounding. The
-    window is the encoder's ``chunk``.
+    the last B*right rows once the input is complete. A 2-D matrix enters in
+    tiles of ``_ROW_TILE`` rows, any other iterable one row at a time, and a
+    row's bits do not depend on that grouping; they equal
+    :meth:`Encoder.apply_np`'s up to rounding. An unbounded window encodes a
+    matrix whole with :meth:`Encoder.apply_np` (an empty one gives no rows)
+    and refuses a stream with ``ValueError``.
     """
+    total = len(stacked) if isinstance(stacked, np.ndarray) and stacked.ndim == 2 else None
     chunk = encoder.chunk
     if not chunk.bounded:
-        raise ValueError("incremental encoding needs a bounded chunk window")
-    total = len(stacked) if isinstance(stacked, np.ndarray) and stacked.ndim == 2 else None
+        if total is None:
+            raise ValueError("a stream of stacked rows needs a bounded chunk window")
+        return iter(encoder.apply_np(stacked) if total else ())
     chunks = _input_rows(encoder, stacked, total)
     for block in encoder.blocks:
         chunks = _block_rows(block, chunks, int(chunk.left), int(chunk.right), total)

@@ -8,7 +8,9 @@ forward-backward plus, at beta > 0, a gather of the T+U aligned cells of
 each path. It backpropagates the mean joint loss of the batch once. A step
 whose loss or gradient norm is not finite is skipped: the optimizer does not
 move, ``Trainer.skipped_steps`` counts it and a warning names the utterances
-at fault.
+at fault. After each epoch, dev scoring is greedy decoding: the dev CER is
+that of :func:`satkit.decode.greedy_decode` on each dev utterance, the same
+encoder rows and search the decoder runs.
 
 Metrics stream to a CSV with columns step,lr,transducer_loss,par_loss,
 joint_loss,dev_cer,step_seconds,frames_per_sec,grad_norm, whose header the
@@ -32,7 +34,7 @@ import numpy as np
 from . import autodiff as ad
 from . import checkpoint as ckpt
 from .data import make_batches
-from .decode import corpus_cer, greedy_steps
+from .decode import corpus_cer, greedy_decode
 from .model import SATModel
 from .optim import NoamWarmup, SGDMomentum
 from .pathreg import ParConfig, _regularized, build_path
@@ -68,6 +70,12 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        for name in ("lr", "lr_factor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.warmup_steps < 1:
             raise ValueError(f"warmup steps must be >= 1, got {self.warmup_steps}")
         self.par()  # the regularizer's own check of beta
@@ -173,19 +181,13 @@ class Trainer:
                     self.global_step + 1, what, ", ".join(bad or batch.utt_ids))
 
     def evaluate(self) -> float:
-        """Corpus CER of greedy decoding over the dev set.
-
-        Encodes each utterance in one whole-matrix pass, whatever the
-        window; a bounded window masks to the same receptive field there,
-        so only reduction order differs from the row-by-row decode path.
-        """
-        refs = []
-        hyps = []
+        """Corpus CER over the dev set of :func:`~satkit.decode.greedy_decode`
+        on each utterance's stacked matrix: dev scoring is greedy decoding,
+        with the decoder's encoder rows and hypotheses."""
+        refs, hyps = [], []
         for batch in self.dev:
-            t_len = int(batch.feat_lengths[0])
-            rows = self.model.encoder.apply_np(batch.feats[0, :t_len])
             refs.append(batch.targets[0])
-            hyps.append([k for _, k in greedy_steps(self.model, rows, max_symbols=10)])
+            hyps.append(greedy_decode(self.model, batch.feats[0, :int(batch.feat_lengths[0])]))
         return corpus_cer(refs, hyps)
 
     def run_epoch(self) -> dict:

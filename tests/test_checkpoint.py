@@ -104,6 +104,16 @@ def test_magic_validation(tmp_path):
     bad.write_bytes(b"NOTACKPT" + b"\x00" * 16)
     with pytest.raises(ValueError):
         load_checkpoint(bad)
+    # a file cut short in the preamble, the header or the payload names itself
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(good, {"w": np.arange(6.0)}, {"d": 1})
+    blob = good.read_bytes()
+    hlen = int.from_bytes(blob[8:16], "little")
+    for end in (12, 16 + hlen // 2, 16 + hlen + 20, len(blob) - 1):
+        cut = tmp_path / f"cut{end}.ckpt"
+        cut.write_bytes(blob[:end])
+        with pytest.raises(ValueError, match=f"cut{end}.ckpt: truncated"):
+            load_checkpoint(cut)
 
 
 def test_rng_state_round_trip():

@@ -85,7 +85,9 @@ def test_train_rejects_a_non_finite_beta(tmp_path, data_dir, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--beta", "nan"), ("--epochs", "0"),
-                                        ("--warmup-steps", "0"), ("--dropout", "1.0")])
+                                        ("--warmup-steps", "0"), ("--dropout", "1.0"),
+                                        ("--lr", "nan"), ("--momentum", "1.5"),
+                                        ("--lr-factor", "0")])
 def test_rejected_train_config_leaves_no_directory(tmp_path, data_dir, capsys,
                                                    flag, value):
     out = tmp_path / "run"
@@ -209,6 +211,20 @@ def test_decode_chunk_override_needs_both(run_dir, data_dir, tmp_path, capsys):
                  "3", "--out", str(tmp_path / "x.txt")])
     assert code == 1
     assert "chunk" in capsys.readouterr().err
+
+
+def test_decode_rejects_bad_input_in_one_line(run_dir, data_dir, tmp_path, capsys):
+    # a non-finite LM weight, and a checkpoint cut short, which is named
+    ckpt = run_dir / "best.ckpt"
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(ckpt.read_bytes()[:-100])
+    for path, extra, want in [(ckpt, ["--lm-weight", "nan"], "LM weight"),
+                              (cut, [], "cut.ckpt: truncated")]:
+        code = main(["decode", "--checkpoint", str(path), "--data", str(data_dir),
+                     "--split", "dev", "--out", str(tmp_path / "x.txt"), *extra])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and want in err, err
 
 
 def test_eval_cer(run_dir, data_dir, tmp_path, capsys):

@@ -224,10 +224,12 @@ def test_feats_round_trip_and_errors(tmp_path):
     (tmp_path / "bad.sf").write_bytes(b"NOTMAGIC" + b"\x00" * 8)
     with pytest.raises(ValueError):
         read_feats(tmp_path / "bad.sf")
+    # a file cut short in the header or the payload names itself
     blob = p.read_bytes()
-    (tmp_path / "cut.sf").write_bytes(blob[:-5])
-    with pytest.raises(ValueError):
-        read_feats(tmp_path / "cut.sf")
+    for end in (12, len(blob) - 5, len(blob) - 4):
+        (tmp_path / f"cut{end}.sf").write_bytes(blob[:end])
+        with pytest.raises(ValueError, match=f"cut{end}.sf: truncated"):
+            read_feats(tmp_path / f"cut{end}.sf")
 
 
 def test_token_file_round_trip(tmp_path):

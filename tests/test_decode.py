@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satkit.decode import (DecodeConfig, Hypothesis, _encoder_rows,
-                           beam_decode, cer, corpus_cer, edit_distance,
-                           greedy_decode, greedy_trace, stacked_stream,
-                           stream_decode)
+from satkit.decode import (DecodeConfig, Hypothesis, beam_decode, cer,
+                           corpus_cer, edit_distance, greedy_decode,
+                           greedy_trace, stacked_stream, stream_decode)
 from satkit.model import ModelConfig, SATModel
 from satkit.ngram import BOS
 from satkit.ngram import train as lm_train
+from satkit.nnet import encoder_rows
 from satkit.vocab import BLANK, SOS, Vocab
 from unfused import exhaustive_decode
 
@@ -74,8 +74,9 @@ def test_corpus_cer_pools_lengths():
 def test_decode_config_validation():
     with pytest.raises(ValueError):
         DecodeConfig(beam_width=0)
-    with pytest.raises(ValueError):
-        DecodeConfig(lm_weight=-0.1)
+    for weight in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="LM weight"):
+            DecodeConfig(lm_weight=weight)
     with pytest.raises(ValueError):
         DecodeConfig(mode="batch")
     with pytest.raises(ValueError):
@@ -217,7 +218,7 @@ def _reference_beam(model, stacked, lm=None, vocab=None, cfg=None):
     (hypothesis, label) and one ``advance_np`` per surviving expansion.
     Rows are scored through the joint network's row step."""
     cfg = cfg or DecodeConfig()
-    rows = list(_encoder_rows(model, stacked))
+    rows = list(encoder_rows(model.encoder, stacked))
     scorer = model.joint
     width = cfg.beam_width
 
@@ -518,7 +519,7 @@ def test_stream_state_is_bounded():
     n_rows, held = 0, {}
     tracemalloc.start()
     try:
-        for _row in _encoder_rows(model, stacked_stream(model, frames)):
+        for _row in encoder_rows(model.encoder, stacked_stream(model, frames)):
             n_rows += 1
             if n_rows in (500, 2000):
                 held[n_rows] = tracemalloc.get_traced_memory()[0]
@@ -546,7 +547,7 @@ def test_unbounded_window_decodes_only_a_matrix():
     with pytest.raises(ValueError, match="needs a bounded chunk window"):
         greedy_decode(model, iter(x))
     # matrix path still fine
-    rows = np.stack(list(_encoder_rows(model, x)))
+    rows = np.stack(list(encoder_rows(model.encoder, x)))
     assert np.array_equal(rows, model.encoder.apply_np(x))
     assert isinstance(greedy_decode(model, x), list)
     assert beam_decode(model, x)
@@ -567,8 +568,8 @@ def test_streams_need_a_bounded_window():
         with pytest.raises(ValueError, match="needs a bounded chunk window"):
             call()
     bounded = tiny_model(seed=0, left=2, right=1)
-    matrix = np.stack(list(_encoder_rows(bounded, x)))
-    assert np.array_equal(np.stack(list(_encoder_rows(bounded, iter(x)))), matrix)
+    matrix = np.stack(list(encoder_rows(bounded.encoder, x)))
+    assert np.array_equal(np.stack(list(encoder_rows(bounded.encoder, iter(x)))), matrix)
     assert greedy_decode(bounded, iter(x)) == greedy_decode(bounded, x)
     assert _bits(beam_decode(bounded, iter(x))) == _bits(beam_decode(bounded, x))
 

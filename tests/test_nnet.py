@@ -452,9 +452,11 @@ def test_incremental_encoder_matches_matrix_path():
     rows = encode_incrementally(enc, feats)
     for t in (0, 5, 11):
         np.testing.assert_allclose(rows[t], full[t], atol=1e-9)
+    # an unbounded window encodes a matrix whole, and cannot stream
     enc.chunk = ChunkSpec.unbounded()
-    with pytest.raises(ValueError, match="bounded chunk window"):
-        encoder_rows(enc, feats)
+    assert np.array_equal(np.stack(list(encoder_rows(enc, feats))), enc.apply_np(feats))
+    with pytest.raises(ValueError, match="needs a bounded chunk window"):
+        encoder_rows(enc, iter(feats))
 
 
 def test_incremental_encoder_ignores_frames_outside_field():

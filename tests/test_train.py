@@ -43,6 +43,14 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="finite and non-negative"):
         TrainConfig(beta=float("nan"))
+    # an lr of nan wrote NaN into every parameter at step 1
+    for bad in ({"lr": float("nan")}, {"lr": 0.0}, {"lr_factor": 0.0},
+                {"optimizer": "noam", "lr_factor": float("inf")}):
+        with pytest.raises(ValueError, match="finite and positive"):
+            TrainConfig(**bad)
+    for momentum in (1.5, 1.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="momentum"):
+            TrainConfig(momentum=momentum)
     for steps in (0, -5):
         with pytest.raises(ValueError, match="warmup steps"):
             TrainConfig(optimizer="noam", warmup_steps=steps)
@@ -58,32 +66,31 @@ def test_config_validation():
     assert ModelConfig(stack_left=0, stack_right=0, factor=1).stacked_dim == 8
 
 
-def test_dev_scoring_encodes_whole_matrices(monkeypatch):
-    # under a bounded window too, evaluate() encodes each dev utterance in
-    # one whole-matrix pass and runs greedy search over those rows; it never
-    # builds the row-by-row encoder that decoding uses
-    import satkit.decode
-    from satkit.decode import corpus_cer, greedy_decode, greedy_steps
+def test_dev_scoring_is_greedy_decoding(monkeypatch):
+    # under a bounded window, evaluate() encodes each dev utterance through
+    # the decoder's row source, one block stage per block, and scores the
+    # hypotheses of greedy_decode
+    import satkit.nnet
+    from satkit.decode import corpus_cer, greedy_decode
 
     vocab, tr_utts, dev_utts = toy_setup(n_dev=6)
     model = toy_model(vocab, seed=3, window=("2", "1"), n_enc_blocks=2)
     trainer = Trainer(model, vocab, tr_utts, dev_utts,
                       TrainConfig(epochs=2, batch_size=4, lr=0.05))
     trainer.run()
-    refs, hyps = [], []
-    for batch in trainer.dev:
-        rows = model.encoder.apply_np(batch.feats[0, :batch.feat_lengths[0]])
-        refs.append(batch.targets[0])
-        hyps.append([k for _, k in greedy_steps(model, rows, max_symbols=10)])
-    want = corpus_cer(refs, hyps)
+    want = corpus_cer([b.targets[0] for b in trainer.dev],
+                      [greedy_decode(model, b.feats[0, :b.feat_lengths[0]])
+                       for b in trainer.dev])
+    stages = []
+    block_rows = satkit.nnet._block_rows
 
-    def refuse(_encoder, _stacked):
-        raise AssertionError("dev scoring encoded row by row")
+    def counted(block, *args):
+        stages.append(block)
+        return block_rows(block, *args)
 
-    monkeypatch.setattr(satkit.decode, "encoder_rows", refuse)
-    with pytest.raises(AssertionError):
-        greedy_decode(model, trainer.dev[0].feats[0])
+    monkeypatch.setattr(satkit.nnet, "_block_rows", counted)
     assert trainer.evaluate() == want
+    assert stages == model.encoder.blocks * len(trainer.dev)
     assert trainer.history[-1]["dev_cer"] == want
 
 

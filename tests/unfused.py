@@ -36,9 +36,8 @@ import numpy as np
 
 from satkit import autodiff as ad
 from satkit.autodiff import LOG_ZERO, ShapeError, Tensor
-from satkit.decode import _encoder_rows
 from satkit.lattice import PosteriorLattice, forward_backward_arrays, transducer_loss
-from satkit.nnet import LN_EPS, PredState, positional_encoding
+from satkit.nnet import LN_EPS, PredState, encoder_rows, positional_encoding
 from satkit.pathreg import ParConfig
 from satkit.vocab import BLANK, SOS
 
@@ -94,7 +93,7 @@ def exhaustive_decode(model, stacked: np.ndarray, max_len: int, token_ids):
 
     Exponential reference oracle for beam search on tiny inputs.
     """
-    enc = Tensor(np.stack(list(_encoder_rows(model, stacked))))
+    enc = Tensor(np.stack(list(encoder_rows(model.encoder, stacked))))
     best = None
     for n in range(max_len + 1):
         for y in itertools.product(token_ids, repeat=n):

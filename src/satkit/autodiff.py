@@ -7,9 +7,9 @@ gradients into every reachable leaf tensor (one created with
 their cotangents live only while ``backward`` runs. A node links to its
 inputs' nodes, not to their tensors, and its vector-Jacobian product keeps
 only the arrays it reads, so an intermediate result the backward pass does
-not need is freed as soon as the forward pass is done with it. Inside
-``no_grad()`` no node is recorded, so evaluation keeps no intermediate
-alive.
+not need is freed as soon as the forward pass is done with it. An op none
+of whose inputs needs a gradient records no node, so evaluating with
+constant inputs keeps no intermediate alive.
 Shapes are strict: each primitive documents the exact shapes it accepts
 (there is no general broadcasting), and mismatches raise ``ShapeError``
 naming the primitive and both shapes.
@@ -33,8 +33,6 @@ ops preserve the operand dtype (mixing dtypes is an error).
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
 # Log-space "impossible" marker. Kept finite so exp() underflows to exactly
@@ -50,10 +48,6 @@ class ShapeError(ValueError):
 
 class GraphError(RuntimeError):
     pass
-
-
-# False inside no_grad(): ops record no tape node.
-_recording = True
 
 
 class _Node:
@@ -105,18 +99,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
 
 
-@contextlib.contextmanager
-def no_grad():
-    """Evaluate without recording: results inside the block are plain
-    values that ``backward`` cannot reach, and no op keeps its inputs."""
-    global _recording
-    previous, _recording = _recording, False
-    try:
-        yield
-    finally:
-        _recording = previous
-
-
 def _needs_grad(t: Tensor) -> bool:
     """True when a gradient must flow into ``t``: a tracked leaf, or the
     result of a recorded op."""
@@ -137,7 +119,7 @@ def _result(data, parents, vjp):
     arrays and flags it needs, so that the node keeps no input alive.
     """
     out = Tensor(data)
-    if _recording and any(_needs_grad(p) for p in parents):
+    if any(_needs_grad(p) for p in parents):
         out.requires_grad = any(p.requires_grad for p in parents)
         out._ctx = _Node(tuple(_edge(p) for p in parents), vjp)
     return out
@@ -417,11 +399,11 @@ def joint_log_softmax(f: Tensor, g: Tensor, w_out: Tensor) -> Tensor:
     The grid is built in tiles of frames sized by ``_JOINT_TILE_BYTES``, each
     by :func:`joint_forward`: a tile's sums become its tanh rows in place, are
     projected straight into the output and normalized there, so the only
-    grid-sized arrays are the result and, when recording, the tanh grid the vjp
-    reads. The vjp goes tile by tile from the log-prob cotangent G to the
-    logits (``G - softmax * sum_k G``), then to ``w_out`` and through tanh to
-    the per-frame and per-label sums that are the cotangents of ``f`` and
-    ``g``.
+    grid-sized arrays are the result and, when an input needs a gradient, the
+    tanh grid the vjp reads. The vjp goes tile by tile from the log-prob
+    cotangent G to the logits (``G - softmax * sum_k G``), then to ``w_out``
+    and through tanh to the per-frame and per-label sums that are the
+    cotangents of ``f`` and ``g``.
     """
     f, g, w_out = _as_tensor(f), _as_tensor(g), _as_tensor(w_out)
     _same_dtype("joint_log_softmax", f, g, w_out)
@@ -435,7 +417,7 @@ def joint_log_softmax(f: Tensor, g: Tensor, w_out: Tensor) -> Tensor:
     (B, T, J), U1, K = fb.shape, gb.shape[1], w.shape[1]
     dtype, batched = f.dtype, f.ndim == 3
     need_f, need_g, need_w = _needs_grad(f), _needs_grad(g), _needs_grad(w_out)
-    keep = _recording and (need_f or need_g or need_w)
+    keep = need_f or need_g or need_w
     rows = max(1, _JOINT_TILE_BYTES // max(1, U1 * J * dtype.itemsize))
     tiles = _joint_tiles(B, T, rows)
     n_max = max(((b1 - b0) * (t1 - t0) * U1 for b0, b1, t0, t1 in tiles), default=0)

@@ -62,10 +62,10 @@ def _check_data_fit(cfg: ModelConfig, vocab: Vocab, utts):
     if cfg.vocab_size != vocab.size:
         raise ValueError(f"model config vocab_size {cfg.vocab_size} but the "
                          f"vocab file has {vocab.size} entries")
-    dim = utts[0].feats.shape[1]
-    if cfg.feature_dim != dim:
-        raise ValueError(f"model config feature_dim {cfg.feature_dim} but the "
-                         f"data has {dim}-dim features")
+    for u in utts:
+        if u.feats.shape[1] != cfg.feature_dim:
+            raise ValueError(f"model config feature_dim {cfg.feature_dim} but "
+                             f"{u.utt_id} has {u.feats.shape[1]}-dim features")
 
 
 def cmd_gen_data(args) -> int:
@@ -101,7 +101,7 @@ def cmd_train(args) -> int:
                                  metrics_path=metrics)
     else:
         mcfg = _model_config(args)
-        _check_data_fit(mcfg, vocab, train_utts)
+        _check_data_fit(mcfg, vocab, train_utts + dev_utts)
         tcfg = TrainConfig(
             epochs=args.epochs, batch_size=args.batch_size, seed=args.seed,
             optimizer=args.optimizer, lr=args.lr, momentum=args.momentum,
@@ -139,10 +139,8 @@ def _decode_one(model, utt, cfg: DecodeConfig, lm, vocab):
 def cmd_decode(args) -> int:
     model, _, _ = SATModel.load(args.checkpoint)
     vocab = Vocab.load(f"{args.data}/vocab.txt")
-    if model.config.vocab_size != vocab.size:
-        raise ValueError(f"checkpoint vocab_size {model.config.vocab_size} "
-                         f"but the vocab file has {vocab.size} entries")
     utts = _load_split(args.data, args.split, args.normalize)
+    _check_data_fit(model.config, vocab, utts)
     if args.chunk_left is not None or args.chunk_right is not None:
         if args.chunk_left is None or args.chunk_right is None:
             raise ValueError("a chunk override needs both --chunk-left and "
@@ -210,6 +208,7 @@ def cmd_plot_lattice(args) -> int:
     model, _, _ = SATModel.load(args.checkpoint)
     vocab = Vocab.load(f"{args.data}/vocab.txt")
     utts = _load_split(args.data, args.split, args.normalize)
+    _check_data_fit(model.config, vocab, utts)
     matches = [u for u in utts if u.utt_id == args.utt]
     if not matches:
         raise ValueError(f"utterance {args.utt!r} not in {args.data}/{args.split}")

@@ -238,6 +238,8 @@ def read_feats(path) -> np.ndarray:
         if len(head) < 8:
             raise ValueError(f"{path}: truncated feature header")
         rows, cols = struct.unpack("<II", head)
+        if rows == 0:
+            raise ValueError(f"{path}: no frames")
         payload = f.read(rows * cols * 4)
     if len(payload) < rows * cols * 4:
         raise ValueError(f"{path}: truncated feature payload")

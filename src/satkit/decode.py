@@ -4,7 +4,7 @@ Every search, and dev-set scoring during training, which is
 :func:`greedy_decode`, reads its encoder rows from
 :func:`~satkit.nnet.encoder_rows` over stacked rows: a matrix, or a
 raw-frame stream stacked by :func:`stacked_stream`. The encoder's window
-picks the path there, so this module holds no encoder logic. Under a
+picks each block's stage there, so this module holds no encoder logic. Under a
 bounded window a matrix and a stream give rows of the same bits, so greedy
 and beam search give the same bits offline and streaming; the streaming
 beam is :func:`beam_decode` over a stream. Under an unbounded window only a

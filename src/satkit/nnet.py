@@ -5,11 +5,10 @@ each residual add and its layer norm are one op,
 :func:`autodiff.add_layer_norm`, and the feed-forward sublayer is one op,
 :func:`autodiff.ffn`.
 
-Whole sequences are evaluated only by the Tensor modules: training records
-the tape, and :meth:`Encoder.apply_np` runs the same modules inside
-``autodiff.no_grad()``. The modules take one sequence, (n, d_m), or a
-zero-padded batch, (B, n, d_m) with its ``lengths``, through the same code:
-linear layers act on the last axis, and all heads of an attention sublayer are one tape op,
+The Tensor modules evaluate whole sequences on the tape, for training. They
+take one sequence, (n, d_m), or a zero-padded batch, (B, n, d_m) with its
+``lengths``, through the same code: linear layers act on the last axis, and
+all heads of an attention sublayer are one tape op,
 :func:`autodiff.attention`, which splits and merges the heads itself. That
 op takes the window as a ``ChunkSpec``'s two bounds and builds its own 0 /
 LOG_ZERO band mask from them and from ``lengths``: a real frame sees only
@@ -22,14 +21,15 @@ as wide as the sequence (unbounded, the prediction network's causal
 product. A training step is therefore one tape over the whole batch, and a
 real row equals that of its sequence run alone up to rounding.
 
-:func:`encoder_rows` is the one source of encoder rows, for decoding and
-dev scoring alike; the encoder's window picks its path. An unbounded window
-encodes a matrix whole. A bounded one takes the cached key/value row step,
-:meth:`SABlock.apply_kv_np`, over key and value rows projected once, when
-each row enters a block. It records no tape, because on the tape one block
-row costs about 2.6x as much (one query over 16 keys, d_m 64), but it has no
-arithmetic of its own: it runs the plain-array forwards of the block's fused
-ops, :func:`autodiff.attend`, :func:`autodiff.add_layer_norm_forward` and
+:func:`encoder_rows` is the one source of encoder rows, for decoding and dev
+scoring alike, under every window. Each block stage runs the cached
+key/value row step, :meth:`SABlock.apply_kv_np`, over key and value rows
+projected once, when each row enters the block: over each row's window when
+the window is bounded, over every row of a matrix when it is not. The row
+step records no tape, because on the tape one block row costs about 2.6x as
+much (one query over 16 keys, d_m 64), but it has no arithmetic of its own:
+it runs the plain-array forwards of the block's fused ops,
+:func:`autodiff.attend`, :func:`autodiff.add_layer_norm_forward` and
 :func:`autodiff.ffn_forward`, the same functions the tape ops call, with one
 vector-matrix product per row, so a row's bits do not depend on how many
 rows share a call. Its stages form a chain of generators, one per block: a
@@ -243,10 +243,11 @@ class SABlock:
 class Encoder:
     """Feature-side stack: linear projection + positional encoding + B blocks.
 
+    Calling it evaluates a sequence or a batch on the tape, for training;
+    :func:`encoder_rows` is its row source for decoding and dev scoring.
     Every block applies the encoder's one window, ``chunk``: the window the
-    model was trained with, and the one :func:`encoder_rows`, the row source
-    of decoding and dev scoring, reads to pick its path. To decode with
-    another window, set ``chunk``.
+    model was trained with, and the one :func:`encoder_rows` reads to pick
+    each block's stage. To decode with another window, set ``chunk``.
     """
 
     def __init__(self, d_in: int, d_m: int, n_heads: int, d_ff: int,
@@ -284,11 +285,6 @@ class Encoder:
             x = block(x, self.chunk, lengths, dropout_rate, rng, training)
         return x
 
-    def apply_np(self, feats: np.ndarray) -> np.ndarray:
-        """Evaluation-mode output over the whole matrix, recording nothing."""
-        with ad.no_grad():
-            return self(Tensor(feats)).data
-
 
 # Rows of a matrix enter the encoder this many at a time: each block takes a
 # tile in one row-step call, and its buffer does not grow with the matrix.
@@ -297,28 +293,26 @@ _ROW_TILE = 64
 
 def encoder_rows(encoder: Encoder, stacked):
     """Output rows of the encoder over stacked rows, in order: the one row
-    source of decoding, offline and streaming, and of dev scoring. The
-    encoder's window, ``chunk``, picks the path.
+    source of decoding, offline and streaming, and of dev scoring.
 
-    A bounded window passes the rows through the input projection plus the
-    positional encoding, then one :func:`_block_rows` stage per block, so
-    top row t is yielded once stacked row t + B*right has been pulled, and
-    the last B*right rows once the input is complete. A 2-D matrix enters in
-    tiles of ``_ROW_TILE`` rows, any other iterable one row at a time, and a
-    row's bits do not depend on that grouping; they equal
-    :meth:`Encoder.apply_np`'s up to rounding. An unbounded window encodes a
-    matrix whole with :meth:`Encoder.apply_np` (an empty one gives no rows)
-    and refuses a stream with ``ValueError``.
+    Rows pass through the input projection plus the positional encoding,
+    then one stage per block, which the encoder's window, ``chunk``, picks:
+    :func:`_block_rows` when bounded, so top row t is yielded once stacked
+    row t + B*right has been pulled, and the last B*right rows once the
+    input is complete; :func:`_whole_rows` over a matrix when unbounded,
+    which refuses a stream with ``ValueError``. A 2-D matrix enters in tiles
+    of ``_ROW_TILE`` rows, any other iterable one row at a time, and a row's
+    bits do not depend on that grouping; they equal the tape encoder's up to
+    rounding. A row of the wrong width raises ``ShapeError``.
     """
     total = len(stacked) if isinstance(stacked, np.ndarray) and stacked.ndim == 2 else None
     chunk = encoder.chunk
-    if not chunk.bounded:
-        if total is None:
-            raise ValueError("a stream of stacked rows needs a bounded chunk window")
-        return iter(encoder.apply_np(stacked) if total else ())
+    if total is None and not chunk.bounded:
+        raise ValueError("a stream of stacked rows needs a bounded chunk window")
     chunks = _input_rows(encoder, stacked, total)
     for block in encoder.blocks:
-        chunks = _block_rows(block, chunks, int(chunk.left), int(chunk.right), total)
+        chunks = (_block_rows(block, chunks, int(chunk.left), int(chunk.right), total)
+                  if chunk.bounded else _whole_rows(block, chunks))
     return (row for rows in chunks for row in rows)
 
 
@@ -331,6 +325,8 @@ def _input_rows(encoder: Encoder, stacked, total):
               if total is not None else (np.asarray(x)[None] for x in stacked))
     t = 0
     for x in chunks:
+        if x.shape[1:] != (encoder.d_in,):
+            raise ad.ShapeError(f"encoder expects width {encoder.d_in}, got rows of {x.shape[1:]}")
         if t % _ROW_TILE == 0:
             pe = positional_encoding(np.arange(t, t + _ROW_TILE), encoder.d_m, encoder.pe_freqs)
         yield np.matmul(x[:, None], w_in)[:, 0] + b_in + pe[t % _ROW_TILE:][:len(x)]
@@ -342,15 +338,14 @@ def _block_rows(block: SABlock, chunks, left: int, right: int, total):
     rows that arrive in chunks of any size, ``total`` of them if known.
 
     A buffer holds [input | query | key | value] rows, projected as they
-    enter by one product per row with [w_q | w_k | w_v], which keeps the
-    bits of three, under a view of every key/value window. When a
-    chunk enters, every row now final (row t once input row t + right has
-    entered or the input is complete) is computed in one call and passed on
-    as one chunk. Slots outside the sequence are masked, and rows still
-    needed move to the front only when the buffer fills.
+    enter by one product per row with :func:`_w_qkv`, under a view of every
+    key/value window. When a chunk enters, every row now final (row t once
+    input row t + right has entered or the input is complete) is computed in
+    one call and passed on as one chunk. Slots outside the sequence are masked,
+    and rows still needed move to the front only when the buffer fills.
     """
     d, size = block.attn.d_m, left + right + 1
-    w_qkv = np.concatenate([block.params[f"{block._prefix}.attn.w_{w}"].data for w in "qkv"], 1)
+    w_qkv = _w_qkv(block)
     tile = _ROW_TILE if total is not None else size  # a stream's chunks are rows
     buf = np.zeros((tile + left + 2 * right, 4 * d))
     wins = np.lib.stride_tricks.sliding_window_view(buf[:, 2 * d:], size, axis=0).swapaxes(1, 2)
@@ -378,6 +373,23 @@ def _block_rows(block: SABlock, chunks, left: int, right: int, total):
             t = stop
     if t < n:
         yield out(n)
+
+
+def _whole_rows(block: SABlock, chunks):
+    """Output rows of ``block`` under an unbounded window: every input row
+    projected by one product with :func:`_w_qkv`, then ``_ROW_TILE`` query
+    rows per call over all the rows' keys and values, with no mask."""
+    d = block.attn.d_m
+    x = np.concatenate([np.empty((0, d)), *chunks])
+    qkv = np.matmul(x[:, None], _w_qkv(block))[:, 0]
+    for i in range(0, len(x), _ROW_TILE):
+        j = i + _ROW_TILE
+        yield block.apply_kv_np(x[i:j], qkv[:, d:2 * d], qkv[:, 2 * d:], None, qkv[i:j, :d])
+
+
+def _w_qkv(block: SABlock) -> np.ndarray:
+    """[w_q | w_k | w_v]: one product per row makes q, k and v with the bits of three."""
+    return np.concatenate([block.params[f"{block._prefix}.attn.w_{w}"].data for w in "qkv"], 1)
 
 
 class PredictionNetwork:

@@ -209,14 +209,14 @@ def test_criterion_04_windowed_attention_receptive_field_is_exact():
         for left, right in TABLE_WINDOWS:
             enc = Encoder(6, 16, 2, 32, n_blocks, ChunkSpec(left, right), rng)
             x = rng.standard_normal((t_total, 6))
-            base = enc.apply_np(x)
+            base = enc(Tensor(x)).data
             reach_back = n_blocks * right   # input j feeds outputs t >= j-B*Nr
             reach_fwd = n_blocks * left     # ... and t <= j+B*Nl
             outside_pairs = 0
             for j in range(t_total):
                 probe = x.copy()
                 probe[j] += 0.7
-                out = enc.apply_np(probe)
+                out = enc(Tensor(probe)).data
                 rows = [t for t in range(t_total)
                         if t < j - reach_back or t > j + reach_fwd]
                 if rows:

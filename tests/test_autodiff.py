@@ -257,9 +257,9 @@ def _assert_joint_matches_unfused(f, g, w, frozen_w=False):
     got = _joint_run(ad.joint_log_softmax, f, g, w, weights, frozen_w)
     want = _joint_run(unfused_joint, f, g, w, weights, frozen_w)
     np.testing.assert_allclose(got[0], want[0], rtol=1e-13, atol=1e-13)
-    with ad.no_grad():  # evaluation reuses one tile buffer: same values
-        np.testing.assert_array_equal(
-            ad.joint_log_softmax(Tensor(f), Tensor(g), Tensor(w)).data, got[0])
+    # constant inputs record nothing and reuse one tile buffer: same values
+    np.testing.assert_array_equal(
+        ad.joint_log_softmax(Tensor(f), Tensor(g), Tensor(w)).data, got[0])
     for name, a, b in zip(("f", "g", "w_out"), got[1:], want[1:]):
         if b is None:
             assert a is None, name
@@ -404,9 +404,8 @@ def test_ffn_matches_unfused_composition(lead):
     _assert_fused_matches_unfused(ad.ffn, unfused.ffn, x, args)
     # a constant input or weight gets no gradient, the others theirs
     _assert_fused_matches_unfused(ad.ffn, unfused.ffn, x, args, frozen=(0, 3))
-    with ad.no_grad():
-        np.testing.assert_array_equal(ad.ffn(Tensor(x), *map(Tensor, args)).data,
-                                      unfused.ffn(Tensor(x), *map(Tensor, args)).data)
+    np.testing.assert_array_equal(ad.ffn(Tensor(x), *map(Tensor, args)).data,
+                                  unfused.ffn(Tensor(x), *map(Tensor, args)).data)
 
 
 @pytest.mark.parametrize("lead", [(4,), (2, 3)])
@@ -560,22 +559,9 @@ def test_only_leaves_keep_gradients():
     relu_xw = np.maximum(x.data * w.data, 0.0)
     np.testing.assert_allclose(x.grad, 2.0 * relu_xw * w.data, rtol=1e-15)
     np.testing.assert_allclose(w.grad, 2.0 * relu_xw * x.data, rtol=1e-15)
-
-
-def test_no_grad_records_nothing_and_restores_recording():
-    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-    with ad.no_grad():
-        y = ad.sum_all(relu(ad.mul(x, x)))
-    assert y._ctx is None and not y.requires_grad
-    assert float(y.data) == 14.0
-    with pytest.raises(RuntimeError):
-        with ad.no_grad():
-            raise RuntimeError("boom")
-    # recording resumes after the block, also after one that raised
-    z = ad.sum_all(ad.mul(x, x))
-    assert z._ctx is not None and z.requires_grad
-    z.backward()
-    np.testing.assert_array_equal(x.grad, 2.0 * x.data)
+    # an op none of whose inputs needs a gradient records no node
+    const = ad.sum_all(relu(ad.mul(Tensor(x.data), Tensor(w.data))))
+    assert const._ctx is None and not const.requires_grad
 
 
 @pytest.mark.parametrize("d", [8, 16, 64, 128])

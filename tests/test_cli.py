@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from satkit.cli import main
+from satkit.data import write_feats
 
 MODEL_FLAGS = ["--feature-dim", "4", "--vocab-size", "7", "--d-m", "8",
                "--n-heads", "2", "--d-ff", "16", "--n-enc-blocks", "1",
@@ -227,6 +228,27 @@ def test_decode_rejects_bad_input_in_one_line(run_dir, data_dir, tmp_path, capsy
         assert err.startswith("error:") and err.count("\n") == 1 and want in err, err
 
 
+@pytest.mark.parametrize("mode", ["offline", "streaming"])
+def test_decode_rejects_data_that_does_not_fit(run_dir, data_dir, tmp_path, capsys, mode):
+    # 5-dim features for a 4-dim model, and a feature file with no frames,
+    # each as one error line, in both modes
+    wide, empty = tmp_path / "wide", tmp_path / "empty"
+    shutil.copytree(data_dir, wide)
+    shutil.copytree(data_dir, empty)
+    for path in (wide / "dev" / "feats").iterdir():
+        write_feats(path, np.zeros((6, 5), dtype=np.float32))
+    write_feats(empty / "dev" / "feats" / "delayed-copy-dev-00001.sf",
+                np.zeros((0, 4), dtype=np.float32))
+    for data, want in [(wide, "feature_dim 4 but delayed-copy-dev-00000 has 5-dim"),
+                       (empty, "delayed-copy-dev-00001.sf: no frames")]:
+        code = main(["decode", "--checkpoint", str(run_dir / "best.ckpt"), "--data",
+                     str(data), "--split", "dev", "--mode", mode, "--chunk-left", "3",
+                     "--chunk-right", "1", "--out", str(tmp_path / "x.txt")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and want in err, err
+
+
 def test_eval_cer(run_dir, data_dir, tmp_path, capsys):
     hyp = tmp_path / "hyp.txt"
     main(["decode", "--checkpoint", str(run_dir / "best.ckpt"), "--data",
@@ -302,6 +324,18 @@ def test_plot_lattice_unknown_utt(run_dir, data_dir, tmp_path, capsys):
                  "--data", str(data_dir), "--split", "dev", "--utt", "nope",
                  "--out-prefix", str(tmp_path / "x")]) == 1
     assert "not in" in capsys.readouterr().err
+
+
+def test_plot_lattice_rejects_a_feature_width_mismatch(run_dir, data_dir, tmp_path, capsys):
+    wide = tmp_path / "wide"
+    shutil.copytree(data_dir, wide)
+    write_feats(wide / "dev" / "feats" / "delayed-copy-dev-00002.sf",
+                np.zeros((6, 5), dtype=np.float32))
+    assert main(["plot-lattice", "--checkpoint", str(run_dir / "best.ckpt"),
+                 "--data", str(wide), "--split", "dev", "--utt",
+                 "delayed-copy-dev-00000", "--out-prefix", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "delayed-copy-dev-00002 has 5-dim" in err, err
 
 
 def test_resume_from_cli(run_dir, data_dir, tmp_path, capsys):

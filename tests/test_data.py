@@ -232,6 +232,13 @@ def test_feats_round_trip_and_errors(tmp_path):
             read_feats(tmp_path / f"cut{end}.sf")
 
 
+def test_feats_with_no_frames_are_rejected(tmp_path):
+    p = tmp_path / "empty.sf"
+    write_feats(p, np.zeros((0, 3), dtype=np.float32))
+    with pytest.raises(ValueError, match="empty.sf: no frames"):
+        read_feats(p)
+
+
 def test_token_file_round_trip(tmp_path):
     entries = [("u1", ["a", "b"]), ("u2", []), ("u3", ["c"])]
     p = tmp_path / "text"

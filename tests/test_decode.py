@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satkit.autodiff import Tensor
 from satkit.decode import (DecodeConfig, Hypothesis, beam_decode, cer,
                            corpus_cer, edit_distance, greedy_decode,
                            greedy_trace, stacked_stream, stream_decode)
@@ -181,16 +182,12 @@ def test_greedy_trace_rows_are_distributions():
 @pytest.mark.parametrize("window", [("inf", "inf"), ("2", "1")])
 def test_greedy_trace_rows_are_tape_lattice_cells(window):
     # the row step scores each visited (t, u) as the training joint does
-    from satkit import autodiff as ad
-    from satkit.autodiff import Tensor
-
     model = tiny_model(seed=4, left=window[0], right=window[1])
     x = random_stacked(model, t_len=6, seed=17)
     labels, _, trace = greedy_trace(model, x)
     assert labels and len({u for _, u, _ in trace}) > 1
-    with ad.no_grad():
-        enc = Tensor(model.encoder.apply_np(x))
-        grid = model.joint.log_probs(enc, model.prednet(labels)).data
+    enc = model.encoder(Tensor(x))
+    grid = model.joint.log_probs(enc, model.prednet(labels)).data
     for t, u, lp in trace:
         np.testing.assert_allclose(lp, grid[t, u], rtol=0, atol=1e-12)
 
@@ -539,16 +536,15 @@ def test_stream_decode_empty_and_validation():
 
 
 def test_unbounded_window_decodes_only_a_matrix():
-    # the window alone picks the encoder path: under an unbounded window a
-    # matrix decodes in one whole-matrix pass, and a stream, which could only
-    # be encoded row by row, is refused
+    # under an unbounded window a matrix decodes, each row attending over
+    # every row, and a stream, whose later rows are not there yet, is refused
     model = tiny_model(seed=0)
     x = random_stacked(model, t_len=4, seed=3)
     with pytest.raises(ValueError, match="needs a bounded chunk window"):
         greedy_decode(model, iter(x))
     # matrix path still fine
     rows = np.stack(list(encoder_rows(model.encoder, x)))
-    assert np.array_equal(rows, model.encoder.apply_np(x))
+    np.testing.assert_allclose(rows, model.encoder(Tensor(x)).data, rtol=0, atol=1e-12)
     assert isinstance(greedy_decode(model, x), list)
     assert beam_decode(model, x)
 

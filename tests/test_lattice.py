@@ -243,8 +243,7 @@ def test_joint_row_step_is_the_shared_forward(combine):
         got = joint.row_log_probs(f, g)
         assert got.shape == (5,)
         np.testing.assert_array_equal(got, ad.joint_forward(f[None], g[None], w_o)[0])
-        with ad.no_grad():
-            cell = joint.log_probs(Tensor(enc[None]), Tensor(pred[None])).data
+        cell = joint.log_probs(Tensor(enc[None]), Tensor(pred[None])).data
         np.testing.assert_array_equal(got, cell[0, 0])
 
 

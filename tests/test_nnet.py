@@ -238,16 +238,15 @@ def test_attention_op_finite_differences(left, right):
     tensors = [Tensor(x, requires_grad=True) for x in inputs]
     loss(*tensors).backward()
     eps = 1e-6
-    with ad.no_grad():
-        for i, t in enumerate(tensors):
-            fd = np.zeros_like(t.data)
-            for idx in np.ndindex(t.shape):
-                probe = [x.copy() for x in inputs]
-                probe[i][idx] += eps
-                hi = loss(*probe).item()
-                probe[i][idx] -= 2 * eps
-                fd[idx] = (hi - loss(*probe).item()) / (2 * eps)
-            np.testing.assert_allclose(t.grad, fd, rtol=0, atol=1e-6 * max(1.0, np.abs(fd).max()))
+    for i, t in enumerate(tensors):
+        fd = np.zeros_like(t.data)
+        for idx in np.ndindex(t.shape):
+            probe = [x.copy() for x in inputs]
+            probe[i][idx] += eps
+            hi = loss(*probe).item()
+            probe[i][idx] -= 2 * eps
+            fd[idx] = (hi - loss(*probe).item()) / (2 * eps)
+        np.testing.assert_allclose(t.grad, fd, rtol=0, atol=1e-6 * max(1.0, np.abs(fd).max()))
 
 
 def test_attention_op_rejects_blocked_rows_and_bad_lengths():
@@ -367,8 +366,7 @@ def test_sa_block_finite_differences():
     w = np.arange(1.0, 13.0).reshape(3, 4)
 
     def loss_np(x):
-        with ad.no_grad():
-            return float((block(Tensor(x)).data * w).sum())
+        return float((block(Tensor(x)).data * w).sum())
 
     xt = Tensor(x0.copy(), requires_grad=True)
     ad.sum_all(ad.mul(block(xt), Tensor(w))).backward()
@@ -405,16 +403,6 @@ def test_encoder_input_validation():
         enc(Tensor(np.zeros(6)))
 
 
-def test_encoder_tape_np_parity():
-    # apply_np is the tape encoder run without recording: the same bits
-    rng = np.random.default_rng(8)
-    enc = Encoder(6, 8, 2, 16, 2, ChunkSpec(2, 1), rng)
-    feats = rng.standard_normal((7, 6))
-    assert np.array_equal(enc.apply_np(feats), enc(Tensor(feats)).data)
-    enc.chunk = ChunkSpec(3, 0)
-    assert np.array_equal(enc.apply_np(feats), enc(Tensor(feats)).data)
-
-
 def test_encoder_windowed_locality_is_exact():
     # outside the stacked receptive field, a feature perturbation changes
     # nothing at all: the masked weights underflow to exactly zero
@@ -423,17 +411,17 @@ def test_encoder_windowed_locality_is_exact():
     n_blocks = 2
     enc = Encoder(6, 8, 2, 16, n_blocks, chunk, rng)
     feats = rng.standard_normal((16, 6))
-    base = enc.apply_np(feats)
+    base = enc(Tensor(feats)).data
     t = 8
     lo, hi = chunk.receptive_field(t, n_blocks, 16)
     bumped = feats.copy()
     bumped[lo - 1] += 10.0
     bumped[hi + 1] += 10.0
-    out = enc.apply_np(bumped)
+    out = enc(Tensor(bumped)).data
     assert np.array_equal(out[t], base[t])
     inside = feats.copy()
     inside[hi] += 1.0
-    assert not np.array_equal(enc.apply_np(inside)[t], base[t])
+    assert not np.array_equal(enc(Tensor(inside)).data[t], base[t])
 
 
 def encode_incrementally(enc, feats):
@@ -448,13 +436,14 @@ def test_incremental_encoder_matches_matrix_path():
     chunk = ChunkSpec(2, 1)
     enc = Encoder(6, 8, 2, 16, 2, chunk, rng)
     feats = rng.standard_normal((12, 6))
-    full = enc.apply_np(feats)
+    full = enc(Tensor(feats)).data
     rows = encode_incrementally(enc, feats)
     for t in (0, 5, 11):
         np.testing.assert_allclose(rows[t], full[t], atol=1e-9)
-    # an unbounded window encodes a matrix whole, and cannot stream
+    # an unbounded window encodes a matrix, and cannot stream
     enc.chunk = ChunkSpec.unbounded()
-    assert np.array_equal(np.stack(list(encoder_rows(enc, feats))), enc.apply_np(feats))
+    np.testing.assert_allclose(np.stack(list(encoder_rows(enc, feats))),
+                               enc(Tensor(feats)).data, rtol=0, atol=1e-12)
     with pytest.raises(ValueError, match="needs a bounded chunk window"):
         encoder_rows(enc, iter(feats))
 
@@ -482,7 +471,30 @@ def test_incremental_encoder_matches_matrix_path_over_windows(left, right):
         for length in (1, 2, 5, 40):
             feats = rng.standard_normal((length, 6))
             np.testing.assert_allclose(encode_incrementally(enc, feats),
-                                       enc.apply_np(feats), atol=1e-9, rtol=0)
+                                       enc(Tensor(feats)).data, atol=1e-9, rtol=0)
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 3])
+def test_unbounded_rows_match_the_tape_encoder(n_blocks):
+    # lengths on both sides of the 64-row query tile and of two tiles; an
+    # empty matrix gives no rows
+    rng = np.random.default_rng(40 + n_blocks)
+    enc = Encoder(6, 8, 2, 16, n_blocks, ChunkSpec.unbounded(), rng)
+    assert list(encoder_rows(enc, np.zeros((0, 6)))) == []
+    for length in (1, 2, 63, 64, 65, 150):
+        feats = rng.standard_normal((length, 6))
+        np.testing.assert_allclose(encode_incrementally(enc, feats),
+                                   enc(Tensor(feats)).data, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("chunk", [ChunkSpec(2, 1), ChunkSpec.unbounded()])
+def test_encoder_rows_reject_a_wrong_width(chunk):
+    enc = Encoder(6, 8, 2, 16, 2, chunk, np.random.default_rng(12))
+    with pytest.raises(ShapeError, match="encoder expects width 6"):
+        list(encoder_rows(enc, np.zeros((5, 5))))
+    if chunk.bounded:  # a stream's rows, one at a time
+        with pytest.raises(ShapeError, match="encoder expects width 6"):
+            list(encoder_rows(enc, iter(np.zeros((5, 7)))))
 
 
 def test_incremental_encoder_output_lags_by_receptive_field():

@@ -433,13 +433,12 @@ def test_batch_padding_leaves_each_utterance_unchanged():
     assert pair.utt_ids[0] == short.utt_id
     n = int(alone.feat_lengths[0])
     assert n < pair.feats.shape[1]
-    with ad.no_grad():
-        enc_alone = model.encoder(Tensor(alone.feats)).data[0]
-        enc_pair = model.encoder(Tensor(pair.feats), lengths=pair.feat_lengths).data[0, :n]
-        loss_alone = transducer_loss(model.forward_lattice(
-            alone.feats, alone.targets, lengths=alone.feat_lengths)).data
-        loss_pair = transducer_loss(model.forward_lattice(
-            pair.feats, pair.targets, lengths=pair.feat_lengths)).data
+    enc_alone = model.encoder(Tensor(alone.feats)).data[0]
+    enc_pair = model.encoder(Tensor(pair.feats), lengths=pair.feat_lengths).data[0, :n]
+    loss_alone = transducer_loss(model.forward_lattice(
+        alone.feats, alone.targets, lengths=alone.feat_lengths)).data
+    loss_pair = transducer_loss(model.forward_lattice(
+        pair.feats, pair.targets, lengths=pair.feat_lengths)).data
     np.testing.assert_allclose(enc_pair, enc_alone, rtol=1e-12, atol=1e-12)
     assert loss_pair[0] == pytest.approx(loss_alone[0], rel=1e-12)
 

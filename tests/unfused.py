@@ -97,8 +97,7 @@ def exhaustive_decode(model, stacked: np.ndarray, max_len: int, token_ids):
     best = None
     for n in range(max_len + 1):
         for y in itertools.product(token_ids, repeat=n):
-            with ad.no_grad():
-                lp = model.joint.log_probs(enc, model.prednet(list(y)))
+            lp = model.joint.log_probs(enc, model.prednet(list(y)))
             grid = PosteriorLattice(lp, np.array(y, dtype=np.int64))
             score = -forward_backward_arrays(grid)[0]
             if best is None or score > best[1] or (score == best[1] and y < best[0]):

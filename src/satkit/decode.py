@@ -2,34 +2,40 @@
 
 Every search, and dev-set scoring during training, which is
 :func:`greedy_decode`, reads its encoder rows from
-:func:`~satkit.nnet.encoder_rows` over stacked rows: a matrix, or a
-raw-frame stream stacked by :func:`stacked_stream`. The encoder's window
-picks each block's stage there, so this module holds no encoder logic. Under a
+:func:`~satkit.nnet.encoder_tiles` over stacked rows: a matrix, or a
+raw-frame stream stacked by :func:`stacked_stream`. Each chunk of rows it
+yields, a tile of a matrix or one row of a stream, gets its joint
+projections in one product. The encoder's window picks each block's stage
+there, so this module holds no encoder logic. Under a
 bounded window a matrix and a stream give rows of the same bits, so greedy
 and beam search give the same bits offline and streaming; the streaming
 beam is :func:`beam_decode` over a stream. Under an unbounded window only a
-matrix can be decoded. Prediction states advance one label at a time
-through :meth:`~satkit.nnet.PredictionNetwork.advance_np`, and the joint's
-row step (:meth:`~satkit.lattice.JointNetwork.row_log_probs`) scores each
-(frame, state) pair, so the searches hold no model arithmetic.
+matrix can be decoded. Prediction states advance through
+:meth:`~satkit.nnet.PredictionNetwork.advance_many`, and the joint's row
+step (:class:`~satkit.lattice.JointRows`) scores a frame against states, so
+the searches hold no model arithmetic.
 
 The beam is the frame-synchronous prefix search of Graves (arXiv
 1211.3711): within a frame, hypotheses expand by labels until pruned out or
 the per-frame symbol guard trips, blanks move them to the next frame, and
 duplicate prefixes are merged by log-adding their transducer mass. LM fusion
 adds lambda_lm * log P_lm(token | prefix) at each label expansion; blanks
-never touch the LM term. Each step scores as arrays: the active hypotheses'
-log-prob rows, one row-step call each (a stacked product rounds each row
-differently), stack into an (H, K) array, and the transducer, LM and
-combined scores of every (hypothesis, label) child are array expressions.
-Only children that can survive pruning become :class:`Hypothesis` objects.
-A prediction state depends only on its prefix, so the search caches states
-by child prefix and, after each frame, keeps only the children of the new
-beam; a hypothesis that stays in the beam re-expands without recomputing
-them. LM scores come in rows, one per LM context (the last ``order - 1``
-tokens of ``<s>`` plus the prefix), each built once per search from
-``lm.score``. Caching changes no bits: the beam returns exactly what one
-``advance_np`` and one ``lm.score`` per child would give.
+never touch the LM term. Each step is batched, in the manner of vectorized
+beam search (Seki et al., Interspeech 2019): one joint forward scores the
+active hypotheses' (H, K) log-prob rows, and the transducer, LM and combined
+scores of every (hypothesis, label) child are array expressions. Only
+children that can survive pruning are ranked, only survivors become
+:class:`Hypothesis` objects, and the step's new survivors advance in one
+``advance_many`` call. The joint forward and the advance follow
+the four-row rule of :func:`~satkit.nnet.row_tile`, so each row gets the
+bits it gets alone: batching changes no bits. A prediction state depends
+only on its prefix, so the search caches states by child prefix and, after
+each frame, keeps only the children of the new beam; a hypothesis that
+stays in the beam re-expands without recomputing them. LM scores come in
+rows, one per LM context (the last ``order - 1`` tokens of ``<s>`` plus the
+prefix), each built once per search by one ``lm.score_row`` call. Caching
+changes no bits either: the beam returns exactly what one ``advance_np`` and
+one ``lm.score`` per child would give.
 """
 
 import logging
@@ -40,7 +46,7 @@ import numpy as np
 
 from .data import stream_stack
 from .ngram import BOS
-from .nnet import encoder_rows
+from .nnet import encoder_tiles
 from .vocab import BLANK, SOS
 
 log = logging.getLogger(__name__)
@@ -121,32 +127,41 @@ def stacked_stream(model, raw_frames):
 def _best_label(lp: np.ndarray) -> int:
     """Argmax over the row with the start token ruled out (it is an
     input-side symbol, never a valid emission)."""
+    k = int(lp.argmax())
+    if k != SOS:  # the first maximum is not the start token, so it stays first
+        return k
     masked = lp.copy()
     masked[SOS] = -np.inf
     return int(np.argmax(masked))
 
 
-def _greedy_steps(model, rows, max_symbols, trace=None):
-    """Greedy search over an iterable of encoder rows, pulled one at a time;
-    yields (frame, label) per emission. A ``trace`` list receives the
+def _frames(model, stacked, joint):
+    """The (J,) joint projection of each encoder row over ``stacked``, in
+    order: each chunk of rows the encoder yields is projected at once."""
+    for rows in encoder_tiles(model.encoder, stacked):
+        yield from joint.f_parts(rows)
+
+
+def _greedy_steps(model, stacked, max_symbols, trace=None):
+    """Greedy search over the encoder rows of ``stacked``, pulled as they
+    come; yields (frame, label) per emission. A ``trace`` list receives the
     (t, u, log-prob row) of every step."""
-    joint = model.joint
+    joint = model.joint.row_step(1)
     state = model.prednet.init_state()
-    g_part = joint.g_part(state.g)
+    g_part = joint.g_parts(state.g[None])
     u = 0
-    for t, enc_row in enumerate(rows):
-        f_part = joint.f_part(enc_row)
+    for t, f_part in enumerate(_frames(model, stacked, joint)):
         for _ in range(max_symbols):
-            lp = joint.row_log_probs(f_part, g_part)
+            lp = joint.log_probs(f_part, g_part)[0]
             if trace is not None:
-                trace.append((t, u, lp))
+                trace.append((t, u, lp.copy()))
             k = _best_label(lp)
             if k == BLANK:
                 break
             yield t, k
             u += 1
             state = model.prednet.advance_np(state, k)
-            g_part = joint.g_part(state.g)
+            g_part = joint.g_parts(state.g[None])
         else:
             log.warning("frame %d hit the %d-symbol guard; forcing frame advance",
                         t, max_symbols)
@@ -154,8 +169,7 @@ def _greedy_steps(model, rows, max_symbols, trace=None):
 
 def greedy_decode(model, stacked: np.ndarray, max_symbols: int = 10):
     """Best-label-per-step decoding; returns the emitted label ids."""
-    rows = encoder_rows(model.encoder, stacked)
-    return [k for _, k in _greedy_steps(model, rows, max_symbols)]
+    return [k for _, k in _greedy_steps(model, stacked, max_symbols)]
 
 
 def greedy_trace(model, stacked: np.ndarray, max_symbols: int = 10):
@@ -166,8 +180,7 @@ def greedy_trace(model, stacked: np.ndarray, max_symbols: int = 10):
     greedy search sampled its argmax from.
     """
     trace = []
-    rows = encoder_rows(model.encoder, stacked)
-    emitted = list(_greedy_steps(model, rows, max_symbols, trace))
+    emitted = list(_greedy_steps(model, stacked, max_symbols, trace))
     return [k for _, k in emitted], [t for t, _ in emitted], trace
 
 
@@ -178,7 +191,7 @@ class _LMScorer:
     plus the prefix, so prefixes that share that tail share a row. Rows are
     keyed by label ids (``SOS`` stands in for ``<s>``) and hold
     ``lm.score(context, token)`` for each label the beam can emit, in
-    ``labels`` order.
+    ``labels`` order, made by one ``lm.score_row`` call.
     """
 
     def __init__(self, lm, vocab, labels):
@@ -194,7 +207,7 @@ class _LMScorer:
         row = self.rows.get(key)
         if row is None:
             context = tuple(BOS if k == SOS else self.tokens[k] for k in key)
-            row = np.array([self.lm.score(context, name) for name in self.names])
+            row = self.lm.score_row(context, self.names)
             self.rows[key] = row
         return row
 
@@ -216,24 +229,23 @@ def beam_decode(model, stacked: np.ndarray, lm=None, vocab=None,
     cfg = cfg or DecodeConfig()
     if lm is not None and vocab is None:
         raise ValueError("LM fusion needs the vocab to name the labels")
-    rows = encoder_rows(model.encoder, stacked)
-    joint = model.joint
     width, lm_weight = cfg.beam_width, cfg.lm_weight
+    # At most ``width`` hypotheses are active, and as many new survivors.
+    joint = model.joint.row_step(width)
     rank_key = _rank_key(lm_weight)
     # The blank and the start token hold the lowest ids; every later id is a
     # label the beam can emit.
     first = max(BLANK, SOS) + 1
-    labels = range(first, joint.vocab_size)
+    labels = range(first, model.joint.vocab_size)
     lm_rows = _LMScorer(lm, vocab, labels) if lm is not None else None
     # Child prefix -> (PredState, g_part); after each frame only the children
     # of the beam stay, so a hypothesis that stays in the beam reuses them.
     states = {}
 
     init = Hypothesis(prefix=(), state=model.prednet.init_state())
-    active = {(): (init, joint.g_part(init.state.g))}
+    active = {(): (init, joint.g_parts(init.state.g[None])[0])}
     final = []
-    for t, enc_row in enumerate(rows):
-        f_part = joint.f_part(enc_row)
+    for t, f_part in enumerate(_frames(model, stacked, joint)):
         settled = {}
         for step in range(cfg.max_symbols_per_frame + 1):
             expand = step < cfg.max_symbols_per_frame
@@ -241,12 +253,12 @@ def beam_decode(model, stacked: np.ndarray, lm=None, vocab=None,
                 log.warning("frame %d hit the %d-symbol guard; forcing frame advance",
                             t, cfg.max_symbols_per_frame)
             hyps = [hyp for hyp, _ in active.values()]
-            lp = np.array([joint.row_log_probs(f_part, g_part)
-                           for _, g_part in active.values()])
+            lp = joint.log_probs(f_part, np.array([g_part for _, g_part in active.values()]))
             t_col = np.array([hyp.t_score for hyp in hyps])
+            t_all = t_col[:, None] + lp  # every child's transducer score
             # Blank step: settle each hypothesis to frame t+1.
             for (prefix, (hyp, g_part)), blank_score in zip(
-                    active.items(), (t_col + lp[:, BLANK]).tolist()):
+                    active.items(), t_all[:, BLANK].tolist()):
                 if prefix in settled:
                     s = settled[prefix][0]
                     s.t_score = np.logaddexp(s.t_score, blank_score)
@@ -257,18 +269,19 @@ def beam_decode(model, stacked: np.ndarray, lm=None, vocab=None,
             if not expand or not labels:
                 break
             # Score every (hypothesis, label) child as arrays.
-            t_exp = t_col[:, None] + lp[:, first:]
+            t_exp = t_all[:, first:]
             if lm_rows is not None:
                 lm_exp = (np.array([hyp.lm_score for hyp in hyps])[:, None]
                           + np.array([lm_rows.row(hyp.prefix) for hyp in hyps]))
                 combined = t_exp + lm_weight * lm_exp
             else:
                 lm_exp, combined = None, t_exp
-            # Only children that can survive pruning become hypotheses: those
-            # scoring at least the width-th best of everything alive at this
-            # frame, and those equal to a settled prefix, because pruning keeps
+            # Only children that can survive pruning are ranked: those scoring
+            # at least the width-th best of everything alive at this frame,
+            # and those equal to a settled prefix, because pruning keeps
             # prefixes and a kept settled prefix keeps its twin.
-            pool = [s.combined(lm_weight) for s, _ in settled.values()]
+            keys = [(-s.combined(lm_weight), prefix) for prefix, (s, _) in settled.items()]
+            pool = [-c for c, _ in keys]
             n_alive = len(pool) + combined.size
             if n_alive > width:
                 pool = np.concatenate((pool, combined.ravel()))
@@ -285,26 +298,30 @@ def beam_decode(model, stacked: np.ndarray, lm=None, vocab=None,
             lm_vals = (lm_exp[pick].tolist() if lm_exp is not None
                        else [hyps[i].lm_score for i in at_hyp])
             # Children of distinct prefixes are distinct, so none merge here.
-            expansions = {}
-            for i, j, t_score, lm_score in zip(at_hyp, at_label, t_vals, lm_vals):
-                child = hyps[i].prefix + (labels[j],)
-                expansions[child] = (Hypothesis(child, None, t_score, lm_score), i)
-            # Prune over everything alive at this frame.
-            union = list(settled.items()) + list(expansions.items())
-            union.sort(key=rank_key)
-            keep = {prefix for prefix, _ in union[:width]}
+            expansions = [(hyps[i].prefix + (labels[j],), t_score, lm_score, i)
+                          for i, j, t_score, lm_score in zip(at_hyp, at_label, t_vals, lm_vals)]
+            # Prune over everything alive at this frame, by the rank key of
+            # each child's would-be Hypothesis.
+            keys += [(-(t_score + lm_weight * lm_score), child)
+                     for child, t_score, lm_score, _ in expansions]
+            keep = {prefix for _, prefix in sorted(keys)[:width]}
             settled = {p: v for p, v in settled.items() if p in keep}
-            survivors = [(p, v) for p, v in expansions.items() if p in keep]
+            survivors = [(child, Hypothesis(child, None, t_score, lm_score), i)
+                         for child, t_score, lm_score, i in expansions if child in keep]
             if not survivors:
                 break
+            # The survivors not cached yet advance together.
+            new = [(child, i) for child, _, i in survivors if child not in states]
+            if new:
+                advanced = model.prednet.advance_many(
+                    [hyps[i].state for _, i in new], [child[-1] for child, _ in new])
+                g_parts = joint.g_parts(np.array([state.g for state in advanced]))
+                for (child, _), state, g_part in zip(new, advanced, g_parts):
+                    states[child] = (state, g_part)
             active = {}
-            for child, (hyp, i) in survivors:
-                cached = states.get(child)
-                if cached is None:
-                    state = model.prednet.advance_np(hyps[i].state, child[-1])
-                    cached = states[child] = (state, joint.g_part(state.g))
-                hyp.state = cached[0]
-                active[child] = (hyp, cached[1])
+            for child, hyp, _ in survivors:
+                hyp.state, g_part = states[child]
+                active[child] = (hyp, g_part)
         ranked = sorted(settled.items(), key=rank_key)
         active = dict(ranked[:width])
         final = [hyp for _, (hyp, _) in ranked[:width]]
@@ -324,7 +341,7 @@ def stream_decode(model, raw_frames, cfg: DecodeConfig = None):
     factor*B*N_r + stack_right raw frames, and the final frames flush when
     the source ends. The pipeline is a chain of generators, each pulling
     from the one before: :func:`~satkit.data.stream_stack`, the encoder row
-    source :func:`~satkit.nnet.encoder_rows` (an input stage and one stage
+    source :func:`~satkit.nnet.encoder_tiles` (an input stage and one stage
     per block), then :func:`greedy_decode`'s search. Rows pass between the
     stages one at a time, each as soon as it is final, so no stage adds lag,
     and each stage keeps state of a fixed size, a ring of raw frames or a
@@ -334,5 +351,5 @@ def stream_decode(model, raw_frames, cfg: DecodeConfig = None):
     returns its hypotheses when the stream ends.
     """
     cfg = cfg or DecodeConfig(mode="streaming")
-    rows = encoder_rows(model.encoder, stacked_stream(model, raw_frames))
-    yield from _greedy_steps(model, rows, cfg.max_symbols_per_frame)
+    stacked = stacked_stream(model, raw_frames)
+    yield from _greedy_steps(model, stacked, cfg.max_symbols_per_frame)

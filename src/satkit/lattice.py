@@ -16,7 +16,8 @@ prediction states once each, then one fused tape op
 state in cache-sized tiles and writes the normalized log probs; one kernel
 call scores every utterance within its own frame and target counts. A
 single utterance is the same code without the batch axis. Decoding scores
-one (frame, state) pair per call through :class:`JointNetwork`'s row step.
+one frame against the states of a search step through the joint's row step,
+:class:`JointRows`, one joint forward per call.
 """
 
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels
 from .autodiff import Tensor
+from .nnet import glorot, row_tile, tile_len
 from .vocab import BLANK, SOS
 
 
@@ -171,14 +173,13 @@ class JointNetwork:
     (f and g added in a common basis). Applied to full sequences it returns
     the whole lattice; the grid of tanh rows behind it is built tile by
     tile inside :func:`satkit.autodiff.joint_log_softmax`. The decode row
-    step projects an encoder row (:meth:`f_part`) and a prediction state
-    (:meth:`g_part`) once each and scores a pair of them with that op's
-    own forward (:meth:`row_log_probs`).
+    step, :meth:`row_step`, projects an encoder row and prediction states
+    once each and scores them with that op's own forward; :meth:`f_part`,
+    :meth:`g_part` and :meth:`row_log_probs` are its one-row calls.
     """
 
     def __init__(self, d_enc: int, d_pred: int, d_joint: int, vocab_size: int,
                  rng: np.random.Generator, combine: str = "concat"):
-        from .nnet import glorot
         if combine not in ("concat", "add"):
             raise ValueError(f"combine must be concat or add, got {combine!r}")
         if combine == "add" and d_enc != d_pred:
@@ -212,20 +213,65 @@ class JointNetwork:
         w_f, w_g, w_out = self.weights
         return ad.joint_log_softmax(ad.matmul(enc, w_f), ad.matmul(pred, w_g), w_out)
 
+    def row_step(self, rows: int) -> "JointRows":
+        """The row step of one search that scores up to ``rows`` states per
+        call."""
+        return JointRows(self, rows)
+
     def f_part(self, enc_row: np.ndarray) -> np.ndarray:
         """The (J,) input projection of one (d_enc,) encoder row."""
-        return enc_row @ self.weights[0].data
+        return self.row_step(1).f_parts(enc_row[None])[0]
 
     def g_part(self, pred_row: np.ndarray) -> np.ndarray:
         """The (J,) input projection of one (d_pred,) prediction state row."""
-        return pred_row @ self.weights[1].data
+        return self.row_step(1).g_parts(pred_row[None])[0]
 
     def row_log_probs(self, f_part: np.ndarray, g_part: np.ndarray) -> np.ndarray:
         """The (K,) log distribution of one (frame, state) pair from its two
         projections: one cell of :meth:`log_probs`, by the same forward."""
-        return ad.joint_forward(f_part, g_part, self.weights[2].data)[0]
+        return self.row_step(1).log_probs(f_part, g_part[None])[0]
 
     def lattice(self, enc: Tensor, pred: Tensor, targets, lengths=None) -> PosteriorLattice:
         """The lattice of one utterance, or of a padded batch whose frame
         counts are ``lengths``."""
         return PosteriorLattice(self.log_probs(enc, pred), targets, lengths)
+
+
+class JointRows:
+    """The joint's decode row step for one search, in buffers allocated once.
+
+    :meth:`f_parts` and :meth:`g_parts` project encoder rows and up to
+    ``rows`` prediction states, and :meth:`log_probs` scores one frame's
+    projection against up to ``rows`` state projections with the forward of
+    :func:`satkit.autodiff.joint_log_softmax`. Each is one product over a
+    :func:`satkit.nnet.row_tile`, so every row gets the bits it gets alone
+    and a search may score its states in one call or one at a time.
+    """
+
+    def __init__(self, joint: JointNetwork, rows: int):
+        n, J, K = tile_len(max(1, rows)), joint.d_joint, joint.vocab_size
+        self.w_f, self.w_g, self.w_out = (w.data for w in joint.weights)
+        self._f = np.zeros((4, joint.d_enc))  # grows to the encoder's chunks
+        self._g = np.zeros((n, joint.d_pred))
+        self._gp = np.zeros((n, J))
+        # the joint forward's tanh rows, log probs and exp, per tile size
+        h, out, ez = np.empty((n, J)), np.empty((n, K)), np.empty((n, K))
+        self._bufs = {m: (h[:m], out[:m], ez[:m]) for m in range(4, n + 1, 4)}
+
+    def f_parts(self, enc_rows: np.ndarray) -> np.ndarray:
+        """The (m, J) input projections of (m, d_enc) encoder rows."""
+        m = len(enc_rows)
+        if len(self._f) < m:
+            self._f = np.zeros((tile_len(m), self._f.shape[1]))
+        return (row_tile(enc_rows, self._f) @ self.w_f)[:m]
+
+    def g_parts(self, pred_rows: np.ndarray) -> np.ndarray:
+        """The (m, J) input projections of (m, d_pred) prediction state rows."""
+        return (row_tile(pred_rows, self._g) @ self.w_g)[:len(pred_rows)]
+
+    def log_probs(self, f_part: np.ndarray, g_parts: np.ndarray) -> np.ndarray:
+        """The (m, K) log distributions of one frame's (J,) projection with
+        each of the (m, J) state projections ``g_parts``: one joint forward.
+        The rows live in this row step's buffer until its next call."""
+        g = row_tile(g_parts, self._gp)
+        return ad.joint_forward(f_part, g, self.w_out, *self._bufs[len(g)])[:len(g_parts)]

@@ -13,6 +13,8 @@ smoothed unigram mass despite a zero count).
 import math
 from collections import Counter
 
+import numpy as np
+
 BOS = "<s>"
 EOS = "</s>"
 UNK_TOK = "<unk>"
@@ -35,11 +37,19 @@ class NgramModel:
         """P(token | context) with backoff; context longer than order-1 is
         truncated to its tail."""
         ctx = tuple(context)[max(0, len(context) - (self.order - 1)):]
-        return _lookup(self.probs, self.backoffs, ctx, self._map(token))
+        return _lookup(self.probs, _backoff_chain(self.backoffs, ctx), self._map(token))
 
     def score(self, context, token) -> float:
         """log P(token | context)."""
         return math.log(self.prob(context, token))
+
+    def score_row(self, context, tokens) -> np.ndarray:
+        """log P(token | context) for each of ``tokens``, as one array: the
+        bits of ``[score(context, t) for t in tokens]``, with the context
+        truncated and its backoff chain built once for all the tokens."""
+        ctx = tuple(context)[max(0, len(context) - (self.order - 1)):]
+        chain = _backoff_chain(self.backoffs, ctx)
+        return np.array([math.log(_lookup(self.probs, chain, self._map(t))) for t in tokens])
 
     def sentence_logprob(self, tokens) -> float:
         ctx = [BOS]
@@ -143,20 +153,30 @@ def train(corpus, order: int = 5, discount: float = 0.75) -> NgramModel:
                 # Context padding can make a k-gram whose (k-1)-suffix was
                 # never counted as a (k-1)-gram; its lower-order value still
                 # exists via recursion over stored entries.
-                lower = _lookup(probs, backoffs, ctx[1:], tok)
+                lower = _lookup(probs, _backoff_chain(backoffs, ctx[1:]), tok)
             probs[gram[:-1], tok] = (c - discount) / ctx_totals[ctx] + backoffs[ctx] * lower
     return NgramModel(order, discount, vocab, probs, backoffs)
 
 
-def _lookup(probs, backoffs, ctx, tok):
-    """P(tok | ctx) from the stored entries: a miss multiplies the context's
-    leftover weight and retries one order down."""
-    scale = 1.0
-    while (ctx, tok) not in probs:
-        if not ctx:
-            # Unigram entries exist for the whole vocabulary, so only an
-            # empty-vocab model could reach this.
-            raise KeyError(f"no unigram entry for {tok!r}")
+def _backoff_chain(backoffs, ctx):
+    """``ctx`` and each shorter context down to the empty one, paired with
+    the product of the leftover weights that misses at the longer ones
+    multiply in, in the order a lookup multiplies them."""
+    chain, scale = [(ctx, 1.0)], 1.0
+    while ctx:
         scale *= backoffs.get(ctx, 1.0)
         ctx = ctx[1:]
-    return scale * probs[(ctx, tok)]
+        chain.append((ctx, scale))
+    return chain
+
+
+def _lookup(probs, chain, tok):
+    """P(tok | ctx) from the stored entries, over ctx's backoff chain: a
+    miss moves one order down, where the chain's weight applies."""
+    for ctx, scale in chain:
+        p = probs.get((ctx, tok))
+        if p is not None:
+            return scale * p
+    # Unigram entries exist for the whole vocabulary, so only an empty-vocab
+    # model could reach this.
+    raise KeyError(f"no unigram entry for {tok!r}")

@@ -21,22 +21,26 @@ as wide as the sequence (unbounded, the prediction network's causal
 product. A training step is therefore one tape over the whole batch, and a
 real row equals that of its sequence run alone up to rounding.
 
-:func:`encoder_rows` is the one source of encoder rows, for decoding and dev
-scoring alike, under every window. Each block stage runs the cached
-key/value row step, :meth:`SABlock.apply_kv_np`, over key and value rows
-projected once, when each row enters the block: over each row's window when
-the window is bounded, over every row of a matrix when it is not. The row
+:func:`encoder_tiles` is the one source of encoder rows, for decoding and
+dev scoring alike, under every window; :func:`encoder_rows` yields its rows
+one at a time. Each block stage runs the cached key/value row step,
+:meth:`SABlock.apply_kv_np`, over key and value rows projected once, when
+each row enters the block: over each row's window when the window is
+bounded, over every row of a matrix when it is not. The row
 step records no tape, because on the tape one block row costs about 2.6x as
 much (one query over 16 keys, d_m 64), but it has no arithmetic of its own:
 it runs the plain-array forwards of the block's fused ops,
 :func:`autodiff.attend`, :func:`autodiff.add_layer_norm_forward` and
-:func:`autodiff.ffn_forward`, the same functions the tape ops call, with one
-vector-matrix product per row, so a row's bits do not depend on how many
-rows share a call. Its stages form a chain of generators, one per block: a
-matrix flows through a tile at a time and a stream one row at a time, with
-the same bits. :meth:`PredictionNetwork.advance_np` runs the row step for
-one row over a causal prefix, the left-context caching of the Transformer
-Transducer.
+:func:`autodiff.ffn_forward`, the same functions the tape ops call. Every
+weight product of a row step follows the four-row rule of :func:`row_tile`:
+one 2-D product over the rows rounded up to a multiple of 4, in which a
+row's bits do not depend on the row count, its position or its neighbours.
+So a row's bits do not depend on how many rows share a call. The stages form
+a chain of generators, one per block: a matrix flows through a tile at a
+time and a stream one row at a time, with the same bits.
+:meth:`PredictionNetwork.advance_many` runs the row step for the new rows of
+many decode states over their causal prefixes, the left-context caching of
+the Transformer Transducer, and gives each the bits it has alone.
 """
 
 import math
@@ -110,6 +114,34 @@ UNBOUNDED = ChunkSpec.unbounded()
 CAUSAL = ChunkSpec(math.inf, 0)  # the prediction network's window
 
 
+def row_tile(x: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """The rows of ``x`` as the operand of a decode row step's weight
+    product: ``x`` itself when its row count is a multiple of 4, else the
+    first rows of ``pad`` up to the next multiple, with ``x`` copied in.
+
+    This is the four-row rule. In a 2-D product whose row count is a
+    multiple of 4, the BLAS gives a row the same bits whatever the row
+    count, the row's position and its neighbours' contents; one row alone
+    (a vector-matrix product) or an odd count rounds differently. So a row
+    keeps its bits however rows are grouped into calls.
+    ``tests/test_nnet.py`` checks the rule on the model's weight shapes.
+
+    ``pad`` is scratch of x's width with at least :func:`tile_len` rows,
+    allocated once by the stage or search that owns it. Its other rows may
+    hold any finite values: their products are dropped.
+    """
+    m = len(x)
+    if m % 4 == 0:
+        return x
+    pad[:m] = x
+    return pad[:tile_len(m)]
+
+
+def tile_len(m: int) -> int:
+    """m rounded up to a multiple of 4: the rows of :func:`row_tile`."""
+    return m + (-m % 4)
+
+
 def pe_frequencies(d_m: int) -> np.ndarray:
     """The frequencies 1 / 10000^(2i/d_m) of :func:`positional_encoding`."""
     if d_m % 2:
@@ -166,9 +198,11 @@ class MultiHeadAttention:
         return ad.matmul(ctx, p[f"{pre}.w_o"])
 
     def kv_np(self, x_kv: np.ndarray):
-        """Key and value projections of the rows ``x_kv``, (n, d_m) each."""
-        p, pre = self.params, self._prefix
-        return x_kv @ p[f"{pre}.w_k"].data, x_kv @ p[f"{pre}.w_v"].data
+        """Key and value projections of the rows ``x_kv``, (n, d_m) each,
+        each one product over a :func:`row_tile`."""
+        p, pre, n = self.params, self._prefix, len(x_kv)
+        x = row_tile(x_kv, np.zeros((tile_len(n), self.d_m)))
+        return (x @ p[f"{pre}.w_k"].data)[:n], (x @ p[f"{pre}.w_v"].data)[:n]
 
 
 class FeedForward:
@@ -220,23 +254,46 @@ class SABlock:
         return ad.add_layer_norm(y, f, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"], LN_EPS)
 
     def apply_kv_np(self, x_new: np.ndarray, k: np.ndarray, v: np.ndarray,
-                    mask=None, q=None) -> np.ndarray:
+                    mask=None, q=None, pad=None) -> np.ndarray:
         """Block output for the query rows ``x_new``, (m, d_m), over projected
         keys ``k`` and values ``v``: one (n, d_m) window for every row, or
         (m, n, d_m), one per row; ``mask`` is an additive (m, n) 0 / LOG_ZERO
-        mask or None, ``q`` the rows' query projections if already made. One
-        vector-matrix product per row (a 2-D product switches BLAS kernels at
-        m = 2), so a row's bits do not depend on the rows sharing the call."""
-        w_q, w_o, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = [
-            p.data for p in self._row_params]
-        m, heads, d_k = len(x_new), self.attn.n_heads, self.attn.d_k
-        q = (np.matmul(x_new[:, None], w_q) if q is None else q).reshape(m, heads, 1, d_k)
+        mask or None, ``q`` the rows' query projections if already made, and
+        ``pad`` the caller's :func:`row_tile` scratch, (at least
+        ``tile_len(m)``, d_m), made here if None. Every weight product is one
+        product over a row tile, so a row's bits do not depend on the rows
+        sharing the call."""
+        if pad is None:
+            pad = np.zeros((tile_len(len(x_new)), self.attn.d_m))
+        if q is None:
+            q = self.query_np(x_new, pad)
+        return self.output_np(x_new, self.context_np(q, k, v, mask), pad)
+
+    def query_np(self, x: np.ndarray, pad: np.ndarray) -> np.ndarray:
+        """The (m, d_m) query projections of the rows ``x``."""
+        return (row_tile(x, pad) @ self._row_params[0].data)[:len(x)]
+
+    def context_np(self, q: np.ndarray, k: np.ndarray, v: np.ndarray, mask=None):
+        """The attention sublayer's (m, d_m) head contexts, before ``w_o``,
+        of the query projections ``q`` over keys and values shaped as in
+        :meth:`apply_kv_np`."""
+        m, heads, d_k = len(q), self.attn.n_heads, self.attn.d_k
+        q = q.reshape(m, heads, 1, d_k)
         k = k.reshape(k.shape[:-1] + (heads, d_k)).swapaxes(-2, -3)
         v = v.reshape(v.shape[:-1] + (heads, d_k)).swapaxes(-2, -3)
         _, ctx = ad.attend(q, k, v, None if mask is None else mask[:, None, None], self.attn.scale)
-        a = np.matmul(ctx.reshape(m, 1, -1), w_o)[:, 0]
-        y = ad.add_layer_norm_forward(x_new, a, ln1_g, ln1_b, LN_EPS)[2]
-        f = ad.ffn_forward(y[:, None], w1, b1, w2, b2)[1][:, 0]
+        return ctx.reshape(m, -1)
+
+    def output_np(self, x: np.ndarray, ctx: np.ndarray, pad: np.ndarray) -> np.ndarray:
+        """Block output for the rows ``x`` given their head contexts ``ctx``:
+        the ``w_o`` product, the residual norm, the FFN and the second norm,
+        every product over a :func:`row_tile` in ``pad``."""
+        _, w_o, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = [
+            p.data for p in self._row_params]
+        m = len(x)
+        a = (row_tile(ctx, pad) @ w_o)[:m]
+        y = ad.add_layer_norm_forward(x, a, ln1_g, ln1_b, LN_EPS)[2]
+        f = ad.ffn_forward(row_tile(y, pad), w1, b1, w2, b2)[1][:m]
         return ad.add_layer_norm_forward(y, f, ln2_g, ln2_b, LN_EPS)[2]
 
 
@@ -305,6 +362,12 @@ def encoder_rows(encoder: Encoder, stacked):
     bits do not depend on that grouping; they equal the tape encoder's up to
     rounding. A row of the wrong width raises ``ShapeError``.
     """
+    return (row for rows in encoder_tiles(encoder, stacked) for row in rows)
+
+
+def encoder_tiles(encoder: Encoder, stacked):
+    """The rows of :func:`encoder_rows`, as the (m, d_m) chunks the last
+    stage makes them in: tiles of a matrix, single rows of a stream."""
     total = len(stacked) if isinstance(stacked, np.ndarray) and stacked.ndim == 2 else None
     chunk = encoder.chunk
     if total is None and not chunk.bounded:
@@ -313,23 +376,25 @@ def encoder_rows(encoder: Encoder, stacked):
     for block in encoder.blocks:
         chunks = (_block_rows(block, chunks, int(chunk.left), int(chunk.right), total)
                   if chunk.bounded else _whole_rows(block, chunks))
-    return (row for rows in chunks for row in rows)
+    return chunks
 
 
 def _input_rows(encoder: Encoder, stacked, total):
-    """The input projection, one product per row, plus the positional
-    encoding, made for ``_ROW_TILE`` positions at a time: a matrix of
-    ``total`` rows in tiles that start at those multiples, else row by row."""
+    """The input projection, one product per :func:`row_tile`, plus the
+    positional encoding, made for ``_ROW_TILE`` positions at a time: a
+    matrix of ``total`` rows in tiles that start at those multiples, else
+    row by row."""
     w_in, b_in = encoder.params["enc.in.w"].data, encoder.params["enc.in.b"].data
     chunks = ((stacked[t:t + _ROW_TILE] for t in range(0, total, _ROW_TILE))
               if total is not None else (np.asarray(x)[None] for x in stacked))
+    pad = np.zeros((tile_len(_ROW_TILE), encoder.d_in))
     t = 0
     for x in chunks:
         if x.shape[1:] != (encoder.d_in,):
             raise ad.ShapeError(f"encoder expects width {encoder.d_in}, got rows of {x.shape[1:]}")
         if t % _ROW_TILE == 0:
             pe = positional_encoding(np.arange(t, t + _ROW_TILE), encoder.d_m, encoder.pe_freqs)
-        yield np.matmul(x[:, None], w_in)[:, 0] + b_in + pe[t % _ROW_TILE:][:len(x)]
+        yield (row_tile(x, pad) @ w_in)[:len(x)] + b_in + pe[t % _ROW_TILE:][:len(x)]
         t += len(x)
 
 
@@ -338,16 +403,18 @@ def _block_rows(block: SABlock, chunks, left: int, right: int, total):
     rows that arrive in chunks of any size, ``total`` of them if known.
 
     A buffer holds [input | query | key | value] rows, projected as they
-    enter by one product per row with :func:`_w_qkv`, under a view of every
-    key/value window. When a chunk enters, every row now final (row t once
-    input row t + right has entered or the input is complete) is computed in
-    one call and passed on as one chunk. Slots outside the sequence are masked,
-    and rows still needed move to the front only when the buffer fills.
+    enter by one product over a :func:`row_tile` with :func:`_w_qkv`, under
+    a view of every key/value window. When a chunk enters, every row now
+    final (row t once input row t + right has entered or the input is
+    complete) is computed in one call and passed on as one chunk. Slots
+    outside the sequence are masked, and rows still needed move to the
+    front only when the buffer fills.
     """
     d, size = block.attn.d_m, left + right + 1
     w_qkv = _w_qkv(block)
     tile = _ROW_TILE if total is not None else size  # a stream's chunks are rows
     buf = np.zeros((tile + left + 2 * right, 4 * d))
+    pad = np.zeros((tile_len(tile + right), d))  # a call's rows: at most a chunk plus right
     wins = np.lib.stride_tricks.sliding_window_view(buf[:, 2 * d:], size, axis=0).swapaxes(1, 2)
     n = t = base = 0  # rows entered; rows output; position of buf[left]
 
@@ -357,7 +424,7 @@ def _block_rows(block: SABlock, chunks, left: int, right: int, total):
             pos = np.arange(t - left, stop - left)[:, None] + np.arange(size)
             mask = np.where((pos < 0) | (pos >= n), ad.LOG_ZERO, 0.0)
         x, win = buf[i + left:j + left], wins[i:j]
-        return block.apply_kv_np(x[:, :d], win[..., :d], win[..., d:], mask, x[:, d:2 * d])
+        return block.apply_kv_np(x[:, :d], win[..., :d], win[..., d:], mask, x[:, d:2 * d], pad)
 
     for x in (x[i:i + tile] for x in chunks for i in range(0, len(x), tile)):
         end = n - base + left
@@ -365,7 +432,7 @@ def _block_rows(block: SABlock, chunks, left: int, right: int, total):
             buf[:end - t + base] = buf[t - base:end]
             end, base = end - t + base, t
         buf[end:end + len(x), :d] = x
-        np.matmul(x[:, None], w_qkv, out=buf[end:end + len(x), None, d:])
+        buf[end:end + len(x), d:] = (row_tile(x, pad) @ w_qkv)[:len(x)]
         n += len(x)
         stop = n if n == total else n - right
         if stop > t:
@@ -377,18 +444,20 @@ def _block_rows(block: SABlock, chunks, left: int, right: int, total):
 
 def _whole_rows(block: SABlock, chunks):
     """Output rows of ``block`` under an unbounded window: every input row
-    projected by one product with :func:`_w_qkv`, then ``_ROW_TILE`` query
-    rows per call over all the rows' keys and values, with no mask."""
+    projected by one product over a :func:`row_tile` with :func:`_w_qkv`,
+    then ``_ROW_TILE`` query rows per call over all the rows' keys and
+    values, with no mask."""
     d = block.attn.d_m
     x = np.concatenate([np.empty((0, d)), *chunks])
-    qkv = np.matmul(x[:, None], _w_qkv(block))[:, 0]
+    pad = np.zeros((tile_len(max(len(x), _ROW_TILE)), d))
+    qkv = (row_tile(x, pad) @ _w_qkv(block))[:len(x)]
     for i in range(0, len(x), _ROW_TILE):
         j = i + _ROW_TILE
-        yield block.apply_kv_np(x[i:j], qkv[:, d:2 * d], qkv[:, 2 * d:], None, qkv[i:j, :d])
+        yield block.apply_kv_np(x[i:j], qkv[:, d:2 * d], qkv[:, 2 * d:], None, qkv[i:j, :d], pad)
 
 
 def _w_qkv(block: SABlock) -> np.ndarray:
-    """[w_q | w_k | w_v]: one product per row makes q, k and v with the bits of three."""
+    """[w_q | w_k | w_v]: one product makes q, k and v with the bits of three."""
     return np.concatenate([block.params[f"{block._prefix}.attn.w_{w}"].data for w in "qkv"], 1)
 
 
@@ -404,6 +473,9 @@ class PredictionNetwork:
                  n_blocks: int, rng):
         self.vocab_size, self.d_m, self.n_blocks = vocab_size, d_m, n_blocks
         self.pe_freqs = pe_frequencies(d_m)
+        # Positional-encoding rows for the row step, replaced by a longer
+        # table on demand; a row has the bits it has alone.
+        self._pe = np.empty((0, d_m))
         self.blocks = [SABlock(d_m, n_heads, d_ff, rng, f"pred.{i}") for i in range(n_blocks)]
         self.params = {"pred.emb": glorot(rng, vocab_size, d_m)}
         for b in self.blocks:
@@ -429,23 +501,64 @@ class PredictionNetwork:
         return self.advance_np(PredState([None] * self.n_blocks, 0, None), None)
 
     def advance_np(self, state: "PredState", token) -> "PredState":
-        """Extend a decode state by one token (None = the start token).
+        """Extend a decode state by one token (None = the start token): a
+        one-state :meth:`advance_many`."""
+        return self.advance_many([state], [token])[0]
 
-        Each block projects the new row's key and value once and appends
-        them to its cache; the new row attends over the whole cache, which
-        the causal mask makes equal to a fresh full pass.
+    def advance_many(self, states, tokens) -> list:
+        """Extend each decode state by its token (None = the start token) in
+        one pass, and return the new states in order.
+
+        Every weight product of a block takes the new rows as one
+        :func:`row_tile`. Each block projects a new row's key and value once
+        and appends them to a copy of its state's cache. The row attends
+        over that whole cache, which the causal mask makes equal to a fresh
+        full pass. Rows attend in groups of equal prefix length, one window
+        per row, so no window holds a masked slot; siblings share their
+        parent's length. Every state gets the bits it gets alone.
         """
-        tok = SOS if token is None else int(token)
-        x = self.params["pred.emb"].data[tok] * math.sqrt(self.d_m)
-        x = (x + positional_encoding([state.length], self.d_m, self.pe_freqs)[0])[None, :]
-        layers, d = [], self.d_m
-        for block, cache in zip(self.blocks, state.layers):
+        n, d = len(states), self.d_m
+        if n == 0:
+            return []
+        # Rows run sorted by prefix length, so each group is a slice; a
+        # row's bits do not depend on its place in the tile.
+        order = sorted(range(n), key=lambda i: states[i].length)
+        lengths = [states[i].length for i in order]
+        pe = self._pe
+        if lengths[-1] >= len(pe):
+            pe = self._pe = positional_encoding(np.arange(2 * lengths[-1] + 1), d, self.pe_freqs)
+        x = self.params["pred.emb"].data.take(
+            [SOS if tokens[i] is None else int(tokens[i]) for i in order], 0)
+        x *= math.sqrt(d)
+        x += pe.take(lengths, 0)
+        cuts = [j for j in range(1, n) if lengths[j] != lengths[j - 1]]
+        groups = list(zip([0] + cuts, cuts + [n]))
+        pad = np.zeros((tile_len(n), d))
+        layers = [[] for _ in range(n)]
+        for b, block in enumerate(self.blocks):
+            q = block.query_np(x, pad)
             kv = np.concatenate(block.attn.kv_np(x), axis=1)
-            if cache is not None:
-                kv = np.concatenate([cache, kv], axis=0)
-            layers.append(kv)
-            x = block.apply_kv_np(x, kv[:, :d], kv[:, d:])
-        return PredState(layers, state.length + 1, x[0])
+            ctx = []
+            for lo, hi in groups:
+                # a row's window: its state's cache, then its new key and value
+                length = lengths[lo]
+                if hi - lo == 1:
+                    win = kv[lo:hi]
+                    if length:
+                        win = np.concatenate([states[order[lo]].layers[b], win])
+                    layers[lo].append(win)
+                else:
+                    win = np.empty((hi - lo, length + 1, 2 * d))
+                    for j in range(lo, hi):
+                        win[j - lo, :length] = states[order[j]].layers[b]
+                        layers[j].append(win[j - lo])
+                    win[:, length] = kv[lo:hi]
+                ctx.append(block.context_np(q[lo:hi], win[..., :d], win[..., d:]))
+            x = block.output_np(x, ctx[0] if len(ctx) == 1 else np.concatenate(ctx), pad)
+        out = [None] * n
+        for j, i in enumerate(order):
+            out[i] = PredState(layers[j], lengths[j] + 1, x[j])
+        return out
 
 
 def _label_ids(labels) -> np.ndarray:

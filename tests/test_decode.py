@@ -333,21 +333,29 @@ def test_beam_reuses_prediction_states_and_lm_rows(monkeypatch):
     x = stack_downsample(dev[0].feats.astype(np.float64), 3, 1, 3)
     assert x.shape[0] > 4
     cfg = DecodeConfig(beam_width=4, lm_weight=0.5)
-    advance, score = model.prednet.advance_np, lm.score
+    advance, score, score_row = model.prednet.advance_many, lm.score, lm.score_row
     counts = {"advance": 0}
     contexts = {}
 
-    def counting_advance(state, token):
-        counts["advance"] += 1
-        return advance(state, token)
+    def counting_advance(states, tokens):
+        counts["advance"] += len(states)
+        return advance(states, tokens)
+
+    def count_queries(context, n):
+        tail = tuple(context)[max(0, len(context) - (lm.order - 1)):]
+        contexts[tail] = contexts.get(tail, 0) + n
 
     def counting_score(context, token):
-        tail = tuple(context)[max(0, len(context) - (lm.order - 1)):]
-        contexts[tail] = contexts.get(tail, 0) + 1
+        count_queries(context, 1)
         return score(context, token)
 
-    monkeypatch.setattr(model.prednet, "advance_np", counting_advance)
+    def counting_score_row(context, tokens):
+        count_queries(context, len(tokens))
+        return score_row(context, tokens)
+
+    monkeypatch.setattr(model.prednet, "advance_many", counting_advance)
     monkeypatch.setattr(lm, "score", counting_score)
+    monkeypatch.setattr(lm, "score_row", counting_score_row)
     want = _bits(_reference_beam(model, x, lm=lm, vocab=vocab, cfg=cfg))
     reference_advances, reference_scores = counts["advance"], sum(contexts.values())
     counts["advance"] = 0
@@ -357,6 +365,77 @@ def test_beam_reuses_prediction_states_and_lm_rows(monkeypatch):
     assert 0 < counts["advance"] < reference_advances
     assert max(contexts.values()) <= vocab.size - 2, contexts
     assert sum(contexts.values()) < reference_scores
+
+
+def test_beam_step_makes_one_joint_forward_and_at_most_one_advance(monkeypatch):
+    """Beam-4 with an LM: every (frame, step) scores its active hypotheses in
+    one joint forward, and advances its uncached survivors in at most one
+    ``advance_many`` call, none when all are cached."""
+    import satkit.autodiff
+    from satkit.data import stack_downsample
+    from satkit.lattice import JointRows
+
+    model, dev = trained_toy_model(1)
+    vocab = toy_vocab()
+    lm = lm_train([u.targets for u in dev], order=3)
+    cfg = DecodeConfig(beam_width=4, lm_weight=0.5)
+    events = []
+    f_parts, log_probs = JointRows.f_parts, JointRows.log_probs
+    joint_forward, advance = satkit.autodiff.joint_forward, model.prednet.advance_many
+    prefixes = {}  # id of an advanced state -> its prefix
+
+    def counting_f_parts(self, enc_rows):
+        events.append(("frames", len(enc_rows)))
+        return f_parts(self, enc_rows)
+
+    def counting_log_probs(self, f, g_parts):
+        events.append(("rows", len(g_parts)))
+        return log_probs(self, f, g_parts)
+
+    def counting_joint_forward(*args, **kwargs):
+        events.append(("joint", 0))
+        return joint_forward(*args, **kwargs)
+
+    def counting_advance(states, tokens):
+        out = advance(states, tokens)
+        children = [prefixes.get(id(s), ()) + (() if t is None else (t,))
+                    for s, t in zip(states, tokens)]
+        prefixes.update((id(s), c) for s, c in zip(out, children))
+        events.append(("advance", children))
+        return out
+
+    monkeypatch.setattr(JointRows, "f_parts", counting_f_parts)
+    monkeypatch.setattr(JointRows, "log_probs", counting_log_probs)
+    monkeypatch.setattr(satkit.autodiff, "joint_forward", counting_joint_forward)
+    monkeypatch.setattr(model.prednet, "advance_many", counting_advance)
+    for utt in dev[:3]:
+        x = stack_downsample(utt.feats.astype(np.float64), 3, 1, 3)
+        events.clear()
+        want = _bits(_reference_beam(model, x, lm=lm, vocab=vocab, cfg=cfg))
+        # the reference scores one row per call: a step is a run of them
+        steps, rows = [], 0
+        for kind, n in events:
+            if kind == "rows":
+                rows += n
+            elif kind != "joint" and rows:
+                steps.append(rows)
+                rows = 0
+        steps.append(rows)
+        events.clear()
+        assert _bits(beam_decode(model, x, lm=lm, vocab=vocab, cfg=cfg)) == want
+        kinds = [kind for kind, _ in events]
+        assert sum(n for kind, n in events if kind == "frames") == len(x)
+        # one joint forward per step, over the step's active hypotheses
+        assert [n for kind, n in events if kind == "rows"] == steps
+        assert kinds.count("joint") == len(steps)
+        assert all(kinds[i + 1] == "joint" for i, k in enumerate(kinds) if k == "rows")
+        # at most one advance per step, never an empty one, never a prefix twice
+        advanced = [c for kind, children in events if kind == "advance" for c in children]
+        between = "".join("s" if k == "rows" else "a" if k == "advance" else "" for k in kinds)
+        assert "aa" not in between
+        assert all(children for kind, children in events if kind == "advance")
+        assert len(advanced) == len(set(advanced))
+        assert 0 < between.count("a") < between.count("s") - 1
 
 
 # ------------------------------------------------------------------ LM fusion

@@ -229,22 +229,45 @@ def test_joint_additive_mode():
 
 @pytest.mark.parametrize("combine", ["concat", "add"])
 def test_joint_row_step_is_the_shared_forward(combine):
-    # one (frame, state) pair scored alone: the shared forward on a (1, J)
-    # row, and the tape op's one-cell grid, bit for bit
+    # (frame, state) pairs scored alone: the shared forward on a 4-row tile,
+    # and the tape op's cells of a 4 x 4 grid, bit for bit (a 4-row product
+    # gives each row the bits it has in any product of a multiple of 4 rows)
     rng = np.random.default_rng(31)
     joint = JointNetwork(6, 6, 8, 5, rng, combine=combine)
     w_f, w_g = (w.data for w in joint.weights[:2])
     w_o = joint.params["joint.w_out"].data
-    for _ in range(20):
-        enc, pred = rng.standard_normal(6), rng.standard_normal(6)
-        f, g = joint.f_part(enc), joint.g_part(pred)
-        np.testing.assert_array_equal(f, enc @ w_f)
-        np.testing.assert_array_equal(g, pred @ w_g)
-        got = joint.row_log_probs(f, g)
-        assert got.shape == (5,)
-        np.testing.assert_array_equal(got, ad.joint_forward(f[None], g[None], w_o)[0])
-        cell = joint.log_probs(Tensor(enc[None]), Tensor(pred[None])).data
-        np.testing.assert_array_equal(got, cell[0, 0])
+    for _ in range(5):
+        enc, pred = rng.standard_normal((4, 6)), rng.standard_normal((4, 6))
+        cells = joint.log_probs(Tensor(enc), Tensor(pred)).data
+        for t, u in np.ndindex(4, 4):
+            f, g = joint.f_part(enc[t]), joint.g_part(pred[u])
+            np.testing.assert_array_equal(f, (enc @ w_f)[t])
+            np.testing.assert_array_equal(g, (pred @ w_g)[u])
+            got = joint.row_log_probs(f, g)
+            assert got.shape == (5,)
+            tile = np.zeros((4, 8))
+            tile[0] = g
+            np.testing.assert_array_equal(got, ad.joint_forward(f, tile, w_o)[0])
+            np.testing.assert_array_equal(got, cells[t, u])
+
+
+def test_joint_row_steps_of_many_rows_keep_each_rows_bits():
+    # m frames or states projected in one call, and one frame scored against
+    # m states in one call, give each row its bits alone
+    rng = np.random.default_rng(32)
+    joint = JointNetwork(6, 6, 8, 5, rng)
+    step = joint.row_step(9)
+    for m in (*range(1, 10), 70):
+        enc, pred = rng.standard_normal((m, 6)), rng.standard_normal((m, 6))
+        f = step.f_parts(enc)
+        assert all(np.array_equal(f[i], joint.f_part(enc[i])) for i in range(m))
+        if m > 9:
+            continue
+        g = step.g_parts(pred)
+        assert all(np.array_equal(g[i], joint.g_part(pred[i])) for i in range(m))
+        got = step.log_probs(f[0], g)
+        assert got.shape == (m, 5)
+        assert all(np.array_equal(got[i], joint.row_log_probs(f[0], g[i])) for i in range(m))
 
 
 def test_joint_rejects_wrong_widths():

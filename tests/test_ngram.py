@@ -143,3 +143,17 @@ def test_more_context_sharpens_repeated_pattern():
     m = train(corpus, order=2, discount=0.75)
     assert m.prob(("a",), "b") > m.prob((), "b")
     assert m.prob(("a",), "b") > m.prob(("a",), "c")
+
+
+def test_score_row_matches_one_score_per_token():
+    corpus = [["a", "b", "c"], ["a", "c"], ["b", "b", "a"]]
+    tokens = ["a", "b", "c", "zz", EOS, UNK_TOK]
+    for order in (1, 2, 3, 4):
+        m = train(corpus, order=order)
+        contexts = [(), (BOS,), ("a",), ("zz",), (BOS, "a"), ("zz", "b"),
+                    (BOS, BOS, "a", "b"), ("a", "b", "c", "a")]
+        for context in contexts:
+            row = m.score_row(context, tokens)
+            assert isinstance(row, np.ndarray) and row.shape == (len(tokens),)
+            assert row.tolist() == [m.score(context, t) for t in tokens]
+        assert m.score_row(("a",), []).shape == (0,)

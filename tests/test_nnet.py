@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from satkit import autodiff as ad
 from satkit import nnet
 from satkit.autodiff import LOG_ZERO, ShapeError, Tensor
+from satkit.model import ModelConfig
 from satkit.nnet import (CAUSAL, ChunkSpec, Encoder, FeedForward, encoder_rows,
                          MultiHeadAttention, PredictionNetwork, PredState, SABlock,
-                         glorot, positional_encoding)
+                         glorot, positional_encoding, row_tile, tile_len)
 from unfused import advance_per_call, encoder_rows_per_call, softmax_lastdim
 
 
@@ -497,6 +498,46 @@ def test_encoder_rows_reject_a_wrong_width(chunk):
             list(encoder_rows(enc, iter(np.zeros((5, 7)))))
 
 
+def _decode_row_weight_shapes():
+    """Every weight shape a decode row step multiplies by, for the default
+    model: input, [w_q | w_k | w_v], w_q/w_k/w_v/w_o, both FFN matrices, a
+    joint input projection and the joint output."""
+    cfg = ModelConfig()
+    d_in, d_m, d_ff, J, K = cfg.stacked_dim, cfg.d_m, cfg.d_ff, cfg.d_joint, cfg.vocab_size
+    return [(d_in, d_m), (d_m, 3 * d_m), (d_m, d_m), (d_m, d_ff), (d_ff, d_m), (d_m, J), (J, K)]
+
+
+@pytest.mark.parametrize("shape", _decode_row_weight_shapes())
+def test_row_products_follow_the_four_row_rule(shape):
+    # The BLAS fact the decode row steps rest on: in a 2-D product whose row
+    # count is a multiple of 4, a row's bits depend neither on the row count,
+    # nor on its position, nor on its neighbours' contents. If a BLAS breaks
+    # this, streaming and offline decoding stop agreeing bit for bit.
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    w = glorot(rng, *shape).data
+    for _ in range(3):
+        row = rng.standard_normal(shape[0])
+        want = (np.stack([row] + [rng.standard_normal(shape[0]) for _ in range(3)]) @ w)[0]
+        violations = []
+        for m in (4, 8, 12, 16):
+            for pos in range(m):
+                x = rng.standard_normal((m, shape[0]))
+                x[pos] = row
+                if not np.array_equal((x @ w)[pos], want):
+                    violations.append((m, pos))
+        assert not violations, f"rows of {shape} products change bits: {violations}"
+
+
+def test_row_tile_pads_to_a_multiple_of_four():
+    pad = np.full((8, 3), 7.0)
+    x = np.arange(15.0).reshape(5, 3)
+    tile = row_tile(x, pad)
+    assert tile.shape == (8, 3) and np.shares_memory(tile, pad)
+    assert np.array_equal(tile[:5], x) and np.all(tile[5:] == 7.0)
+    assert row_tile(x[:4], pad) is not pad and np.shares_memory(row_tile(x[:4], pad), x)
+    assert [tile_len(m) for m in range(9)] == [0, 4, 4, 4, 4, 8, 8, 8, 8]
+
+
 def test_incremental_encoder_output_lags_by_receptive_field():
     # top row t is yielded right after stacked row t + B*right is pulled, not
     # later; the last B*right rows when the source ends
@@ -597,6 +638,51 @@ def test_prediction_state_keeps_per_call_bits():
         state, want = net.advance_np(state, tok), advance_per_call(net, want, tok)
         assert np.array_equal(state.g, want.g)
         assert all(np.array_equal(a, b) for a, b in zip(state.layers, want.layers))
+
+
+@pytest.mark.parametrize("d_m,heads,d_ff,n_blocks", [(8, 2, 16, 2), (64, 4, 128, 2)])
+def test_advance_many_matches_one_at_a_time(d_m, heads, d_ff, n_blocks):
+    # children of different parents, siblings among them, prefix lengths
+    # 0-40 and batches of 1-9: each gets the bits of advance_np alone
+    rng = np.random.default_rng(24 + d_m)
+    net = PredictionNetwork(9, d_m, heads, d_ff, n_blocks, rng)
+    empty = PredState([None] * n_blocks, 0, None)
+    chain = [empty, net.init_state()]
+    while len(chain) < 41:
+        chain.append(net.advance_np(chain[-1], int(rng.integers(2, 9))))
+    # a second parent for most lengths, so a batch can mix cousins
+    pool = chain + [net.advance_np(state, 3) for state in chain[1:40]]
+
+    def child(parent):
+        return parent, None if parent.length == 0 else int(rng.integers(2, 9))
+
+    for size in range(1, 10):
+        for _ in range(6):
+            picks = [child(pool[i]) for i in rng.integers(0, len(pool), size)]
+            if size > 2:  # siblings: one parent, two tokens
+                picks[1] = child(picks[0][0])
+            got = net.advance_many(*zip(*picks))
+            assert len(got) == size
+            for (parent, token), state in zip(picks, got):
+                want = net.advance_np(parent, token)
+                assert state.length == want.length == parent.length + 1
+                assert np.array_equal(state.g, want.g)
+                assert len(state.layers) == n_blocks
+                assert all(np.array_equal(a, b) for a, b in zip(state.layers, want.layers))
+
+
+def test_advance_many_leaves_its_states_unchanged():
+    rng = np.random.default_rng(25)
+    net = PredictionNetwork(9, 8, 2, 16, 2, rng)
+    parent = net.advance_np(net.init_state(), 4)
+    before = [layer.copy() for layer in parent.layers], parent.g.copy()
+    a, b, c = net.advance_many([parent, parent, net.init_state()], [5, 6, 7])
+    assert all(np.array_equal(x, y) for x, y in zip(parent.layers, before[0]))
+    assert np.array_equal(parent.g, before[1])
+    np.testing.assert_allclose(a.g, net([4, 5]).data[-1], atol=1e-12)
+    np.testing.assert_allclose(b.g, net([4, 6]).data[-1], atol=1e-12)
+    np.testing.assert_allclose(c.g, net([7]).data[-1], atol=1e-12)
+    assert net.advance_many([], []) == []
 
 
 def test_prediction_network_causal_prefix_extension():

@@ -26,7 +26,9 @@ that step a model's tape without an optimizer.
 are the decode row step as it was when each call took one key/value window
 for all its rows and the encoder computed one row per call: the bits that
 encoder rows keep away from the sequence ends, and prediction states keep
-everywhere.
+everywhere. Each weight product runs over the call's rows padded with zero
+rows to a multiple of 4 (``tile_product``), the four-row rule under which a
+row's bits do not depend on its neighbours.
 """
 
 import itertools
@@ -213,22 +215,36 @@ def add_layer_norm(x: Tensor, a: Tensor, gain: Tensor, bias: Tensor,
     return layer_norm(ad.add(x, a), gain, bias, eps)
 
 
+def tile_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` as one 2-D product over x's rows padded with zero rows to a
+    multiple of 4."""
+    m = len(x)
+    return (np.concatenate([x, np.zeros((-m % 4, x.shape[1]))]) @ w)[:m]
+
+
 def apply_kv_per_call(block, x_new: np.ndarray, k: np.ndarray, v: np.ndarray,
                       mask=None) -> np.ndarray:
     """``SABlock.apply_kv_np`` with one (n, d_m) key/value window for all its
     query rows, as it was before rows could come in chunks: each product is
-    one 2-D product over the call's rows."""
+    one :func:`tile_product` over the call's rows."""
     w_q, w_o, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = [
         p.data for p in block._row_params]
     heads, d_k = block.attn.n_heads, block.attn.d_k
-    q = (x_new @ w_q).reshape(-1, heads, d_k).transpose(1, 0, 2)
+    q = tile_product(x_new, w_q).reshape(-1, heads, d_k).transpose(1, 0, 2)
     k = k.reshape(-1, heads, d_k).transpose(1, 0, 2)
     v = v.reshape(-1, heads, d_k).transpose(1, 0, 2)
     _, ctx = ad.attend(q, k, v, mask, block.attn.scale)
-    a = ctx.transpose(1, 0, 2).reshape(x_new.shape) @ w_o
+    a = tile_product(ctx.transpose(1, 0, 2).reshape(x_new.shape), w_o)
     y = ad.add_layer_norm_forward(x_new, a, ln1_g, ln1_b, LN_EPS)[2]
-    f = ad.ffn_forward(y, w1, b1, w2, b2)[1]
+    h = np.maximum(tile_product(y, w1) + b1, 0.0)
+    f = tile_product(h, w2) + b2
     return ad.add_layer_norm_forward(y, f, ln2_g, ln2_b, LN_EPS)[2]
+
+
+def _kv_per_call(block, x: np.ndarray) -> np.ndarray:
+    """One (d_m,) row's [key | value] projections."""
+    p, pre = block.params, block._prefix
+    return np.concatenate([tile_product(x[None], p[f"{pre}.attn.w_{w}"].data)[0] for w in "kv"])
 
 
 def encoder_rows_per_call(encoder, stacked) -> np.ndarray:
@@ -238,11 +254,12 @@ def encoder_rows_per_call(encoder, stacked) -> np.ndarray:
     whose window a sequence end clips."""
     left, right = int(encoder.chunk.left), int(encoder.chunk.right)
     w_in, b_in = encoder.params["enc.in.w"].data, encoder.params["enc.in.b"].data
-    rows = [x @ w_in + b_in + positional_encoding([t], encoder.d_m, encoder.pe_freqs)[0]
+    rows = [tile_product(x[None], w_in)[0] + b_in
+            + positional_encoding([t], encoder.d_m, encoder.pe_freqs)[0]
             for t, x in enumerate(stacked)]
     d = encoder.d_m
     for block in encoder.blocks:
-        kv = [np.concatenate(block.attn.kv_np(x[None, :]), axis=1)[0] for x in rows]
+        kv = [_kv_per_call(block, x) for x in rows]
         out = []
         for t, x in enumerate(rows):
             window = np.stack(kv[max(0, t - left):t + right + 1])
@@ -258,7 +275,7 @@ def advance_per_call(net, state, token):
     x = (x + positional_encoding([state.length], net.d_m, net.pe_freqs)[0])[None, :]
     layers, d = [], net.d_m
     for block, cache in zip(net.blocks, state.layers):
-        kv = np.concatenate(block.attn.kv_np(x), axis=1)
+        kv = _kv_per_call(block, x[0])[None]
         if cache is not None:
             kv = np.concatenate([cache, kv], axis=0)
         layers.append(kv)

@@ -145,9 +145,9 @@ def cmd_decode(args) -> int:
         if args.chunk_left is None or args.chunk_right is None:
             raise ValueError("a chunk override needs both --chunk-left and "
                              "--chunk-right")
-        mc = model.config
-        mc.chunk_left, mc.chunk_right = args.chunk_left, args.chunk_right
-        model.encoder.chunk = mc.chunk()
+        model.config = replace(model.config, chunk_left=args.chunk_left,
+                               chunk_right=args.chunk_right)
+        model.encoder.chunk = model.config.chunk()
     lm = ngram.NgramModel.load(args.lm) if args.lm else None
     cfg = DecodeConfig(beam_width=args.beam_width, lm_weight=args.lm_weight,
                        max_symbols_per_frame=args.max_symbols, mode=args.mode)

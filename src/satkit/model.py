@@ -37,6 +37,18 @@ class ModelConfig:
     def __post_init__(self):
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
+        for name in ("d_m", "n_heads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.d_m % self.n_heads:
+            raise ValueError(f"d_m={self.d_m} not divisible by n_heads={self.n_heads}")
+        for name in ("chunk_left", "chunk_right"):
+            value = str(getattr(self, name))
+            try:
+                ChunkSpec.parse(value, value)
+            except ValueError:
+                raise ValueError(f"{name} must be a non-negative integer or inf, "
+                                 f"got {value!r}") from None
         check_stacking(self.stack_left, self.stack_right, self.factor)
 
     @property
@@ -53,6 +65,8 @@ class ModelConfig:
 
     @classmethod
     def load(cls, path) -> "ModelConfig":
+        """Read a config file; a bad line or value raises ``ValueError``
+        that starts with the path."""
         fields = {f: t for f, t in cls.__annotations__.items()}
         kwargs = {}
         with open(path, encoding="utf-8") as f:
@@ -65,8 +79,14 @@ class ModelConfig:
                 k, v = (s.strip() for s in line.split("=", 1))
                 if k not in fields:
                     raise ValueError(f"{path}: unknown config key {k!r}")
-                kwargs[k] = _parse_value(fields[k], v)
-        return cls(**kwargs)
+                try:
+                    kwargs[k] = _parse_value(fields[k], v)
+                except ValueError as e:
+                    raise ValueError(f"{path}: {k}: {e}") from None
+        try:
+            return cls(**kwargs)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
 
 def _parse_value(ann, raw: str):

@@ -81,22 +81,35 @@ class NgramModel:
 
     @classmethod
     def load(cls, path):
+        """Read a model that :meth:`save` wrote. A cut or malformed file
+        raises ``ValueError`` that starts with the path."""
         with open(path, encoding="utf-8") as f:
             if f.readline().strip() != MAGIC:
                 raise ValueError(f"{path}: not a language model file")
-            order = int(f.readline().split()[1])
-            discount = float(f.readline().split()[1])
-            vocab = f.readline().split()[1:]
-            probs = {}
-            for _ in range(int(f.readline().split()[1])):
-                parts = f.readline().split()
-                n = int(parts[0])
-                probs[(tuple(parts[1:1 + n]), parts[1 + n])] = float(parts[2 + n])
-            backoffs = {}
-            for _ in range(int(f.readline().split()[1])):
-                parts = f.readline().split()
-                n = int(parts[0])
-                backoffs[tuple(parts[1:1 + n])] = float(parts[1 + n])
+
+            def fields():  # every line save writes ends in a newline
+                line = f.readline()
+                if not line.endswith("\n"):
+                    raise ValueError("the file ends early")
+                return line.split()
+
+            try:
+                order = int(fields()[1])
+                discount = float(fields()[1])
+                vocab = fields()[1:]
+                probs = {}
+                for _ in range(int(fields()[1])):
+                    parts = fields()
+                    n = int(parts[0])
+                    probs[(tuple(parts[1:1 + n]), parts[1 + n])] = float(parts[2 + n])
+                backoffs = {}
+                for _ in range(int(fields()[1])):
+                    parts = fields()
+                    n = int(parts[0])
+                    backoffs[tuple(parts[1:1 + n])] = float(parts[1 + n])
+            except (IndexError, ValueError) as e:
+                raise ValueError(f"{path}: cut or malformed language model file "
+                                 f"({e})") from None
         return cls(order, discount, vocab, probs, backoffs)
 
 

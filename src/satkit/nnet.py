@@ -1,12 +1,16 @@
-"""Self-attention building blocks, encoder and prediction networks.
+"""The self-attention block, and the encoder and prediction networks built
+from it.
 
-Everything is post-norm: LayerNorm(x + Sublayer(x)), eps 1e-6. On the tape,
+Both networks stack one kind of block, :class:`SABlock`: multi-head
+self-attention and a feed-forward sublayer, each post-norm,
+LayerNorm(x + Sublayer(x)) with eps 1e-6. The block owns its twelve weights,
+and the names in its ``params`` are the checkpoint format. On the tape,
 each residual add and its layer norm are one op,
 :func:`autodiff.add_layer_norm`, and the feed-forward sublayer is one op,
 :func:`autodiff.ffn`.
 
-The Tensor modules evaluate whole sequences on the tape, for training. They
-take one sequence, (n, d_m), or a zero-padded batch, (B, n, d_m) with its
+The tape modules evaluate whole sequences, for training. They take one
+sequence, (n, d_m), or a zero-padded batch, (B, n, d_m) with its
 ``lengths``, through the same code: linear layers act on the last axis, and
 all heads of an attention sublayer are one tape op,
 :func:`autodiff.attention`, which splits and merges the heads itself. That
@@ -23,12 +27,13 @@ real row equals that of its sequence run alone up to rounding.
 
 :func:`encoder_tiles` is the one source of encoder rows, for decoding and
 dev scoring alike, under every window; :func:`encoder_rows` yields its rows
-one at a time. Each block stage runs the cached key/value row step,
-:meth:`SABlock.apply_kv_np`, over key and value rows projected once, when
-each row enters the block: over each row's window when the window is
-bounded, over every row of a matrix when it is not. The row
-step records no tape, because on the tape one block row costs about 2.6x as
-much (one query over 16 keys, d_m 64), but it has no arithmetic of its own:
+one at a time. Each block stage runs the block's two row methods,
+:meth:`SABlock.context_np` and :meth:`SABlock.output_np`, over key and value
+rows projected once, when each row enters the block: over each row's window
+when the window is bounded, over every row of a matrix when it is not. The
+row step records no tape, because on the tape one block row costs about 2.6x
+as much (one query over 16 keys, d_m 64), but it has no arithmetic of its
+own:
 it runs the plain-array forwards of the block's fused ops,
 :func:`autodiff.attend`, :func:`autodiff.add_layer_norm_forward` and
 :func:`autodiff.ffn_forward`, the same functions the tape ops call. Every
@@ -167,134 +172,84 @@ def positional_encoding(positions, d_m: int, freqs=None) -> np.ndarray:
     return pe
 
 
-class MultiHeadAttention:
-    """n_h heads over shared (d_m x d_m) projections.
-
-    Head i reads column block [i*d_k, (i+1)*d_k) of each projection, which is
-    the concat-then-project formulation with the per-head matrices stored
-    side by side.
-    """
-
-    def __init__(self, d_m: int, n_heads: int, rng, prefix: str):
-        if d_m % n_heads:
-            raise ValueError(f"d_m={d_m} not divisible by n_heads={n_heads}")
-        self.d_m, self.n_heads, self.d_k = d_m, n_heads, d_m // n_heads
-        self.scale = 1.0 / math.sqrt(self.d_k)
-        self.params = {
-            f"{prefix}.w_q": glorot(rng, d_m, d_m),
-            f"{prefix}.w_k": glorot(rng, d_m, d_m),
-            f"{prefix}.w_v": glorot(rng, d_m, d_m),
-            f"{prefix}.w_o": glorot(rng, d_m, d_m),
-        }
-        self._prefix = prefix
-
-    def __call__(self, x: Tensor, chunk: ChunkSpec = UNBOUNDED, lengths=None) -> Tensor:
-        """Self-attention of the rows of x, (n, d_m), or of a zero-padded
-        batch (B, n, d_m) whose sequence b holds ``lengths[b]`` rows, over
-        the window ``chunk`` (see :func:`autodiff.attention`)."""
-        p, pre = self.params, self._prefix
-        q, k, v = (ad.matmul(x, p[f"{pre}.{w}"]) for w in ("w_q", "w_k", "w_v"))
-        ctx = ad.attention(q, k, v, chunk.left, chunk.right, lengths, self.scale, self.n_heads)
-        return ad.matmul(ctx, p[f"{pre}.w_o"])
-
-    def kv_np(self, x_kv: np.ndarray):
-        """Key and value projections of the rows ``x_kv``, (n, d_m) each,
-        each one product over a :func:`row_tile`."""
-        p, pre, n = self.params, self._prefix, len(x_kv)
-        x = row_tile(x_kv, np.zeros((tile_len(n), self.d_m)))
-        return (x @ p[f"{pre}.w_k"].data)[:n], (x @ p[f"{pre}.w_v"].data)[:n]
-
-
-class FeedForward:
-    """max(0, x W1 + b1) W2 + b2."""
-
-    def __init__(self, d_m: int, d_ff: int, rng, prefix: str):
-        self.params = {
-            f"{prefix}.w1": glorot(rng, d_m, d_ff),
-            f"{prefix}.b1": zeros_param(d_ff),
-            f"{prefix}.w2": glorot(rng, d_ff, d_m),
-            f"{prefix}.b2": zeros_param(d_m),
-        }
-        self._prefix = prefix
-
-    def __call__(self, x: Tensor) -> Tensor:
-        p, pre = self.params, self._prefix
-        return ad.ffn(x, *(p[f"{pre}.{w}"] for w in ("w1", "b1", "w2", "b2")))
-
-
 class SABlock:
-    """Post-norm self-attention block.
+    """Post-norm self-attention block: the one block of the encoder and the
+    prediction network.
 
-    y = LayerNorm(x + MultiHead(x, x, x)); out = LayerNorm(y + FFN(y)).
-    Dropout hits each sublayer output, training mode only.
+    y = LayerNorm(x + MultiHead(x, x, x)); out = LayerNorm(y + FFN(y)), with
+    FFN(y) = max(0, y W1 + b1) W2 + b2. Dropout hits each sublayer output,
+    training mode only. The n_h heads share (d_m x d_m) projections: head i
+    reads column block [i*d_k, (i+1)*d_k) of each, the concat-then-project
+    formulation with the per-head matrices stored side by side.
+
+    The twelve weights are Tensor attributes, read by the tape call and the
+    row methods alike; the row methods read each ``data`` on every call,
+    because an optimizer's arena rebinds it. ``params`` maps their names to
+    them, and those names are the checkpoint format: ``{prefix}.attn.w_q``,
+    ``.attn.w_k``, ``.attn.w_v``, ``.attn.w_o``, ``.ffn.w1``, ``.ffn.b1``,
+    ``.ffn.w2``, ``.ffn.b2``, ``.ln1.g``, ``.ln1.b``, ``.ln2.g`` and
+    ``.ln2.b``, in that order. The weights draw from ``rng`` in the order
+    w_q, w_k, w_v, w_o, w1, w2.
+
+    The row step for query rows x, (m, d_m), is
+    ``output_np(x, context_np(q, k, v, mask), pad)``, with their query
+    projections q and the projected keys k and values v, which the caller
+    makes and caches.
     """
 
     def __init__(self, d_m: int, n_heads: int, d_ff: int, rng, prefix: str):
-        self.attn = MultiHeadAttention(d_m, n_heads, rng, f"{prefix}.attn")
-        self.ffn = FeedForward(d_m, d_ff, rng, f"{prefix}.ffn")
-        self.params = dict(self.attn.params)
-        self.params.update(self.ffn.params)
-        self.params[f"{prefix}.ln1.g"] = ones_param(d_m)
-        self.params[f"{prefix}.ln1.b"] = zeros_param(d_m)
-        self.params[f"{prefix}.ln2.g"] = ones_param(d_m)
-        self.params[f"{prefix}.ln2.b"] = zeros_param(d_m)
-        self._prefix = prefix
-        # What the row step reads, as Tensors: an optimizer's arena rebinds
-        # their ``data``.
-        self._row_params = tuple(self.params[f"{prefix}.{name}"] for name in (
-            "attn.w_q", "attn.w_o", "ln1.g", "ln1.b", "ffn.w1", "ffn.b1", "ffn.w2",
-            "ffn.b2", "ln2.g", "ln2.b"))
+        if n_heads < 1 or d_m % n_heads:
+            raise ValueError(f"d_m={d_m} not divisible by n_heads={n_heads}")
+        self.d_m, self.n_heads, self.d_k = d_m, n_heads, d_m // n_heads
+        self.scale = 1.0 / math.sqrt(self.d_k)
+        self.w_q, self.w_k, self.w_v, self.w_o = (glorot(rng, d_m, d_m) for _ in range(4))
+        self.w1, self.b1 = glorot(rng, d_m, d_ff), zeros_param(d_ff)
+        self.w2, self.b2 = glorot(rng, d_ff, d_m), zeros_param(d_m)
+        self.ln1_g, self.ln1_b = ones_param(d_m), zeros_param(d_m)
+        self.ln2_g, self.ln2_b = ones_param(d_m), zeros_param(d_m)
+        self.params = {f"{prefix}.{name}": p for name, p in (
+            ("attn.w_q", self.w_q), ("attn.w_k", self.w_k), ("attn.w_v", self.w_v),
+            ("attn.w_o", self.w_o), ("ffn.w1", self.w1), ("ffn.b1", self.b1),
+            ("ffn.w2", self.w2), ("ffn.b2", self.b2), ("ln1.g", self.ln1_g),
+            ("ln1.b", self.ln1_b), ("ln2.g", self.ln2_g), ("ln2.b", self.ln2_b))}
 
     def __call__(self, x: Tensor, chunk: ChunkSpec = UNBOUNDED, lengths=None,
                  dropout_rate: float = 0.0, rng=None, training: bool = False) -> Tensor:
-        p, pre = self.params, self._prefix
-        a = ad.dropout(self.attn(x, chunk, lengths), dropout_rate, rng, training)
-        y = ad.add_layer_norm(x, a, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"], LN_EPS)
-        f = ad.dropout(self.ffn(y), dropout_rate, rng, training)
-        return ad.add_layer_norm(y, f, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"], LN_EPS)
-
-    def apply_kv_np(self, x_new: np.ndarray, k: np.ndarray, v: np.ndarray,
-                    mask=None, q=None, pad=None) -> np.ndarray:
-        """Block output for the query rows ``x_new``, (m, d_m), over projected
-        keys ``k`` and values ``v``: one (n, d_m) window for every row, or
-        (m, n, d_m), one per row; ``mask`` is an additive (m, n) 0 / LOG_ZERO
-        mask or None, ``q`` the rows' query projections if already made, and
-        ``pad`` the caller's :func:`row_tile` scratch, (at least
-        ``tile_len(m)``, d_m), made here if None. Every weight product is one
-        product over a row tile, so a row's bits do not depend on the rows
-        sharing the call."""
-        if pad is None:
-            pad = np.zeros((tile_len(len(x_new)), self.attn.d_m))
-        if q is None:
-            q = self.query_np(x_new, pad)
-        return self.output_np(x_new, self.context_np(q, k, v, mask), pad)
-
-    def query_np(self, x: np.ndarray, pad: np.ndarray) -> np.ndarray:
-        """The (m, d_m) query projections of the rows ``x``."""
-        return (row_tile(x, pad) @ self._row_params[0].data)[:len(x)]
+        """The block over the rows of x, (n, d_m), or of a zero-padded batch
+        (B, n, d_m) whose sequence b holds ``lengths[b]`` rows, attending
+        over the window ``chunk`` (see :func:`autodiff.attention`)."""
+        q, k, v = (ad.matmul(x, w) for w in (self.w_q, self.w_k, self.w_v))
+        ctx = ad.attention(q, k, v, chunk.left, chunk.right, lengths, self.scale, self.n_heads)
+        a = ad.dropout(ad.matmul(ctx, self.w_o), dropout_rate, rng, training)
+        y = ad.add_layer_norm(x, a, self.ln1_g, self.ln1_b, LN_EPS)
+        f = ad.ffn(y, self.w1, self.b1, self.w2, self.b2)
+        f = ad.dropout(f, dropout_rate, rng, training)
+        return ad.add_layer_norm(y, f, self.ln2_g, self.ln2_b, LN_EPS)
 
     def context_np(self, q: np.ndarray, k: np.ndarray, v: np.ndarray, mask=None):
         """The attention sublayer's (m, d_m) head contexts, before ``w_o``,
-        of the query projections ``q`` over keys and values shaped as in
-        :meth:`apply_kv_np`."""
-        m, heads, d_k = len(q), self.attn.n_heads, self.attn.d_k
+        of the query projections ``q``, (m, d_m), over projected keys ``k``
+        and values ``v``: one (n, d_m) window for every row, or (m, n, d_m),
+        one per row. ``mask`` is an additive (m, n) 0 / LOG_ZERO mask or
+        None."""
+        m, heads, d_k = len(q), self.n_heads, self.d_k
         q = q.reshape(m, heads, 1, d_k)
         k = k.reshape(k.shape[:-1] + (heads, d_k)).swapaxes(-2, -3)
         v = v.reshape(v.shape[:-1] + (heads, d_k)).swapaxes(-2, -3)
-        _, ctx = ad.attend(q, k, v, None if mask is None else mask[:, None, None], self.attn.scale)
+        _, ctx = ad.attend(q, k, v, None if mask is None else mask[:, None, None], self.scale)
         return ctx.reshape(m, -1)
 
     def output_np(self, x: np.ndarray, ctx: np.ndarray, pad: np.ndarray) -> np.ndarray:
         """Block output for the rows ``x`` given their head contexts ``ctx``:
         the ``w_o`` product, the residual norm, the FFN and the second norm,
-        every product over a :func:`row_tile` in ``pad``."""
-        _, w_o, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = [
-            p.data for p in self._row_params]
+        every product over a :func:`row_tile` in ``pad``, so a row's bits do
+        not depend on the rows sharing the call."""
         m = len(x)
-        a = (row_tile(ctx, pad) @ w_o)[:m]
-        y = ad.add_layer_norm_forward(x, a, ln1_g, ln1_b, LN_EPS)[2]
-        f = ad.ffn_forward(row_tile(y, pad), w1, b1, w2, b2)[1][:m]
-        return ad.add_layer_norm_forward(y, f, ln2_g, ln2_b, LN_EPS)[2]
+        a = (row_tile(ctx, pad) @ self.w_o.data)[:m]
+        y = ad.add_layer_norm_forward(x, a, self.ln1_g.data, self.ln1_b.data, LN_EPS)[2]
+        f = ad.ffn_forward(row_tile(y, pad), self.w1.data, self.b1.data,
+                           self.w2.data, self.b2.data)[1][:m]
+        return ad.add_layer_norm_forward(y, f, self.ln2_g.data, self.ln2_b.data, LN_EPS)[2]
 
 
 class Encoder:
@@ -410,7 +365,7 @@ def _block_rows(block: SABlock, chunks, left: int, right: int, total):
     outside the sequence are masked, and rows still needed move to the
     front only when the buffer fills.
     """
-    d, size = block.attn.d_m, left + right + 1
+    d, size = block.d_m, left + right + 1
     w_qkv = _w_qkv(block)
     tile = _ROW_TILE if total is not None else size  # a stream's chunks are rows
     buf = np.zeros((tile + left + 2 * right, 4 * d))
@@ -424,7 +379,8 @@ def _block_rows(block: SABlock, chunks, left: int, right: int, total):
             pos = np.arange(t - left, stop - left)[:, None] + np.arange(size)
             mask = np.where((pos < 0) | (pos >= n), ad.LOG_ZERO, 0.0)
         x, win = buf[i + left:j + left], wins[i:j]
-        return block.apply_kv_np(x[:, :d], win[..., :d], win[..., d:], mask, x[:, d:2 * d], pad)
+        ctx = block.context_np(x[:, d:2 * d], win[..., :d], win[..., d:], mask)
+        return block.output_np(x[:, :d], ctx, pad)
 
     for x in (x[i:i + tile] for x in chunks for i in range(0, len(x), tile)):
         end = n - base + left
@@ -447,18 +403,19 @@ def _whole_rows(block: SABlock, chunks):
     projected by one product over a :func:`row_tile` with :func:`_w_qkv`,
     then ``_ROW_TILE`` query rows per call over all the rows' keys and
     values, with no mask."""
-    d = block.attn.d_m
+    d = block.d_m
     x = np.concatenate([np.empty((0, d)), *chunks])
     pad = np.zeros((tile_len(max(len(x), _ROW_TILE)), d))
     qkv = (row_tile(x, pad) @ _w_qkv(block))[:len(x)]
     for i in range(0, len(x), _ROW_TILE):
         j = i + _ROW_TILE
-        yield block.apply_kv_np(x[i:j], qkv[:, d:2 * d], qkv[:, 2 * d:], None, qkv[i:j, :d], pad)
+        yield block.output_np(x[i:j], block.context_np(qkv[i:j, :d], qkv[:, d:2 * d],
+                                                       qkv[:, 2 * d:]), pad)
 
 
 def _w_qkv(block: SABlock) -> np.ndarray:
     """[w_q | w_k | w_v]: one product makes q, k and v with the bits of three."""
-    return np.concatenate([block.params[f"{block._prefix}.attn.w_{w}"].data for w in "qkv"], 1)
+    return np.concatenate([block.w_q.data, block.w_k.data, block.w_v.data], 1)
 
 
 class PredictionNetwork:
@@ -536,8 +493,9 @@ class PredictionNetwork:
         pad = np.zeros((tile_len(n), d))
         layers = [[] for _ in range(n)]
         for b, block in enumerate(self.blocks):
-            q = block.query_np(x, pad)
-            kv = np.concatenate(block.attn.kv_np(x), axis=1)
+            rows = row_tile(x, pad)
+            q = (rows @ block.w_q.data)[:n]
+            kv = np.concatenate([(rows @ block.w_k.data)[:n], (rows @ block.w_v.data)[:n]], 1)
             ctx = []
             for lo, hi in groups:
                 # a row's window: its state's cache, then its new key and value

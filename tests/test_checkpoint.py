@@ -1,4 +1,7 @@
-"""Checkpoint container: bitwise round trips, validation, RNG snapshots."""
+"""Checkpoint container: bitwise round trips, validation, RNG snapshots,
+and the committed checkpoint that pins the format."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,3 +148,15 @@ def test_model_save_load_round_trip(tmp_path):
                         vocab_size=6)
     with pytest.raises(ValueError, match="vocab_size"):
         SATModel.load(tmp_path / "m.ckpt", expect_config=other)
+
+
+FIXTURE = Path(__file__).resolve().parents[1] / "satbench" / "fixture" / "decode.ckpt"
+
+
+def test_committed_checkpoint_still_loads():
+    # the decode benchmark's committed checkpoint pins the format: every
+    # stored parameter name and shape must match the model it builds
+    model, _, arrays = SATModel.load(FIXTURE)
+    assert sorted(arrays) == sorted(model.params)
+    for name, p in model.params.items():
+        assert p.data.shape == arrays[name].shape and np.array_equal(p.data, arrays[name]), name

@@ -88,7 +88,8 @@ def test_train_rejects_a_non_finite_beta(tmp_path, data_dir, capsys):
 @pytest.mark.parametrize("flag,value", [("--beta", "nan"), ("--epochs", "0"),
                                         ("--warmup-steps", "0"), ("--dropout", "1.0"),
                                         ("--lr", "nan"), ("--momentum", "1.5"),
-                                        ("--lr-factor", "0")])
+                                        ("--lr-factor", "0"), ("--n-heads", "0"),
+                                        ("--d-m", "0")])
 def test_rejected_train_config_leaves_no_directory(tmp_path, data_dir, capsys,
                                                    flag, value):
     out = tmp_path / "run"
@@ -110,6 +111,21 @@ def test_model_config_with_a_stacking_no_stacker_can_run(tmp_path, data_dir, cap
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert "factor" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line,key", [("d_m = abc", "d_m"), ("chunk_left = abc", "chunk_left")])
+def test_a_bad_config_file_value_names_the_file_and_key(tmp_path, data_dir, capsys,
+                                                        line, key):
+    config = tmp_path / "model.config"
+    config.write_text(f"{line}\n")
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(data_dir), "--out", str(out),
+                 "--model-config", str(config), "--epochs", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ") and err.count("\n") == 1, err
+    assert key in err
     assert not out.exists()
 
 
@@ -215,12 +231,18 @@ def test_decode_chunk_override_needs_both(run_dir, data_dir, tmp_path, capsys):
 
 
 def test_decode_rejects_bad_input_in_one_line(run_dir, data_dir, tmp_path, capsys):
-    # a non-finite LM weight, and a checkpoint cut short, which is named
+    # a non-finite LM weight, and a checkpoint or LM file cut short, which
+    # is named
     ckpt = run_dir / "best.ckpt"
     cut = tmp_path / "cut.ckpt"
     cut.write_bytes(ckpt.read_bytes()[:-100])
+    lm, cut_lm = tmp_path / "lm.txt", tmp_path / "cut-lm.txt"
+    main(["lm-train", "--text", f"{data_dir}/train/text", "--skip-utt-ids",
+          "--order", "2", "--out", str(lm)])
+    cut_lm.write_text("".join(lm.read_text().splitlines(keepends=True)[:3]))
     for path, extra, want in [(ckpt, ["--lm-weight", "nan"], "LM weight"),
-                              (cut, [], "cut.ckpt: truncated")]:
+                              (cut, [], "cut.ckpt: truncated"),
+                              (ckpt, ["--lm", str(cut_lm)], f"error: {cut_lm}: ")]:
         code = main(["decode", "--checkpoint", str(path), "--data", str(data_dir),
                      "--split", "dev", "--out", str(tmp_path / "x.txt"), *extra])
         assert code == 1

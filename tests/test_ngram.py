@@ -127,6 +127,16 @@ def test_save_load_round_trip(tmp_path):
         assert back.sentence_logprob(sent) == m.sentence_logprob(sent)
     with pytest.raises(ValueError):
         NgramModel.load(__file__)
+    # every cut, at a line end or inside a line, and a malformed value name
+    # the file; half the file and its first 3 lines once raised IndexError
+    text = p.read_text()
+    cut = tmp_path / "cut.txt"
+    bad_prob = text.splitlines()[5].split()[-1]
+    for case in [text[:k] for k in range(len(text))] + [text.replace(bad_prob, "x", 1)]:
+        cut.write_text(case)
+        with pytest.raises(ValueError) as err:
+            NgramModel.load(cut)
+        assert str(err.value).startswith(f"{cut}: "), (case, err.value)
 
 
 def test_training_validation():

@@ -14,9 +14,9 @@ from satkit import autodiff as ad
 from satkit import nnet
 from satkit.autodiff import LOG_ZERO, ShapeError, Tensor
 from satkit.model import ModelConfig
-from satkit.nnet import (CAUSAL, ChunkSpec, Encoder, FeedForward, encoder_rows,
-                         MultiHeadAttention, PredictionNetwork, PredState, SABlock,
-                         glorot, positional_encoding, row_tile, tile_len)
+from satkit.nnet import (CAUSAL, LN_EPS, ChunkSpec, Encoder, encoder_rows,
+                         PredictionNetwork, PredState, SABlock, glorot,
+                         positional_encoding, row_tile, tile_len)
 from unfused import advance_per_call, encoder_rows_per_call, softmax_lastdim
 
 
@@ -259,7 +259,7 @@ def test_attention_op_rejects_blocked_rows_and_bad_lengths():
             ad.attention(q, k, v, left, right, RAGGED)
     # the row step runs the same forward, and so the same check
     with pytest.raises(ValueError, match="blocks every key"):
-        SABlock(6, 2, 8, rng, "t").apply_kv_np(
+        SABlock(6, 2, 8, rng, "t").context_np(
             np.zeros((2, 6)), np.zeros((3, 6)), np.zeros((3, 6)),
             np.array([[0.0, 0.0, 0.0], [LOG_ZERO] * 3]))
     with pytest.raises(ValueError):
@@ -301,55 +301,61 @@ def test_bounded_window_training_memory_is_linear_in_length():
 
 
 def test_multi_head_tape_np_parity():
-    # the tape module's heads go through the plain forward the row step
-    # calls, bit for bit, for a batch and for one row
+    # the tape block's heads go through the plain forward the row step
+    # calls, and so does the rest of the block, bit for bit, for a batch and
+    # for one row
     rng = np.random.default_rng(1)
-    mha = MultiHeadAttention(8, 2, rng, "t")
-    w = {k.split(".")[-1]: v.data for k, v in mha.params.items()}
+    block = SABlock(8, 2, 16, rng, "t")
+    w = {k.split(".", 1)[1]: v.data for k, v in block.params.items()}
     for shape in ((3, 5, 8), (1, 8)):
         x = rng.standard_normal(shape)
 
         def heads(m):  # (..., n, 8) -> (..., 2, n, 4)
             return np.swapaxes(m.reshape(m.shape[:-1] + (2, 4)), -2, -3)
 
-        _, ctx = ad.attend(heads(x @ w["w_q"]), heads(x @ w["w_k"]), heads(x @ w["w_v"]),
-                           None, mha.scale)
-        want = np.swapaxes(ctx, -2, -3).reshape(shape) @ w["w_o"]
-        assert np.array_equal(mha(Tensor(x)).data, want)
-    with pytest.raises(ValueError):
-        MultiHeadAttention(8, 3, rng, "bad")
+        _, ctx = ad.attend(heads(x @ w["attn.w_q"]), heads(x @ w["attn.w_k"]),
+                           heads(x @ w["attn.w_v"]), None, block.scale)
+        a = np.swapaxes(ctx, -2, -3).reshape(shape) @ w["attn.w_o"]
+        y = ad.add_layer_norm_forward(x, a, w["ln1.g"], w["ln1.b"], LN_EPS)[2]
+        f = ad.ffn_forward(y.reshape(-1, 8), w["ffn.w1"], w["ffn.b1"],
+                           w["ffn.w2"], w["ffn.b2"])[1].reshape(shape)
+        want = ad.add_layer_norm_forward(y, f, w["ln2.g"], w["ln2.b"], LN_EPS)[2]
+        assert np.array_equal(block(Tensor(x)).data, want)
+    for n_heads in (3, 0, -2):
+        with pytest.raises(ValueError, match="n_heads"):
+            SABlock(8, n_heads, 16, rng, "bad")
 
 
 def test_multi_head_single_head_equals_plain_attention():
     rng = np.random.default_rng(2)
-    mha = MultiHeadAttention(6, 1, rng, "t")
+    block = SABlock(6, 1, 12, rng, "t")
     x = rng.standard_normal((4, 6))
-    p = {k.split(".")[-1]: v.data for k, v in mha.params.items()}
-    plain = self_attention(Tensor(x @ p["w_q"]), Tensor(x @ p["w_k"]),
-                           Tensor(x @ p["w_v"])).data @ p["w_o"]
-    np.testing.assert_allclose(mha(Tensor(x)).data, plain, atol=1e-12)
+    q, k, v = (x @ w.data for w in (block.w_q, block.w_k, block.w_v))
+    plain = self_attention(Tensor(q), Tensor(k), Tensor(v)).data @ block.w_o.data
+    np.testing.assert_allclose(block.context_np(q, k, v) @ block.w_o.data, plain, atol=1e-12)
 
 
 def test_feed_forward_parity_and_form():
-    # the tape module's result is the plain forward the row step calls, bit
-    # for bit, for a batch and for one row
+    # the tape op over a block's feed-forward weights is the plain forward
+    # the row step calls, bit for bit, for a batch and for one row
     rng = np.random.default_rng(3)
-    ffn = FeedForward(6, 12, rng, "f")
-    w1, b1 = ffn.params["f.w1"].data, ffn.params["f.b1"].data
-    w2, b2 = ffn.params["f.w2"].data, ffn.params["f.b2"].data
+    block = SABlock(6, 2, 12, rng, "f")
+    w1, b1, w2, b2 = block.w1, block.b1, block.w2, block.b2
     for shape in ((2, 4, 6), (1, 6)):
         x = rng.standard_normal(shape)
-        got = ffn(Tensor(x)).data
-        want = ad.ffn_forward(x.reshape(-1, 6), w1, b1, w2, b2)[1]
+        got = ad.ffn(Tensor(x), w1, b1, w2, b2).data
+        want = ad.ffn_forward(x.reshape(-1, 6), w1.data, b1.data, w2.data, b2.data)[1]
         assert np.array_equal(got, want.reshape(got.shape))
-        np.testing.assert_allclose(got, np.maximum(x @ w1 + b1, 0.0) @ w2 + b2, atol=1e-13)
+        np.testing.assert_allclose(got, np.maximum(x @ w1.data + b1.data, 0.0) @ w2.data
+                                   + b2.data, atol=1e-13)
 
 
 def test_sa_block_parity_and_dropout():
     rng = np.random.default_rng(4)
     block = SABlock(8, 2, 16, rng, "b")
     x = rng.standard_normal((5, 8))
-    rows = block.apply_kv_np(x, *block.attn.kv_np(x), causal_mask(5))
+    q, k, v = (x @ w.data for w in (block.w_q, block.w_k, block.w_v))
+    rows = block.output_np(x, block.context_np(q, k, v, causal_mask(5)), np.zeros((8, 8)))
     np.testing.assert_allclose(block(Tensor(x), CAUSAL).data, rows, atol=1e-12)
     # training dropout perturbs, evaluation never does
     drop = block(Tensor(x), CAUSAL, dropout_rate=0.5,
@@ -358,6 +364,27 @@ def test_sa_block_parity_and_dropout():
     same = block(Tensor(x), CAUSAL, dropout_rate=0.5,
                  rng=np.random.default_rng(0), training=False).data
     np.testing.assert_allclose(same, rows, atol=1e-12)
+
+
+def test_sa_block_draws_its_weights_in_the_checkpoint_order():
+    # the rng draw order and the params order are the checkpoint's: a
+    # change to either moves every bit of a seeded model
+    names = ["attn.w_q", "attn.w_k", "attn.w_v", "attn.w_o", "ffn.w1", "ffn.b1",
+             "ffn.w2", "ffn.b2", "ln1.g", "ln1.b", "ln2.g", "ln2.b"]
+    block = SABlock(8, 2, 16, np.random.default_rng(9), "enc.3")
+    assert list(block.params) == [f"enc.3.{name}" for name in names]
+    rng = np.random.default_rng(9)
+    draws = {name: glorot(rng, *shape).data for name, shape in (
+        ("attn.w_q", (8, 8)), ("attn.w_k", (8, 8)), ("attn.w_v", (8, 8)),
+        ("attn.w_o", (8, 8)), ("ffn.w1", (8, 16)), ("ffn.w2", (16, 8)))}
+    for name in names:
+        got = block.params[f"enc.3.{name}"]
+        want = draws.get(name, np.ones(8) if name.endswith(".g") else np.zeros(got.shape))
+        assert got.requires_grad and np.array_equal(got.data, want), name
+    assert block.params["enc.3.ffn.b1"].shape == (16,)
+    attrs = (block.w_q, block.w_k, block.w_v, block.w_o, block.w1, block.b1, block.w2,
+             block.b2, block.ln1_g, block.ln1_b, block.ln2_g, block.ln2_b)
+    assert all(a is p for a, p in zip(attrs, block.params.values()))
 
 
 def test_sa_block_finite_differences():
@@ -614,10 +641,10 @@ def test_row_step_calls_per_block():
     feats = rng.standard_normal((40, 6))
     calls = [[] for _ in enc.blocks]
     for block, sizes in zip(enc.blocks, calls):
-        def apply_kv_np(x_new, *args, step=block.apply_kv_np, sizes=sizes):
-            sizes.append(len(x_new))
-            return step(x_new, *args)
-        block.apply_kv_np = apply_kv_np
+        def output_np(x, *args, step=block.output_np, sizes=sizes):
+            sizes.append(len(x))
+            return step(x, *args)
+        block.output_np = output_np
     list(encoder_rows(enc, feats))
     for sizes in calls:
         assert sum(sizes) == 40
@@ -720,16 +747,17 @@ def test_prediction_state_advance_matches_full_pass():
 
 
 def test_prediction_state_caches_one_kv_row_per_block():
-    # each label projects one new key/value row per block; the prefix's
-    # rows come from the cache, never projected again
+    # each label runs one new row through each block, which projects its
+    # key and value; the prefix's rows come from the cache, never projected
+    # again
     rng = np.random.default_rng(17)
     net = PredictionNetwork(9, 8, 2, 16, 3, rng)
     projected = []
     for block in net.blocks:
-        def kv_np(x, kv=block.attn.kv_np):
+        def output_np(x, *args, step=block.output_np):
             projected.append(x.shape[0])
-            return kv(x)
-        block.attn.kv_np = kv_np
+            return step(x, *args)
+        block.output_np = output_np
     state = net.init_state()
     for tok in (4, 2, 8, 3, 5):
         assert projected == [1] * net.n_blocks

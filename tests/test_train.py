@@ -64,6 +64,15 @@ def test_config_validation():
         with pytest.raises(ValueError, match="frame stacking"):
             ModelConfig(**bad)
     assert ModelConfig(stack_left=0, stack_right=0, factor=1).stacked_dim == 8
+    # model sizes and windows name the field: n_heads 0 was an integer
+    # modulo by zero, d_m 0 a float division by zero
+    for bad, field in (({"n_heads": 0}, "n_heads"), ({"d_m": 0}, "d_m"),
+                       ({"d_m": 64, "n_heads": 3}, "n_heads"),
+                       ({"chunk_left": "abc"}, "chunk_left"),
+                       ({"chunk_right": "-1"}, "chunk_right"),
+                       ({"chunk_left": "2.5"}, "chunk_left")):
+        with pytest.raises(ValueError, match=field):
+            ModelConfig(**bad)
 
 
 def test_dev_scoring_is_greedy_decoding(monkeypatch):

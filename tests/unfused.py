@@ -5,9 +5,9 @@ from them that its fused ops must reproduce.
 fused joint replaced, with their original arithmetic; ``joint_log_softmax``
 composes them the way ``JointNetwork.log_probs`` once did. Likewise ``relu``
 and ``layer_norm`` are the ops the fused sublayers replaced: ``ffn`` and
-``add_layer_norm`` compose them the way ``FeedForward`` and ``SABlock`` once
-did, and ``sgd_step`` and ``noam_step`` are the per-parameter optimizer
-updates that the arena's tiled ones reproduce.
+``add_layer_norm`` compose them the way ``SABlock``'s feed-forward and
+residual-norm sublayers once did, and ``sgd_step`` and ``noam_step`` are the
+per-parameter optimizer updates that the arena's tiled ones reproduce.
 
 ``reshape``, ``exp``, ``slice_axis``, ``concat``, ``logsumexp_lastdim`` and
 ``softmax_lastdim`` are the element and shape ops the library once kept for
@@ -224,16 +224,17 @@ def tile_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def apply_kv_per_call(block, x_new: np.ndarray, k: np.ndarray, v: np.ndarray,
                       mask=None) -> np.ndarray:
-    """``SABlock.apply_kv_np`` with one (n, d_m) key/value window for all its
-    query rows, as it was before rows could come in chunks: each product is
-    one :func:`tile_product` over the call's rows."""
-    w_q, w_o, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = [
-        p.data for p in block._row_params]
-    heads, d_k = block.attn.n_heads, block.attn.d_k
+    """The row step of ``block`` with one (n, d_m) key/value window for all
+    its query rows, as it was before rows could come in chunks: each product
+    is one :func:`tile_product` over the call's rows."""
+    w_q, w_o, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = [p.data for p in (
+        block.w_q, block.w_o, block.ln1_g, block.ln1_b, block.w1, block.b1, block.w2,
+        block.b2, block.ln2_g, block.ln2_b)]
+    heads, d_k = block.n_heads, block.d_k
     q = tile_product(x_new, w_q).reshape(-1, heads, d_k).transpose(1, 0, 2)
     k = k.reshape(-1, heads, d_k).transpose(1, 0, 2)
     v = v.reshape(-1, heads, d_k).transpose(1, 0, 2)
-    _, ctx = ad.attend(q, k, v, mask, block.attn.scale)
+    _, ctx = ad.attend(q, k, v, mask, block.scale)
     a = tile_product(ctx.transpose(1, 0, 2).reshape(x_new.shape), w_o)
     y = ad.add_layer_norm_forward(x_new, a, ln1_g, ln1_b, LN_EPS)[2]
     h = np.maximum(tile_product(y, w1) + b1, 0.0)
@@ -243,8 +244,7 @@ def apply_kv_per_call(block, x_new: np.ndarray, k: np.ndarray, v: np.ndarray,
 
 def _kv_per_call(block, x: np.ndarray) -> np.ndarray:
     """One (d_m,) row's [key | value] projections."""
-    p, pre = block.params, block._prefix
-    return np.concatenate([tile_product(x[None], p[f"{pre}.attn.w_{w}"].data)[0] for w in "kv"])
+    return np.concatenate([tile_product(x[None], w.data)[0] for w in (block.w_k, block.w_v)])
 
 
 def encoder_rows_per_call(encoder, stacked) -> np.ndarray:

@@ -27,8 +27,9 @@ with a closed-form gradient, like the lattice loss, records itself through
 :class:`ParamArena` lays a model's parameters out in one array, so that an
 optimizer updates them all at once and zeroes their gradients in one fill.
 
-64-bit floats are the default; 32-bit tensors can be created explicitly and
-ops preserve the operand dtype (mixing dtypes is an error).
+Every tensor holds 64-bit floats: ``Tensor`` converts what it is given, so
+no op checks or carries a dtype. The lattice kernel's gradients and the
+1e-10 normalization check assume that precision.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ import numpy as np
 # Log-space "impossible" marker. Kept finite so exp() underflows to exactly
 # 0.0 instead of producing inf/nan through arithmetic.
 LOG_ZERO = -1.0e30
-
-DEFAULT_DTYPE = np.float64
 
 
 class ShapeError(ValueError):
@@ -63,17 +62,14 @@ class _Node:
 
 
 class Tensor:
-    """N-dimensional float array, optionally tracked for differentiation."""
+    """N-dimensional float64 array, optionally tracked for differentiation."""
 
     __slots__ = ("data", "grad", "requires_grad", "_ctx")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(DEFAULT_DTYPE)
-        self.data = arr
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(arr) if self.requires_grad else None
+        self.grad = np.zeros_like(self.data) if self.requires_grad else None
         self._ctx = None
 
     @property
@@ -123,12 +119,6 @@ def _result(data, parents, vjp):
         out.requires_grad = any(p.requires_grad for p in parents)
         out._ctx = _Node(tuple(_edge(p) for p in parents), vjp)
     return out
-
-
-def _same_dtype(name, *tensors):
-    dtypes = {t.data.dtype for t in tensors}
-    if len(dtypes) > 1:
-        raise ShapeError(f"{name}: mixed dtypes {sorted(str(d) for d in dtypes)}")
 
 
 def _as_tensor(x):
@@ -213,8 +203,8 @@ class ParamArena:
         self.shapes, self.slots, n = {}, {}, 0
         for name in sorted(params):
             p = params[name]
-            if p.dtype != np.float64 or not p.requires_grad:
-                raise ValueError(f"arena: {name!r} is not a trainable float64 parameter")
+            if not p.requires_grad:
+                raise ValueError(f"arena: {name!r} is not a trainable parameter")
             self.shapes[name] = p.shape
             self.slots[name] = slice(n, n + p.data.size)
             n += -(-p.data.size // _LINE) * _LINE
@@ -258,7 +248,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     weight applied to every row of the stack, computed as one 2-D product
     over the flattened rows."""
     a, b = _as_tensor(a), _as_tensor(b)
-    _same_dtype("matmul", a, b)
     if a.ndim < 2 or b.ndim != 2:
         raise ShapeError(f"matmul: expects (..., k) x (k, m), got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[0]:
@@ -294,7 +283,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum. Shapes must match exactly, or b's shape must be a
     trailing suffix of a's (bias rows, attention masks)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    _same_dtype("add", a, b)
     if not _suffix_ok(a.shape, b.shape):
         raise ShapeError(f"add: {b.shape} is not a trailing suffix of {a.shape}")
     out = a.data + b.data
@@ -309,7 +297,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product, same suffix rule as ``add``."""
     a, b = _as_tensor(a), _as_tensor(b)
-    _same_dtype("mul", a, b)
     if not _suffix_ok(a.shape, b.shape):
         raise ShapeError(f"mul: {b.shape} is not a trailing suffix of {a.shape}")
     out = a.data * b.data
@@ -406,7 +393,6 @@ def joint_log_softmax(f: Tensor, g: Tensor, w_out: Tensor) -> Tensor:
     cotangents of ``f`` and ``g``.
     """
     f, g, w_out = _as_tensor(f), _as_tensor(g), _as_tensor(w_out)
-    _same_dtype("joint_log_softmax", f, g, w_out)
     if (f.ndim not in (2, 3) or g.ndim != f.ndim or f.shape[:-2] != g.shape[:-2]
             or w_out.ndim != 2 or g.shape[-1] != f.shape[-1] or w_out.shape[0] != f.shape[-1]):
         raise ShapeError(f"joint_log_softmax: expects (..., T, J), (..., U+1, J) and (J, K), "
@@ -415,17 +401,17 @@ def joint_log_softmax(f: Tensor, g: Tensor, w_out: Tensor) -> Tensor:
     gb = g.data if g.ndim == 3 else g.data[None]
     w = w_out.data
     (B, T, J), U1, K = fb.shape, gb.shape[1], w.shape[1]
-    dtype, batched = f.dtype, f.ndim == 3
+    batched = f.ndim == 3
     need_f, need_g, need_w = _needs_grad(f), _needs_grad(g), _needs_grad(w_out)
     keep = need_f or need_g or need_w
-    rows = max(1, _JOINT_TILE_BYTES // max(1, U1 * J * dtype.itemsize))
+    rows = max(1, _JOINT_TILE_BYTES // max(1, U1 * J * 8))  # 8-byte floats
     tiles = _joint_tiles(B, T, rows)
     n_max = max(((b1 - b0) * (t1 - t0) * U1 for b0, b1, t0, t1 in tiles), default=0)
 
-    out = np.empty((B, T, U1, K), dtype)
+    out = np.empty((B, T, U1, K))
     # the tanh grid the vjp reads, or one tile's worth reused across tiles
-    h = np.empty((B, T, U1, J), dtype) if keep else np.empty(n_max * J, dtype)
-    ez = np.empty((n_max, K), dtype)
+    h = np.empty((B, T, U1, J)) if keep else np.empty(n_max * J)
+    ez = np.empty((n_max, K))
     for b0, b1, t0, t1 in tiles:
         nb, nt = b1 - b0, t1 - t0
         n = nb * nt * U1
@@ -436,15 +422,15 @@ def joint_log_softmax(f: Tensor, g: Tensor, w_out: Tensor) -> Tensor:
 
     def vjp(G):
         G = G.reshape(out.shape)
-        df = np.empty((B, T, J), dtype) if need_f else None
-        dg = np.zeros((B, U1, J), dtype) if need_g else None
-        dw_t = np.zeros((K, J), dtype) if need_w else None
-        d = np.empty((n_max, K), dtype)
-        dh = np.empty((n_max, J), dtype)
-        sq = np.empty((n_max, J), dtype)
+        df = np.empty((B, T, J)) if need_f else None
+        dg = np.zeros((B, U1, J)) if need_g else None
+        dw_t = np.zeros((K, J)) if need_w else None
+        d = np.empty((n_max, K))
+        dh = np.empty((n_max, J))
+        sq = np.empty((n_max, J))
         # Short sums as products with ones: BLAS beats numpy's reductions
         # over a short last axis or a middle one.
-        ones = np.ones(max(K, U1, T), dtype)
+        ones = np.ones(max(K, U1, T))
         for b0, b1, t0, t1 in tiles:
             nb, nt = b1 - b0, t1 - t0
             n = nb * nt * U1
@@ -509,7 +495,7 @@ def _row_blocks(x: np.ndarray, n_blk: int, block: int) -> np.ndarray:
     """(B, H, T, d) -> (B, H, n_blk, block, d), zero rows after T."""
     B, H, T, d = x.shape
     if n_blk * block > T:
-        x = np.concatenate([x, np.zeros((B, H, n_blk * block - T, d), x.dtype)], axis=2)
+        x = np.concatenate([x, np.zeros((B, H, n_blk * block - T, d))], axis=2)
     return x.reshape(B, H, n_blk, block, d)
 
 
@@ -529,7 +515,7 @@ def _slabs(x: np.ndarray, n_blk: int, block: int, first: int, slab: int) -> np.n
         return x[:, :, None]
     B, H, T, d = x.shape
     front = max(0, -first)
-    padded = np.zeros((B, H, front + (n_blk - 1) * block + first + slab, d), x.dtype)
+    padded = np.zeros((B, H, front + (n_blk - 1) * block + first + slab, d))
     padded[:, :, front:front + T] = x[:, :, :padded.shape[2] - front]
     return _slab_view(padded, front + first, n_blk, block, slab, writeable=False)
 
@@ -541,14 +527,14 @@ def _unslab(g: np.ndarray, T: int, block: int, first: int) -> np.ndarray:
     if n_blk == 1:
         return g[:, :, 0]
     front = max(0, -first)
-    rows = np.zeros((B, H, front + max(T, first + n_blk * block + slab), d), g.dtype)
+    rows = np.zeros((B, H, front + max(T, first + n_blk * block + slab), d))
     for r in range(0, slab, block):  # pieces of at most one block never overlap
         n = min(block, slab - r)
         _slab_view(rows, front + first + r, n_blk, block, n)[...] += g[:, :, :, r:r + n]
     return rows[:, :, front:front + T]
 
 
-def _band_mask(T, n_blk, block, first, slab, left, right, lengths, dtype):
+def _band_mask(T, n_blk, block, first, slab, left, right, lengths):
     """(B or 1, 1, n_blk, block, slab) additive mask of 0 / LOG_ZERO: query
     i = j*block + c may see key p = j*block + first + s."""
     i = (np.arange(n_blk) * block)[:, None, None] + np.arange(block)[:, None]
@@ -560,7 +546,7 @@ def _band_mask(T, n_blk, block, first, slab, left, right, lengths, dtype):
     else:
         ok = ok[None]
     ok = ok | (i >= T)  # rows past T are dropped; keep them open
-    return np.where(ok, 0.0, LOG_ZERO).astype(dtype, copy=False)[:, None]
+    return np.where(ok, 0.0, LOG_ZERO)[:, None]
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, left, right, lengths=None,
@@ -586,7 +572,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, left, right, lengths=None,
     the dense product. Either way the blocks go through :func:`attend`.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    _same_dtype("attention", q, k, v)
     shape = q.shape
     if q.ndim not in (2, 3) or k.shape != shape or v.shape != shape or shape[-1] % heads:
         raise ShapeError(f"attention: expects equal (T, {heads} * d) or (B, T, {heads} * d) "
@@ -606,7 +591,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, left, right, lengths=None,
         n_blk, first, slab = -(-T // block), lo, block + hi - lo
     else:
         n_blk, block, first, slab = 1, T, 0, T
-    mask = _band_mask(T, n_blk, block, first, slab, left, right, lengths, q.dtype)
+    mask = _band_mask(T, n_blk, block, first, slab, left, right, lengths)
 
     def split(x):  # (..., T, H*d) -> (B, H, T, d), a view
         return x.reshape(B, T, H, d).transpose(0, 2, 1, 3)
@@ -647,10 +632,10 @@ def index_rows(x: Tensor, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ShapeError(f"index_rows: index out of range for table of {x.shape[0]} rows")
     out = x.data[idx]
-    x_shape, x_dtype = x.shape, x.dtype
+    x_shape = x.shape
 
     def vjp(g):
-        full = np.zeros(x_shape, dtype=x_dtype)
+        full = np.zeros(x_shape)
         np.add.at(full, idx, g)
         return (full,)
 
@@ -688,7 +673,6 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     same arithmetic.
     """
     x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
-    _same_dtype("ffn", x, w1, b1, w2, b2)
     if (x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != w1.shape[0]
             or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1]
             or b2.shape != w2.shape[1:]):
@@ -742,7 +726,6 @@ def add_layer_norm(x: Tensor, a: Tensor, gain: Tensor, bias: Tensor,
     shifted by ``bias`` (both 1-D of the final extent). ``x`` and ``a`` have
     equal shapes; both receive the cotangent of the sum."""
     x, a, gain, bias = (_as_tensor(t) for t in (x, a, gain, bias))
-    _same_dtype("add_layer_norm", x, a, gain, bias)
     d = x.shape[-1]
     if a.shape != x.shape or gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"add_layer_norm: expects equal x and a and ({d},) gain and "
@@ -768,10 +751,10 @@ def add_layer_norm(x: Tensor, a: Tensor, gain: Tensor, bias: Tensor,
 def sum_all(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     out = x.data.sum()
-    x_shape, x_dtype = x.shape, x.dtype
+    x_shape = x.shape
 
     def vjp(g):
-        return (np.full(x_shape, float(g), dtype=x_dtype),)
+        return (np.full(x_shape, float(g)),)
 
     return _result(out, (x,), vjp)
 
@@ -782,5 +765,5 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
     if not training or rate <= 0.0:
         return x
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype) / x.dtype.type(1.0 - rate)
+    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
     return mul(x, Tensor(keep))

@@ -32,7 +32,6 @@ def _add_model_flags(p):
                 "n-pred-blocks", "d-joint", "vocab-size"):
         p.add_argument(f"--{key}", type=int)
     p.add_argument("--dropout", type=float)
-    p.add_argument("--combine", choices=("concat", "add"))
     p.add_argument("--chunk-left")
     p.add_argument("--chunk-right")
 
@@ -42,8 +41,8 @@ def _model_config(args) -> ModelConfig:
     cfg = ModelConfig.load(args.model_config) if args.model_config else ModelConfig()
     overrides = {}
     for key in ("feature_dim", "d_m", "n_heads", "d_ff", "n_enc_blocks",
-                "n_pred_blocks", "d_joint", "vocab_size", "dropout", "combine",
-                "chunk_left", "chunk_right"):
+                "n_pred_blocks", "d_joint", "vocab_size", "dropout", "chunk_left",
+                "chunk_right"):
         val = getattr(args, key, None)
         if val is not None:
             overrides[key] = val
@@ -107,9 +106,8 @@ def cmd_train(args) -> int:
             optimizer=args.optimizer, lr=args.lr, momentum=args.momentum,
             halving_patience=args.halving_patience, min_lr=args.min_lr,
             lr_factor=args.lr_factor, warmup_steps=args.warmup_steps,
-            adaptive=not args.plain_noam, beta=args.beta,
-            detach_weight=not args.no_detach_weight,
-            labels_only=args.labels_only, shuffle=not args.no_shuffle)
+            beta=args.beta, detach_weight=not args.no_detach_weight,
+            labels_only=args.labels_only)
         trainer = Trainer(SATModel(mcfg, seed=args.seed), vocab, train_utts,
                           dev_utts, tcfg, metrics_path=metrics)
     os.makedirs(args.out, exist_ok=True)
@@ -297,13 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-lr", type=float, default=1e-6)
     p.add_argument("--lr-factor", type=float, default=0.5)
     p.add_argument("--warmup-steps", type=int, default=8000)
-    p.add_argument("--plain-noam", action="store_true",
-                   help="disable the adaptive moment accumulators")
     p.add_argument("--beta", type=float, default=0.0,
                    help="alignment regularizer weight")
     p.add_argument("--no-detach-weight", action="store_true")
     p.add_argument("--labels-only", action="store_true")
-    p.add_argument("--no-shuffle", action="store_true")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("decode", help="decode a dataset split")

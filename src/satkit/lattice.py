@@ -93,10 +93,8 @@ class PosteriorLattice:
 
     def validate_normalized(self):
         """Error unless every (t, u) row is a normalized log distribution."""
-        lp = self.log_probs.data
-        tol = 1e-10 if lp.dtype == np.float64 else 1e-4
-        residual = np.abs(_np_logsumexp(lp))
-        if residual.max() > tol:
+        residual = np.abs(_np_logsumexp(self.log_probs.data))
+        if residual.max() > 1e-10:
             bad = np.unravel_index(int(residual.argmax()), residual.shape)
             raise ValueError(
                 f"lattice row {bad} not normalized: |logsumexp| = {residual.max():.3e}")
@@ -138,16 +136,13 @@ def _kernel_loss(lattice: PosteriorLattice, validate: bool, added=None, add_grad
     if validate:
         lattice.validate_normalized()
     loss, grad, _, _ = forward_backward_arrays(lattice)
-    loss = np.asarray(loss, dtype=np.float64)
-    dtype = lattice.log_probs.dtype
+    loss = np.asarray(loss)  # one utterance's float as a 0-d array
 
     def vjp(g):
-        g = np.asarray(g, dtype=dtype)
-        scaled = grad.astype(dtype, order="C", copy=False)  # the kernel's own array
-        scaled *= g.reshape(g.shape + (1, 1, 1))
+        np.multiply(grad, g.reshape(g.shape + (1, 1, 1)), out=grad)
         if add_grad is not None:
-            add_grad(scaled.reshape(-1), g.reshape(-1))
-        return (scaled,)
+            add_grad(grad.reshape(-1), g.reshape(-1))
+        return (grad,)
 
     values = loss if added is None else loss + added
     return ad.op_result(values, (lattice.log_probs,), vjp), loss
@@ -156,7 +151,7 @@ def _kernel_loss(lattice: PosteriorLattice, validate: bool, added=None, add_grad
 def forward_backward_arrays(lattice: PosteriorLattice):
     """Raw (loss, grad, alpha, beta) from :func:`satkit.kernels.forward_backward`;
     for a batch each is stacked over the utterances."""
-    lp = np.ascontiguousarray(lattice.log_probs.data, dtype=np.float64)
+    lp = np.ascontiguousarray(lattice.log_probs.data)
     if lattice.lengths is None:
         return kernels.forward_backward(lp, lattice.targets)
     return kernels.forward_backward(lp, lattice.targets, lattice.lengths,
@@ -167,39 +162,28 @@ class JointNetwork:
     """Combines one encoder frame with one prediction state into a log
     distribution over the vocabulary: log_softmax(W_out tanh(W_in [f; g])).
 
-    ``combine="concat"`` stores W_in as two column blocks, so each side is
-    projected once and no T*(U+1) concatenations are built;
-    ``combine="add"`` shares a single input projection between both sides
-    (f and g added in a common basis). Applied to full sequences it returns
-    the whole lattice; the grid of tanh rows behind it is built tile by
-    tile inside :func:`satkit.autodiff.joint_log_softmax`. The decode row
-    step, :meth:`row_step`, projects an encoder row and prediction states
-    once each and scores them with that op's own forward; :meth:`f_part`,
+    W_in is stored as two column blocks, ``w_enc`` and ``w_pred``, so each
+    side is projected once and no T*(U+1) concatenations are built; the
+    output projection is ``w_out``. ``params`` maps the checkpoint names
+    ``joint.w_enc``, ``joint.w_pred`` and ``joint.w_out`` to these
+    attributes, and an optimizer's arena rebinds their ``data``. Applied to
+    full sequences it returns the whole lattice; the grid of tanh rows
+    behind it is built tile by tile inside
+    :func:`satkit.autodiff.joint_log_softmax`. The decode row step,
+    :meth:`row_step`, projects an encoder row and prediction states once
+    each and scores them with that op's own forward; :meth:`f_part`,
     :meth:`g_part` and :meth:`row_log_probs` are its one-row calls.
     """
 
     def __init__(self, d_enc: int, d_pred: int, d_joint: int, vocab_size: int,
-                 rng: np.random.Generator, combine: str = "concat"):
-        if combine not in ("concat", "add"):
-            raise ValueError(f"combine must be concat or add, got {combine!r}")
-        if combine == "add" and d_enc != d_pred:
-            raise ad.ShapeError("additive joint needs matching encoder/prediction widths")
+                 rng: np.random.Generator):
         self.d_enc, self.d_pred = d_enc, d_pred
         self.d_joint, self.vocab_size = d_joint, vocab_size
-        if combine == "concat":
-            self.params = {
-                "joint.w_enc": glorot(rng, d_enc + d_pred, d_joint, rows=d_enc),
-                "joint.w_pred": glorot(rng, d_enc + d_pred, d_joint, rows=d_pred),
-            }
-            w_in = (self.params["joint.w_enc"], self.params["joint.w_pred"])
-        else:
-            self.params = {"joint.w_in": glorot(rng, d_enc, d_joint)}
-            w_in = (self.params["joint.w_in"],) * 2
-        self.params["joint.w_out"] = glorot(rng, d_joint, vocab_size)
-        # (w_f, w_g, w_out) Tensors: the encoder frame's and the prediction
-        # state's input projections (one shared matrix under "add"), then the
-        # output projection. An optimizer's arena rebinds their ``data``.
-        self.weights = (*w_in, self.params["joint.w_out"])
+        self.w_enc = glorot(rng, d_enc + d_pred, d_joint, rows=d_enc)
+        self.w_pred = glorot(rng, d_enc + d_pred, d_joint, rows=d_pred)
+        self.w_out = glorot(rng, d_joint, vocab_size)
+        self.params = {"joint.w_enc": self.w_enc, "joint.w_pred": self.w_pred,
+                       "joint.w_out": self.w_out}
 
     def log_probs(self, enc: Tensor, pred: Tensor) -> Tensor:
         """(T, d_enc) x (U+1, d_pred) -> (T, U+1, K) normalized log probs; a
@@ -210,8 +194,8 @@ class JointNetwork:
             raise ad.ShapeError(
                 f"joint network fed {enc.shape} x {pred.shape}, expected widths "
                 f"{self.d_enc} and {self.d_pred}")
-        w_f, w_g, w_out = self.weights
-        return ad.joint_log_softmax(ad.matmul(enc, w_f), ad.matmul(pred, w_g), w_out)
+        return ad.joint_log_softmax(ad.matmul(enc, self.w_enc), ad.matmul(pred, self.w_pred),
+                                    self.w_out)
 
     def row_step(self, rows: int) -> "JointRows":
         """The row step of one search that scores up to ``rows`` states per
@@ -250,7 +234,7 @@ class JointRows:
 
     def __init__(self, joint: JointNetwork, rows: int):
         n, J, K = tile_len(max(1, rows)), joint.d_joint, joint.vocab_size
-        self.w_f, self.w_g, self.w_out = (w.data for w in joint.weights)
+        self.w_f, self.w_g, self.w_out = joint.w_enc.data, joint.w_pred.data, joint.w_out.data
         self._f = np.zeros((4, joint.d_enc))  # grows to the encoder's chunks
         self._g = np.zeros((n, joint.d_pred))
         self._gp = np.zeros((n, J))

@@ -2,7 +2,9 @@
 
 The config file is plain "key = value" text; chunk window sizes take an
 integer or "inf". A checkpoint stores this config next to the parameters, and
-loading refuses shape or config conflicts rather than reinterpreting.
+loading refuses shape or config conflicts rather than reinterpreting. Keys
+that earlier versions stored for options since deleted load only at the one
+value that still runs (:func:`drop_retired`).
 """
 
 from dataclasses import dataclass, asdict
@@ -29,7 +31,6 @@ class ModelConfig:
     chunk_left: str = "inf"
     chunk_right: str = "inf"
     dropout: float = 0.1
-    combine: str = "concat"
     stack_left: int = 3
     stack_right: int = 1
     factor: int = 3
@@ -37,9 +38,14 @@ class ModelConfig:
     def __post_init__(self):
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-        for name in ("d_m", "n_heads"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name, least in (("feature_dim", 1), ("d_m", 1), ("n_heads", 1), ("d_ff", 1),
+                            ("d_joint", 1), ("vocab_size", 3), ("n_enc_blocks", 0),
+                            ("n_pred_blocks", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, "
+                                 f"got {getattr(self, name)}")
+        if self.d_m % 2:
+            raise ValueError(f"d_m must be even for the positional encoding, got {self.d_m}")
         if self.d_m % self.n_heads:
             raise ValueError(f"d_m={self.d_m} not divisible by n_heads={self.n_heads}")
         for name in ("chunk_left", "chunk_right"):
@@ -68,7 +74,7 @@ class ModelConfig:
         """Read a config file; a bad line or value raises ``ValueError``
         that starts with the path."""
         fields = {f: t for f, t in cls.__annotations__.items()}
-        kwargs = {}
+        raw = {}
         with open(path, encoding="utf-8") as f:
             for line in f:
                 line = line.split("#", 1)[0].strip()
@@ -77,16 +83,34 @@ class ModelConfig:
                 if "=" not in line:
                     raise ValueError(f"{path}: malformed config line {line!r}")
                 k, v = (s.strip() for s in line.split("=", 1))
-                if k not in fields:
-                    raise ValueError(f"{path}: unknown config key {k!r}")
-                try:
-                    kwargs[k] = _parse_value(fields[k], v)
-                except ValueError as e:
-                    raise ValueError(f"{path}: {k}: {e}") from None
+                raw[k] = v
+        kwargs = {}
+        for k, v in drop_retired(raw, RETIRED_MODEL_KEYS, path).items():
+            if k not in fields:
+                raise ValueError(f"{path}: unknown config key {k!r}")
+            try:
+                kwargs[k] = _parse_value(fields[k], v)
+            except ValueError as e:
+                raise ValueError(f"{path}: {k}: {e}") from None
         try:
             return cls(**kwargs)
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from None
+
+
+# Model config keys of deleted options -> the one value that still runs.
+RETIRED_MODEL_KEYS = {"combine": "concat"}
+
+
+def drop_retired(config: dict, retired: dict, path) -> dict:
+    """``config`` without the keys of ``retired``, which maps each key of a
+    deleted option to the one value that still runs. A stored key holding
+    any other value raises ``ValueError`` naming ``path``."""
+    for key, value in retired.items():
+        if key in config and config[key] != value:
+            raise ValueError(f"{path}: {key} = {config[key]!r} is no longer supported; "
+                             f"only {value!r} runs")
+    return {k: v for k, v in config.items() if k not in retired}
 
 
 def _parse_value(ann, raw: str):
@@ -109,7 +133,7 @@ class SATModel:
                                          config.n_heads, config.d_ff,
                                          config.n_pred_blocks, rng)
         self.joint = JointNetwork(config.d_m, config.d_m, config.d_joint,
-                                  config.vocab_size, rng, combine=config.combine)
+                                  config.vocab_size, rng)
         self.params = {}
         for part in (self.encoder, self.prednet, self.joint):
             self.params.update(part.params)
@@ -141,7 +165,7 @@ class SATModel:
         stored config exactly.
         """
         config_dict, meta, arrays = ckpt.load_checkpoint(path)
-        config = ModelConfig(**config_dict)
+        config = ModelConfig(**drop_retired(config_dict, RETIRED_MODEL_KEYS, path))
         if expect_config is not None and config != expect_config:
             diffs = [k for k in asdict(config)
                      if asdict(config)[k] != asdict(expect_config)[k]]

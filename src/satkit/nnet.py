@@ -291,7 +291,7 @@ class Encoder:
             raise ad.ShapeError(f"encoder expects width {self.d_in}, got {feats.shape}")
         pe = positional_encoding(np.arange(feats.shape[-2]), self.d_m, self.pe_freqs)
         x = ad.add(ad.matmul(feats, self.params["enc.in.w"]), self.params["enc.in.b"])
-        x = ad.add(x, Tensor(pe.astype(x.dtype)))
+        x = ad.add(x, Tensor(pe))
         x = ad.dropout(x, dropout_rate, rng, training)
         for block in self.blocks:
             x = block(x, self.chunk, lengths, dropout_rate, rng, training)
@@ -446,8 +446,7 @@ class PredictionNetwork:
         ids = _label_ids(labels)
         n = ids.shape[-1]
         x = ad.scale(ad.index_rows(self.params["pred.emb"], ids), math.sqrt(self.d_m))
-        x = ad.add(x, Tensor(positional_encoding(np.arange(n), self.d_m,
-                                                 self.pe_freqs).astype(x.dtype)))
+        x = ad.add(x, Tensor(positional_encoding(np.arange(n), self.d_m, self.pe_freqs)))
         x = ad.dropout(x, dropout_rate, rng, training)
         for block in self.blocks:
             x = block(x, CAUSAL, None, dropout_rate, rng, training)

@@ -113,24 +113,20 @@ class SGDMomentum(_ArenaOptimizer):
 
 
 class NoamWarmup(_ArenaOptimizer):
-    """Noam-scheduled optimizer.
-
-    The default update keeps two exponential moment accumulators (decays
-    0.9 / 0.98, epsilon 1e-9, bias-corrected); ``adaptive=False`` switches to
-    a plain gradient step under the same schedule.
+    """Noam-scheduled optimizer with two exponential moment accumulators
+    (decays 0.9 / 0.98, epsilon 1e-9, bias-corrected): the step at rate
+    ``lr`` is ``lr * mhat / (sqrt(vhat) + eps)``.
     """
 
     def __init__(self, params: dict, lr_factor: float = 0.5,
-                 warmup_steps: int = 8000, d_m: int = 512,
-                 adaptive: bool = True, beta1: float = 0.9,
+                 warmup_steps: int = 8000, d_m: int = 512, beta1: float = 0.9,
                  beta2: float = 0.98, eps: float = 1e-9):
         if warmup_steps < 1:
             raise ValueError(f"warmup steps must be >= 1, got {warmup_steps}")
-        super().__init__(params, n_scratch=2 if adaptive else 1)
+        super().__init__(params, n_scratch=2)
         self.lr_factor = lr_factor
         self.warmup_steps = warmup_steps
         self.d_m = d_m
-        self.adaptive = adaptive
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.should_stop = False
@@ -153,11 +149,6 @@ class NoamWarmup(_ArenaOptimizer):
         lr = noam_lr(self.step_count, self.lr_factor, self.warmup_steps, self.d_m)
         t = self.step_count
         data, grad = self.arena.data, self.arena.grad
-        if not self.adaptive:
-            (tmp,) = self._scratch
-            for s, n in self._tiles:
-                data[s] -= np.multiply(grad[s], lr, out=tmp[:n])
-            return
         m_all, v_all = self._moments()
         b1, b2 = self.beta1, self.beta2
         for s, n in self._tiles:
@@ -181,18 +172,12 @@ class NoamWarmup(_ArenaOptimizer):
         return True
 
     def state_dict(self):
-        meta = {"kind": "noam", "step_count": self.step_count,
-                "adaptive": self.adaptive}
-        arrays = {}
-        if self.adaptive:
-            m, v = self._moments()
-            arrays.update(self._named("opt.m.", m))
-            arrays.update(self._named("opt.v.", v))
-        return meta, arrays
+        m, v = self._moments()
+        return ({"kind": "noam", "step_count": self.step_count},
+                {**self._named("opt.m.", m), **self._named("opt.v.", v)})
 
     def load_state_dict(self, meta, arrays):
         self.step_count = meta["step_count"]
-        if self.adaptive:
-            m, v = self._moments()
-            self._load("opt.m.", m, arrays)
-            self._load("opt.v.", v, arrays)
+        m, v = self._moments()
+        self._load("opt.m.", m, arrays)
+        self._load("opt.v.", v, arrays)

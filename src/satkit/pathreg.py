@@ -116,7 +116,7 @@ def _par_terms(lat: PosteriorLattice, path, cfg: ParConfig):
     w = 1.0 - e
     n = node.shape[0]
     # seg[b, i] = 1 when triple i lies on utterance b's path.
-    seg = np.zeros((len(paths), n), dtype=lp.dtype)
+    seg = np.zeros((len(paths), n))
     seg[owner, np.arange(n)] = 1.0
     values = -((seg * w) @ tok_lp[:, None])[:, 0]
 
@@ -139,11 +139,11 @@ def par_loss(lat: PosteriorLattice, path, cfg: ParConfig = None) -> Tensor:
     the weights as constants in the gradient.
     """
     values, add_grad = _par_terms(lat, path, cfg or ParConfig())
-    shape, dtype = lat.log_probs.shape, lat.log_probs.dtype
+    shape = lat.log_probs.shape
 
     def vjp(g):
-        grad = np.zeros(shape, dtype=dtype)
-        add_grad(grad.reshape(-1), np.asarray(g, dtype=dtype).reshape(-1))
+        grad = np.zeros(shape)
+        add_grad(grad.reshape(-1), g.reshape(-1))
         return (grad,)
 
     return ad.op_result(values, (lat.log_probs,), vjp)

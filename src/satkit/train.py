@@ -35,7 +35,7 @@ from . import autodiff as ad
 from . import checkpoint as ckpt
 from .data import make_batches
 from .decode import corpus_cer, greedy_decode
-from .model import SATModel
+from .model import SATModel, drop_retired
 from .optim import NoamWarmup, SGDMomentum
 from .pathreg import ParConfig, _regularized, build_path
 
@@ -45,8 +45,20 @@ METRICS_COLUMNS = ("step,lr,transducer_loss,par_loss,joint_loss,dev_cer,"
                    "step_seconds,frames_per_sec,grad_norm")
 
 
+# Trainer config keys of deleted options -> the one value that still runs.
+RETIRED_TRAIN_KEYS = {"adaptive": True, "shuffle": True}
+
+
 @dataclass
 class TrainConfig:
+    """Settings of one training run. Every epoch visits the batches in a
+    fresh order drawn from the trainer's RNG. ``optimizer`` picks momentum
+    SGD, whose rate starts at ``lr`` and halves after ``halving_patience``
+    epochs without a dev improvement, down to ``min_lr``, or the Noam
+    schedule (``lr_factor``, ``warmup_steps``) with moment accumulators.
+    ``beta``, ``detach_weight`` and ``labels_only`` set the path
+    regularizer (:class:`satkit.pathreg.ParConfig`)."""
+
     epochs: int = 10
     batch_size: int = 8
     seed: int = 0
@@ -57,11 +69,9 @@ class TrainConfig:
     min_lr: float = 1e-6
     lr_factor: float = 0.5      # noam only
     warmup_steps: int = 8000    # noam only
-    adaptive: bool = True       # noam only: moment accumulators on/off
     beta: float = 0.0
     detach_weight: bool = True
     labels_only: bool = False
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.optimizer not in ("sgd", "noam"):
@@ -70,10 +80,12 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
-        for name in ("lr", "lr_factor"):
+        for name in ("lr", "lr_factor", "min_lr"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.halving_patience < 1:
+            raise ValueError(f"halving_patience must be >= 1, got {self.halving_patience}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.warmup_steps < 1:
@@ -136,8 +148,7 @@ class Trainer:
                                halving_patience=c.halving_patience,
                                min_lr=c.min_lr)
         return NoamWarmup(self.model.params, lr_factor=c.lr_factor,
-                          warmup_steps=c.warmup_steps, d_m=self.model.config.d_m,
-                          adaptive=c.adaptive)
+                          warmup_steps=c.warmup_steps, d_m=self.model.config.d_m)
 
     def _write_row(self, step, lr, tr, pr, jn, dev="", timing=("", "", "")):
         if self.metrics_path is None:
@@ -194,7 +205,7 @@ class Trainer:
         """One pass over the training batches plus a dev evaluation."""
         self.epoch += 1
         n_b = len(self.batches)
-        order = self.rng.permutation(n_b) if self.cfg.shuffle else np.arange(n_b)
+        order = self.rng.permutation(n_b)
         sums = {"transducer": 0.0, "par": 0.0, "joint": 0.0}
         for bi in order:
             batch = self.batches[int(bi)]
@@ -264,7 +275,8 @@ class Trainer:
             raise ValueError(f"{path}: checkpoint has no trainer state")
         info = meta["trainer"]
         trainer = cls(model, vocab, train_utts, dev_utts,
-                      TrainConfig(**info["config"]), metrics_path=metrics_path)
+                      TrainConfig(**drop_retired(info["config"], RETIRED_TRAIN_KEYS, path)),
+                      metrics_path=metrics_path)
         trainer.optimizer.load_state_dict(info["optimizer"], arrays)
         trainer.rng = ckpt.rng_state_from_meta(info["rng"])
         trainer.epoch = info["epoch"]

@@ -153,6 +153,22 @@ def test_model_save_load_round_trip(tmp_path):
 FIXTURE = Path(__file__).resolve().parents[1] / "satbench" / "fixture" / "decode.ckpt"
 
 
+def test_retired_combine_key_loads_only_as_concat(tmp_path):
+    # the committed checkpoint stores combine = concat, the joint every
+    # model builds; the deleted additive joint's value names the file
+    config, meta, arrays = load_checkpoint(FIXTURE)
+    assert config["combine"] == "concat"
+    config["combine"] = "add"
+    save_checkpoint(tmp_path / "add.ckpt", arrays, config, meta)
+    with pytest.raises(ValueError, match=r"add\.ckpt: combine = 'add'"):
+        SATModel.load(tmp_path / "add.ckpt")
+    for value in ("concat", "add"):
+        (tmp_path / f"{value}.config").write_text(f"d_m = 8\ncombine = {value}\n")
+    assert ModelConfig.load(tmp_path / "concat.config") == ModelConfig(d_m=8)
+    with pytest.raises(ValueError, match=r"add\.config: combine = 'add'"):
+        ModelConfig.load(tmp_path / "add.config")
+
+
 def test_committed_checkpoint_still_loads():
     # the decode benchmark's committed checkpoint pins the format: every
     # stored parameter name and shape must match the model it builds

@@ -89,7 +89,7 @@ def test_train_rejects_a_non_finite_beta(tmp_path, data_dir, capsys):
                                         ("--warmup-steps", "0"), ("--dropout", "1.0"),
                                         ("--lr", "nan"), ("--momentum", "1.5"),
                                         ("--lr-factor", "0"), ("--n-heads", "0"),
-                                        ("--d-m", "0")])
+                                        ("--d-m", "0"), ("--d-joint", "0")])
 def test_rejected_train_config_leaves_no_directory(tmp_path, data_dir, capsys,
                                                    flag, value):
     out = tmp_path / "run"

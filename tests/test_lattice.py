@@ -12,6 +12,7 @@ from satkit.autodiff import Tensor
 from satkit import kernels
 from satkit.lattice import (JointNetwork, PosteriorLattice, forward_backward_arrays,
                             transducer_loss)
+from satkit.nnet import glorot
 from satkit.pathreg import ParConfig, build_path, joint_loss
 from unfused import brute_force_loss, tape_loss, zero_grads
 from unfused import joint_log_softmax as unfused_joint
@@ -177,7 +178,7 @@ def test_lattice_validation_errors():
 
 def test_joint_network_grid():
     rng = np.random.default_rng(17)
-    joint = JointNetwork(6, 6, 8, 5, rng, combine="concat")
+    joint = JointNetwork(6, 6, 8, 5, rng)
     enc = Tensor(rng.standard_normal((4, 6)))
     pred = Tensor(rng.standard_normal((3, 6)))
     out = joint.log_probs(enc, pred)
@@ -197,7 +198,7 @@ def test_joint_network_grid():
 def test_joint_concat_equals_explicit_concatenation():
     # the two column blocks act exactly like one matrix on [f; g]
     rng = np.random.default_rng(19)
-    joint = JointNetwork(4, 3, 6, 5, rng, combine="concat")
+    joint = JointNetwork(4, 3, 6, 5, rng)
     f = rng.standard_normal(4)
     g = rng.standard_normal(3)
     w_in = np.vstack([joint.params["joint.w_enc"].data,
@@ -206,36 +207,26 @@ def test_joint_concat_equals_explicit_concatenation():
     np.testing.assert_allclose(lhs, np.concatenate([f, g]) @ w_in, atol=1e-15)
 
 
-def test_joint_additive_mode():
-    rng = np.random.default_rng(23)
-    joint = JointNetwork(6, 6, 8, 5, rng, combine="add")
-    assert set(joint.params) == {"joint.w_in", "joint.w_out"}
-    enc = Tensor(rng.standard_normal((2, 6)))
-    pred = Tensor(rng.standard_normal((2, 6)))
-    out = joint.log_probs(enc, pred)
-    np.testing.assert_allclose(np.exp(out.data).sum(-1), 1.0, atol=1e-12)
-    # both sides go through the one shared projection
-    w_in = joint.params["joint.w_in"]
-    assert joint.weights[:2] == (w_in, w_in)
-    logits = np.tanh(enc.data[1] @ w_in.data + pred.data[0] @ w_in.data) \
-        @ joint.params["joint.w_out"].data
-    np.testing.assert_allclose(out.data[1, 0], logits - np.log(np.exp(logits).sum()),
-                               atol=1e-12)
-    with pytest.raises(ad.ShapeError):
-        JointNetwork(6, 4, 8, 5, rng, combine="add")
-    with pytest.raises(ValueError):
-        JointNetwork(6, 6, 8, 5, rng, combine="stack")
+def test_joint_draws_its_weights_in_the_checkpoint_order():
+    # the rng draw order and the params order are the checkpoint's, and
+    # params maps each name to the attribute every path reads
+    joint = JointNetwork(4, 3, 6, 5, np.random.default_rng(29))
+    assert list(joint.params) == ["joint.w_enc", "joint.w_pred", "joint.w_out"]
+    assert all(a is p for a, p in zip((joint.w_enc, joint.w_pred, joint.w_out),
+                                      joint.params.values()))
+    rng = np.random.default_rng(29)
+    for w, want in ((joint.w_enc, glorot(rng, 7, 6, rows=4)),
+                    (joint.w_pred, glorot(rng, 7, 6, rows=3)), (joint.w_out, glorot(rng, 6, 5))):
+        assert w.requires_grad and np.array_equal(w.data, want.data)
 
 
-@pytest.mark.parametrize("combine", ["concat", "add"])
-def test_joint_row_step_is_the_shared_forward(combine):
+def test_joint_row_step_is_the_shared_forward():
     # (frame, state) pairs scored alone: the shared forward on a 4-row tile,
     # and the tape op's cells of a 4 x 4 grid, bit for bit (a 4-row product
     # gives each row the bits it has in any product of a multiple of 4 rows)
     rng = np.random.default_rng(31)
-    joint = JointNetwork(6, 6, 8, 5, rng, combine=combine)
-    w_f, w_g = (w.data for w in joint.weights[:2])
-    w_o = joint.params["joint.w_out"].data
+    joint = JointNetwork(6, 6, 8, 5, rng)
+    w_f, w_g, w_o = joint.w_enc.data, joint.w_pred.data, joint.w_out.data
     for _ in range(5):
         enc, pred = rng.standard_normal((4, 6)), rng.standard_normal((4, 6))
         cells = joint.log_probs(Tensor(enc), Tensor(pred)).data
@@ -406,16 +397,14 @@ def _joint_grads(joint, enc, pred, log_probs_fn, weights):
     return out.data, dict(grads, enc=te.grad, pred=tp.grad)
 
 
-@pytest.mark.parametrize("combine", ["concat", "add"])
-def test_joint_network_matches_unfused_composition(combine):
+def test_joint_network_matches_unfused_composition():
     rng = np.random.default_rng(47)
-    joint = JointNetwork(6, 6, 8, 5, rng, combine=combine)
+    joint = JointNetwork(6, 6, 8, 5, rng)
     enc, pred = rng.standard_normal((2, 7, 6)), rng.standard_normal((2, 4, 6))
     weights = rng.standard_normal((2, 7, 4, 5))
 
     def oracle(e, p):
-        w_f, w_g, _ = joint.weights
-        return unfused_joint(ad.matmul(e, w_f), ad.matmul(p, w_g), joint.params["joint.w_out"])
+        return unfused_joint(ad.matmul(e, joint.w_enc), ad.matmul(p, joint.w_pred), joint.w_out)
 
     got, got_grads = _joint_grads(joint, enc, pred, joint.log_probs, weights)
     want, want_grads = _joint_grads(joint, enc, pred, oracle, weights)

@@ -120,16 +120,6 @@ def test_noam_adaptive_hand_step():
     np.testing.assert_allclose(p.data, want, atol=1e-15)
 
 
-def test_noam_plain_step():
-    p = _param([2.0])
-    opt = NoamWarmup({"w": p}, lr_factor=1.0, warmup_steps=100, d_m=4,
-                     adaptive=False)
-    p.grad[...] = np.array([0.5])
-    opt.step()
-    np.testing.assert_allclose(p.data, 2.0 - noam_lr(1, 1.0, 100, 4) * 0.5,
-                               atol=1e-15)
-
-
 def test_noam_state_round_trip():
     rng = np.random.default_rng(1)
     p1 = _param(rng.standard_normal(3))
@@ -201,7 +191,7 @@ def test_arena_layout_and_views():
         ad.ParamArena({"x": Tensor(np.zeros(2))})  # not trainable
 
 
-@pytest.mark.parametrize("kind", ["sgd", "noam", "noam-plain"])
+@pytest.mark.parametrize("kind", ["sgd", "noam"])
 def test_arena_updates_match_per_parameter_loop_bitwise(kind):
     runs = []
     for oracle in (False, True):
@@ -210,8 +200,7 @@ def test_arena_updates_match_per_parameter_loop_bitwise(kind):
             opt = SGDMomentum(params, lr=0.05, momentum=0.9)
             state = [{n: np.zeros_like(p.data) for n, p in params.items()}]
         else:
-            opt = NoamWarmup(params, lr_factor=1.0, warmup_steps=3, d_m=8,
-                             adaptive=kind == "noam")
+            opt = NoamWarmup(params, lr_factor=1.0, warmup_steps=3, d_m=8)
             state = [{n: np.zeros_like(p.data) for n, p in params.items()} for _ in range(2)]
         rng = np.random.default_rng(9)
         for _ in range(4):
@@ -224,8 +213,7 @@ def test_arena_updates_match_per_parameter_loop_bitwise(kind):
                 unfused.sgd_step(params, state[0], opt.lr, opt.momentum)
             else:
                 opt.step_count += 1
-                unfused.noam_step(params, *state, opt.lr, opt.step_count,
-                                  adaptive=kind == "noam")
+                unfused.noam_step(params, *state, opt.lr, opt.step_count)
         runs.append({n: p.data.copy() for n, p in params.items()})
     for name in SHAPES:
         np.testing.assert_array_equal(runs[0][name], runs[1][name], err_msg=name)

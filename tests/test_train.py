@@ -8,6 +8,7 @@ import pytest
 
 import satkit.kernels
 from satkit import autodiff as ad
+from satkit import checkpoint as ckpt
 from satkit.autodiff import Tensor
 from satkit.data import TaskSpec, generate_split, make_batches, normalize_dataset
 from satkit.lattice import transducer_loss
@@ -54,6 +55,13 @@ def test_config_validation():
     for steps in (0, -5):
         with pytest.raises(ValueError, match="warmup steps"):
             TrainConfig(optimizer="noam", warmup_steps=steps)
+    # a min_lr of nan or -1 halved the rate to 0.0 and never stopped the run
+    for min_lr in (float("nan"), -1.0, 0.0, float("inf")):
+        with pytest.raises(ValueError, match="min_lr"):
+            TrainConfig(min_lr=min_lr)
+    for patience in (0, -1):
+        with pytest.raises(ValueError, match="halving_patience"):
+            TrainConfig(halving_patience=patience)
     for rate in (1.0, 1.5, -0.1, float("nan")):
         with pytest.raises(ValueError, match="dropout"):
             ModelConfig(dropout=rate)
@@ -70,9 +78,16 @@ def test_config_validation():
                        ({"d_m": 64, "n_heads": 3}, "n_heads"),
                        ({"chunk_left": "abc"}, "chunk_left"),
                        ({"chunk_right": "-1"}, "chunk_right"),
-                       ({"chunk_left": "2.5"}, "chunk_left")):
+                       ({"chunk_left": "2.5"}, "chunk_left"),
+                       # these built a model (d_m 7 failed later, naming no field)
+                       ({"d_m": 7, "n_heads": 7}, "d_m"), ({"feature_dim": 0}, "feature_dim"),
+                       ({"vocab_size": 0}, "vocab_size"), ({"vocab_size": 2}, "vocab_size"),
+                       ({"n_enc_blocks": -1}, "n_enc_blocks"),
+                       ({"n_pred_blocks": -2}, "n_pred_blocks"), ({"d_ff": 0}, "d_ff"),
+                       ({"d_joint": 0}, "d_joint")):
         with pytest.raises(ValueError, match=field):
             ModelConfig(**bad)
+    assert ModelConfig(n_enc_blocks=0, n_pred_blocks=0, vocab_size=3).vocab_size == 3
 
 
 def test_dev_scoring_is_greedy_decoding(monkeypatch):
@@ -214,6 +229,27 @@ def test_resume_reproduces_next_step(tmp_path):
     for name in solid.model.params:
         np.testing.assert_allclose(back.model.params[name].data,
                                    solid.model.params[name].data, atol=1e-12)
+
+
+@pytest.mark.parametrize("key", ["adaptive", "shuffle"])
+def test_resume_reads_a_retired_key_only_at_the_value_that_runs(tmp_path, key):
+    # earlier checkpoints store adaptive and shuffle: true, the value every
+    # run now uses, resumes bit for bit; false selected a deleted path
+    vocab, tr_utts, dev_utts = toy_setup()
+    trainer = Trainer(toy_model(vocab, seed=2, dropout=0.1), vocab, tr_utts, dev_utts,
+                      TrainConfig(epochs=2, batch_size=4, optimizer="noam", warmup_steps=3))
+    trainer.run_epoch()
+    trainer.save(tmp_path / "now.ckpt")
+    config, meta, arrays = ckpt.load_checkpoint(tmp_path / "now.ckpt")
+    for value in (True, False):
+        meta["trainer"]["config"][key] = value
+        ckpt.save_checkpoint(tmp_path / f"{value}.ckpt", arrays, config, meta)
+    with pytest.raises(ValueError, match=rf"False\.ckpt: {key} = False"):
+        Trainer.resume(tmp_path / "False.ckpt", vocab, tr_utts, dev_utts)
+    back = Trainer.resume(tmp_path / "True.ckpt", vocab, tr_utts, dev_utts)
+    assert back.run_epoch() == trainer.run_epoch()
+    for name, p in back.model.params.items():
+        np.testing.assert_array_equal(p.data, trainer.model.params[name].data, err_msg=name)
 
 
 def test_resume_requires_trainer_state(tmp_path):

@@ -179,7 +179,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     """Normalize the final axis to zero mean / unit variance, then apply
     learned gain and bias (both 1-D of the final extent)."""
     x, gain, bias = ad._as_tensor(x), ad._as_tensor(gain), ad._as_tensor(bias)
-    ad._same_dtype("layer_norm", x, gain, bias)
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
@@ -292,15 +291,12 @@ def sgd_step(params: dict, velocity: dict, lr: float, momentum: float) -> None:
         p.data -= lr * v
 
 
-def noam_step(params: dict, m: dict, v: dict, lr: float, t: int, adaptive: bool = True,
-              beta1: float = 0.9, beta2: float = 0.98, eps: float = 1e-9) -> None:
+def noam_step(params: dict, m: dict, v: dict, lr: float, t: int, beta1: float = 0.9,
+              beta2: float = 0.98, eps: float = 1e-9) -> None:
     """One Noam update at step t, parameter by parameter in sorted-name order."""
     for name in sorted(params):
         p = params[name]
         g = p.grad
-        if not adaptive:
-            p.data -= lr * g
-            continue
         mn, vn = m[name], v[name]
         mn *= beta1
         mn += (1.0 - beta1) * g
@@ -356,7 +352,6 @@ def concat(parts, axis: int = 0) -> Tensor:
     parts = [ad._as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat: no inputs")
-    ad._same_dtype("concat", *parts)
     base = list(parts[0].shape)
     for p in parts[1:]:
         other = list(p.shape)

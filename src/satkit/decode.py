@@ -31,11 +31,13 @@ the four-row rule of :func:`~satkit.nnet.row_tile`, so each row gets the
 bits it gets alone: batching changes no bits. A prediction state depends
 only on its prefix, so the search caches states by child prefix and, after
 each frame, keeps only the children of the new beam; a hypothesis that
-stays in the beam re-expands without recomputing them. LM scores come in
-rows, one per LM context (the last ``order - 1`` tokens of ``<s>`` plus the
-prefix), each built once per search by one ``lm.score_row`` call. Caching
-changes no bits either: the beam returns exactly what one ``advance_np`` and
-one ``lm.score`` per child would give.
+stays in the beam re-expands without recomputing them. A cached state's
+rows never change: its first lone child writes the next row into the
+state's buffer in place, and any later child copies the prefix. LM scores
+come in rows, one per LM context (the last ``order - 1`` tokens of ``<s>``
+plus the prefix), each built once per search by one ``lm.score_row`` call.
+Caching changes no bits either: the beam returns exactly what one
+``advance_np`` and one ``lm.score`` per child would give.
 """
 
 import logging
@@ -345,7 +347,9 @@ def stream_decode(model, raw_frames, cfg: DecodeConfig = None):
     per block), then :func:`greedy_decode`'s search. Rows pass between the
     stages one at a time, each as soon as it is final, so no stage adds lag,
     and each stage keeps state of a fixed size, a ring of raw frames or a
-    block's buffer of rows, however long the stream. Under an unbounded
+    block's buffer of rows, however long the stream. The prediction state
+    is the exception: it grows by one row per block per emitted label,
+    written in place, so an emission copies no prefix. Under an unbounded
     window the row source refuses the stream. The streaming beam is
     :func:`beam_decode` over ``stacked_stream(model, raw_frames)``; it
     returns its hypotheses when the stream ends.

@@ -45,7 +45,9 @@ a chain of generators, one per block: a matrix flows through a tile at a
 time and a stream one row at a time, with the same bits.
 :meth:`PredictionNetwork.advance_many` runs the row step for the new rows of
 many decode states over their causal prefixes, the left-context caching of
-the Transformer Transducer, and gives each the bits it has alone.
+the Transformer Transducer, and gives each the bits it has alone. A chain
+of states grows one buffer per block in place (:class:`PredState`), so an
+emission copies no prefix.
 """
 
 import math
@@ -467,15 +469,26 @@ class PredictionNetwork:
 
         Every weight product of a block takes the new rows as one
         :func:`row_tile`. Each block projects a new row's key and value once
-        and appends them to a copy of its state's cache. The row attends
-        over that whole cache, which the causal mask makes equal to a fresh
-        full pass. Rows attend in groups of equal prefix length, one window
-        per row, so no window holds a masked slot; siblings share their
-        parent's length. Every state gets the bits it gets alone.
+        and writes them after its state's cached rows, in place when the
+        state owns its cache's tail (see :class:`PredState`). The row
+        attends over that whole cache, which the causal mask makes equal to
+        a fresh full pass. Rows attend in groups of equal prefix length, one
+        window per row, so no window holds a masked slot; siblings share
+        their parent's length, and each copies the parent's rows into its
+        own window. Every state gets the bits it gets alone.
+
+        Raises ValueError for a token outside [0, vocab_size) and when
+        ``states`` and ``tokens`` differ in length.
         """
         n, d = len(states), self.d_m
+        if len(tokens) != n:
+            raise ValueError(f"advance_many got {n} states but {len(tokens)} tokens")
         if n == 0:
             return []
+        ids = [SOS if t is None else int(t) for t in tokens]
+        for t, i in zip(tokens, ids):
+            if not 0 <= i < self.vocab_size:
+                raise ValueError(f"token {t} is outside [0, {self.vocab_size})")
         # Rows run sorted by prefix length, so each group is a slice; a
         # row's bits do not depend on its place in the tile.
         order = sorted(range(n), key=lambda i: states[i].length)
@@ -483,12 +496,17 @@ class PredictionNetwork:
         pe = self._pe
         if lengths[-1] >= len(pe):
             pe = self._pe = positional_encoding(np.arange(2 * lengths[-1] + 1), d, self.pe_freqs)
-        x = self.params["pred.emb"].data.take(
-            [SOS if tokens[i] is None else int(tokens[i]) for i in order], 0)
+        x = self.params["pred.emb"].data.take([ids[i] for i in order], 0)
         x *= math.sqrt(d)
         x += pe.take(lengths, 0)
         cuts = [j for j in range(1, n) if lengths[j] != lengths[j - 1]]
         groups = list(zip([0] + cuts, cuts + [n]))
+        # a row alone at its length writes its key and value into a cache;
+        # siblings write theirs into the windows below
+        caches = [None] * n
+        for lo, hi in groups:
+            if hi - lo == 1:
+                caches[lo] = _KVCache.for_child(states[order[lo]], 2 * d)
         pad = np.zeros((tile_len(n), d))
         layers = [[] for _ in range(n)]
         for b, block in enumerate(self.blocks):
@@ -500,9 +518,8 @@ class PredictionNetwork:
                 # a row's window: its state's cache, then its new key and value
                 length = lengths[lo]
                 if hi - lo == 1:
-                    win = kv[lo:hi]
-                    if length:
-                        win = np.concatenate([states[order[lo]].layers[b], win])
+                    win = caches[lo].bufs[b][:length + 1]
+                    win[length] = kv[lo]
                     layers[lo].append(win)
                 else:
                     win = np.empty((hi - lo, length + 1, 2 * d))
@@ -514,7 +531,9 @@ class PredictionNetwork:
             x = block.output_np(x, ctx[0] if len(ctx) == 1 else np.concatenate(ctx), pad)
         out = [None] * n
         for j, i in enumerate(order):
-            out[i] = PredState(layers[j], lengths[j] + 1, x[j])
+            if caches[j] is not None:
+                caches[j].n = lengths[j] + 1
+            out[i] = PredState(layers[j], lengths[j] + 1, x[j], caches[j])
         return out
 
 
@@ -537,10 +556,51 @@ class PredState:
     ``layers[i]`` holds block i's [key | value] projections, one row per
     prefix position (``length`` rows); ``g`` is the top block's output for
     the newest position, the vector the joint network reads. States are
-    immutable: advancing returns a new one, so beam hypotheses can share
-    ancestors safely.
+    immutable: advancing returns a new one, and the rows a state exposes
+    never change, so beam hypotheses can share ancestors safely.
+
+    ``cache``, when set, is the :class:`_KVCache` whose buffers ``layers``
+    views. It may be shared with descendants: a state that owns the
+    cache's tail (its ``length`` equals the rows written) lets its child
+    write the next row in place, past every row the state exposes. A state
+    built without a cache, or one whose cache is full or already extended
+    by another child, gives its child a copy of its rows in a new cache.
     """
 
     layers: list
     length: int
     g: np.ndarray
+    cache: "_KVCache" = None
+
+
+# Fewest rows a new cache buffer holds; a full buffer is replaced by one of
+# twice the rows, so a chain of N labels reallocates O(log N) times.
+_MIN_CACHE_ROWS = 16
+
+
+class _KVCache:
+    """Growable [key | value] rows of a chain of decode states: ``bufs[b]``
+    is block b's (``cap``, 2 d_m) buffer, of which the first ``n`` rows are
+    written."""
+
+    __slots__ = ("bufs", "n", "cap")
+
+    def __init__(self, bufs: list, n: int, cap: int):
+        self.bufs, self.n, self.cap = bufs, n, cap
+
+    @classmethod
+    def for_child(cls, state: PredState, width: int) -> "_KVCache":
+        """The cache into which ``state``'s child writes row ``state.length``:
+        ``state``'s own when the state owns its tail and the buffers have
+        room, otherwise a new one holding a copy of ``state``'s rows."""
+        cache, length = state.cache, state.length
+        if cache is not None and cache.n == length < cache.cap:
+            return cache
+        cap = max(_MIN_CACHE_ROWS, 2 * (length + 1))
+        bufs = []
+        for layer in state.layers:
+            buf = np.empty((cap, width))
+            if length:
+                buf[:length] = layer
+            bufs.append(buf)
+        return cls(bufs, length, cap)

@@ -712,6 +712,90 @@ def test_advance_many_leaves_its_states_unchanged():
     assert net.advance_many([], []) == []
 
 
+def test_advance_many_rejects_bad_tokens():
+    net = PredictionNetwork(9, 8, 2, 16, 1, np.random.default_rng(26))
+    state = net.init_state()
+    for token in (-1, 9):
+        with pytest.raises(ValueError, match=f"token {token} "):
+            net.advance_np(state, token)
+    with pytest.raises(ValueError, match="2 states but 3 tokens"):
+        net.advance_many([state, state], [3, 4, 5])
+    with pytest.raises(ValueError, match="1 states but 0 tokens"):
+        net.advance_many([state], [])
+    assert net.advance_np(state, 8).length == 2
+
+
+def test_prediction_states_grow_in_place():
+    # along a greedy chain each child writes its new row into its parent's
+    # buffer, and a full buffer is replaced by one twice as long
+    net = PredictionNetwork(9, 8, 2, 16, 2, np.random.default_rng(27))
+    chain = [net.init_state()]
+    for tok in np.random.default_rng(28).integers(2, 9, 300):
+        chain.append(net.advance_np(chain[-1], tok))
+    for b in range(net.n_blocks):
+        moves = sum(not np.shares_memory(p.layers[b], c.layers[b])
+                    for p, c in zip(chain, chain[1:]))
+        assert 1 <= moves <= math.ceil(math.log2(301 / nnet._MIN_CACHE_ROWS)), moves
+    assert chain[-1].layers[0].shape == (301, 16)
+
+
+def test_prediction_state_siblings_keep_their_rows():
+    # the first child of a parent appends in place; a later child, alone or
+    # among siblings, copies, and no child's rows change
+    rng = np.random.default_rng(29)
+    net = PredictionNetwork(9, 8, 2, 16, 2, rng)
+    parent = net.init_state()
+    for tok in (4, 2, 8):
+        parent = net.advance_np(parent, tok)
+    first = net.advance_np(parent, 5)
+    assert np.shares_memory(first.layers[0], parent.layers[0])
+    before = [layer.copy() for layer in first.layers]
+    grandchild = net.advance_np(first, 3)
+    second, third = net.advance_many([parent, parent], [6, 7])
+    fourth = net.advance_np(parent, 2)
+    assert all(np.array_equal(a, b) for a, b in zip(first.layers, before))
+    for state, want in ((first, advance_per_call(net, parent, 5)),
+                        (second, advance_per_call(net, parent, 6)),
+                        (third, advance_per_call(net, parent, 7)),
+                        (fourth, advance_per_call(net, parent, 2)),
+                        (grandchild, advance_per_call(net, first, 3))):
+        assert np.array_equal(state.g, want.g)
+        assert all(np.array_equal(a, b) for a, b in zip(state.layers, want.layers))
+
+
+def test_prediction_state_without_cache_advances():
+    # a state built from plain arrays, as the per-call oracle builds one,
+    # advances by copying its rows
+    rng = np.random.default_rng(30)
+    net = PredictionNetwork(9, 8, 2, 16, 2, rng)
+    oracle = advance_per_call(net, PredState([None] * net.n_blocks, 0, None), None)
+    want = net.init_state()
+    for tok in (4, 2, 8):
+        oracle, want = advance_per_call(net, oracle, tok), net.advance_np(want, tok)
+        assert oracle.cache is None
+        got = net.advance_np(oracle, 5)
+        assert np.array_equal(got.g, net.advance_np(want, 5).g)
+
+
+def test_prediction_advance_copies_no_prefix():
+    # one advance at prefix length 1000, between two buffer doublings,
+    # allocates less than one block's cached rows: no copy of the prefix
+    net = PredictionNetwork(9, 8, 2, 16, 2, np.random.default_rng(31))
+    state = net.init_state()
+    for tok in np.random.default_rng(32).integers(2, 9, 999):
+        state = net.advance_np(state, tok)
+    assert state.length == 1000
+    prefix_bytes = state.layers[0].nbytes
+    tracemalloc.start()
+    try:
+        child = net.advance_np(state, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(child.layers[0], state.layers[0])
+    assert peak < prefix_bytes, (peak, prefix_bytes)
+
+
 def test_prediction_network_causal_prefix_extension():
     rng = np.random.default_rng(12)
     net = PredictionNetwork(9, 8, 2, 16, 2, rng)

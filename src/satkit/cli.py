@@ -72,9 +72,12 @@ def cmd_gen_data(args) -> int:
                     feature_dim=args.feature_dim, min_tokens=args.min_tokens,
                     max_tokens=args.max_tokens, noise=args.noise,
                     seed=args.seed)
+    counts = {"train": args.n_train, "dev": args.n_dev, "test": args.n_test}
+    for split, n in counts.items():  # a rejected run leaves no directory
+        if n < 0:
+            raise ValueError(f"--n-{split} must be >= 0 utterances, got {n}")
     os.makedirs(args.out, exist_ok=True)
     spec.vocab().save(f"{args.out}/vocab.txt")
-    counts = {"train": args.n_train, "dev": args.n_dev, "test": args.n_test}
     for split, n in counts.items():
         utts = generate_split(spec, n, split)
         save_dataset(f"{args.out}/{split}", utts)
@@ -264,17 +267,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic task dataset")
     p.add_argument("--task", choices=("delayed-copy", "segment-classify"),
-                   default="delayed-copy")
-    p.add_argument("--vocab-size", type=int, default=16)
-    p.add_argument("--feature-dim", type=int, default=8)
-    p.add_argument("--min-tokens", type=int, default=3)
-    p.add_argument("--max-tokens", type=int, default=10)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-train", type=int, default=2000)
-    p.add_argument("--n-dev", type=int, default=200)
-    p.add_argument("--n-test", type=int, default=200)
-    p.add_argument("--out", required=True)
+                   default="delayed-copy",
+                   help="variable-length segments or fixed 3-frame segments")
+    p.add_argument("--vocab-size", type=int, default=16,
+                   help="token types, not counting the reserved symbols")
+    p.add_argument("--feature-dim", type=int, default=8, help="values per raw frame")
+    p.add_argument("--min-tokens", type=int, default=3,
+                   help="fewest tokens in one utterance (>= 1)")
+    p.add_argument("--max-tokens", type=int, default=10,
+                   help="most tokens in one utterance (>= --min-tokens)")
+    p.add_argument("--noise", type=float, default=0.0,
+                   help="scale of the standard normal noise added to every raw "
+                   "feature value (finite, >= 0)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the templates and of every split")
+    p.add_argument("--n-train", type=int, default=2000,
+                   help="utterances in the train split (0 or more)")
+    p.add_argument("--n-dev", type=int, default=200,
+                   help="utterances in the dev split (0 or more)")
+    p.add_argument("--n-test", type=int, default=200,
+                   help="utterances in the test split (0 or more)")
+    p.add_argument("--out", required=True,
+                   help="dataset root: vocab.txt, task.txt and one directory per split")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model")

@@ -1,9 +1,10 @@
 """Feature pipeline, synthetic transduction tasks, and dataset plumbing.
 
 Synthetic tasks are generated at the model frame rate: every model frame
-spans ``factor`` raw feature frames built from one template plus per-raw-frame
-noise, so the oracle alignment (one token per model frame) lines up with the
-downsampled sequence by construction.
+spans ``factor`` raw feature frames built from one template plus noise, so the
+oracle alignment (one token per model frame) lines up with the downsampled
+sequence by construction. An utterance draws its integers, then one block of
+noise; that order keeps a dataset's bits the same from one version to the next.
 
 Frame stacking comes in two forms with the same bits: :func:`stack_downsample`
 over a whole matrix, and the generator :func:`stream_stack` over raw frames
@@ -149,8 +150,8 @@ class TaskSpec:
         if not 1 <= self.min_tokens <= self.max_tokens:
             raise ValueError(f"need 1 <= min_tokens <= max_tokens, got {self.min_tokens}, "
                              f"{self.max_tokens}")
-        if not self.noise >= 0.0:
-            raise ValueError(f"noise must be >= 0, got {self.noise}")
+        if not 0.0 <= self.noise < float("inf"):
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
         check_stacking(0, 0, self.factor)
 
     def token_names(self):
@@ -176,46 +177,53 @@ def generate_split(spec: TaskSpec, n_utts: int, split: str = "train"):
     frames (plus a leading silence); segment-classify: fixed 3-frame segments
     with single silence separators. The alignment marks the last frame of
     each token segment; everything else is silence. Raw features replicate
-    the frame's template ``factor`` times with fresh noise per raw frame.
+    the frame's template (zeros for silence) ``factor`` times, plus ``noise``
+    times a standard normal per value.
+
+    One utterance draws, one call per value, its token count, its tokens and
+    (delayed-copy only) its leading silence length and each token's segment
+    and silence lengths; then, if ``noise > 0``, one block of normals shaped
+    (raw frames, feature_dim). That order keeps every dataset's bits the
+    same from one version to the next.
     """
     if split not in SPLIT_INDEX:
         raise ValueError(f"split must be one of {sorted(SPLIT_INDEX)}, got {split!r}")
-    templates = _templates(spec)
+    if n_utts < 0:
+        raise ValueError(f"n_utts must be >= 0, got {n_utts}")
+    # row vocab_size is the silence template
+    table = np.concatenate([_templates(spec), np.zeros((1, spec.feature_dim))])
+    silence = spec.vocab_size
     rng = np.random.default_rng([spec.seed, SPLIT_INDEX[split]])
     names = spec.token_names()
     fixed = spec.kind == "segment-classify"
     utts = []
     for i in range(n_utts):
         n_tok = int(rng.integers(spec.min_tokens, spec.max_tokens + 1))
-        tokens = rng.integers(0, spec.vocab_size, size=n_tok)
-        frames = []                 # per model frame: token index or None
-        alignment = []
-        frames += [None] * (1 if fixed else int(rng.integers(1, 3)))
+        tokens = rng.integers(0, spec.vocab_size, size=n_tok).tolist()
+        lead = 1 if fixed else int(rng.integers(1, 3))
+        rows, lengths = [silence], [lead]      # template row and model frames per segment
+        alignment = [SIL] * lead
         for tok in tokens:
             seg = 3 if fixed else int(rng.integers(2, 5))
-            frames += [tok] * seg
             sil = 1 if fixed else int(rng.integers(1, 3))
-            frames += [None] * sil
-        for j, f in enumerate(frames):
-            alignment.append(names[f] if _is_segment_end(frames, j) else SIL)
-        raw = np.empty((len(frames) * spec.factor, spec.feature_dim))
-        for j, f in enumerate(frames):
-            tpl = templates[f] if f is not None else np.zeros(spec.feature_dim)
-            for r in range(spec.factor):
-                noise = rng.standard_normal(spec.feature_dim) if spec.noise > 0 else 0.0
-                raw[j * spec.factor + r] = tpl + spec.noise * noise
+            rows += [tok, silence]
+            lengths += [seg, sil]
+            alignment += [SIL] * (seg - 1) + [names[tok]] + [SIL] * sil
+        raw = table[np.repeat(rows, np.multiply(lengths, spec.factor))]
+        with np.errstate(over="ignore"):    # refused below, not cast to inf
+            if spec.noise > 0:
+                raw += spec.noise * rng.standard_normal(raw.shape)
+            feats = raw.astype(np.float32)
+        if not np.isfinite(feats).all():
+            raise ValueError(f"noise {spec.noise} gives features outside float32's range")
         utts.append(Utterance(
             utt_id=f"{spec.kind}-{split}-{i:05d}",
-            feats=raw.astype(np.float32),
+            feats=feats,
             targets=[names[t] for t in tokens],
             alignment=alignment,
             speaker=f"spk{i % 4}",
         ))
     return utts
-
-
-def _is_segment_end(frames, j):
-    return frames[j] is not None and (j + 1 == len(frames) or frames[j + 1] != frames[j])
 
 
 # ---------------------------------------------------------------------------

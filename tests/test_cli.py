@@ -57,6 +57,30 @@ def test_gen_data_is_byte_identical(tmp_path, data_dir):
     assert tree_bytes(different) != tree_bytes(other)
 
 
+@pytest.mark.parametrize("flag", ["--n-train", "--n-dev", "--n-test"])
+def test_gen_data_rejects_a_negative_count_and_leaves_no_directory(tmp_path, capsys,
+                                                                     flag):
+    out = tmp_path / "data"
+    args = gen_args(out)
+    args[args.index(flag) + 1] = "-2"
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert flag in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-0.5"])
+def test_gen_data_rejects_noise_no_features_can_hold(tmp_path, capsys, value):
+    out = tmp_path / "data"
+    args = gen_args(out)
+    args[args.index("--noise") + 1] = value
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "noise" in err
+    assert not out.exists()
+
+
 def test_train_outputs(run_dir, capsys):
     for name in ("last.ckpt", "best.ckpt", "model.config", "metrics.csv"):
         assert (run_dir / name).exists(), name

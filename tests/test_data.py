@@ -1,12 +1,14 @@
 """Feature pipeline, synthetic tasks, file formats, batching."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satkit.data import (SIL, TaskSpec, alignment_ids,
-                         apply_norm, generate_split, load_dataset,
+from satkit.data import (SIL, SPLIT_INDEX, TaskSpec, Utterance, _templates,
+                         alignment_ids, apply_norm, generate_split, load_dataset,
                          make_batches, norm_stats, normalize_dataset,
                          read_feats, read_token_file, save_dataset,
                          stack_downsample, stream_stack, write_feats,
@@ -184,13 +186,160 @@ def test_task_spec_validation():
 
 @pytest.mark.parametrize("field,value", [
     ("factor", 0), ("factor", -1), ("feature_dim", 0), ("noise", -1.0),
-    ("noise", float("nan")), ("min_tokens", 0), ("max_tokens", 2)])
+    ("noise", float("nan")), ("noise", float("inf")), ("min_tokens", 0),
+    ("max_tokens", 2)])
 def test_task_spec_rejects_values_no_split_can_use(field, value):
     # each would give empty features or targets, or fail deep inside numpy;
     # max_tokens 2 is below the default min_tokens 3
     with pytest.raises(ValueError, match=field):
         TaskSpec(**{field: value})
     TaskSpec(min_tokens=4, max_tokens=4)
+
+
+def _reference_split(spec, n_utts, split="train"):
+    """The generator before it built utterances from arrays, kept verbatim as
+    an oracle: one noise draw and one row write per raw frame."""
+    templates = _templates(spec)
+    rng = np.random.default_rng([spec.seed, SPLIT_INDEX[split]])
+    names = spec.token_names()
+    fixed = spec.kind == "segment-classify"
+    utts = []
+    for i in range(n_utts):
+        n_tok = int(rng.integers(spec.min_tokens, spec.max_tokens + 1))
+        tokens = rng.integers(0, spec.vocab_size, size=n_tok)
+        frames = []                 # per model frame: token index or None
+        alignment = []
+        frames += [None] * (1 if fixed else int(rng.integers(1, 3)))
+        for tok in tokens:
+            seg = 3 if fixed else int(rng.integers(2, 5))
+            frames += [tok] * seg
+            sil = 1 if fixed else int(rng.integers(1, 3))
+            frames += [None] * sil
+        for j, f in enumerate(frames):
+            alignment.append(names[f] if _is_segment_end(frames, j) else SIL)
+        raw = np.empty((len(frames) * spec.factor, spec.feature_dim))
+        for j, f in enumerate(frames):
+            tpl = templates[f] if f is not None else np.zeros(spec.feature_dim)
+            for r in range(spec.factor):
+                noise = rng.standard_normal(spec.feature_dim) if spec.noise > 0 else 0.0
+                raw[j * spec.factor + r] = tpl + spec.noise * noise
+        utts.append(Utterance(
+            utt_id=f"{spec.kind}-{split}-{i:05d}",
+            feats=raw.astype(np.float32),
+            targets=[names[t] for t in tokens],
+            alignment=alignment,
+            speaker=f"spk{i % 4}",
+        ))
+    return utts
+
+
+def _is_segment_end(frames, j):
+    return frames[j] is not None and (j + 1 == len(frames) or frames[j + 1] != frames[j])
+
+
+def _fields(u):
+    return (u.utt_id, u.targets, u.alignment, u.speaker, u.feats.shape,
+            u.feats.dtype.str, u.feats.tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["delayed-copy", "segment-classify"]),
+       st.sampled_from([0.0, 0.05, 0.7, 1.5]), st.integers(1, 4), st.integers(1, 8),
+       st.integers(2, 16), st.integers(1, 5), st.integers(0, 4),
+       st.sampled_from(["train", "dev", "test"]), st.integers(0, 2**32 - 1))
+def test_generate_split_matches_reference_oracle(kind, noise, factor, feature_dim,
+                                                 vocab_size, min_tokens, extra,
+                                                 split, seed):
+    spec = TaskSpec(kind=kind, vocab_size=vocab_size, feature_dim=feature_dim,
+                    min_tokens=min_tokens, max_tokens=min_tokens + extra,
+                    noise=noise, seed=seed, factor=factor)
+    got = generate_split(spec, 4, split)
+    want = _reference_split(spec, 4, split)
+    assert [_fields(u) for u in got] == [_fields(u) for u in want]
+
+
+def _digest(utts):
+    h = hashlib.sha256()
+    for u in utts:
+        *head, payload = _fields(u)
+        h.update(repr(tuple(head)).encode())
+        h.update(payload)
+    return h.hexdigest()
+
+
+# Digests of the per-raw-frame generator's output, so that an edit to the
+# oracle above cannot hide a drift in the generated bits.
+@pytest.mark.parametrize("spec,n_utts,split,digest", [
+    # satbench's FIXTURE_TASK, the decode workloads' test split
+    (TaskSpec(kind="delayed-copy", vocab_size=16, feature_dim=8, min_tokens=8,
+              max_tokens=16, noise=0.3, seed=7), 300, "test",
+     "2449fce0b27e631d99500e68cc58151df4b6aac71f666a53b70e8ed709718de1"),
+    # satbench train-short's noiseless task
+    (TaskSpec(kind="delayed-copy", vocab_size=16, feature_dim=8, min_tokens=3,
+              max_tokens=8, noise=0.0, seed=7), 1200, "train",
+     "29da06406efb83e66dc734cd3f757998a8ca12707d14eb71fdf1aefc9d05bddb"),
+    (TaskSpec(kind="segment-classify", vocab_size=5, feature_dim=3, min_tokens=2,
+              max_tokens=6, noise=1.5, seed=2, factor=4), 50, "dev",
+     "7fe6cc983d83cfc73695bc3684b102afb193642af657642030202d0cdedddc2b"),
+    (TaskSpec(kind="delayed-copy", vocab_size=2, feature_dim=1, min_tokens=1,
+              max_tokens=4, noise=0.7, seed=9, factor=1), 50, "train",
+     "1638a85317e17270a23782815c4f8afed6749ebab1f5eb4b45d824ac719d770b")],
+    ids=["fixture-test", "train-short", "segment-classify", "factor-1"])
+def test_generated_bits_match_pinned_digests(spec, n_utts, split, digest):
+    assert _digest(generate_split(spec, n_utts, split)) == digest
+
+
+class _CountingRng:
+    """A Generator that records the name of every method called on it."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.4])
+def test_one_noise_draw_per_utterance(monkeypatch, noise):
+    # guards the speed of generation without a timing bound: a noise draw
+    # per raw frame would show up here as thousands of calls
+    spec = TaskSpec(vocab_size=6, feature_dim=4, min_tokens=5, max_tokens=9,
+                    noise=noise, seed=4)
+    want = generate_split(spec, 12, "dev")
+    made = []
+    real = np.random.default_rng
+
+    def default_rng(*args, **kwargs):
+        made.append(_CountingRng(real(*args, **kwargs)))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    got = generate_split(spec, 12, "dev")
+    assert [_fields(u) for u in got] == [_fields(u) for u in want]
+    templates, stream = made
+    assert templates.calls == ["standard_normal"]
+    normals = stream.calls.count("standard_normal")
+    assert normals == (12 if noise > 0 else 0)
+    assert set(stream.calls) <= {"integers", "standard_normal"}
+
+
+def test_generate_split_refuses_a_negative_count():
+    with pytest.raises(ValueError, match="n_utts"):
+        generate_split(TaskSpec(), -3)
+    assert generate_split(TaskSpec(), 0) == []
+
+
+@pytest.mark.parametrize("noise", [1e39, 1e308])
+def test_noise_outside_float32_range_is_refused(noise):
+    # 1e39 overflows the float32 cast, 1e308 the float64 sum before it
+    with pytest.raises(ValueError, match="float32"):
+        generate_split(TaskSpec(vocab_size=4, feature_dim=3, noise=noise), 2)
 
 
 def test_alignment_feeds_lattice_path():

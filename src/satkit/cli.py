@@ -73,15 +73,17 @@ def cmd_gen_data(args) -> int:
                     max_tokens=args.max_tokens, noise=args.noise,
                     seed=args.seed)
     counts = {"train": args.n_train, "dev": args.n_dev, "test": args.n_test}
-    for split, n in counts.items():  # a rejected run leaves no directory
+    # Everything that can reject the run, the counts and the generation of
+    # every split, runs first: a rejected run leaves no directory.
+    for split, n in counts.items():
         if n < 0:
             raise ValueError(f"--n-{split} must be >= 0 utterances, got {n}")
+    splits = {split: generate_split(spec, n, split) for split, n in counts.items()}
     os.makedirs(args.out, exist_ok=True)
     spec.vocab().save(f"{args.out}/vocab.txt")
-    for split, n in counts.items():
-        utts = generate_split(spec, n, split)
+    for split, utts in splits.items():
         save_dataset(f"{args.out}/{split}", utts)
-        print(f"{split}: {n} utterances")
+        print(f"{split}: {len(utts)} utterances")
     with open(f"{args.out}/task.txt", "w", encoding="utf-8") as f:
         for k, v in asdict(spec).items():
             f.write(f"{k} = {v}\n")

@@ -6,14 +6,26 @@ Every search, and dev-set scoring during training, which is
 raw-frame stream stacked by :func:`stacked_stream`. Each chunk of rows it
 yields, a tile of a matrix or one row of a stream, gets its joint
 projections in one product. The encoder's window picks each block's stage
-there, so this module holds no encoder logic. Under a
-bounded window a matrix and a stream give rows of the same bits, so greedy
-and beam search give the same bits offline and streaming; the streaming
-beam is :func:`beam_decode` over a stream. Under an unbounded window only a
-matrix can be decoded. Prediction states advance through
+there, so this module holds no encoder logic. Under a bounded window a
+matrix and a stream give rows of the same bits, so greedy and beam search
+give the same bits offline and streaming; the streaming beam is
+:func:`beam_decode` over a stream. Under an unbounded window only a matrix
+can be decoded. Prediction states advance through
 :meth:`~satkit.nnet.PredictionNetwork.advance_many`, and the joint's row
-step (:class:`~satkit.lattice.JointRows`) scores a frame against states, so
-the searches hold no model arithmetic.
+step (:class:`~satkit.lattice.JointRows`) scores rows, so the searches hold
+no model arithmetic.
+
+Greedy search scores in look-ahead tiles: one joint forward scores the
+next ``_LOOK_AHEAD`` frames of a chunk against the current state, and the
+search reads those rows in order up to the first emission, after which the
+new state re-scores from the same frame. A blank run of n frames thus costs
+about n / ``_LOOK_AHEAD`` forwards, not n; a stream's one-row chunks give
+one-frame tiles. Batching keeps every bit: a row's sum ``f + g`` is the
+same IEEE add whichever side broadcasts, the output product follows the
+four-row rule of :func:`~satkit.nnet.row_tile`, and the reductions run per
+row, so each row the search reads is the row it would score alone. The
+per-frame symbol guard behaves as before: a frame that has emitted the
+limit logs one warning and is left.
 
 The beam is the frame-synchronous prefix search of Graves (arXiv
 1211.3711): within a frame, hypotheses expand by labels until pruned out or
@@ -22,22 +34,25 @@ duplicate prefixes are merged by log-adding their transducer mass. LM fusion
 adds lambda_lm * log P_lm(token | prefix) at each label expansion; blanks
 never touch the LM term. Each step is batched, in the manner of vectorized
 beam search (Seki et al., Interspeech 2019): one joint forward scores the
-active hypotheses' (H, K) log-prob rows, and the transducer, LM and combined
+active hypotheses' (H, K) log-prob rows, and the transducer and combined
 scores of every (hypothesis, label) child are array expressions. Only
-children that can survive pruning are ranked, only survivors become
-:class:`Hypothesis` objects, and the step's new survivors advance in one
-``advance_many`` call. The joint forward and the advance follow
-the four-row rule of :func:`~satkit.nnet.row_tile`, so each row gets the
-bits it gets alone: batching changes no bits. A prediction state depends
-only on its prefix, so the search caches states by child prefix and, after
-each frame, keeps only the children of the new beam; a hypothesis that
-stays in the beam re-expands without recomputing them. A cached state's
-rows never change: its first lone child writes the next row into the
-state's buffer in place, and any later child copies the prefix. LM scores
-come in rows, one per LM context (the last ``order - 1`` tokens of ``<s>``
-plus the prefix), each built once per search by one ``lm.score_row`` call.
-Caching changes no bits either: the beam returns exactly what one
-``advance_np`` and one ``lm.score`` per child would give.
+children that can survive pruning are ranked, and the step's new survivors
+advance in one ``advance_many`` call. The joint forward and the advance
+follow the four-row rule, so each row gets the bits it gets alone: batching
+changes no bits. A hypothesis is its prefix, its transducer score and a
+node that depends on the prefix alone: the prediction state, its joint
+projection, the prefix's LM score and the LM part of each child's combined
+score. The search caches nodes by child prefix and, after each frame, keeps
+only the children of the new beam; a hypothesis that stays in the beam
+re-expands without recomputing them, and a step only stacks its active
+nodes' rows. A cached state's rows never change: its first lone child
+writes the next row into the state's buffer in place, and any later child
+copies the prefix. LM scores come in rows, one per LM context (the last
+``order - 1`` tokens of ``<s>`` plus the prefix), each built once per
+search by one ``lm.score_row`` call. :class:`Hypothesis` objects are made
+for the returned beam only. Caching changes no bits either: the beam
+returns exactly what one ``advance_np`` and one ``lm.score`` per child
+would give.
 """
 
 import logging
@@ -77,7 +92,7 @@ class DecodeConfig:
 @dataclass
 class Hypothesis:
     prefix: tuple
-    state: object            # PredState for the prefix; None until it survives pruning
+    state: object            # PredState for the prefix
     t_score: float = 0.0     # transducer log-mass of the prefix
     lm_score: float = 0.0    # LM log-prob of the prefix
 
@@ -137,6 +152,10 @@ def _best_label(lp: np.ndarray) -> int:
     return int(np.argmax(masked))
 
 
+# Frames that one greedy joint forward scores against the current state.
+_LOOK_AHEAD = 8
+
+
 def _frames(model, stacked, joint):
     """The (J,) joint projection of each encoder row over ``stacked``, in
     order: each chunk of rows the encoder yields is projected at once."""
@@ -147,26 +166,48 @@ def _frames(model, stacked, joint):
 def _greedy_steps(model, stacked, max_symbols, trace=None):
     """Greedy search over the encoder rows of ``stacked``, pulled as they
     come; yields (frame, label) per emission. A ``trace`` list receives the
-    (t, u, log-prob row) of every step."""
-    joint = model.joint.row_step(1)
+    (t, u, log-prob row) of every step.
+
+    The search walks each chunk of rows the encoder yields, a tile of a
+    matrix or one row of a stream. At frame p with state g, one joint
+    forward scores the look-ahead tile, frames p..p+_LOOK_AHEAD-1 of the
+    chunk, against g (:meth:`~satkit.lattice.JointRows.frame_log_probs`).
+    The rows are then read one by one, through ``_best_label``, up to the
+    first non-blank: a blank moves to the next frame, whose row against g is
+    already there, and an emission advances the state and re-scores from
+    the same frame. Only the rows read are steps; the rest of a tile is
+    dropped. A row has the same bits in a tile as scored alone, so the
+    labels, frames and trace do not depend on the tile or on the chunks.
+    The symbol guard counts emissions per frame as before: a frame that has
+    emitted ``max_symbols`` labels logs one warning and is left unscored.
+    """
+    joint = model.joint.row_step(_LOOK_AHEAD)
     state = model.prednet.init_state()
-    g_part = joint.g_parts(state.g[None])
-    u = 0
-    for t, f_part in enumerate(_frames(model, stacked, joint)):
-        for _ in range(max_symbols):
-            lp = joint.log_probs(f_part, g_part)[0]
-            if trace is not None:
-                trace.append((t, u, lp.copy()))
-            k = _best_label(lp)
-            if k == BLANK:
-                break
-            yield t, k
-            u += 1
+    g_part = joint.g_parts(state.g[None])[0]
+    t = u = 0  # first frame of the chunk; labels emitted
+    for rows in encoder_tiles(model.encoder, stacked):
+        f_parts = joint.f_parts(rows)
+        p = n = 0  # frame in the chunk; labels emitted at it
+        while p < len(f_parts):
+            if n == max_symbols:
+                log.warning("frame %d hit the %d-symbol guard; forcing frame advance",
+                            t + p, max_symbols)
+                p, n = p + 1, 0
+                continue
+            for lp in joint.frame_log_probs(f_parts[p:p + _LOOK_AHEAD], g_part):
+                if trace is not None:
+                    trace.append((t + p, u, lp.copy()))
+                k = _best_label(lp)
+                if k != BLANK:
+                    break
+                p, n = p + 1, 0
+            else:
+                continue
+            yield t + p, k
+            u, n = u + 1, n + 1
             state = model.prednet.advance_np(state, k)
-            g_part = joint.g_parts(state.g[None])
-        else:
-            log.warning("frame %d hit the %d-symbol guard; forcing frame advance",
-                        t, max_symbols)
+            g_part = joint.g_parts(state.g[None])[0]
+        t += len(f_parts)
 
 
 def greedy_decode(model, stacked: np.ndarray, max_symbols: int = 10):
@@ -214,10 +255,25 @@ class _LMScorer:
         return row
 
 
-def _rank_key(lm_weight):
-    # On ties the prefix decides, so a settled (shorter) prefix wins,
-    # matching greedy's lowest-index argmax.
-    return lambda kv: (-kv[1][0].combined(lm_weight), kv[0])
+class _Node:
+    """The part of a beam hypothesis that depends on its prefix alone,
+    cached by prefix: the prediction state, its (J,) joint projection
+    ``g_part``, the prefix's LM score ``lm_score`` and ``w_lm``, lm_weight
+    times it. With an LM, ``lm_next`` holds each child's LM score, the
+    prefix's plus the LM row of its context in label order, and
+    ``w_lm_next`` lm_weight times that: the terms a step adds to its
+    children's transducer scores, formed once per prefix rather than once
+    per step, with the same bits."""
+
+    __slots__ = ("state", "g_part", "lm_score", "w_lm", "lm_next", "w_lm_next")
+
+    def __init__(self, state, g_part, lm_score, lm_weight, lm_row):
+        self.state, self.g_part, self.lm_score = state, g_part, lm_score
+        self.w_lm = lm_weight * lm_score
+        self.lm_next = self.w_lm_next = None
+        if lm_row is not None:
+            self.lm_next = lm_score + lm_row
+            self.w_lm_next = lm_weight * self.lm_next
 
 
 def beam_decode(model, stacked: np.ndarray, lm=None, vocab=None,
@@ -234,101 +290,99 @@ def beam_decode(model, stacked: np.ndarray, lm=None, vocab=None,
     width, lm_weight = cfg.beam_width, cfg.lm_weight
     # At most ``width`` hypotheses are active, and as many new survivors.
     joint = model.joint.row_step(width)
-    rank_key = _rank_key(lm_weight)
     # The blank and the start token hold the lowest ids; every later id is a
     # label the beam can emit.
     first = max(BLANK, SOS) + 1
-    labels = range(first, model.joint.vocab_size)
-    lm_rows = _LMScorer(lm, vocab, labels) if lm is not None else None
-    # Child prefix -> (PredState, g_part); after each frame only the children
-    # of the beam stay, so a hypothesis that stays in the beam reuses them.
-    states = {}
-
-    init = Hypothesis(prefix=(), state=model.prednet.init_state())
-    active = {(): (init, joint.g_parts(init.state.g[None])[0])}
-    final = []
+    ids = range(first, model.joint.vocab_size)
+    labels = [(k,) for k in ids]  # what each label appends to a prefix
+    n_labels, fused = len(labels), lm is not None
+    lm_rows = _LMScorer(lm, vocab, ids) if fused else None
+    # Child prefix -> _Node; after each frame only the children of the beam
+    # stay, so a hypothesis that stays in the beam reuses them.
+    cache = {}
+    init = model.prednet.init_state()
+    root = _Node(init, joint.g_parts(init.g[None])[0], 0.0, lm_weight,
+                 lm_rows.row(()) if fused else None)
+    # The beam entering a frame, best first: (prefix, [t_score, node, rank
+    # score]), where the rank score is t_score + lm_weight * lm_score.
+    beam, final = [((), [0.0, root, 0.0])], []
     for t, f_part in enumerate(_frames(model, stacked, joint)):
-        settled = {}
+        # The active hypotheses, as the columns a step stacks.
+        prefixes = [prefix for prefix, _ in beam]
+        t_list = [entry[0] for _, entry in beam]
+        nodes = [entry[1] for _, entry in beam]
+        settled = {}  # prefix -> [t_score, node, rank score] at frame t+1
         for step in range(cfg.max_symbols_per_frame + 1):
             expand = step < cfg.max_symbols_per_frame
-            if not expand and active:
+            if not expand:
                 log.warning("frame %d hit the %d-symbol guard; forcing frame advance",
                             t, cfg.max_symbols_per_frame)
-            hyps = [hyp for hyp, _ in active.values()]
-            lp = joint.log_probs(f_part, np.array([g_part for _, g_part in active.values()]))
-            t_col = np.array([hyp.t_score for hyp in hyps])
-            t_all = t_col[:, None] + lp  # every child's transducer score
+            lp = joint.log_probs(f_part, np.array([nd.g_part for nd in nodes]))
+            t_all = np.array(t_list)[:, None] + lp  # every child's transducer score
             # Blank step: settle each hypothesis to frame t+1.
-            for (prefix, (hyp, g_part)), blank_score in zip(
-                    active.items(), t_all[:, BLANK].tolist()):
-                if prefix in settled:
-                    s = settled[prefix][0]
-                    s.t_score = np.logaddexp(s.t_score, blank_score)
+            for prefix, blank_score, nd in zip(prefixes, t_all[:, BLANK].tolist(), nodes):
+                entry = settled.get(prefix)
+                if entry is None:
+                    settled[prefix] = [blank_score, nd, blank_score + nd.w_lm]
                 else:
-                    settled[prefix] = (
-                        Hypothesis(prefix, hyp.state, blank_score, hyp.lm_score),
-                        g_part)
+                    entry[0] = np.logaddexp(entry[0], blank_score)
+                    entry[2] = entry[0] + nd.w_lm
             if not expand or not labels:
                 break
-            # Score every (hypothesis, label) child as arrays.
+            # Score every (hypothesis, label) child as arrays: t + w * lm.
             t_exp = t_all[:, first:]
-            if lm_rows is not None:
-                lm_exp = (np.array([hyp.lm_score for hyp in hyps])[:, None]
-                          + np.array([lm_rows.row(hyp.prefix) for hyp in hyps]))
-                combined = t_exp + lm_weight * lm_exp
-            else:
-                lm_exp, combined = None, t_exp
+            combined = t_exp + np.array([nd.w_lm_next for nd in nodes]) if fused else t_exp
             # Only children that can survive pruning are ranked: those scoring
             # at least the width-th best of everything alive at this frame,
             # and those equal to a settled prefix, because pruning keeps
             # prefixes and a kept settled prefix keeps its twin.
-            keys = [(-s.combined(lm_weight), prefix) for prefix, (s, _) in settled.items()]
-            pool = [-c for c, _ in keys]
-            n_alive = len(pool) + combined.size
+            s_comb = [entry[2] for entry in settled.values()]
+            n_alive = len(s_comb) + combined.size
             if n_alive > width:
-                pool = np.concatenate((pool, combined.ravel()))
-                pick = combined >= np.partition(pool, n_alive - width)[n_alive - width]
+                pool = np.concatenate((s_comb, combined.ravel()))
+                pool.partition(n_alive - width)
+                pick = combined >= pool[n_alive - width]
+                slot = dict(zip(prefixes, range(len(prefixes))))
+                for prefix in settled:
+                    i = slot.get(prefix[:-1]) if prefix else None
+                    if i is not None:
+                        pick[i, prefix[-1] - first] = True
             else:
                 pick = np.ones(combined.shape, dtype=bool)
-            slot = {prefix: i for i, prefix in enumerate(active)}
-            for prefix in settled:
-                i = slot.get(prefix[:-1]) if prefix else None
-                if i is not None:
-                    pick[i, prefix[-1] - first] = True
-            at_hyp, at_label = (a.tolist() for a in np.nonzero(pick))
-            t_vals = t_exp[pick].tolist()
-            lm_vals = (lm_exp[pick].tolist() if lm_exp is not None
-                       else [hyps[i].lm_score for i in at_hyp])
             # Children of distinct prefixes are distinct, so none merge here.
-            expansions = [(hyps[i].prefix + (labels[j],), t_score, lm_score, i)
-                          for i, j, t_score, lm_score in zip(at_hyp, at_label, t_vals, lm_vals)]
-            # Prune over everything alive at this frame, by the rank key of
-            # each child's would-be Hypothesis.
-            keys += [(-(t_score + lm_weight * lm_score), child)
-                     for child, t_score, lm_score, _ in expansions]
+            at = [divmod(q, n_labels) for q in pick.ravel().nonzero()[0].tolist()]
+            children = [prefixes[i] + labels[j] for i, j in at]
+            t_vals = [t_all.item(i, first + j) for i, j in at]
+            c_vals = [combined.item(i, j) for i, j in at] if fused else t_vals
+            # Prune over everything alive at this frame, by the rank key.
+            keys = [(-c, prefix) for c, prefix in zip(s_comb, settled)]
+            keys += [(-c, child) for c, child in zip(c_vals, children)]
             keep = {prefix for _, prefix in sorted(keys)[:width]}
             settled = {p: v for p, v in settled.items() if p in keep}
-            survivors = [(child, Hypothesis(child, None, t_score, lm_score), i)
-                         for child, t_score, lm_score, i in expansions if child in keep]
+            survivors = [(child, t_score, i, j) for child, t_score, (i, j)
+                         in zip(children, t_vals, at) if child in keep]
             if not survivors:
                 break
             # The survivors not cached yet advance together.
-            new = [(child, i) for child, _, i in survivors if child not in states]
+            new = [(child, i, j) for child, _, i, j in survivors if child not in cache]
             if new:
                 advanced = model.prednet.advance_many(
-                    [hyps[i].state for _, i in new], [child[-1] for child, _ in new])
+                    [nodes[i].state for _, i, _ in new], [child[-1] for child, _, _ in new])
                 g_parts = joint.g_parts(np.array([state.g for state in advanced]))
-                for (child, _), state, g_part in zip(new, advanced, g_parts):
-                    states[child] = (state, g_part)
-            active = {}
-            for child, hyp, _ in survivors:
-                hyp.state, g_part = states[child]
-                active[child] = (hyp, g_part)
-        ranked = sorted(settled.items(), key=rank_key)
-        active = dict(ranked[:width])
-        final = [hyp for _, (hyp, _) in ranked[:width]]
-        states = {c: v for c, v in states.items() if c[:-1] in active}
-    return final
+                for (child, i, j), state, g_part in zip(new, advanced, g_parts):
+                    lm_score = nodes[i].lm_next[j].item() if fused else 0.0
+                    cache[child] = _Node(state, g_part, lm_score, lm_weight,
+                                          lm_rows.row(child) if fused else None)
+            prefixes = [child for child, _, _, _ in survivors]
+            t_list = [t_score for _, t_score, _, _ in survivors]
+            nodes = [cache[child] for child in prefixes]
+        # On ties the prefix decides, so a settled (shorter) prefix wins,
+        # matching greedy's lowest-index argmax.
+        beam = final = sorted(settled.items(), key=lambda kv: (-kv[1][2], kv[0]))[:width]
+        kept = {prefix for prefix, _ in beam}
+        cache = {c: v for c, v in cache.items() if c[:-1] in kept}
+    return [Hypothesis(prefix, nd.state, t_score, nd.lm_score)
+            for prefix, (t_score, nd, _) in final]
 
 
 def stream_decode(model, raw_frames, cfg: DecodeConfig = None):

@@ -16,8 +16,9 @@ prediction states once each, then one fused tape op
 state in cache-sized tiles and writes the normalized log probs; one kernel
 call scores every utterance within its own frame and target counts. A
 single utterance is the same code without the batch axis. Decoding scores
-one frame against the states of a search step through the joint's row step,
-:class:`JointRows`, one joint forward per call.
+rows through the joint's row step, :class:`JointRows`, one joint forward
+per call: one frame against the states of a beam step, or a tile of frames
+against greedy search's one state.
 """
 
 from dataclasses import dataclass
@@ -198,8 +199,8 @@ class JointNetwork:
                                     self.w_out)
 
     def row_step(self, rows: int) -> "JointRows":
-        """The row step of one search that scores up to ``rows`` states per
-        call."""
+        """The row step of one search that scores up to ``rows`` states, or
+        frames, per call."""
         return JointRows(self, rows)
 
     def f_part(self, enc_row: np.ndarray) -> np.ndarray:
@@ -224,12 +225,18 @@ class JointNetwork:
 class JointRows:
     """The joint's decode row step for one search, in buffers allocated once.
 
-    :meth:`f_parts` and :meth:`g_parts` project encoder rows and up to
-    ``rows`` prediction states, and :meth:`log_probs` scores one frame's
-    projection against up to ``rows`` state projections with the forward of
-    :func:`satkit.autodiff.joint_log_softmax`. Each is one product over a
-    :func:`satkit.nnet.row_tile`, so every row gets the bits it gets alone
-    and a search may score its states in one call or one at a time.
+    :meth:`f_parts` and :meth:`g_parts` project encoder rows and prediction
+    states. :meth:`log_probs` scores one frame's projection against up to
+    ``rows`` state projections, and :meth:`frame_log_probs` up to ``rows``
+    frame projections against one state's: greedy search's look-ahead tile.
+    Each is one product over a :func:`satkit.nnet.row_tile`, so every row
+    gets the bits it gets alone, and a search may score its rows in one call
+    or one at a time. In a scoring call, the forward of
+    :func:`satkit.autodiff.joint_log_softmax`, a row's sum ``f + g`` is the
+    same IEEE add whichever side broadcasts, tanh and exp act element by
+    element, the (n, J) @ (J, K) product follows the four-row rule, and the
+    max and sum reduce each row alone; so a (frame, state) row has the same
+    bits on either side and in a call of any size.
     """
 
     def __init__(self, joint: JointNetwork, rows: int):
@@ -237,7 +244,7 @@ class JointRows:
         self.w_f, self.w_g, self.w_out = joint.w_enc.data, joint.w_pred.data, joint.w_out.data
         self._f = np.zeros((4, joint.d_enc))  # grows to the encoder's chunks
         self._g = np.zeros((n, joint.d_pred))
-        self._gp = np.zeros((n, J))
+        self._pad = np.zeros((n, J))  # either side's rows in a scoring call
         # the joint forward's tanh rows, log probs and exp, per tile size
         h, out, ez = np.empty((n, J)), np.empty((n, K)), np.empty((n, K))
         self._bufs = {m: (h[:m], out[:m], ez[:m]) for m in range(4, n + 1, 4)}
@@ -257,5 +264,14 @@ class JointRows:
         """The (m, K) log distributions of one frame's (J,) projection with
         each of the (m, J) state projections ``g_parts``: one joint forward.
         The rows live in this row step's buffer until its next call."""
-        g = row_tile(g_parts, self._gp)
+        g = row_tile(g_parts, self._pad)
         return ad.joint_forward(f_part, g, self.w_out, *self._bufs[len(g)])[:len(g_parts)]
+
+    def frame_log_probs(self, f_parts: np.ndarray, g_part: np.ndarray) -> np.ndarray:
+        """The (m, K) log distributions of each of the (m, J) frame
+        projections ``f_parts`` with one state's (J,) projection: one joint
+        forward, whose row i has the bits of ``log_probs(f_parts[i],
+        g_part[None])``. The rows live in this row step's buffer until its
+        next call."""
+        f = row_tile(f_parts, self._pad)
+        return ad.joint_forward(f, g_part, self.w_out, *self._bufs[len(f)])[:len(f_parts)]

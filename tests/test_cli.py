@@ -70,7 +70,7 @@ def test_gen_data_rejects_a_negative_count_and_leaves_no_directory(tmp_path, cap
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["inf", "nan", "-0.5"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-0.5", "1e39"])
 def test_gen_data_rejects_noise_no_features_can_hold(tmp_path, capsys, value):
     out = tmp_path / "data"
     args = gen_args(out)

@@ -2,6 +2,7 @@
 streaming equivalence."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -190,6 +191,59 @@ def test_greedy_trace_rows_are_tape_lattice_cells(window):
     grid = model.joint.log_probs(enc, model.prednet(labels)).data
     for t, u, lp in trace:
         np.testing.assert_allclose(lp, grid[t, u], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("max_symbols", [0, 1, 2, 10])
+def test_greedy_tile_size_changes_no_decision(caplog, max_symbols):
+    # a matrix enters greedy search in 64-row chunks, scored in look-ahead
+    # tiles; a stream of the same rows in one-row chunks, one frame a
+    # forward: labels, frames, every trace row and the guard's warnings agree
+    emitted = guards = 0
+    for seed in range(4):
+        model = tiny_model(seed=seed, left=3, right=1)
+        x = random_stacked(model, t_len=150, seed=800 + seed)
+        runs = []
+        for stacked in (x, iter(x)):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="satkit.decode"):
+                labels, frames, trace = greedy_trace(model, stacked, max_symbols)
+            warned = [r.getMessage() for r in caplog.records if "symbol guard" in r.getMessage()]
+            runs.append((labels, frames, trace, warned))
+        (labels, frames, trace, warned), (s_labels, s_frames, s_trace, s_warned) = runs
+        assert labels == s_labels and frames == s_frames, seed
+        assert [(t, u) for t, u, _ in trace] == [(t, u) for t, u, _ in s_trace], seed
+        assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(trace, s_trace)), seed
+        assert warned == s_warned, seed
+        # one step per emission and one per frame that a blank leaves
+        assert len(trace) == len(labels) + len(x) - len(warned)
+        emitted += len(labels)
+        guards += len(warned)
+    if max_symbols == 0:  # nothing is scored and every frame warns
+        assert (emitted, guards) == (0, 4 * 150)
+    else:
+        assert emitted and guards
+
+
+def test_greedy_scores_a_blank_run_in_look_ahead_tiles(monkeypatch):
+    # 64 frames in one encoder chunk with no emission cost ceil(64 / L) joint
+    # forwards, not one per frame; each frame is still one trace step
+    import satkit.autodiff
+    import satkit.decode as dec
+
+    model = tiny_model(seed=5, left=3, right=1)
+    x = random_stacked(model, t_len=64, seed=19)
+    joint_forward = satkit.autodiff.joint_forward
+    calls = []
+
+    def counting_joint_forward(*args, **kwargs):
+        calls.append(len(args[0]))
+        return joint_forward(*args, **kwargs)
+
+    monkeypatch.setattr(satkit.autodiff, "joint_forward", counting_joint_forward)
+    monkeypatch.setattr(dec, "_best_label", lambda lp: BLANK)
+    labels, _, trace = greedy_trace(model, x)
+    assert labels == [] and [t for t, _, _ in trace] == list(range(64))
+    assert len(calls) == math.ceil(64 / dec._LOOK_AHEAD) <= 8, calls
 
 
 def test_symbol_guard_bounds_emissions(monkeypatch):

@@ -261,6 +261,24 @@ def test_joint_row_steps_of_many_rows_keep_each_rows_bits():
         assert all(np.array_equal(got[i], joint.row_log_probs(f[0], g[i])) for i in range(m))
 
 
+@pytest.mark.parametrize("widths", [(6, 8, 5), (64, 64, 19)])
+def test_joint_frame_rows_follow_the_four_row_rule(widths):
+    # m frames scored against one state in one call give each frame the bits
+    # of its own one-frame call, whatever m; (64, 64, 19) are the decode
+    # fixture's encoder width, joint width and vocabulary
+    d, J, K = widths
+    rng = np.random.default_rng(33)
+    joint = JointNetwork(d, d, J, K, rng)
+    step = joint.row_step(64)
+    for m in (*range(1, 10), 64):
+        f = step.f_parts(rng.standard_normal((m, d)))
+        g = joint.g_part(rng.standard_normal(d))
+        got = step.frame_log_probs(f, g)
+        assert got.shape == (m, K)
+        for i in range(m):
+            np.testing.assert_array_equal(got[i], joint.row_log_probs(f[i], g))
+
+
 def test_joint_rejects_wrong_widths():
     rng = np.random.default_rng(29)
     joint = JointNetwork(6, 6, 8, 5, rng)

@@ -10,9 +10,14 @@ there, so this module holds no encoder logic. Under a bounded window a
 matrix and a stream give rows of the same bits, so greedy and beam search
 give the same bits offline and streaming; the streaming beam is
 :func:`beam_decode` over a stream. Under an unbounded window only a matrix
-can be decoded. Prediction states advance through
-:meth:`~satkit.nnet.PredictionNetwork.advance_many`, and the joint's row
-step (:class:`~satkit.lattice.JointRows`) scores rows, so the searches hold
+can be decoded. Each search makes one row step per network when it starts,
+which reads the weights then: the prediction network's
+(:class:`~satkit.nnet.PredRows`), which its states advance through, and
+the joint's (:class:`~satkit.lattice.JointRows`), which scores rows. It
+drops both when it ends, so a search after an optimizer step reads the new
+weights. Advances go through the network's own methods, ``init_state``,
+``advance_np`` and ``advance_many``, with the row step as their last
+argument, so a wrapper on those methods sees every one. The searches hold
 no model arithmetic.
 
 Greedy search scores in look-ahead tiles: one joint forward scores the
@@ -48,11 +53,12 @@ re-expands without recomputing them, and a step only stacks its active
 nodes' rows. A cached state's rows never change: its first lone child
 writes the next row into the state's buffer in place, and any later child
 copies the prefix. LM scores come in rows, one per LM context (the last
-``order - 1`` tokens of ``<s>`` plus the prefix), each built once per
-search by one ``lm.score_row`` call. :class:`Hypothesis` objects are made
-for the returned beam only. Caching changes no bits either: the beam
-returns exactly what one ``advance_np`` and one ``lm.score`` per child
-would give.
+``order - 1`` tokens of ``<s>`` plus the prefix), each fetched once per
+search by one ``lm.score_row`` call; the LM keeps every row it builds, so a
+row is built once per LM, across searches and utterances.
+:class:`Hypothesis` objects are made for the returned beam only. Caching
+changes no bits either: the beam returns exactly what one ``advance_np``
+and one ``lm.score`` per child would give.
 """
 
 import logging
@@ -182,7 +188,8 @@ def _greedy_steps(model, stacked, max_symbols, trace=None):
     emitted ``max_symbols`` labels logs one warning and is left unscored.
     """
     joint = model.joint.row_step(_LOOK_AHEAD)
-    state = model.prednet.init_state()
+    pred = model.prednet.row_step(1)
+    state = model.prednet.init_state(pred)
     g_part = joint.g_parts(state.g[None])[0]
     t = u = 0  # first frame of the chunk; labels emitted
     for rows in encoder_tiles(model.encoder, stacked):
@@ -205,7 +212,7 @@ def _greedy_steps(model, stacked, max_symbols, trace=None):
                 continue
             yield t + p, k
             u, n = u + 1, n + 1
-            state = model.prednet.advance_np(state, k)
+            state = model.prednet.advance_np(state, k, pred)
             g_part = joint.g_parts(state.g[None])[0]
         t += len(f_parts)
 
@@ -234,7 +241,9 @@ class _LMScorer:
     plus the prefix, so prefixes that share that tail share a row. Rows are
     keyed by label ids (``SOS`` stands in for ``<s>``) and hold
     ``lm.score(context, token)`` for each label the beam can emit, in
-    ``labels`` order, made by one ``lm.score_row`` call.
+    ``labels`` order, fetched by one ``lm.score_row`` call, which builds a
+    row only for a context the LM has not scored before. Rows are
+    read-only.
     """
 
     def __init__(self, lm, vocab, labels):
@@ -289,7 +298,7 @@ def beam_decode(model, stacked: np.ndarray, lm=None, vocab=None,
         raise ValueError("LM fusion needs the vocab to name the labels")
     width, lm_weight = cfg.beam_width, cfg.lm_weight
     # At most ``width`` hypotheses are active, and as many new survivors.
-    joint = model.joint.row_step(width)
+    joint, pred = model.joint.row_step(width), model.prednet.row_step(width)
     # The blank and the start token hold the lowest ids; every later id is a
     # label the beam can emit.
     first = max(BLANK, SOS) + 1
@@ -300,7 +309,7 @@ def beam_decode(model, stacked: np.ndarray, lm=None, vocab=None,
     # Child prefix -> _Node; after each frame only the children of the beam
     # stay, so a hypothesis that stays in the beam reuses them.
     cache = {}
-    init = model.prednet.init_state()
+    init = model.prednet.init_state(pred)
     root = _Node(init, joint.g_parts(init.g[None])[0], 0.0, lm_weight,
                  lm_rows.row(()) if fused else None)
     # The beam entering a frame, best first: (prefix, [t_score, node, rank
@@ -367,7 +376,7 @@ def beam_decode(model, stacked: np.ndarray, lm=None, vocab=None,
             new = [(child, i, j) for child, _, i, j in survivors if child not in cache]
             if new:
                 advanced = model.prednet.advance_many(
-                    [nodes[i].state for _, i, _ in new], [child[-1] for child, _, _ in new])
+                    [nodes[i].state for _, i, _ in new], [child[-1] for child, _, _ in new], pred)
                 g_parts = joint.g_parts(np.array([state.g for state in advanced]))
                 for (child, i, j), state, g_part in zip(new, advanced, g_parts):
                     lm_score = nodes[i].lm_next[j].item() if fused else 0.0

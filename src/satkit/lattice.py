@@ -171,9 +171,8 @@ class JointNetwork:
     full sequences it returns the whole lattice; the grid of tanh rows
     behind it is built tile by tile inside
     :func:`satkit.autodiff.joint_log_softmax`. The decode row step,
-    :meth:`row_step`, projects an encoder row and prediction states once
-    each and scores them with that op's own forward; :meth:`f_part`,
-    :meth:`g_part` and :meth:`row_log_probs` are its one-row calls.
+    :meth:`row_step`, projects encoder rows and prediction states once
+    each and scores them with that op's own forward.
     """
 
     def __init__(self, d_enc: int, d_pred: int, d_joint: int, vocab_size: int,
@@ -202,19 +201,6 @@ class JointNetwork:
         """The row step of one search that scores up to ``rows`` states, or
         frames, per call."""
         return JointRows(self, rows)
-
-    def f_part(self, enc_row: np.ndarray) -> np.ndarray:
-        """The (J,) input projection of one (d_enc,) encoder row."""
-        return self.row_step(1).f_parts(enc_row[None])[0]
-
-    def g_part(self, pred_row: np.ndarray) -> np.ndarray:
-        """The (J,) input projection of one (d_pred,) prediction state row."""
-        return self.row_step(1).g_parts(pred_row[None])[0]
-
-    def row_log_probs(self, f_part: np.ndarray, g_part: np.ndarray) -> np.ndarray:
-        """The (K,) log distribution of one (frame, state) pair from its two
-        projections: one cell of :meth:`log_probs`, by the same forward."""
-        return self.row_step(1).log_probs(f_part, g_part[None])[0]
 
     def lattice(self, enc: Tensor, pred: Tensor, targets, lengths=None) -> PosteriorLattice:
         """The lattice of one utterance, or of a padded batch whose frame

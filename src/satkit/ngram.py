@@ -29,6 +29,7 @@ class NgramModel:
         self._vocab_set = set(vocab)
         self.probs = probs        # (context tuple, token) -> probability
         self.backoffs = backoffs  # context tuple -> leftover weight
+        self._rows = {}           # (context, tokens) -> score_row's read-only row
 
     def _map(self, token):
         return token if token in self._vocab_set else UNK_TOK
@@ -44,12 +45,26 @@ class NgramModel:
         return math.log(self.prob(context, token))
 
     def score_row(self, context, tokens) -> np.ndarray:
-        """log P(token | context) for each of ``tokens``, as one array: the
-        bits of ``[score(context, t) for t in tokens]``, with the context
-        truncated and its backoff chain built once for all the tokens."""
+        """log P(token | context) for each of ``tokens``, as one read-only
+        array: the bits of ``[score(context, t) for t in tokens]``, with the
+        context truncated and its backoff chain built once for all the
+        tokens.
+
+        The model keeps each row it builds, keyed by the truncated context
+        and the tokens, and returns it again for the same pair; a model
+        never changes once built, so a row is built once per model, however
+        many searches ask for it. The rows kept are at most one per context
+        of ``order - 1`` tokens and token list asked for.
+        """
         ctx = tuple(context)[max(0, len(context) - (self.order - 1)):]
-        chain = _backoff_chain(self.backoffs, ctx)
-        return np.array([math.log(_lookup(self.probs, chain, self._map(t))) for t in tokens])
+        key = (ctx, tuple(tokens))
+        row = self._rows.get(key)
+        if row is None:
+            chain = _backoff_chain(self.backoffs, ctx)
+            row = np.array([math.log(_lookup(self.probs, chain, self._map(t))) for t in key[1]])
+            row.flags.writeable = False
+            self._rows[key] = row
+        return row
 
     def sentence_logprob(self, tokens) -> float:
         ctx = [BOS]

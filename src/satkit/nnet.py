@@ -45,9 +45,13 @@ a chain of generators, one per block: a matrix flows through a tile at a
 time and a stream one row at a time, with the same bits.
 :meth:`PredictionNetwork.advance_many` runs the row step for the new rows of
 many decode states over their causal prefixes, the left-context caching of
-the Transformer Transducer, and gives each the bits it has alone. A chain
-of states grows one buffer per block in place (:class:`PredState`), so an
-emission copies no prefix.
+the Transformer Transducer, and gives each the bits it has alone. A search
+makes that row step once, as a :class:`PredRows` (from
+:meth:`PredictionNetwork.row_step`) that holds each block's fused
+``[w_q | w_k | w_v]`` and the row-tile pad, and passes it to every advance;
+a lone row skips the grouping that many rows need. A chain of states grows
+one buffer per block in place (:class:`PredState`), so an emission copies
+no prefix.
 """
 
 import math
@@ -426,6 +430,12 @@ class PredictionNetwork:
     Input label ids are prefixed with the start token, so an empty prefix
     still yields one state row. Embeddings are scaled by sqrt(d_m) before the
     positional encoding is added.
+
+    Calling it evaluates label sequences on the tape, for training. Decoding
+    advances :class:`PredState` objects one label at a time through
+    :meth:`init_state`, :meth:`advance_np` and :meth:`advance_many`, over the
+    :class:`PredRows` row step that a search makes with :meth:`row_step` and
+    passes as their last argument; a call without one makes its own.
     """
 
     def __init__(self, vocab_size: int, d_m: int, n_heads: int, d_ff: int,
@@ -454,51 +464,111 @@ class PredictionNetwork:
             x = block(x, CAUSAL, None, dropout_rate, rng, training)
         return x
 
-    def init_state(self):
-        """Decode state of the empty prefix (the start token alone)."""
-        return self.advance_np(PredState([None] * self.n_blocks, 0, None), None)
+    def row_step(self, rows: int) -> "PredRows":
+        """The row step of one search that advances up to ``rows`` states
+        per call."""
+        return PredRows(self, rows)
 
-    def advance_np(self, state: "PredState", token) -> "PredState":
+    def init_state(self, step: "PredRows" = None):
+        """Decode state of the empty prefix (the start token alone)."""
+        return self.advance_np(PredState([None] * self.n_blocks, 0, None), None, step)
+
+    def advance_np(self, state: "PredState", token, step: "PredRows" = None) -> "PredState":
         """Extend a decode state by one token (None = the start token): a
         one-state :meth:`advance_many`."""
-        return self.advance_many([state], [token])[0]
+        return self.advance_many([state], [token], step)[0]
 
-    def advance_many(self, states, tokens) -> list:
+    def advance_many(self, states, tokens, step: "PredRows" = None) -> list:
         """Extend each decode state by its token (None = the start token) in
         one pass, and return the new states in order.
 
-        Every weight product of a block takes the new rows as one
-        :func:`row_tile`. Each block projects a new row's key and value once
-        and writes them after its state's cached rows, in place when the
-        state owns its cache's tail (see :class:`PredState`). The row
-        attends over that whole cache, which the causal mask makes equal to
-        a fresh full pass. Rows attend in groups of equal prefix length, one
-        window per row, so no window holds a masked slot; siblings share
-        their parent's length, and each copies the parent's rows into its
-        own window. Every state gets the bits it gets alone.
+        ``step`` is the search's :class:`PredRows`; without one, the call
+        makes its own. Every weight product of a block takes the new rows as
+        one :func:`row_tile`, and q, k and v come from one product. Each
+        block writes a new row's key and value after its state's cached
+        rows, in place when the state owns its cache's tail (see
+        :class:`PredState`). The row attends over that whole cache, which
+        the causal mask makes equal to a fresh full pass. Rows attend in
+        groups of equal prefix length, one window per row, so no window
+        holds a masked slot; siblings share their parent's length, and each
+        copies the parent's rows into its own window. Every state gets the
+        bits it gets alone.
 
         Raises ValueError for a token outside [0, vocab_size) and when
         ``states`` and ``tokens`` differ in length.
         """
-        n, d = len(states), self.d_m
+        n = len(states)
         if len(tokens) != n:
             raise ValueError(f"advance_many got {n} states but {len(tokens)} tokens")
-        if n == 0:
-            return []
         ids = [SOS if t is None else int(t) for t in tokens]
         for t, i in zip(tokens, ids):
             if not 0 <= i < self.vocab_size:
                 raise ValueError(f"token {t} is outside [0, {self.vocab_size})")
+        if n == 0:
+            return []
+        step = self.row_step(n) if step is None else step
+        if n == 1:
+            return [step.advance_one(states[0], ids[0])]
+        return step.advance_group(states, ids)
+
+    def _positions(self, length: int) -> np.ndarray:
+        """Positional-encoding rows for positions 0..length-1 at least: a
+        table kept on the network and replaced by one twice as long on
+        demand; a row has the bits it has alone."""
+        if length > len(self._pe):
+            self._pe = positional_encoding(np.arange(2 * length - 1), self.d_m, self.pe_freqs)
+        return self._pe
+
+
+class PredRows:
+    """The prediction network's decode row step for one search: the
+    counterpart of :class:`satkit.lattice.JointRows`.
+
+    It reads the weights once, when the search makes it: the embedding
+    table scaled by sqrt(d_m) and each block's ``[w_q | w_k | w_v]``
+    (:func:`_w_qkv`), so a block makes q, k and v in one product whose
+    columns have the bits of three. It also owns the :func:`row_tile` pad,
+    sized for ``rows`` states and grown when a call brings more. A search
+    makes its own and drops it at the end: an optimizer updates its arena in
+    place, so a row step kept across searches would read stale weights.
+    :meth:`PredictionNetwork.advance_many` calls :meth:`advance_one` for a
+    lone state and :meth:`advance_group` for more.
+    """
+
+    def __init__(self, net: PredictionNetwork, rows: int):
+        self.net, self.d = net, net.d_m
+        self.emb = net.params["pred.emb"].data * math.sqrt(net.d_m)
+        self.w_qkv = [_w_qkv(block) for block in net.blocks]
+        self.pad = np.zeros((tile_len(max(1, rows)), net.d_m))
+
+    def advance_one(self, state: "PredState", token: int) -> "PredState":
+        """One state's child by ``token``: the arithmetic of
+        :meth:`advance_group` for one row, without its sort and grouping."""
+        d, length = self.d, state.length
+        x = self.emb[token:token + 1] + self.net._positions(length + 1)[length]
+        cache = _KVCache.for_child(state, 2 * d)
+        layers = []
+        for block, w_qkv, buf in zip(self.net.blocks, self.w_qkv, cache.bufs):
+            qkv = row_tile(x, self.pad) @ w_qkv
+            win = buf[:length + 1]
+            win[length] = qkv[0, d:]
+            layers.append(win)
+            ctx = block.context_np(qkv[:1, :d], win[:, :d], win[:, d:])
+            x = block.output_np(x, ctx, self.pad)
+        cache.n = length + 1
+        return PredState(layers, length + 1, x[0], cache)
+
+    def advance_group(self, states, ids) -> list:
+        """Each state's child by its token, for two states or more."""
+        n, d = len(states), self.d
+        if len(self.pad) < n:
+            self.pad = np.zeros((tile_len(n), d))
         # Rows run sorted by prefix length, so each group is a slice; a
         # row's bits do not depend on its place in the tile.
         order = sorted(range(n), key=lambda i: states[i].length)
         lengths = [states[i].length for i in order]
-        pe = self._pe
-        if lengths[-1] >= len(pe):
-            pe = self._pe = positional_encoding(np.arange(2 * lengths[-1] + 1), d, self.pe_freqs)
-        x = self.params["pred.emb"].data.take([ids[i] for i in order], 0)
-        x *= math.sqrt(d)
-        x += pe.take(lengths, 0)
+        x = self.emb.take([ids[i] for i in order], 0)
+        x += self.net._positions(lengths[-1] + 1).take(lengths, 0)
         cuts = [j for j in range(1, n) if lengths[j] != lengths[j - 1]]
         groups = list(zip([0] + cuts, cuts + [n]))
         # a row alone at its length writes its key and value into a cache;
@@ -507,28 +577,25 @@ class PredictionNetwork:
         for lo, hi in groups:
             if hi - lo == 1:
                 caches[lo] = _KVCache.for_child(states[order[lo]], 2 * d)
-        pad = np.zeros((tile_len(n), d))
         layers = [[] for _ in range(n)]
-        for b, block in enumerate(self.blocks):
-            rows = row_tile(x, pad)
-            q = (rows @ block.w_q.data)[:n]
-            kv = np.concatenate([(rows @ block.w_k.data)[:n], (rows @ block.w_v.data)[:n]], 1)
+        for b, (block, w_qkv) in enumerate(zip(self.net.blocks, self.w_qkv)):
+            qkv = (row_tile(x, self.pad) @ w_qkv)[:n]
             ctx = []
             for lo, hi in groups:
                 # a row's window: its state's cache, then its new key and value
                 length = lengths[lo]
                 if hi - lo == 1:
                     win = caches[lo].bufs[b][:length + 1]
-                    win[length] = kv[lo]
+                    win[length] = qkv[lo, d:]
                     layers[lo].append(win)
                 else:
                     win = np.empty((hi - lo, length + 1, 2 * d))
                     for j in range(lo, hi):
                         win[j - lo, :length] = states[order[j]].layers[b]
                         layers[j].append(win[j - lo])
-                    win[:, length] = kv[lo:hi]
-                ctx.append(block.context_np(q[lo:hi], win[..., :d], win[..., d:]))
-            x = block.output_np(x, ctx[0] if len(ctx) == 1 else np.concatenate(ctx), pad)
+                    win[:, length] = qkv[lo:hi, d:]
+                ctx.append(block.context_np(qkv[lo:hi, :d], win[..., :d], win[..., d:]))
+            x = block.output_np(x, ctx[0] if len(ctx) == 1 else np.concatenate(ctx), self.pad)
         out = [None] * n
         for j, i in enumerate(order):
             if caches[j] is not None:

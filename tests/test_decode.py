@@ -267,10 +267,10 @@ def _reference_beam(model, stacked, lm=None, vocab=None, cfg=None):
     """The beam loop before array scoring and caching, kept verbatim as an
     oracle: one log-prob row, K label expansions, one ``lm.score`` per
     (hypothesis, label) and one ``advance_np`` per surviving expansion.
-    Rows are scored through the joint network's row step."""
+    Rows are scored one at a time through a one-row joint row step."""
     cfg = cfg or DecodeConfig()
     rows = list(encoder_rows(model.encoder, stacked))
-    scorer = model.joint
+    scorer = model.joint.row_step(1)
     width = cfg.beam_width
 
     def lm_extend(prefix, label):
@@ -278,16 +278,16 @@ def _reference_beam(model, stacked, lm=None, vocab=None, cfg=None):
         return lm.score((BOS,) + strings, vocab.tokens[label])
 
     init = Hypothesis(prefix=(), state=model.prednet.init_state())
-    active = {(): (init, scorer.g_part(init.state.g))}
+    active = {(): (init, scorer.g_parts(init.state.g[None])[0])}
     final = []
     for t in range(len(rows)):
-        f_part = scorer.f_part(rows[t])
+        f_part = scorer.f_parts(rows[t][None])[0]
         settled = {}
         for step in range(cfg.max_symbols_per_frame + 1):
             expand = step < cfg.max_symbols_per_frame
             expansions = {}
             for prefix, (hyp, g_part) in active.items():
-                lp = scorer.row_log_probs(f_part, g_part)
+                lp = scorer.log_probs(f_part, g_part[None])[0]
                 blank_score = hyp.t_score + lp[BLANK]
                 if prefix in settled:
                     s = settled[prefix][0]
@@ -325,7 +325,7 @@ def _reference_beam(model, stacked, lm=None, vocab=None, cfg=None):
             for prefix, (hyp, _) in survivors.items():
                 parent_state, k = hyp.state
                 hyp.state = model.prednet.advance_np(parent_state, k)
-                active[prefix] = (hyp, scorer.g_part(hyp.state.g))
+                active[prefix] = (hyp, scorer.g_parts(hyp.state.g[None])[0])
         ranked = sorted(settled.items(),
                         key=lambda kv: (-kv[1][0].combined(cfg.lm_weight), kv[0]))
         active = dict(ranked[:width])
@@ -391,9 +391,9 @@ def test_beam_reuses_prediction_states_and_lm_rows(monkeypatch):
     counts = {"advance": 0}
     contexts = {}
 
-    def counting_advance(states, tokens):
+    def counting_advance(states, tokens, step=None):
         counts["advance"] += len(states)
-        return advance(states, tokens)
+        return advance(states, tokens, step)
 
     def count_queries(context, n):
         tail = tuple(context)[max(0, len(context) - (lm.order - 1)):]
@@ -450,8 +450,8 @@ def test_beam_step_makes_one_joint_forward_and_at_most_one_advance(monkeypatch):
         events.append(("joint", 0))
         return joint_forward(*args, **kwargs)
 
-    def counting_advance(states, tokens):
-        out = advance(states, tokens)
+    def counting_advance(states, tokens, step=None):
+        out = advance(states, tokens, step)
         children = [prefixes.get(id(s), ()) + (() if t is None else (t,))
                     for s, t in zip(states, tokens)]
         prefixes.update((id(s), c) for s, c in zip(out, children))
@@ -490,6 +490,126 @@ def test_beam_step_makes_one_joint_forward_and_at_most_one_advance(monkeypatch):
         assert all(children for kind, children in events if kind == "advance")
         assert len(advanced) == len(set(advanced))
         assert 0 < between.count("a") < between.count("s") - 1
+
+
+def test_each_search_reads_the_current_weights(tmp_path, caplog):
+    # an optimizer step between two searches updates the weights in place;
+    # greedy, beam and streaming searches then decode bit for bit like a
+    # freshly loaded copy, so no search reuses weights an earlier one read
+    from satkit.data import TaskSpec, generate_split, normalize_dataset, stack_downsample
+    from satkit.train import TrainConfig, Trainer
+
+    caplog.set_level(logging.ERROR, logger="satkit.decode")
+    spec = TaskSpec(**TOY_SPEC)
+    utts = normalize_dataset(generate_split(spec, 8, "train"))
+    vocab = spec.vocab()
+    lm = lm_train([u.targets for u in utts], order=3)
+    mc = ModelConfig(feature_dim=4, d_m=8, n_heads=2, d_ff=16, n_enc_blocks=1,
+                     n_pred_blocks=2, d_joint=8, vocab_size=vocab.size,
+                     chunk_left="3", chunk_right="1", dropout=0.0)
+    model = SATModel(mc, seed=5)
+    trainer = Trainer(model, vocab, utts, utts[:1],
+                      TrainConfig(epochs=1, batch_size=4, seed=5, optimizer="sgd", lr=0.05))
+    raw = utts[0].feats.astype(np.float64)
+    x = stack_downsample(raw, 3, 1, 3)
+    cfg = DecodeConfig(beam_width=3, lm_weight=0.5)
+
+    def decode(m):
+        labels, frames, trace = greedy_trace(m, x)
+        return ((labels, frames, [(t, u, lp.tolist()) for t, u, lp in trace]),
+                _bits(beam_decode(m, x, lm=lm, vocab=vocab, cfg=cfg)),
+                list(stream_decode(m, iter(raw))),
+                _bits(beam_decode(m, stacked_stream(m, iter(raw)), lm=lm, vocab=vocab,
+                                  cfg=cfg)))
+
+    before = decode(model)
+    w_q = model.prednet.blocks[1].w_q.data
+    old = w_q.copy()
+    trainer.train_batch(trainer.batches[0])
+    assert model.prednet.blocks[1].w_q.data is w_q and not np.array_equal(w_q, old)
+    model.save(tmp_path / "m.ckpt")
+    fresh, _, _ = SATModel.load(tmp_path / "m.ckpt")
+    after = decode(model)
+    assert after == decode(fresh)
+    assert after[0][2] != before[0][2] and after[1] != before[1]
+
+
+def test_lm_rows_are_built_once_per_lm(monkeypatch):
+    # a second beam search over the same LM looks up no context that an
+    # earlier search saw: the same utterance makes no lookup at all
+    import satkit.ngram
+    from satkit.data import stack_downsample
+
+    model, dev = trained_toy_model(1)
+    vocab = toy_vocab()
+    lm = lm_train([u.targets for u in dev], order=3)
+    cfg = DecodeConfig(beam_width=4, lm_weight=0.5)
+    xs = [stack_downsample(u.feats.astype(np.float64), 3, 1, 3) for u in dev[:3]]
+    lookup, contexts = satkit.ngram._lookup, []
+
+    def counting_lookup(probs, chain, tok):
+        contexts.append(chain[0][0])
+        return lookup(probs, chain, tok)
+
+    monkeypatch.setattr(satkit.ngram, "_lookup", counting_lookup)
+    first = _bits(beam_decode(model, xs[0], lm=lm, vocab=vocab, cfg=cfg))
+    seen = set(contexts)
+    assert seen
+    contexts.clear()
+    assert _bits(beam_decode(model, xs[0], lm=lm, vocab=vocab, cfg=cfg)) == first
+    assert contexts == []
+    for x in xs[1:]:
+        beam_decode(model, x, lm=lm, vocab=vocab, cfg=cfg)
+        assert not seen & set(contexts)
+        seen.update(contexts)
+        contexts.clear()
+
+
+class _Counted:
+    """Stands in for a prediction network the way satbench's tracer proxy
+    does: each listed method is a counting wrapper of the network's bound
+    method, and any other attribute is the network's."""
+
+    def __init__(self, net, names):
+        self._net = net
+        self.rows = {name: [] for name in names}
+        for name in names:
+            def counted(*args, fn=getattr(net, name), rows=self.rows[name], name=name):
+                rows.append(len(args[0]) if name == "advance_many" else 1)
+                return fn(*args)
+            setattr(self, name, counted)
+
+    def __getattr__(self, attr):
+        return getattr(self._net, attr)
+
+
+def test_searches_advance_through_the_network_methods(monkeypatch, caplog):
+    # satbench traces advances by wrapping model.prednet's methods from
+    # outside: greedy and streaming searches call init_state once and
+    # advance_np once per emission, and the beam calls init_state once and
+    # advance_many for its new children
+    caplog.set_level(logging.ERROR, logger="satkit.decode")
+    vocab, lm = lm_fixture()
+    model = tiny_model(seed=2, vocab_size=vocab.size, left=3, right=1)
+    raw = np.random.default_rng(42).normal(size=(30, model.config.feature_dim))
+    names = ("init_state", "advance_np", "advance_many")
+    net = model.prednet
+    for search in ("greedy", "stream", "beam"):
+        counted = _Counted(net, names)
+        monkeypatch.setattr(model, "prednet", counted)
+        if search == "beam":
+            hyps = beam_decode(model, stacked_stream(model, iter(raw)), lm=lm, vocab=vocab,
+                               cfg=DecodeConfig(beam_width=3, lm_weight=0.5))
+            assert hyps and max(len(h.prefix) for h in hyps) > 0
+            assert counted.rows["init_state"] == [1] and counted.rows["advance_np"] == []
+            assert counted.rows["advance_many"] and all(counted.rows["advance_many"])
+        else:
+            emitted = (greedy_decode(model, stacked_stream(model, iter(raw))) if search == "greedy"
+                       else list(stream_decode(model, iter(raw))))
+            assert emitted
+            assert counted.rows == {"init_state": [1], "advance_np": [1] * len(emitted),
+                                    "advance_many": []}, search
+        monkeypatch.undo()
 
 
 # ------------------------------------------------------------------ LM fusion

@@ -226,15 +226,16 @@ def test_joint_row_step_is_the_shared_forward():
     # gives each row the bits it has in any product of a multiple of 4 rows)
     rng = np.random.default_rng(31)
     joint = JointNetwork(6, 6, 8, 5, rng)
+    step = joint.row_step(1)
     w_f, w_g, w_o = joint.w_enc.data, joint.w_pred.data, joint.w_out.data
     for _ in range(5):
         enc, pred = rng.standard_normal((4, 6)), rng.standard_normal((4, 6))
         cells = joint.log_probs(Tensor(enc), Tensor(pred)).data
         for t, u in np.ndindex(4, 4):
-            f, g = joint.f_part(enc[t]), joint.g_part(pred[u])
+            f, g = step.f_parts(enc[t][None])[0], step.g_parts(pred[u][None])[0]
             np.testing.assert_array_equal(f, (enc @ w_f)[t])
             np.testing.assert_array_equal(g, (pred @ w_g)[u])
-            got = joint.row_log_probs(f, g)
+            got = step.log_probs(f, g[None])[0]
             assert got.shape == (5,)
             tile = np.zeros((4, 8))
             tile[0] = g
@@ -247,18 +248,19 @@ def test_joint_row_steps_of_many_rows_keep_each_rows_bits():
     # m states in one call, give each row its bits alone
     rng = np.random.default_rng(32)
     joint = JointNetwork(6, 6, 8, 5, rng)
-    step = joint.row_step(9)
+    step, one = joint.row_step(9), joint.row_step(1)
     for m in (*range(1, 10), 70):
         enc, pred = rng.standard_normal((m, 6)), rng.standard_normal((m, 6))
         f = step.f_parts(enc)
-        assert all(np.array_equal(f[i], joint.f_part(enc[i])) for i in range(m))
+        assert all(np.array_equal(f[i], one.f_parts(enc[i][None])[0]) for i in range(m))
         if m > 9:
             continue
         g = step.g_parts(pred)
-        assert all(np.array_equal(g[i], joint.g_part(pred[i])) for i in range(m))
+        assert all(np.array_equal(g[i], one.g_parts(pred[i][None])[0]) for i in range(m))
         got = step.log_probs(f[0], g)
         assert got.shape == (m, 5)
-        assert all(np.array_equal(got[i], joint.row_log_probs(f[0], g[i])) for i in range(m))
+        assert all(np.array_equal(got[i], one.log_probs(f[0], g[i][None])[0])
+                   for i in range(m))
 
 
 @pytest.mark.parametrize("widths", [(6, 8, 5), (64, 64, 19)])
@@ -269,14 +271,14 @@ def test_joint_frame_rows_follow_the_four_row_rule(widths):
     d, J, K = widths
     rng = np.random.default_rng(33)
     joint = JointNetwork(d, d, J, K, rng)
-    step = joint.row_step(64)
+    step, one = joint.row_step(64), joint.row_step(1)
     for m in (*range(1, 10), 64):
         f = step.f_parts(rng.standard_normal((m, d)))
-        g = joint.g_part(rng.standard_normal(d))
+        g = one.g_parts(rng.standard_normal((1, d)))[0]
         got = step.frame_log_probs(f, g)
         assert got.shape == (m, K)
         for i in range(m):
-            np.testing.assert_array_equal(got[i], joint.row_log_probs(f[i], g))
+            np.testing.assert_array_equal(got[i], one.log_probs(f[i], g[None])[0])
 
 
 def test_joint_rejects_wrong_widths():

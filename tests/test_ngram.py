@@ -167,3 +167,24 @@ def test_score_row_matches_one_score_per_token():
             assert isinstance(row, np.ndarray) and row.shape == (len(tokens),)
             assert row.tolist() == [m.score(context, t) for t in tokens]
         assert m.score_row(("a",), []).shape == (0,)
+
+
+def test_score_row_builds_each_row_once(monkeypatch):
+    # asked again for the same truncated context and tokens, score_row
+    # returns the row it built, read-only, with no lookup
+    import satkit.ngram
+
+    m = train([["a", "b", "c"], ["a", "c"], ["b", "b", "a"]], order=3)
+    tokens = ["a", "b", "c", EOS]
+    row = m.score_row(("a", "b"), tokens)
+    lookups = []
+    lookup = satkit.ngram._lookup
+    monkeypatch.setattr(satkit.ngram, "_lookup",
+                        lambda *args: lookups.append(args[2]) or lookup(*args))
+    again = m.score_row((BOS, "a", "b"), tokens)
+    assert again.tolist() == row.tolist() and lookups == []
+    assert not again.flags.writeable
+    with pytest.raises(ValueError):
+        again[0] = 0.0
+    assert m.score_row(("a", "b"), tokens[:2]).tolist() == row[:2].tolist()
+    assert lookups == tokens[:2]

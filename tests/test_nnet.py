@@ -698,6 +698,34 @@ def test_advance_many_matches_one_at_a_time(d_m, heads, d_ff, n_blocks):
                 assert all(np.array_equal(a, b) for a, b in zip(state.layers, want.layers))
 
 
+@pytest.mark.parametrize("d_m,heads,d_ff,n_blocks", [(8, 2, 16, 2), (64, 4, 128, 2)])
+def test_one_row_step_keeps_per_call_bits_over_many_calls(d_m, heads, d_ff, n_blocks):
+    # one PredRows, sized for two rows, serves lone rows, siblings, cousins
+    # and calls of up to nine rows in turn: every state gets the bits of the
+    # per-call oracle
+    rng = np.random.default_rng(34 + d_m)
+    net = PredictionNetwork(9, d_m, heads, d_ff, n_blocks, rng)
+    step = net.row_step(2)
+    pool = [net.init_state(step)]
+    for _ in range(30):
+        size = int(rng.choice([1, 1, 2, 3, 9]))
+        parents = [pool[i] for i in rng.integers(0, len(pool), size)]
+        if size > 2:  # siblings: one parent, two tokens
+            parents[1] = parents[0]
+        tokens = [int(t) for t in rng.integers(2, 9, size)]
+        if size == 1:
+            got = [net.advance_np(parents[0], tokens[0], step)]
+        else:
+            got = net.advance_many(parents, tokens, step)
+        for parent, token, state in zip(parents, tokens, got):
+            want = advance_per_call(net, parent, token)
+            assert state.length == want.length
+            assert np.array_equal(state.g, want.g)
+            assert all(np.array_equal(a, b) for a, b in zip(state.layers, want.layers))
+        pool += got
+    assert max(state.length for state in pool) > 5 and len(step.pad) >= 9
+
+
 def test_advance_many_leaves_its_states_unchanged():
     rng = np.random.default_rng(25)
     net = PredictionNetwork(9, 8, 2, 16, 2, rng)

@@ -111,8 +111,7 @@ def cmd_train(args) -> int:
             optimizer=args.optimizer, lr=args.lr, momentum=args.momentum,
             halving_patience=args.halving_patience, min_lr=args.min_lr,
             lr_factor=args.lr_factor, warmup_steps=args.warmup_steps,
-            beta=args.beta, detach_weight=not args.no_detach_weight,
-            labels_only=args.labels_only)
+            beta=args.beta, detach_weight=not args.no_detach_weight)
         trainer = Trainer(SATModel(mcfg, seed=args.seed), vocab, train_utts,
                           dev_utts, tcfg, metrics_path=metrics)
     os.makedirs(args.out, exist_ok=True)
@@ -314,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.0,
                    help="alignment regularizer weight")
     p.add_argument("--no-detach-weight", action="store_true")
-    p.add_argument("--labels-only", action="store_true")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("decode", help="decode a dataset split")

@@ -48,10 +48,11 @@ many decode states over their causal prefixes, the left-context caching of
 the Transformer Transducer, and gives each the bits it has alone. A search
 makes that row step once, as a :class:`PredRows` (from
 :meth:`PredictionNetwork.row_step`) that holds each block's fused
-``[w_q | w_k | w_v]`` and the row-tile pad, and passes it to every advance;
-a lone row skips the grouping that many rows need. A chain of states grows
-one buffer per block in place (:class:`PredState`), so an emission copies
-no prefix.
+``[w_q | w_k | w_v]`` and the row-tile pad, and passes it to every advance.
+Each new row writes its key and value into its own child cache and attends
+over that cache alone. A chain of states grows one buffer per block in place
+(:class:`PredState`), so an emission copies no prefix; only a second child
+of one state copies its parent's rows.
 """
 
 import math
@@ -108,12 +109,6 @@ class ChunkSpec:
     @property
     def bounded(self):
         return self.left != math.inf and self.right != math.inf
-
-    def receptive_field(self, t: int, n_blocks: int, length: int):
-        """Inclusive input range that can influence output frame t."""
-        lo = 0 if self.left == math.inf else max(0, t - n_blocks * int(self.left))
-        hi = length - 1 if self.right == math.inf else min(length - 1, t + n_blocks * int(self.right))
-        return lo, hi
 
     @staticmethod
     def parse(left: str, right: str):
@@ -487,12 +482,9 @@ class PredictionNetwork:
         one :func:`row_tile`, and q, k and v come from one product. Each
         block writes a new row's key and value after its state's cached
         rows, in place when the state owns its cache's tail (see
-        :class:`PredState`). The row attends over that whole cache, which
-        the causal mask makes equal to a fresh full pass. Rows attend in
-        groups of equal prefix length, one window per row, so no window
-        holds a masked slot; siblings share their parent's length, and each
-        copies the parent's rows into its own window. Every state gets the
-        bits it gets alone.
+        :class:`PredState`), and the row attends over that cache alone,
+        which the causal mask makes equal to a fresh full pass. Every state
+        gets the bits it gets alone.
 
         Raises ValueError for a token outside [0, vocab_size) and when
         ``states`` and ``tokens`` differ in length.
@@ -532,7 +524,8 @@ class PredRows:
     makes its own and drops it at the end: an optimizer updates its arena in
     place, so a row step kept across searches would read stale weights.
     :meth:`PredictionNetwork.advance_many` calls :meth:`advance_one` for a
-    lone state and :meth:`advance_group` for more.
+    lone state and :meth:`advance_group` for more; both run one attention
+    rule, each row over its own child cache (:meth:`_KVCache.for_child`).
     """
 
     def __init__(self, net: PredictionNetwork, rows: int):
@@ -542,8 +535,8 @@ class PredRows:
         self.pad = np.zeros((tile_len(max(1, rows)), net.d_m))
 
     def advance_one(self, state: "PredState", token: int) -> "PredState":
-        """One state's child by ``token``: the arithmetic of
-        :meth:`advance_group` for one row, without its sort and grouping."""
+        """One state's child by ``token``: :meth:`advance_group`'s
+        arithmetic for one row, without its per-row lists."""
         d, length = self.d, state.length
         x = self.emb[token:token + 1] + self.net._positions(length + 1)[length]
         cache = _KVCache.for_child(state, 2 * d)
@@ -555,53 +548,31 @@ class PredRows:
             layers.append(win)
             ctx = block.context_np(qkv[:1, :d], win[:, :d], win[:, d:])
             x = block.output_np(x, ctx, self.pad)
-        cache.n = length + 1
         return PredState(layers, length + 1, x[0], cache)
 
     def advance_group(self, states, ids) -> list:
-        """Each state's child by its token, for two states or more."""
+        """Each state's child by its token, for two states or more. Each
+        block's products take all rows as one :func:`row_tile`; each row
+        writes its key and value into its own child cache and attends over
+        that cache alone."""
         n, d = len(states), self.d
         if len(self.pad) < n:
             self.pad = np.zeros((tile_len(n), d))
-        # Rows run sorted by prefix length, so each group is a slice; a
-        # row's bits do not depend on its place in the tile.
-        order = sorted(range(n), key=lambda i: states[i].length)
-        lengths = [states[i].length for i in order]
-        x = self.emb.take([ids[i] for i in order], 0)
-        x += self.net._positions(lengths[-1] + 1).take(lengths, 0)
-        cuts = [j for j in range(1, n) if lengths[j] != lengths[j - 1]]
-        groups = list(zip([0] + cuts, cuts + [n]))
-        # a row alone at its length writes its key and value into a cache;
-        # siblings write theirs into the windows below
-        caches = [None] * n
-        for lo, hi in groups:
-            if hi - lo == 1:
-                caches[lo] = _KVCache.for_child(states[order[lo]], 2 * d)
+        lengths = [state.length for state in states]
+        x = self.emb.take(ids, 0)
+        x += self.net._positions(max(lengths) + 1).take(lengths, 0)
+        caches = [_KVCache.for_child(state, 2 * d) for state in states]
         layers = [[] for _ in range(n)]
+        ctx = np.empty((n, d))
         for b, (block, w_qkv) in enumerate(zip(self.net.blocks, self.w_qkv)):
             qkv = (row_tile(x, self.pad) @ w_qkv)[:n]
-            ctx = []
-            for lo, hi in groups:
-                # a row's window: its state's cache, then its new key and value
-                length = lengths[lo]
-                if hi - lo == 1:
-                    win = caches[lo].bufs[b][:length + 1]
-                    win[length] = qkv[lo, d:]
-                    layers[lo].append(win)
-                else:
-                    win = np.empty((hi - lo, length + 1, 2 * d))
-                    for j in range(lo, hi):
-                        win[j - lo, :length] = states[order[j]].layers[b]
-                        layers[j].append(win[j - lo])
-                    win[:, length] = qkv[lo:hi, d:]
-                ctx.append(block.context_np(qkv[lo:hi, :d], win[..., :d], win[..., d:]))
-            x = block.output_np(x, ctx[0] if len(ctx) == 1 else np.concatenate(ctx), self.pad)
-        out = [None] * n
-        for j, i in enumerate(order):
-            if caches[j] is not None:
-                caches[j].n = lengths[j] + 1
-            out[i] = PredState(layers[j], lengths[j] + 1, x[j], caches[j])
-        return out
+            for i, (cache, length) in enumerate(zip(caches, lengths)):
+                win = cache.bufs[b][:length + 1]
+                win[length] = qkv[i, d:]
+                layers[i].append(win)
+                ctx[i:i + 1] = block.context_np(qkv[i:i + 1, :d], win[:, :d], win[:, d:])
+            x = block.output_np(x, ctx, self.pad)
+        return [PredState(layers[i], lengths[i] + 1, x[i], caches[i]) for i in range(n)]
 
 
 def _label_ids(labels) -> np.ndarray:
@@ -629,9 +600,11 @@ class PredState:
     ``cache``, when set, is the :class:`_KVCache` whose buffers ``layers``
     views. It may be shared with descendants: a state that owns the
     cache's tail (its ``length`` equals the rows written) lets its child
-    write the next row in place, past every row the state exposes. A state
-    built without a cache, or one whose cache is full or already extended
-    by another child, gives its child a copy of its rows in a new cache.
+    write the next row in place, past every row the state exposes, and the
+    child then owns the tail. A state built without a cache, or one whose
+    cache is full or already extended by another child (a sibling earlier
+    in the same call included), gives its child a copy of its rows in a new
+    cache.
     """
 
     layers: list
@@ -659,9 +632,13 @@ class _KVCache:
     def for_child(cls, state: PredState, width: int) -> "_KVCache":
         """The cache into which ``state``'s child writes row ``state.length``:
         ``state``'s own when the state owns its tail and the buffers have
-        room, otherwise a new one holding a copy of ``state``'s rows."""
+        room, otherwise a new one holding a copy of ``state``'s rows. Either
+        way the cache counts the child's row as written, so the child owns
+        the tail from here on, and a second child of ``state`` gets a
+        copy."""
         cache, length = state.cache, state.length
         if cache is not None and cache.n == length < cache.cap:
+            cache.n = length + 1
             return cache
         cap = max(_MIN_CACHE_ROWS, 2 * (length + 1))
         bufs = []
@@ -670,4 +647,4 @@ class _KVCache:
             if length:
                 buf[:length] = layer
             bufs.append(buf)
-        return cls(bufs, length, cap)
+        return cls(bufs, length + 1, cap)

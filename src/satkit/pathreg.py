@@ -41,10 +41,6 @@ class AlignmentPath:
     def __len__(self):
         return len(self.triples)
 
-    @property
-    def label_triples(self):
-        return tuple(tr for tr in self.triples if tr[2] != BLANK)
-
 
 def build_path(alignment, targets) -> AlignmentPath:
     """Unroll a frame-level alignment into its lattice path.
@@ -76,7 +72,6 @@ def build_path(alignment, targets) -> AlignmentPath:
 class ParConfig:
     beta: float = 10.0
     detach_weight: bool = True
-    labels_only: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta >= 0):
@@ -100,7 +95,7 @@ def _par_terms(lat: PosteriorLattice, path, cfg: ParConfig):
     node, tok, owner = [], [], []
     for b, p in enumerate(paths):
         T, U = int(t_lens[b]), int(u_lens[b])
-        for (t, u, k) in (p.label_triples if cfg.labels_only else p.triples):
+        for (t, u, k) in p.triples:
             if not (0 <= t < T and 0 <= u <= U and 0 <= k < K):
                 raise ValueError(f"path triple {(t, u, k)} outside lattice {(T, U, K)}")
             node.append(((b * T_max + t) * U1 + u) * K)
@@ -134,9 +129,8 @@ def par_loss(lat: PosteriorLattice, path, cfg: ParConfig = None) -> Tensor:
 
     One lattice and its path give a scalar; a lattice batch and a list of
     B paths give the (B,) per-utterance sums. Only the token and blank
-    cells of the T+U aligned nodes are read. ``labels_only`` drops the
-    blank-target triples from the sum; ``detach_weight`` (default) treats
-    the weights as constants in the gradient.
+    cells of the T+U aligned nodes are read. ``detach_weight`` (default)
+    treats the weights as constants in the gradient.
     """
     values, add_grad = _par_terms(lat, path, cfg or ParConfig())
     shape = lat.log_probs.shape

@@ -46,7 +46,7 @@ METRICS_COLUMNS = ("step,lr,transducer_loss,par_loss,joint_loss,dev_cer,"
 
 
 # Trainer config keys of deleted options -> the one value that still runs.
-RETIRED_TRAIN_KEYS = {"adaptive": True, "shuffle": True}
+RETIRED_TRAIN_KEYS = {"adaptive": True, "shuffle": True, "labels_only": False}
 
 
 @dataclass
@@ -56,8 +56,8 @@ class TrainConfig:
     SGD, whose rate starts at ``lr`` and halves after ``halving_patience``
     epochs without a dev improvement, down to ``min_lr``, or the Noam
     schedule (``lr_factor``, ``warmup_steps``) with moment accumulators.
-    ``beta``, ``detach_weight`` and ``labels_only`` set the path
-    regularizer (:class:`satkit.pathreg.ParConfig`)."""
+    ``beta`` and ``detach_weight`` set the path regularizer
+    (:class:`satkit.pathreg.ParConfig`)."""
 
     epochs: int = 10
     batch_size: int = 8
@@ -71,7 +71,6 @@ class TrainConfig:
     warmup_steps: int = 8000    # noam only
     beta: float = 0.0
     detach_weight: bool = True
-    labels_only: bool = False
 
     def __post_init__(self):
         if self.optimizer not in ("sgd", "noam"):
@@ -93,8 +92,7 @@ class TrainConfig:
         self.par()  # the regularizer's own check of beta
 
     def par(self) -> ParConfig:
-        return ParConfig(beta=self.beta, detach_weight=self.detach_weight,
-                         labels_only=self.labels_only)
+        return ParConfig(beta=self.beta, detach_weight=self.detach_weight)
 
 
 class Trainer:
@@ -202,7 +200,13 @@ class Trainer:
         return corpus_cer(refs, hyps)
 
     def run_epoch(self) -> dict:
-        """One pass over the training batches plus a dev evaluation."""
+        """One pass over the training batches plus a dev evaluation.
+
+        Raises ValueError before the first step when the dev set holds no
+        reference token, as dev scoring needs some.
+        """
+        if not any(len(batch.targets[0]) for batch in self.dev):
+            raise ValueError("dev scoring needs reference tokens, but the dev set has none")
         self.epoch += 1
         n_b = len(self.batches)
         order = self.rng.permutation(n_b)

@@ -25,7 +25,7 @@ from satkit.ngram import train as lm_train
 from satkit.nnet import ChunkSpec, Encoder
 from satkit.pathreg import ParConfig, build_path, joint_loss
 from satkit.train import TrainConfig, Trainer
-from satkit.vocab import Vocab
+from satkit.vocab import BLANK, Vocab
 from unfused import brute_force_loss, exhaustive_decode, zero_grads
 
 TABLE_WINDOWS = ((5, 2), (10, 5), (20, 10))
@@ -338,7 +338,7 @@ def _emission_entropy(model, dev_batches):
         ids = np.asarray(b.targets[0], dtype=np.int64)
         lat = model.forward_lattice(b.feats[0], ids)
         path = build_path(b.alignments[0], ids)
-        for (t, u, _k) in path.label_triples:
+        for (t, u, _k) in (tr for tr in path.triples if tr[2] != BLANK):
             row = lat.log_probs.data[t, u]
             total += -(np.exp(row) * row).sum()
             n += 1

@@ -72,15 +72,6 @@ def test_chunk_spec_validation_and_parse():
     assert ChunkSpec.unbounded() == ChunkSpec(math.inf, math.inf)
 
 
-def test_receptive_field_arithmetic():
-    spec = ChunkSpec(5, 2)
-    assert spec.receptive_field(t=20, n_blocks=2, length=100) == (10, 24)
-    assert spec.receptive_field(t=3, n_blocks=2, length=100) == (0, 7)
-    assert spec.receptive_field(t=98, n_blocks=2, length=100) == (88, 99)
-    assert ChunkSpec.unbounded().receptive_field(5, 3, 50) == (0, 49)
-    assert ChunkSpec(math.inf, 0).receptive_field(5, 3, 50) == (0, 5)
-
-
 def test_window_mask_hand_case():
     m = window_mask(4, 4, ChunkSpec(1, 1))
     want = np.full((4, 4), LOG_ZERO)
@@ -441,7 +432,7 @@ def test_encoder_windowed_locality_is_exact():
     feats = rng.standard_normal((16, 6))
     base = enc(Tensor(feats)).data
     t = 8
-    lo, hi = chunk.receptive_field(t, n_blocks, 16)
+    lo, hi = t - n_blocks * chunk.left, t + n_blocks * chunk.right
     bumped = feats.copy()
     bumped[lo - 1] += 10.0
     bumped[hi + 1] += 10.0
@@ -483,7 +474,7 @@ def test_incremental_encoder_ignores_frames_outside_field():
     enc = Encoder(6, 8, 2, 16, 2, chunk, rng)
     feats = rng.standard_normal((12, 6))
     t = 7
-    lo, hi = chunk.receptive_field(t, 2, 12)
+    lo, hi = t - 2 * chunk.left, t + 2 * chunk.right
     row_full = encode_incrementally(enc, feats)[t]
     row_clip = encode_incrementally(enc, feats[: hi + 1])[t]
     assert np.array_equal(row_full, row_clip)
@@ -791,6 +782,23 @@ def test_prediction_state_siblings_keep_their_rows():
         assert all(np.array_equal(a, b) for a, b in zip(state.layers, want.layers))
 
 
+def test_sibling_rows_in_one_call_share_the_parent_tail_once():
+    # the first of two siblings in one call claims its parent's tail and
+    # writes in place; the second copies the parent's rows
+    net = PredictionNetwork(9, 8, 2, 16, 2, np.random.default_rng(35))
+    parent = net.init_state()
+    for tok in (4, 2, 8):
+        parent = net.advance_np(parent, tok)
+    first, second = net.advance_many([parent, parent], [5, 6])
+    for b in range(net.n_blocks):
+        assert np.shares_memory(first.layers[b], parent.layers[b])
+        assert not np.shares_memory(second.layers[b], parent.layers[b])
+    for state, tok in ((first, 5), (second, 6)):
+        want = advance_per_call(net, parent, tok)
+        assert np.array_equal(state.g, want.g)
+        assert all(np.array_equal(a, b) for a, b in zip(state.layers, want.layers))
+
+
 def test_prediction_state_without_cache_advances():
     # a state built from plain arrays, as the per-call oracle builds one,
     # advances by copying its rows
@@ -821,6 +829,29 @@ def test_prediction_advance_copies_no_prefix():
     finally:
         tracemalloc.stop()
     assert np.shares_memory(child.layers[0], state.layers[0])
+    assert peak < prefix_bytes, (peak, prefix_bytes)
+
+
+def test_cousin_rows_at_one_length_copy_no_prefix():
+    # two rows of prefix length 1000 whose parents each own their tail
+    # advance in one call: both write in place, and the call allocates less
+    # than one block's cached rows
+    net = PredictionNetwork(9, 8, 2, 16, 2, np.random.default_rng(36))
+    state = net.init_state()
+    for tok in np.random.default_rng(37).integers(2, 9, 998):
+        state = net.advance_np(state, tok)
+    parents = [net.advance_np(state, 4), net.advance_np(state, 5)]
+    assert [p.length for p in parents] == [1000, 1000]
+    prefix_bytes = parents[0].layers[0].nbytes
+    tracemalloc.start()
+    try:
+        children = net.advance_many(parents, [6, 7])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for parent, child, tok in zip(parents, children, (6, 7)):
+        assert all(np.shares_memory(c, p) for c, p in zip(child.layers, parent.layers))
+        assert np.array_equal(child.g, advance_per_call(net, parent, tok).g)
     assert peak < prefix_bytes, (peak, prefix_bytes)
 
 

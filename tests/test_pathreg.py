@@ -21,7 +21,7 @@ def test_build_path_hand_case():
         (0, 0, PHI), (1, 0, A), (1, 1, PHI), (2, 1, PHI),
         (3, 1, B), (3, 2, PHI), (4, 2, PHI))
     assert len(path) == 5 + 2
-    assert path.label_triples == ((1, 0, A), (3, 1, B))
+    assert tuple(tr for tr in path.triples if tr[2] != PHI) == ((1, 0, A), (3, 1, B))
 
 
 def test_build_path_all_blank():
@@ -45,7 +45,7 @@ def test_build_path_length_is_frames_plus_labels():
         path = build_path(ali, targets)
         assert len(path) == len(ali) + len(targets)
         assert path.triples[-1] == (len(ali) - 1, len(targets), PHI)
-        assert [k for (_, _, k) in path.label_triples] == targets
+        assert [k for (_, _, k) in path.triples if k != PHI] == targets
 
 
 def test_build_path_mismatch_errors():
@@ -108,7 +108,7 @@ def test_par_loss_certain_blank_contributes_nothing():
     lat = _lattice(rng, 3, 1)
     path = _path_for(lat, rng)
     lp = lat.log_probs.data.copy()
-    t, u, k = path.label_triples[0]
+    t, u, k = [tr for tr in path.triples if tr[2] != PHI][0]
     row = np.full(lat.K, -745.0)
     row[PHI] = 0.0
     lp[t, u] = row
@@ -117,17 +117,6 @@ def test_par_loss_certain_blank_contributes_nothing():
         -(1.0 - np.exp(lp[tt, uu, PHI])) * lp[tt, uu, kk]
         for (tt, uu, kk) in path.triples if (tt, uu) != (t, u)]
     assert par_loss(lat2, path).item() == pytest.approx(sum(base_terms), rel=1e-12)
-
-
-def test_labels_only_drops_blank_triples():
-    rng = np.random.default_rng(3)
-    lat = _lattice(rng, 4, 2)
-    path = _path_for(lat, rng)
-    lp = lat.log_probs.data
-    want = -sum((1.0 - np.exp(lp[t, u, PHI])) * lp[t, u, k]
-                for (t, u, k) in path.label_triples)
-    got = par_loss(lat, path, ParConfig(labels_only=True)).item()
-    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_detached_weight_gradient():
@@ -243,9 +232,8 @@ def _run(fn, lp, targets, lengths, paths, cfg):
 
 
 @pytest.mark.parametrize("detach", [True, False])
-@pytest.mark.parametrize("labels_only", [False, True])
 @pytest.mark.parametrize("case", ["one", "ragged", "no-labels"])
-def test_par_and_joint_loss_match_unfused_composition(case, labels_only, detach):
+def test_par_and_joint_loss_match_unfused_composition(case, detach):
     # The tape composition of the regularizer is the oracle. With detached
     # weights every value and gradient bit agrees; with attached ones a blank
     # triple's token and blank terms land on one cell in another order.
@@ -259,10 +247,8 @@ def test_par_and_joint_loss_match_unfused_composition(case, labels_only, detach)
     if case == "no-labels":  # a U = 0 path alone
         inputs.append((lp[0, :, :1], targets[0], None, paths[0]))
     for beta in (0.0, 2.5, 10.0):
-        cfg = ParConfig(beta=beta, detach_weight=detach, labels_only=labels_only)
+        cfg = ParConfig(beta=beta, detach_weight=detach)
         for grid, ys, lens, ps in inputs:
-            if labels_only and not any(len(y) for y in (ys if lens else [ys])):
-                continue  # the composition cannot gather zero cells
             pairs = [(joint_loss, unfused.joint_loss)]
             if beta == 10.0:
                 pairs.append((par_loss, unfused.par_loss))
@@ -277,13 +263,3 @@ def test_par_and_joint_loss_match_unfused_composition(case, labels_only, detach)
                     np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0)
                     np.testing.assert_allclose(got[1], want[1], rtol=1e-12,
                                                atol=1e-12 * np.abs(want[1]).max())
-
-
-def test_labels_only_without_labels_is_zero():
-    rng = np.random.default_rng(12)
-    lp, targets, lengths, paths = _batch(rng, [(5, 0), (3, 0)])
-    for detach in (True, False):
-        cfg = ParConfig(labels_only=True, detach_weight=detach)
-        values, grad = _run(par_loss, lp, targets, lengths, paths, cfg)
-        np.testing.assert_array_equal(values, [0.0, 0.0])
-        np.testing.assert_array_equal(grad, np.zeros_like(lp))

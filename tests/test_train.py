@@ -231,10 +231,10 @@ def test_resume_reproduces_next_step(tmp_path):
                                    solid.model.params[name].data, atol=1e-12)
 
 
-@pytest.mark.parametrize("key", ["adaptive", "shuffle"])
-def test_resume_reads_a_retired_key_only_at_the_value_that_runs(tmp_path, key):
-    # earlier checkpoints store adaptive and shuffle: true, the value every
-    # run now uses, resumes bit for bit; false selected a deleted path
+def _resume_with_retired_key(tmp_path, key, runs):
+    """Resume from copies of a checkpoint that store ``key`` at ``runs`` and
+    at the other value: the first resumes bit for bit, the second raises
+    naming its file."""
     vocab, tr_utts, dev_utts = toy_setup()
     trainer = Trainer(toy_model(vocab, seed=2, dropout=0.1), vocab, tr_utts, dev_utts,
                       TrainConfig(epochs=2, batch_size=4, optimizer="noam", warmup_steps=3))
@@ -244,12 +244,40 @@ def test_resume_reads_a_retired_key_only_at_the_value_that_runs(tmp_path, key):
     for value in (True, False):
         meta["trainer"]["config"][key] = value
         ckpt.save_checkpoint(tmp_path / f"{value}.ckpt", arrays, config, meta)
-    with pytest.raises(ValueError, match=rf"False\.ckpt: {key} = False"):
-        Trainer.resume(tmp_path / "False.ckpt", vocab, tr_utts, dev_utts)
-    back = Trainer.resume(tmp_path / "True.ckpt", vocab, tr_utts, dev_utts)
+    with pytest.raises(ValueError, match=rf"{not runs}\.ckpt: {key} = {not runs}"):
+        Trainer.resume(tmp_path / f"{not runs}.ckpt", vocab, tr_utts, dev_utts)
+    back = Trainer.resume(tmp_path / f"{runs}.ckpt", vocab, tr_utts, dev_utts)
     assert back.run_epoch() == trainer.run_epoch()
     for name, p in back.model.params.items():
         np.testing.assert_array_equal(p.data, trainer.model.params[name].data, err_msg=name)
+
+
+@pytest.mark.parametrize("key", ["adaptive", "shuffle"])
+def test_resume_reads_a_retired_key_only_at_the_value_that_runs(tmp_path, key):
+    # earlier checkpoints store adaptive and shuffle: true, the value every
+    # run now uses, resumes bit for bit; false selected a deleted path
+    _resume_with_retired_key(tmp_path, key, True)
+
+
+def test_resume_reads_labels_only_only_when_false(tmp_path):
+    # earlier checkpoints store labels_only: false, the regularizer over
+    # every path triple, resumes bit for bit; true summed label triples only
+    _resume_with_retired_key(tmp_path, "labels_only", False)
+
+
+def test_training_without_dev_references_fails_before_the_first_step(tmp_path):
+    # dev scoring needs reference tokens: with none, the run stops before
+    # its first step rather than after an epoch it cannot score
+    vocab, tr_utts, _ = toy_setup()
+    trainer = Trainer(toy_model(vocab), vocab, tr_utts, [],
+                      TrainConfig(epochs=1, batch_size=8))
+    before = {name: p.data.copy() for name, p in trainer.model.params.items()}
+    with pytest.raises(ValueError, match="dev set has none"):
+        trainer.run(checkpoint_dir=tmp_path / "run")
+    assert trainer.global_step == 0
+    assert not (tmp_path / "run" / "last.ckpt").exists()
+    for name, p in trainer.model.params.items():
+        np.testing.assert_array_equal(p.data, before[name], err_msg=name)
 
 
 def test_resume_requires_trainer_state(tmp_path):

@@ -436,7 +436,7 @@ def par_loss(lat: PosteriorLattice, path, cfg: ParConfig = None) -> Tensor:
     T_max, U1, K = shape[-3:]
     node, tok, owner = [], [], []
     for b, p in enumerate(paths):
-        for (t, u, k) in (p.label_triples if cfg.labels_only else p.triples):
+        for (t, u, k) in p.triples:
             node.append(((b * T_max + t) * U1 + u) * K)
             tok.append(k)
             owner.append(b)

@@ -54,8 +54,8 @@ def save_checkpoint(path, arrays: dict, config: dict, meta: dict = None) -> None
 
 
 def load_checkpoint(path):
-    """Returns (config, meta, arrays). A file cut short anywhere raises
-    ``ValueError`` naming it."""
+    """Returns (config, meta, arrays). A file cut short anywhere, or with a
+    malformed header, raises ``ValueError`` naming it."""
 
     def read(f, n):
         data = f.read(n)
@@ -67,10 +67,15 @@ def load_checkpoint(path):
         if f.read(8) != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
         (hlen,) = struct.unpack("<Q", read(f, 8))
-        header = json.loads(read(f, hlen).decode("utf-8"))
+        raw = read(f, hlen)
         body = f.read()
+    try:  # not UTF-8, not JSON, or not an object with these three keys
+        header = json.loads(raw.decode("utf-8"))
+        config, meta, manifest = header["config"], header["meta"], header["manifest"]
+    except (ValueError, KeyError, TypeError) as e:
+        raise ValueError(f"{path}: bad checkpoint header ({type(e).__name__}: {e})") from None
     arrays = {}
-    for entry in header["manifest"]:
+    for entry in manifest:
         dtype = np.dtype(entry["dtype"]).newbyteorder("<")
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
@@ -79,7 +84,7 @@ def load_checkpoint(path):
             raise ValueError(f"{path}: truncated checkpoint")
         arr = np.frombuffer(body, dtype=dtype, count=count, offset=start)
         arrays[entry["name"]] = arr.reshape(shape).astype(dtype.newbyteorder("="))
-    return header["config"], header["meta"], arrays
+    return config, meta, arrays
 
 
 def restore_params(params: dict, arrays: dict) -> None:

@@ -139,6 +139,8 @@ def _decode_one(model, utt, cfg: DecodeConfig, lm, vocab):
 
 
 def cmd_decode(args) -> int:
+    if args.nbest < 1:
+        raise ValueError(f"--nbest must be >= 1 hypotheses, got {args.nbest}")
     model, _, _ = SATModel.load(args.checkpoint)
     vocab = Vocab.load(f"{args.data}/vocab.txt")
     utts = _load_split(args.data, args.split, args.normalize)

@@ -25,12 +25,13 @@ next ``_LOOK_AHEAD`` frames of a chunk against the current state, and the
 search reads those rows in order up to the first emission, after which the
 new state re-scores from the same frame. A blank run of n frames thus costs
 about n / ``_LOOK_AHEAD`` forwards, not n; a stream's one-row chunks give
-one-frame tiles. Batching keeps every bit: a row's sum ``f + g`` is the
-same IEEE add whichever side broadcasts, the output product follows the
-four-row rule of :func:`~satkit.nnet.row_tile`, and the reductions run per
-row, so each row the search reads is the row it would score alone. The
-per-frame symbol guard behaves as before: a frame that has emitted the
-limit logs one warning and is left.
+one-frame tiles. The forward is the beam's scoring call with the sides
+swapped. Batching keeps every bit: a row's sum ``f + g`` is the same IEEE
+add whichever side broadcasts, the output product follows the four-row rule
+of :func:`~satkit.nnet.row_tile`, and the reductions run per row, so each
+row the search reads is the row it would score alone. The per-frame symbol
+guard behaves as before: a frame that has emitted the limit logs one
+warning and is left.
 
 The beam is the frame-synchronous prefix search of Graves (arXiv
 1211.3711): within a frame, hypotheses expand by labels until pruned out or
@@ -177,7 +178,8 @@ def _greedy_steps(model, stacked, max_symbols, trace=None):
     The search walks each chunk of rows the encoder yields, a tile of a
     matrix or one row of a stream. At frame p with state g, one joint
     forward scores the look-ahead tile, frames p..p+_LOOK_AHEAD-1 of the
-    chunk, against g (:meth:`~satkit.lattice.JointRows.frame_log_probs`).
+    chunk, against g (:meth:`~satkit.lattice.JointRows.log_probs` of g and
+    the tile).
     The rows are then read one by one, through ``_best_label``, up to the
     first non-blank: a blank moves to the next frame, whose row against g is
     already there, and an emission advances the state and re-scores from
@@ -201,7 +203,7 @@ def _greedy_steps(model, stacked, max_symbols, trace=None):
                             t + p, max_symbols)
                 p, n = p + 1, 0
                 continue
-            for lp in joint.frame_log_probs(f_parts[p:p + _LOOK_AHEAD], g_part):
+            for lp in joint.log_probs(g_part, f_parts[p:p + _LOOK_AHEAD]):
                 if trace is not None:
                     trace.append((t + p, u, lp.copy()))
                 k = _best_label(lp)

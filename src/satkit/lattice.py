@@ -212,12 +212,12 @@ class JointRows:
     """The joint's decode row step for one search, in buffers allocated once.
 
     :meth:`f_parts` and :meth:`g_parts` project encoder rows and prediction
-    states. :meth:`log_probs` scores one frame's projection against up to
-    ``rows`` state projections, and :meth:`frame_log_probs` up to ``rows``
-    frame projections against one state's: greedy search's look-ahead tile.
-    Each is one product over a :func:`satkit.nnet.row_tile`, so every row
-    gets the bits it gets alone, and a search may score its rows in one call
-    or one at a time. In a scoring call, the forward of
+    states. :meth:`log_probs` scores one projection of either side against
+    up to ``rows`` projections of the other: one frame against the beam's
+    states, or one state against greedy search's look-ahead frames. Each is
+    one product over a :func:`satkit.nnet.row_tile`, so every row gets the
+    bits it gets alone, and a search may score its rows in one call or one
+    at a time. In a scoring call, the forward of
     :func:`satkit.autodiff.joint_log_softmax`, a row's sum ``f + g`` is the
     same IEEE add whichever side broadcasts, tanh and exp act element by
     element, the (n, J) @ (J, K) product follows the four-row rule, and the
@@ -246,18 +246,11 @@ class JointRows:
         """The (m, J) input projections of (m, d_pred) prediction state rows."""
         return (row_tile(pred_rows, self._g) @ self.w_g)[:len(pred_rows)]
 
-    def log_probs(self, f_part: np.ndarray, g_parts: np.ndarray) -> np.ndarray:
-        """The (m, K) log distributions of one frame's (J,) projection with
-        each of the (m, J) state projections ``g_parts``: one joint forward.
-        The rows live in this row step's buffer until its next call."""
-        g = row_tile(g_parts, self._pad)
-        return ad.joint_forward(f_part, g, self.w_out, *self._bufs[len(g)])[:len(g_parts)]
-
-    def frame_log_probs(self, f_parts: np.ndarray, g_part: np.ndarray) -> np.ndarray:
-        """The (m, K) log distributions of each of the (m, J) frame
-        projections ``f_parts`` with one state's (J,) projection: one joint
-        forward, whose row i has the bits of ``log_probs(f_parts[i],
-        g_part[None])``. The rows live in this row step's buffer until its
+    def log_probs(self, one: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The (m, K) log distributions of one side's (J,) projection ``one``
+        with each of the other side's (m, J) projections ``rows``: one joint
+        forward, whose row i has the bits of the pair scored alone, whichever
+        side is which. The rows live in this row step's buffer until its
         next call."""
-        f = row_tile(f_parts, self._pad)
-        return ad.joint_forward(f, g_part, self.w_out, *self._bufs[len(f)])[:len(f_parts)]
+        tile = row_tile(rows, self._pad)
+        return ad.joint_forward(one, tile, self.w_out, *self._bufs[len(tile)])[:len(rows)]

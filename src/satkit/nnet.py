@@ -26,23 +26,21 @@ product. A training step is therefore one tape over the whole batch, and a
 real row equals that of its sequence run alone up to rounding.
 
 :func:`encoder_tiles` is the one source of encoder rows, for decoding and
-dev scoring alike, under every window; :func:`encoder_rows` yields its rows
-one at a time. Each block stage runs the block's two row methods,
-:meth:`SABlock.context_np` and :meth:`SABlock.output_np`, over key and value
-rows projected once, when each row enters the block: over each row's window
-when the window is bounded, over every row of a matrix when it is not. The
-row step records no tape, because on the tape one block row costs about 2.6x
-as much (one query over 16 keys, d_m 64), but it has no arithmetic of its
-own:
-it runs the plain-array forwards of the block's fused ops,
-:func:`autodiff.attend`, :func:`autodiff.add_layer_norm_forward` and
+dev scoring alike, under every window. Each block stage runs the block's two
+row methods, :meth:`SABlock.context_np` and :meth:`SABlock.output_np`, over
+key and value rows projected once, when each row enters the block: over each
+row's window when the window is bounded, over every row of a matrix when it
+is not. The row step records no tape, because on the tape one block row
+costs about 2.6x as much (one query over 16 keys, d_m 64), but it has no
+arithmetic of its own: it runs the plain-array forwards of the block's fused
+ops, :func:`autodiff.attend`, :func:`autodiff.add_layer_norm_forward` and
 :func:`autodiff.ffn_forward`, the same functions the tape ops call. Every
 weight product of a row step follows the four-row rule of :func:`row_tile`:
 one 2-D product over the rows rounded up to a multiple of 4, in which a
 row's bits do not depend on the row count, its position or its neighbours.
-So a row's bits do not depend on how many rows share a call. The stages form
-a chain of generators, one per block: a matrix flows through a tile at a
-time and a stream one row at a time, with the same bits.
+So a row's bits do not depend on how many rows share a call, and each stage
+has one path: a chain of generators, one per block, through which a matrix
+flows a tile at a time and a stream one row at a time.
 :meth:`PredictionNetwork.advance_many` runs the row step for the new rows of
 many decode states over their causal prefixes, the left-context caching of
 the Transformer Transducer, and gives each the bits it has alone. A search
@@ -257,9 +255,9 @@ class Encoder:
     """Feature-side stack: linear projection + positional encoding + B blocks.
 
     Calling it evaluates a sequence or a batch on the tape, for training;
-    :func:`encoder_rows` is its row source for decoding and dev scoring.
+    :func:`encoder_tiles` is its row source for decoding and dev scoring.
     Every block applies the encoder's one window, ``chunk``: the window the
-    model was trained with, and the one :func:`encoder_rows` reads to pick
+    model was trained with, and the one :func:`encoder_tiles` reads to pick
     each block's stage. To decode with another window, set ``chunk``.
     """
 
@@ -299,31 +297,26 @@ class Encoder:
         return x
 
 
-# Rows of a matrix enter the encoder this many at a time: each block takes a
-# tile in one row-step call, and its buffer does not grow with the matrix.
+# Rows enter each encoder stage at most this many at a time, from a matrix or
+# a stream: a bounded block's buffer holds this many plus its window's reach.
 _ROW_TILE = 64
 
 
-def encoder_rows(encoder: Encoder, stacked):
-    """Output rows of the encoder over stacked rows, in order: the one row
-    source of decoding, offline and streaming, and of dev scoring.
+def encoder_tiles(encoder: Encoder, stacked):
+    """Output rows of the encoder over stacked rows, in order, as the
+    (m, d_m) chunks the last stage makes them in: the one row source of
+    decoding, offline and streaming, and of dev scoring.
 
     Rows pass through the input projection plus the positional encoding,
     then one stage per block, which the encoder's window, ``chunk``, picks:
     :func:`_block_rows` when bounded, so top row t is yielded once stacked
     row t + B*right has been pulled, and the last B*right rows once the
-    input is complete; :func:`_whole_rows` over a matrix when unbounded,
-    which refuses a stream with ``ValueError``. A 2-D matrix enters in tiles
-    of ``_ROW_TILE`` rows, any other iterable one row at a time, and a row's
-    bits do not depend on that grouping; they equal the tape encoder's up to
-    rounding. A row of the wrong width raises ``ShapeError``.
+    input is complete; :func:`_whole_rows` over a matrix when unbounded, so
+    this call refuses a stream with ``ValueError``. A 2-D matrix flows in
+    tiles of ``_ROW_TILE`` rows, any other iterable one row at a time, and a
+    row's bits do not depend on that grouping; they equal the tape
+    encoder's up to rounding. A row of the wrong width raises ``ShapeError``.
     """
-    return (row for rows in encoder_tiles(encoder, stacked) for row in rows)
-
-
-def encoder_tiles(encoder: Encoder, stacked):
-    """The rows of :func:`encoder_rows`, as the (m, d_m) chunks the last
-    stage makes them in: tiles of a matrix, single rows of a stream."""
     total = len(stacked) if isinstance(stacked, np.ndarray) and stacked.ndim == 2 else None
     chunk = encoder.chunk
     if total is None and not chunk.bounded:
@@ -359,18 +352,17 @@ def _block_rows(block: SABlock, chunks, left: int, right: int, total):
     rows that arrive in chunks of any size, ``total`` of them if known.
 
     A buffer holds [input | query | key | value] rows, projected as they
-    enter by one product over a :func:`row_tile` with :func:`_w_qkv`, under
-    a view of every key/value window. When a chunk enters, every row now
-    final (row t once input row t + right has entered or the input is
-    complete) is computed in one call and passed on as one chunk. Slots
-    outside the sequence are masked, and rows still needed move to the
-    front only when the buffer fills.
+    enter, in pieces of at most ``_ROW_TILE``, by one product over a
+    :func:`row_tile` with :func:`_w_qkv`, under a view of every key/value
+    window. When a piece enters, every row now final (row t once input row
+    t + right has entered or the input is complete) is computed in one call
+    and passed on as one chunk. Slots outside the sequence are masked, and
+    rows still needed move to the front only when the buffer fills.
     """
     d, size = block.d_m, left + right + 1
     w_qkv = _w_qkv(block)
-    tile = _ROW_TILE if total is not None else size  # a stream's chunks are rows
-    buf = np.zeros((tile + left + 2 * right, 4 * d))
-    pad = np.zeros((tile_len(tile + right), d))  # a call's rows: at most a chunk plus right
+    buf = np.zeros((_ROW_TILE + left + 2 * right, 4 * d))
+    pad = np.zeros((tile_len(_ROW_TILE + right), d))  # a call's rows: a piece plus right
     wins = np.lib.stride_tricks.sliding_window_view(buf[:, 2 * d:], size, axis=0).swapaxes(1, 2)
     n = t = base = 0  # rows entered; rows output; position of buf[left]
 
@@ -383,7 +375,7 @@ def _block_rows(block: SABlock, chunks, left: int, right: int, total):
         ctx = block.context_np(x[:, d:2 * d], win[..., :d], win[..., d:], mask)
         return block.output_np(x[:, :d], ctx, pad)
 
-    for x in (x[i:i + tile] for x in chunks for i in range(0, len(x), tile)):
+    for x in (x[i:i + _ROW_TILE] for x in chunks for i in range(0, len(x), _ROW_TILE)):
         end = n - base + left
         if end + len(x) + right > len(buf):
             buf[:end - t + base] = buf[t - base:end]

@@ -16,6 +16,7 @@ from . import autodiff as ad
 
 # Elements per update tile: a tile of each operand and the scratch fit in L2.
 _TILE = 1 << 15
+_BETA1, _BETA2, _EPS = 0.9, 0.98, 1e-9  # NoamWarmup's moment decays and epsilon
 
 
 def noam_lr(step: int, lr_factor: float, warmup_steps: int, d_m: int) -> float:
@@ -119,15 +120,13 @@ class NoamWarmup(_ArenaOptimizer):
     """
 
     def __init__(self, params: dict, lr_factor: float = 0.5,
-                 warmup_steps: int = 8000, d_m: int = 512, beta1: float = 0.9,
-                 beta2: float = 0.98, eps: float = 1e-9):
+                 warmup_steps: int = 8000, d_m: int = 512):
         if warmup_steps < 1:
             raise ValueError(f"warmup steps must be >= 1, got {warmup_steps}")
         super().__init__(params, n_scratch=2)
         self.lr_factor = lr_factor
         self.warmup_steps = warmup_steps
         self.d_m = d_m
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.should_stop = False
         self.m = self.v = None
@@ -150,7 +149,7 @@ class NoamWarmup(_ArenaOptimizer):
         t = self.step_count
         data, grad = self.arena.data, self.arena.grad
         m_all, v_all = self._moments()
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _BETA1, _BETA2
         for s, n in self._tiles:
             g, m, v = grad[s], m_all[s], v_all[s]
             a, b = (x[:n] for x in self._scratch)
@@ -164,7 +163,7 @@ class NoamWarmup(_ArenaOptimizer):
             vhat = np.divide(v, 1.0 - b2 ** t, out=b)
             step = np.multiply(mhat, lr, out=a)
             denom = np.sqrt(vhat, out=b)
-            denom += self.eps
+            denom += _EPS
             step /= denom
             data[s] -= step
 

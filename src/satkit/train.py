@@ -100,11 +100,14 @@ class Trainer:
 
     One RNG (seeded from the config) serves both batch-order shuffling and
     dropout, so a (seed, data) pair fixes the whole run; checkpoints carry
-    its state and resuming reproduces the next step bit for bit.
+    its state and resuming reproduces the next step bit for bit. Building
+    one with no training utterance raises ``ValueError``.
     """
 
     def __init__(self, model: SATModel, vocab, train_utts, dev_utts,
                  cfg: TrainConfig = None, metrics_path=None):
+        if not train_utts:
+            raise ValueError("training needs at least one utterance, got none")
         self.model = model
         self.vocab = vocab
         self.cfg = cfg or TrainConfig()

@@ -119,6 +119,18 @@ def test_magic_validation(tmp_path):
             load_checkpoint(cut)
 
 
+@pytest.mark.parametrize("header,want", [(b"{not json", "JSONDecodeError"),
+                                         (b"\xff\xfe{}", "UnicodeDecodeError"),
+                                         (b'{"config": {}, "meta": {}}', "KeyError: 'manifest'")],
+                         ids=["not-json", "not-utf8", "no-manifest"])
+def test_a_malformed_header_names_the_file(tmp_path, header, want):
+    # a header that is not JSON, not UTF-8, or without a manifest
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b"SATKIT01" + len(header).to_bytes(8, "little") + header)
+    with pytest.raises(ValueError, match=f"bad.ckpt: bad checkpoint header \\({want}"):
+        load_checkpoint(bad)
+
+
 def test_rng_state_round_trip():
     rng = np.random.default_rng(123)
     rng.normal(size=17)  # advance away from the seed state

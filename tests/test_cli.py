@@ -212,6 +212,17 @@ def test_decode_nbest_file(run_dir, data_dir, tmp_path):
         float(score)
 
 
+@pytest.mark.parametrize("nbest", ["0", "-2"])
+def test_decode_rejects_an_nbest_below_one(run_dir, data_dir, tmp_path, capsys, nbest):
+    hyp = tmp_path / "hyp.txt"
+    code = main(["decode", "--checkpoint", str(run_dir / "best.ckpt"), "--data",
+                 str(data_dir), "--split", "dev", "--nbest", nbest, "--out", str(hyp)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --nbest must be >= 1 hypotheses, got {nbest}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_decode_streaming_mode(run_dir, data_dir, tmp_path):
     hyp = tmp_path / "stream.txt"
     assert main(["decode", "--checkpoint", str(run_dir / "best.ckpt"),

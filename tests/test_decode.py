@@ -16,7 +16,7 @@ from satkit.decode import (DecodeConfig, Hypothesis, beam_decode, cer,
 from satkit.model import ModelConfig, SATModel
 from satkit.ngram import BOS
 from satkit.ngram import train as lm_train
-from satkit.nnet import encoder_rows
+from satkit.nnet import encoder_tiles
 from satkit.vocab import BLANK, SOS, Vocab
 from unfused import exhaustive_decode
 
@@ -269,7 +269,7 @@ def _reference_beam(model, stacked, lm=None, vocab=None, cfg=None):
     (hypothesis, label) and one ``advance_np`` per surviving expansion.
     Rows are scored one at a time through a one-row joint row step."""
     cfg = cfg or DecodeConfig()
-    rows = list(encoder_rows(model.encoder, stacked))
+    rows = np.concatenate(list(encoder_tiles(model.encoder, stacked)))
     scorer = model.joint.row_step(1)
     width = cfg.beam_width
 
@@ -769,8 +769,8 @@ def test_stream_state_is_bounded():
     n_rows, held = 0, {}
     tracemalloc.start()
     try:
-        for _row in encoder_rows(model.encoder, stacked_stream(model, frames)):
-            n_rows += 1
+        for rows in encoder_tiles(model.encoder, stacked_stream(model, frames)):
+            n_rows += len(rows)
             if n_rows in (500, 2000):
                 held[n_rows] = tracemalloc.get_traced_memory()[0]
     finally:
@@ -796,7 +796,7 @@ def test_unbounded_window_decodes_only_a_matrix():
     with pytest.raises(ValueError, match="needs a bounded chunk window"):
         greedy_decode(model, iter(x))
     # matrix path still fine
-    rows = np.stack(list(encoder_rows(model.encoder, x)))
+    rows = np.concatenate(list(encoder_tiles(model.encoder, x)))
     np.testing.assert_allclose(rows, model.encoder(Tensor(x)).data, rtol=0, atol=1e-12)
     assert isinstance(greedy_decode(model, x), list)
     assert beam_decode(model, x)
@@ -817,8 +817,8 @@ def test_streams_need_a_bounded_window():
         with pytest.raises(ValueError, match="needs a bounded chunk window"):
             call()
     bounded = tiny_model(seed=0, left=2, right=1)
-    matrix = np.stack(list(encoder_rows(bounded.encoder, x)))
-    assert np.array_equal(np.stack(list(encoder_rows(bounded.encoder, iter(x)))), matrix)
+    matrix = np.concatenate(list(encoder_tiles(bounded.encoder, x)))
+    assert np.array_equal(np.concatenate(list(encoder_tiles(bounded.encoder, iter(x)))), matrix)
     assert greedy_decode(bounded, iter(x)) == greedy_decode(bounded, x)
     assert _bits(beam_decode(bounded, iter(x))) == _bits(beam_decode(bounded, x))
 

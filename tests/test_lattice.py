@@ -223,7 +223,8 @@ def test_joint_draws_its_weights_in_the_checkpoint_order():
 def test_joint_row_step_is_the_shared_forward():
     # (frame, state) pairs scored alone: the shared forward on a 4-row tile,
     # and the tape op's cells of a 4 x 4 grid, bit for bit (a 4-row product
-    # gives each row the bits it has in any product of a multiple of 4 rows)
+    # gives each row the bits it has in any product of a multiple of 4 rows);
+    # a pair scored with the sides swapped, as greedy search scores it, too
     rng = np.random.default_rng(31)
     joint = JointNetwork(6, 6, 8, 5, rng)
     step = joint.row_step(1)
@@ -241,6 +242,7 @@ def test_joint_row_step_is_the_shared_forward():
             tile[0] = g
             np.testing.assert_array_equal(got, ad.joint_forward(f, tile, w_o)[0])
             np.testing.assert_array_equal(got, cells[t, u])
+            np.testing.assert_array_equal(step.log_probs(g, f[None])[0], cells[t, u])
 
 
 def test_joint_row_steps_of_many_rows_keep_each_rows_bits():
@@ -275,7 +277,7 @@ def test_joint_frame_rows_follow_the_four_row_rule(widths):
     for m in (*range(1, 10), 64):
         f = step.f_parts(rng.standard_normal((m, d)))
         g = one.g_parts(rng.standard_normal((1, d)))[0]
-        got = step.frame_log_probs(f, g)
+        got = step.log_probs(g, f)
         assert got.shape == (m, K)
         for i in range(m):
             np.testing.assert_array_equal(got[i], one.log_probs(f[i], g[None])[0])

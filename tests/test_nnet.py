@@ -14,7 +14,7 @@ from satkit import autodiff as ad
 from satkit import nnet
 from satkit.autodiff import LOG_ZERO, ShapeError, Tensor
 from satkit.model import ModelConfig
-from satkit.nnet import (CAUSAL, LN_EPS, ChunkSpec, Encoder, encoder_rows,
+from satkit.nnet import (CAUSAL, LN_EPS, ChunkSpec, Encoder, encoder_tiles,
                          PredictionNetwork, PredState, SABlock, glorot,
                          positional_encoding, row_tile, tile_len)
 from unfused import advance_per_call, encoder_rows_per_call, softmax_lastdim
@@ -445,7 +445,7 @@ def test_encoder_windowed_locality_is_exact():
 
 def encode_incrementally(enc, feats):
     """Every output row of ``feats`` through the row-by-row encoder."""
-    rows = np.stack(list(encoder_rows(enc, feats)))
+    rows = np.concatenate(list(encoder_tiles(enc, feats)))
     assert rows.shape[0] == feats.shape[0]
     return rows
 
@@ -461,10 +461,10 @@ def test_incremental_encoder_matches_matrix_path():
         np.testing.assert_allclose(rows[t], full[t], atol=1e-9)
     # an unbounded window encodes a matrix, and cannot stream
     enc.chunk = ChunkSpec.unbounded()
-    np.testing.assert_allclose(np.stack(list(encoder_rows(enc, feats))),
+    np.testing.assert_allclose(np.concatenate(list(encoder_tiles(enc, feats))),
                                enc(Tensor(feats)).data, rtol=0, atol=1e-12)
     with pytest.raises(ValueError, match="needs a bounded chunk window"):
-        encoder_rows(enc, iter(feats))
+        encoder_tiles(enc, iter(feats))
 
 
 def test_incremental_encoder_ignores_frames_outside_field():
@@ -499,7 +499,7 @@ def test_unbounded_rows_match_the_tape_encoder(n_blocks):
     # empty matrix gives no rows
     rng = np.random.default_rng(40 + n_blocks)
     enc = Encoder(6, 8, 2, 16, n_blocks, ChunkSpec.unbounded(), rng)
-    assert list(encoder_rows(enc, np.zeros((0, 6)))) == []
+    assert list(encoder_tiles(enc, np.zeros((0, 6)))) == []
     for length in (1, 2, 63, 64, 65, 150):
         feats = rng.standard_normal((length, 6))
         np.testing.assert_allclose(encode_incrementally(enc, feats),
@@ -510,10 +510,10 @@ def test_unbounded_rows_match_the_tape_encoder(n_blocks):
 def test_encoder_rows_reject_a_wrong_width(chunk):
     enc = Encoder(6, 8, 2, 16, 2, chunk, np.random.default_rng(12))
     with pytest.raises(ShapeError, match="encoder expects width 6"):
-        list(encoder_rows(enc, np.zeros((5, 5))))
+        list(encoder_tiles(enc, np.zeros((5, 5))))
     if chunk.bounded:  # a stream's rows, one at a time
         with pytest.raises(ShapeError, match="encoder expects width 6"):
-            list(encoder_rows(enc, iter(np.zeros((5, 7)))))
+            list(encoder_tiles(enc, iter(np.zeros((5, 7)))))
 
 
 def _decode_row_weight_shapes():
@@ -570,7 +570,7 @@ def test_incremental_encoder_output_lags_by_receptive_field():
             pulled += 1
             yield x
 
-    at_yield = [pulled for _ in encoder_rows(enc, source())]
+    at_yield = [pulled for rows in encoder_tiles(enc, source()) for _ in rows]
     assert at_yield == [4, 5, 6, 7, 8, 9, 10] + [10] * 3
 
 
@@ -590,14 +590,15 @@ def encode_in_chunks(enc, feats, cuts, total):
 def test_encoder_rows_do_not_depend_on_grouping(left, right, monkeypatch):
     # a matrix in tiles of any size, a stream one row at a time and a random
     # split into chunks give the same bits: so streaming and offline decoding
-    # agree bit for bit whatever the tile size
+    # agree bit for bit whatever the tile size. The longest input refills
+    # each block's buffer of _ROW_TILE + left + 2*right rows many times.
     rng = np.random.default_rng(40 + left + 7 * right)
     for n_blocks in (1, 2, 3):
         enc = Encoder(6, 8, 2, 16, n_blocks, ChunkSpec(left, right), rng)
-        for length in (1, 2, 5, 40):
+        for length in (1, 2, 5, 40, 3 * nnet._ROW_TILE + 37):
             feats = rng.standard_normal((length, 6))
             want = encode_incrementally(enc, feats)
-            assert np.array_equal(np.stack(list(encoder_rows(enc, iter(feats)))), want)
+            assert np.array_equal(np.concatenate(list(encoder_tiles(enc, iter(feats)))), want)
             cuts = np.sort(rng.choice(np.arange(1, length), size=min(length - 1, 6),
                                       replace=False)) if length > 1 else []
             for total in (None, length):
@@ -636,13 +637,13 @@ def test_row_step_calls_per_block():
             sizes.append(len(x))
             return step(x, *args)
         block.output_np = output_np
-    list(encoder_rows(enc, feats))
+    list(encoder_tiles(enc, feats))
     for sizes in calls:
         assert sum(sizes) == 40
         assert len(sizes) <= -(-40 // nnet._ROW_TILE) + 1, sizes
     for sizes in calls:
         sizes.clear()
-    list(encoder_rows(enc, iter(feats)))
+    list(encoder_tiles(enc, iter(feats)))
     assert calls == [[1] * 40] * 3
 
 

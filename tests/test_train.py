@@ -280,6 +280,14 @@ def test_training_without_dev_references_fails_before_the_first_step(tmp_path):
         np.testing.assert_array_equal(p.data, before[name], err_msg=name)
 
 
+def test_training_without_utterances_is_refused_when_built():
+    # no training utterance means no batch: the trainer is refused when it is
+    # built, naming the cause, not after an empty epoch divides by zero
+    vocab, _, dev_utts = toy_setup()
+    with pytest.raises(ValueError, match="at least one utterance"):
+        Trainer(toy_model(vocab), vocab, [], dev_utts, TrainConfig(epochs=1))
+
+
 def test_resume_requires_trainer_state(tmp_path):
     vocab, _, _ = toy_setup()
     model = toy_model(vocab)

@@ -39,7 +39,7 @@ import numpy as np
 from satkit import autodiff as ad
 from satkit.autodiff import LOG_ZERO, ShapeError, Tensor
 from satkit.lattice import PosteriorLattice, forward_backward_arrays, transducer_loss
-from satkit.nnet import LN_EPS, PredState, encoder_rows, positional_encoding
+from satkit.nnet import LN_EPS, PredState, encoder_tiles, positional_encoding
 from satkit.pathreg import ParConfig
 from satkit.vocab import BLANK, SOS
 
@@ -95,7 +95,7 @@ def exhaustive_decode(model, stacked: np.ndarray, max_len: int, token_ids):
 
     Exponential reference oracle for beam search on tiny inputs.
     """
-    enc = Tensor(np.stack(list(encoder_rows(model.encoder, stacked))))
+    enc = Tensor(np.concatenate(list(encoder_tiles(model.encoder, stacked))))
     best = None
     for n in range(max_len + 1):
         for y in itertools.product(token_ids, repeat=n):

@@ -12,6 +12,7 @@ mid-write leaves the previous checkpoint intact.
 """
 
 import json
+import math
 import os
 import struct
 
@@ -76,15 +77,36 @@ def load_checkpoint(path):
         raise ValueError(f"{path}: bad checkpoint header ({type(e).__name__}: {e})") from None
     arrays = {}
     for entry in manifest:
-        dtype = np.dtype(entry["dtype"]).newbyteorder("<")
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
+        name, dtype, shape, start = _manifest_entry(path, entry)
+        dtype = dtype.newbyteorder("<")
+        count = math.prod(shape)
         if start + count * dtype.itemsize > len(body):
             raise ValueError(f"{path}: truncated checkpoint")
         arr = np.frombuffer(body, dtype=dtype, count=count, offset=start)
-        arrays[entry["name"]] = arr.reshape(shape).astype(dtype.newbyteorder("="))
+        arrays[name] = arr.reshape(shape).astype(dtype.newbyteorder("="))
     return config, meta, arrays
+
+
+def _manifest_entry(path, entry):
+    """(name, dtype, shape, offset) of one manifest entry. An entry that
+    :func:`save_checkpoint` would not write raises ``ValueError`` naming
+    ``path``: a key missing, a name that is not a string, a dtype numpy does
+    not parse or whose kind is not bool, int, uint or float, or an offset or
+    dim that is not a non-negative int."""
+    keys = ("name", "dtype", "shape", "offset")
+    if not isinstance(entry, dict) or not all(k in entry for k in keys):
+        raise ValueError(f"{path}: manifest entry {entry!r} needs the keys {', '.join(keys)}")
+    name, dtype, shape, offset = (entry[k] for k in keys)
+    try:
+        kind = np.dtype(dtype).kind if isinstance(dtype, str) else None
+    except TypeError:
+        kind = None
+    whole = lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0
+    if (not isinstance(name, str) or kind not in ("b", "i", "u", "f") or not whole(offset)
+            or not isinstance(shape, list) or not all(map(whole, shape))):
+        raise ValueError(f"{path}: manifest entry {entry!r} needs a string name, a bool, "
+                         f"int, uint or float dtype, and non-negative int offset and dims")
+    return name, np.dtype(dtype), tuple(shape), offset
 
 
 def restore_params(params: dict, arrays: dict) -> None:

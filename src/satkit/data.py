@@ -18,6 +18,7 @@ File formats:
   utt2spk    one "utt_id speaker" pair per line
 """
 
+import os
 import struct
 from collections import deque
 from dataclasses import dataclass
@@ -248,9 +249,11 @@ def read_feats(path) -> np.ndarray:
         rows, cols = struct.unpack("<II", head)
         if rows == 0:
             raise ValueError(f"{path}: no frames")
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        if size < rows * cols * 4:  # before reading: a bad header allocates nothing
+            raise ValueError(f"{path}: truncated feature payload (the header claims "
+                             f"{rows} x {cols} values, {size} bytes follow)")
         payload = f.read(rows * cols * 4)
-    if len(payload) < rows * cols * 4:
-        raise ValueError(f"{path}: truncated feature payload")
     return np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float32)
 
 

@@ -53,10 +53,11 @@ only the children of the new beam; a hypothesis that stays in the beam
 re-expands without recomputing them, and a step only stacks its active
 nodes' rows. A cached state's rows never change: its first lone child
 writes the next row into the state's buffer in place, and any later child
-copies the prefix. LM scores come in rows, one per LM context (the last
-``order - 1`` tokens of ``<s>`` plus the prefix), each fetched once per
-search by one ``lm.score_row`` call; the LM keeps every row it builds, so a
-row is built once per LM, across searches and utterances.
+copies the prefix. Each new node reads its LM row, the score of every
+label after the prefix, from one ``lm.score_row`` call over ``<s>`` plus
+the prefix's labels; the LM truncates that context to its last
+``order - 1`` tokens and keeps every row it builds, so a row is built once
+per LM, across searches and utterances, and the search keeps none.
 :class:`Hypothesis` objects are made for the returned beam only. Caching
 changes no bits either: the beam returns exactly what one ``advance_np``
 and one ``lm.score`` per child would give.
@@ -236,42 +237,12 @@ def greedy_trace(model, stacked: np.ndarray, max_symbols: int = 10):
     return [k for _, k in emitted], [t for t, _ in emitted], trace
 
 
-class _LMScorer:
-    """Rows of LM log-probs for one search, one row per LM context.
-
-    An n-gram model reads only the last ``order - 1`` tokens of ``<s>``
-    plus the prefix, so prefixes that share that tail share a row. Rows are
-    keyed by label ids (``SOS`` stands in for ``<s>``) and hold
-    ``lm.score(context, token)`` for each label the beam can emit, in
-    ``labels`` order, fetched by one ``lm.score_row`` call, which builds a
-    row only for a context the LM has not scored before. Rows are
-    read-only.
-    """
-
-    def __init__(self, lm, vocab, labels):
-        self.lm = lm
-        self.context_len = max(0, lm.order - 1)
-        self.names = [vocab.tokens[k] for k in labels]
-        self.tokens = vocab.tokens
-        self.rows = {}
-
-    def row(self, prefix: tuple) -> np.ndarray:
-        n = self.context_len
-        key = prefix[len(prefix) - n:] if len(prefix) >= n else (SOS,) + prefix
-        row = self.rows.get(key)
-        if row is None:
-            context = tuple(BOS if k == SOS else self.tokens[k] for k in key)
-            row = self.lm.score_row(context, self.names)
-            self.rows[key] = row
-        return row
-
-
 class _Node:
     """The part of a beam hypothesis that depends on its prefix alone,
     cached by prefix: the prediction state, its (J,) joint projection
     ``g_part``, the prefix's LM score ``lm_score`` and ``w_lm``, lm_weight
     times it. With an LM, ``lm_next`` holds each child's LM score, the
-    prefix's plus the LM row of its context in label order, and
+    prefix's plus the prefix's ``lm.score_row`` row in label order, and
     ``w_lm_next`` lm_weight times that: the terms a step adds to its
     children's transducer scores, formed once per prefix rather than once
     per step, with the same bits."""
@@ -307,13 +278,18 @@ def beam_decode(model, stacked: np.ndarray, lm=None, vocab=None,
     ids = range(first, model.joint.vocab_size)
     labels = [(k,) for k in ids]  # what each label appends to a prefix
     n_labels, fused = len(labels), lm is not None
-    lm_rows = _LMScorer(lm, vocab, ids) if fused else None
+    if fused:  # the LM row of a prefix: its context is <s> plus its last labels
+        names, context_len = tuple(vocab.tokens[k] for k in ids), lm.order - 1
+
+        def lm_row(prefix):
+            tail = prefix[max(0, len(prefix) - context_len):]
+            return lm.score_row((BOS,) + tuple(vocab.tokens[k] for k in tail), names)
     # Child prefix -> _Node; after each frame only the children of the beam
     # stay, so a hypothesis that stays in the beam reuses them.
     cache = {}
     init = model.prednet.init_state(pred)
     root = _Node(init, joint.g_parts(init.g[None])[0], 0.0, lm_weight,
-                 lm_rows.row(()) if fused else None)
+                 lm_row(()) if fused else None)
     # The beam entering a frame, best first: (prefix, [t_score, node, rank
     # score]), where the rank score is t_score + lm_weight * lm_score.
     beam, final = [((), [0.0, root, 0.0])], []
@@ -383,7 +359,7 @@ def beam_decode(model, stacked: np.ndarray, lm=None, vocab=None,
                 for (child, i, j), state, g_part in zip(new, advanced, g_parts):
                     lm_score = nodes[i].lm_next[j].item() if fused else 0.0
                     cache[child] = _Node(state, g_part, lm_score, lm_weight,
-                                          lm_rows.row(child) if fused else None)
+                                          lm_row(child) if fused else None)
             prefixes = [child for child, _, _, _ in survivors]
             t_list = [t_score for _, t_score, _, _ in survivors]
             nodes = [cache[child] for child in prefixes]

@@ -158,19 +158,15 @@ class SATModel:
         ckpt.save_checkpoint(path, dict(self.params), asdict(self.config), meta)
 
     @classmethod
-    def load(cls, path, expect_config: ModelConfig = None):
+    def load(cls, path):
         """Rebuild a model from a checkpoint; returns (model, meta, arrays).
-
-        ``expect_config`` (e.g. from a config file) must agree with the
-        stored config exactly.
-        """
+        A checkpoint without one of the model's parameters raises
+        ``ValueError`` naming ``path``."""
         config_dict, meta, arrays = ckpt.load_checkpoint(path)
         config = ModelConfig(**drop_retired(config_dict, RETIRED_MODEL_KEYS, path))
-        if expect_config is not None and config != expect_config:
-            diffs = [k for k in asdict(config)
-                     if asdict(config)[k] != asdict(expect_config)[k]]
-            raise ValueError(f"checkpoint config conflicts with expected config "
-                             f"on {diffs}")
         model = cls(config, seed=0)
-        ckpt.restore_params(model.params, arrays)
+        try:
+            ckpt.restore_params(model.params, arrays)
+        except KeyError as e:
+            raise ValueError(f"{path}: {e.args[0]}") from None
         return model, meta, arrays

@@ -48,9 +48,10 @@ makes that row step once, as a :class:`PredRows` (from
 :meth:`PredictionNetwork.row_step`) that holds each block's fused
 ``[w_q | w_k | w_v]`` and the row-tile pad, and passes it to every advance.
 Each new row writes its key and value into its own child cache and attends
-over that cache alone. A chain of states grows one buffer per block in place
-(:class:`PredState`), so an emission copies no prefix; only a second child
-of one state copies its parent's rows.
+over that cache alone. A state is a length into its cache, one buffer per
+block (:class:`PredState`), and a chain of states grows that cache in place,
+so an emission copies no prefix; only a second child of one state copies its
+parent's rows.
 """
 
 import math
@@ -146,25 +147,21 @@ def tile_len(m: int) -> int:
     return m + (-m % 4)
 
 
-def pe_frequencies(d_m: int) -> np.ndarray:
-    """The frequencies 1 / 10000^(2i/d_m) of :func:`positional_encoding`."""
-    if d_m % 2:
-        raise ValueError(f"positional encoding needs even width, got {d_m}")
-    return np.power(10000.0, -np.arange(0, d_m, 2, dtype=np.float64) / d_m)
-
-
-def positional_encoding(positions, d_m: int, freqs=None) -> np.ndarray:
+def positional_encoding(positions, d_m: int) -> np.ndarray:
     """Sine/cosine position table, one row per entry of ``positions``.
 
     Column 2i is sin(pos / 10000^(2i/d_m)), column 2i+1 the matching cos.
-    A whole sequence reads ``np.arange(n)``; a row step reads its one global
-    position. ``freqs``, :func:`pe_frequencies` of d_m, saves recomputing
-    them on every call.
+    A whole sequence reads ``np.arange(n)``; a decode stage reads a tile of
+    global positions. The d_m/2 frequencies are worked out on every call,
+    which costs little beside the sines and cosines. An odd d_m raises
+    ``ValueError``.
     """
     pos = np.asarray(positions, dtype=np.float64)
     if pos.ndim != 1 or pos.size < 1:
         raise ValueError("positional encoding needs at least one position")
-    angle = pos[:, None] * (pe_frequencies(d_m) if freqs is None else freqs)
+    if d_m % 2:
+        raise ValueError(f"positional encoding needs even width, got {d_m}")
+    angle = pos[:, None] * np.power(10000.0, -np.arange(0, d_m, 2, dtype=np.float64) / d_m)
     pe = np.empty((pos.size, d_m))
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle)
@@ -265,7 +262,6 @@ class Encoder:
                  n_blocks: int, chunk: ChunkSpec, rng):
         self.d_in, self.d_m, self.n_blocks = d_in, d_m, n_blocks
         self.chunk = chunk
-        self.pe_freqs = pe_frequencies(d_m)
         self.blocks = [SABlock(d_m, n_heads, d_ff, rng, f"enc.{i}") for i in range(n_blocks)]
         self.params = {
             "enc.in.w": glorot(rng, d_in, d_m),
@@ -288,7 +284,7 @@ class Encoder:
                                 f"(B, T, {self.d_in}), got {feats.shape}")
         if feats.shape[-1] != self.d_in:
             raise ad.ShapeError(f"encoder expects width {self.d_in}, got {feats.shape}")
-        pe = positional_encoding(np.arange(feats.shape[-2]), self.d_m, self.pe_freqs)
+        pe = positional_encoding(np.arange(feats.shape[-2]), self.d_m)
         x = ad.add(ad.matmul(feats, self.params["enc.in.w"]), self.params["enc.in.b"])
         x = ad.add(x, Tensor(pe))
         x = ad.dropout(x, dropout_rate, rng, training)
@@ -342,7 +338,7 @@ def _input_rows(encoder: Encoder, stacked, total):
         if x.shape[1:] != (encoder.d_in,):
             raise ad.ShapeError(f"encoder expects width {encoder.d_in}, got rows of {x.shape[1:]}")
         if t % _ROW_TILE == 0:
-            pe = positional_encoding(np.arange(t, t + _ROW_TILE), encoder.d_m, encoder.pe_freqs)
+            pe = positional_encoding(np.arange(t, t + _ROW_TILE), encoder.d_m)
         yield (row_tile(x, pad) @ w_in)[:len(x)] + b_in + pe[t % _ROW_TILE:][:len(x)]
         t += len(x)
 
@@ -428,7 +424,6 @@ class PredictionNetwork:
     def __init__(self, vocab_size: int, d_m: int, n_heads: int, d_ff: int,
                  n_blocks: int, rng):
         self.vocab_size, self.d_m, self.n_blocks = vocab_size, d_m, n_blocks
-        self.pe_freqs = pe_frequencies(d_m)
         # Positional-encoding rows for the row step, replaced by a longer
         # table on demand; a row has the bits it has alone.
         self._pe = np.empty((0, d_m))
@@ -445,7 +440,7 @@ class PredictionNetwork:
         ids = _label_ids(labels)
         n = ids.shape[-1]
         x = ad.scale(ad.index_rows(self.params["pred.emb"], ids), math.sqrt(self.d_m))
-        x = ad.add(x, Tensor(positional_encoding(np.arange(n), self.d_m, self.pe_freqs)))
+        x = ad.add(x, Tensor(positional_encoding(np.arange(n), self.d_m)))
         x = ad.dropout(x, dropout_rate, rng, training)
         for block in self.blocks:
             x = block(x, CAUSAL, None, dropout_rate, rng, training)
@@ -457,8 +452,10 @@ class PredictionNetwork:
         return PredRows(self, rows)
 
     def init_state(self, step: "PredRows" = None):
-        """Decode state of the empty prefix (the start token alone)."""
-        return self.advance_np(PredState([None] * self.n_blocks, 0, None), None, step)
+        """Decode state of the empty prefix (the start token alone), written
+        in place into a new, empty cache."""
+        empty = _KVCache(self.n_blocks, 2 * self.d_m, _MIN_CACHE_ROWS)
+        return self.advance_np(PredState(empty, 0, None), None, step)
 
     def advance_np(self, state: "PredState", token, step: "PredRows" = None) -> "PredState":
         """Extend a decode state by one token (None = the start token): a
@@ -500,7 +497,7 @@ class PredictionNetwork:
         table kept on the network and replaced by one twice as long on
         demand; a row has the bits it has alone."""
         if length > len(self._pe):
-            self._pe = positional_encoding(np.arange(2 * length - 1), self.d_m, self.pe_freqs)
+            self._pe = positional_encoding(np.arange(2 * length - 1), self.d_m)
         return self._pe
 
 
@@ -528,19 +525,17 @@ class PredRows:
 
     def advance_one(self, state: "PredState", token: int) -> "PredState":
         """One state's child by ``token``: :meth:`advance_group`'s
-        arithmetic for one row, without its per-row lists."""
+        arithmetic for one row, without its loop over rows."""
         d, length = self.d, state.length
         x = self.emb[token:token + 1] + self.net._positions(length + 1)[length]
-        cache = _KVCache.for_child(state, 2 * d)
-        layers = []
+        cache = _KVCache.for_child(state)
         for block, w_qkv, buf in zip(self.net.blocks, self.w_qkv, cache.bufs):
             qkv = row_tile(x, self.pad) @ w_qkv
             win = buf[:length + 1]
             win[length] = qkv[0, d:]
-            layers.append(win)
             ctx = block.context_np(qkv[:1, :d], win[:, :d], win[:, d:])
             x = block.output_np(x, ctx, self.pad)
-        return PredState(layers, length + 1, x[0], cache)
+        return PredState(cache, length + 1, x[0])
 
     def advance_group(self, states, ids) -> list:
         """Each state's child by its token, for two states or more. Each
@@ -553,18 +548,16 @@ class PredRows:
         lengths = [state.length for state in states]
         x = self.emb.take(ids, 0)
         x += self.net._positions(max(lengths) + 1).take(lengths, 0)
-        caches = [_KVCache.for_child(state, 2 * d) for state in states]
-        layers = [[] for _ in range(n)]
+        caches = [_KVCache.for_child(state) for state in states]
         ctx = np.empty((n, d))
         for b, (block, w_qkv) in enumerate(zip(self.net.blocks, self.w_qkv)):
             qkv = (row_tile(x, self.pad) @ w_qkv)[:n]
             for i, (cache, length) in enumerate(zip(caches, lengths)):
                 win = cache.bufs[b][:length + 1]
                 win[length] = qkv[i, d:]
-                layers[i].append(win)
                 ctx[i:i + 1] = block.context_np(qkv[i:i + 1, :d], win[:, :d], win[:, d:])
             x = block.output_np(x, ctx, self.pad)
-        return [PredState(layers[i], lengths[i] + 1, x[i], caches[i]) for i in range(n)]
+        return [PredState(cache, length + 1, row) for cache, length, row in zip(caches, lengths, x)]
 
 
 def _label_ids(labels) -> np.ndarray:
@@ -581,28 +574,29 @@ def _label_ids(labels) -> np.ndarray:
 
 @dataclass
 class PredState:
-    """Prediction-network cache for one decode prefix.
+    """Prediction-network state of one decode prefix: the first ``length``
+    rows of its :class:`_KVCache`, and ``g``, the top block's output for the
+    newest position, the vector the joint network reads.
 
-    ``layers[i]`` holds block i's [key | value] projections, one row per
-    prefix position (``length`` rows); ``g`` is the top block's output for
-    the newest position, the vector the joint network reads. States are
-    immutable: advancing returns a new one, and the rows a state exposes
-    never change, so beam hypotheses can share ancestors safely.
-
-    ``cache``, when set, is the :class:`_KVCache` whose buffers ``layers``
-    views. It may be shared with descendants: a state that owns the
-    cache's tail (its ``length`` equals the rows written) lets its child
-    write the next row in place, past every row the state exposes, and the
-    child then owns the tail. A state built without a cache, or one whose
-    cache is full or already extended by another child (a sibling earlier
-    in the same call included), gives its child a copy of its rows in a new
-    cache.
+    ``layers[i]``, read-only and made on each read, is a view of block i's
+    [key | value] projections, one row per prefix position. States are
+    immutable: advancing returns a new one,
+    and the rows a state exposes never change, so beam hypotheses can share
+    ancestors safely. A cache may be shared with descendants: a state that
+    owns the cache's tail (its ``length`` equals the rows written) lets its
+    child write the next row in place, past every row the state exposes,
+    and the child then owns the tail. A state whose cache is full or already
+    extended by another child (a sibling earlier in the same call included)
+    gives its child a copy of its rows in a new cache.
     """
 
-    layers: list
+    cache: "_KVCache"
     length: int
     g: np.ndarray
-    cache: "_KVCache" = None
+
+    @property
+    def layers(self) -> list:
+        return [buf[:self.length] for buf in self.cache.bufs]
 
 
 # Fewest rows a new cache buffer holds; a full buffer is replaced by one of
@@ -612,16 +606,17 @@ _MIN_CACHE_ROWS = 16
 
 class _KVCache:
     """Growable [key | value] rows of a chain of decode states: ``bufs[b]``
-    is block b's (``cap``, 2 d_m) buffer, of which the first ``n`` rows are
-    written."""
+    is block b's (``cap``, width) buffer, of which the first ``n`` rows are
+    written. A new cache has none written."""
 
     __slots__ = ("bufs", "n", "cap")
 
-    def __init__(self, bufs: list, n: int, cap: int):
-        self.bufs, self.n, self.cap = bufs, n, cap
+    def __init__(self, n_blocks: int, width: int, cap: int):
+        self.bufs = [np.empty((cap, width)) for _ in range(n_blocks)]
+        self.n, self.cap = 0, cap
 
     @classmethod
-    def for_child(cls, state: PredState, width: int) -> "_KVCache":
+    def for_child(cls, state: PredState) -> "_KVCache":
         """The cache into which ``state``'s child writes row ``state.length``:
         ``state``'s own when the state owns its tail and the buffers have
         room, otherwise a new one holding a copy of ``state``'s rows. Either
@@ -629,14 +624,12 @@ class _KVCache:
         the tail from here on, and a second child of ``state`` gets a
         copy."""
         cache, length = state.cache, state.length
-        if cache is not None and cache.n == length < cache.cap:
+        if cache.n == length < cache.cap:
             cache.n = length + 1
             return cache
         cap = max(_MIN_CACHE_ROWS, 2 * (length + 1))
-        bufs = []
-        for layer in state.layers:
-            buf = np.empty((cap, width))
-            if length:
-                buf[:length] = layer
-            bufs.append(buf)
-        return cls(bufs, length + 1, cap)
+        child = cls(len(cache.bufs), cache.bufs[0].shape[1], cap)
+        for buf, rows in zip(child.bufs, state.layers):
+            buf[:length] = rows
+        child.n = length + 1
+        return child

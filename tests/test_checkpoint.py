@@ -1,6 +1,8 @@
 """Checkpoint container: bitwise round trips, validation, RNG snapshots,
 and the committed checkpoint that pins the format."""
 
+import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -131,12 +133,39 @@ def test_a_malformed_header_names_the_file(tmp_path, header, want):
         load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("change", [
+    {"name": None}, {"shape": None}, {"dtype": None}, {"offset": None},
+    {"dtype": "nope"}, {"dtype": "object"}, {"offset": -8}, {"shape": [-3]},
+], ids=["no-name", "no-shape", "no-dtype", "no-offset", "unknown-dtype", "object-dtype",
+        "negative-offset", "negative-dim"])
+def test_a_malformed_manifest_entry_names_the_file(tmp_path, change):
+    # each entry save_checkpoint never writes: a key missing (None here), a
+    # dtype numpy does not know or that is not numeric, a negative offset or
+    # a negative dim
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(good, {"w": np.arange(6.0)}, {})
+    blob = good.read_bytes()
+    hlen = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:16 + hlen])
+    entry = header["manifest"][0]
+    for key, value in change.items():
+        if value is None:
+            del entry[key]
+        else:
+            entry[key] = value
+    raw = json.dumps(header).encode()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b"SATKIT01" + len(raw).to_bytes(8, "little") + raw + blob[16 + hlen:])
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(bad)
+    assert str(err.value).startswith(f"{bad}: ")
+
+
 def test_rng_state_round_trip():
     rng = np.random.default_rng(123)
     rng.normal(size=17)  # advance away from the seed state
     meta = rng_state_to_meta(rng)
     # survives JSON (the 128-bit state is stringified)
-    import json
     meta = json.loads(json.dumps(meta))
     clone = rng_state_from_meta(meta)
     np.testing.assert_array_equal(clone.normal(size=10), rng.normal(size=10))
@@ -154,12 +183,18 @@ def test_model_save_load_round_trip(tmp_path):
     assert back.config == cfg
     for name, p in model.params.items():
         assert back.params[name].data.tobytes() == p.data.tobytes()
-    # config conflict is refused, not reinterpreted
-    other = ModelConfig(feature_dim=3, d_m=8, n_heads=2, d_ff=16,
-                        n_enc_blocks=1, n_pred_blocks=1, d_joint=8,
-                        vocab_size=6)
-    with pytest.raises(ValueError, match="vocab_size"):
-        SATModel.load(tmp_path / "m.ckpt", expect_config=other)
+
+
+def test_a_missing_parameter_names_the_file(tmp_path):
+    cfg = ModelConfig(feature_dim=3, d_m=8, n_heads=2, d_ff=16,
+                      n_enc_blocks=1, n_pred_blocks=1, d_joint=8, vocab_size=5)
+    model = SATModel(cfg, seed=4)
+    arrays = {k: v for k, v in model.params.items() if k != "joint.w_out"}
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, arrays, asdict(cfg))
+    with pytest.raises(ValueError) as err:
+        SATModel.load(path)
+    assert str(err.value) == f"{path}: checkpoint is missing parameter 'joint.w_out'"
 
 
 FIXTURE = Path(__file__).resolve().parents[1] / "satbench" / "fixture" / "decode.ckpt"

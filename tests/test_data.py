@@ -1,6 +1,7 @@
 """Feature pipeline, synthetic tasks, file formats, batching."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -379,6 +380,16 @@ def test_feats_round_trip_and_errors(tmp_path):
         (tmp_path / f"cut{end}.sf").write_bytes(blob[:end])
         with pytest.raises(ValueError, match=f"cut{end}.sf: truncated"):
             read_feats(tmp_path / f"cut{end}.sf")
+
+
+def test_feats_header_is_checked_against_the_file_size(tmp_path):
+    # a header claiming 2^20 x 2^20 values over a few bytes is refused
+    # before any read, not met with a 4 TiB allocation
+    p = tmp_path / "huge.sf"
+    p.write_bytes(b"SATFEAT1" + struct.pack("<II", 1 << 20, 1 << 20) + b"\x00" * 12)
+    with pytest.raises(ValueError, match=r"huge\.sf: truncated feature payload \(the header "
+                                         r"claims 1048576 x 1048576 values, 12 bytes follow\)"):
+        read_feats(p)
 
 
 def test_feats_with_no_frames_are_rejected(tmp_path):

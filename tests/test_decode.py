@@ -832,3 +832,24 @@ def test_decode_chunk_override_changes_rows():
     model.encoder.chunk = ChunkSpec(4, 2)
     wider = greedy_trace(model, x)[2]
     assert any(not np.array_equal(a[2], b[2]) for a, b in zip(base, wider))
+
+
+def test_the_names_satbench_reads_still_exist():
+    # satbench drives satkit from outside and wraps these names to time
+    # them; a refactor that drops one breaks the benchmark, not this suite
+    import satkit
+    from satkit import autodiff, kernels, train
+    from satkit.lattice import JointNetwork
+    from satkit.ngram import NgramModel
+    from satkit.nnet import PredictionNetwork
+
+    assert isinstance(satkit.LATTICE_BACKEND, str)
+    for owner, name in ((PredictionNetwork, "__call__"), (PredictionNetwork, "init_state"),
+                        (PredictionNetwork, "advance_np"), (JointNetwork, "lattice"),
+                        (NgramModel, "score"), (Hypothesis, "combined"),
+                        (kernels, "forward_backward"), (autodiff, "backward"),
+                        (train, "make_batches")):
+        assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
+    net = PredictionNetwork(9, 8, 2, 16, 3, np.random.default_rng(0))
+    state = net.advance_np(net.init_state(), 4)
+    assert [layer.shape for layer in state.layers] == [(2, 16)] * 3

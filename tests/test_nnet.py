@@ -17,7 +17,7 @@ from satkit.model import ModelConfig
 from satkit.nnet import (CAUSAL, LN_EPS, ChunkSpec, Encoder, encoder_tiles,
                          PredictionNetwork, PredState, SABlock, glorot,
                          positional_encoding, row_tile, tile_len)
-from unfused import advance_per_call, encoder_rows_per_call, softmax_lastdim
+from unfused import PerCallState, advance_per_call, encoder_rows_per_call, softmax_lastdim
 
 
 def window_mask(n_q: int, n_kv: int, chunk: ChunkSpec, q_offset: int = 0) -> np.ndarray:
@@ -132,8 +132,8 @@ def test_positional_encoding_start_offset_is_exact():
 
 
 def test_positional_encoding_rows_keep_their_bits():
-    # rows built from a network's precomputed frequencies equal the formula
-    # that recomputes them per call, at the first rows and deep into a stream
+    # rows equal the closed form built here, at the first rows and deep
+    # into a stream
     def per_call(length, d_m, start):
         pos = np.arange(start, start + length, dtype=np.float64)[:, None]
         inv = np.power(10000.0, -np.arange(0, d_m, 2, dtype=np.float64) / d_m)
@@ -142,15 +142,10 @@ def test_positional_encoding_rows_keep_their_bits():
         pe[:, 1::2] = np.cos(pos * inv)
         return pe
 
-    rng = np.random.default_rng(18)
-    enc = Encoder(6, 16, 2, 16, 1, ChunkSpec(2, 1), rng)
-    net = PredictionNetwork(9, 16, 2, 16, 1, rng)
-    for freqs in (enc.pe_freqs, net.pe_freqs, None):
-        for start in (0, 1, 12_000):
-            for length in (1, 5):
-                positions = np.arange(start, start + length)
-                np.testing.assert_array_equal(positional_encoding(positions, 16, freqs),
-                                              per_call(length, 16, start))
+    for start in (0, 1, 12_000):
+        for length in (1, 5):
+            np.testing.assert_array_equal(positional_encoding(np.arange(start, start + length), 16),
+                                          per_call(length, 16, start))
 
 
 def test_positional_encoding_errors():
@@ -652,7 +647,7 @@ def test_prediction_state_keeps_per_call_bits():
     net = PredictionNetwork(9, 8, 2, 16, 2, rng)
     state = want = net.init_state()
     assert np.array_equal(state.g, advance_per_call(
-        net, PredState([None] * net.n_blocks, 0, None), None).g)
+        net, PerCallState([None] * net.n_blocks, 0, None), None).g)
     for tok in (4, 2, 8, 3, 5, 1):
         state, want = net.advance_np(state, tok), advance_per_call(net, want, tok)
         assert np.array_equal(state.g, want.g)
@@ -665,7 +660,7 @@ def test_advance_many_matches_one_at_a_time(d_m, heads, d_ff, n_blocks):
     # 0-40 and batches of 1-9: each gets the bits of advance_np alone
     rng = np.random.default_rng(24 + d_m)
     net = PredictionNetwork(9, d_m, heads, d_ff, n_blocks, rng)
-    empty = PredState([None] * n_blocks, 0, None)
+    empty = PredState(nnet._KVCache(n_blocks, 2 * d_m, nnet._MIN_CACHE_ROWS), 0, None)
     chain = [empty, net.init_state()]
     while len(chain) < 41:
         chain.append(net.advance_np(chain[-1], int(rng.integers(2, 9))))
@@ -798,20 +793,6 @@ def test_sibling_rows_in_one_call_share_the_parent_tail_once():
         want = advance_per_call(net, parent, tok)
         assert np.array_equal(state.g, want.g)
         assert all(np.array_equal(a, b) for a, b in zip(state.layers, want.layers))
-
-
-def test_prediction_state_without_cache_advances():
-    # a state built from plain arrays, as the per-call oracle builds one,
-    # advances by copying its rows
-    rng = np.random.default_rng(30)
-    net = PredictionNetwork(9, 8, 2, 16, 2, rng)
-    oracle = advance_per_call(net, PredState([None] * net.n_blocks, 0, None), None)
-    want = net.init_state()
-    for tok in (4, 2, 8):
-        oracle, want = advance_per_call(net, oracle, tok), net.advance_np(want, tok)
-        assert oracle.cache is None
-        got = net.advance_np(oracle, 5)
-        assert np.array_equal(got.g, net.advance_np(want, 5).g)
 
 
 def test_prediction_advance_copies_no_prefix():

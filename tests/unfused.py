@@ -28,18 +28,20 @@ for all its rows and the encoder computed one row per call: the bits that
 encoder rows keep away from the sequence ends, and prediction states keep
 everywhere. Each weight product runs over the call's rows padded with zero
 rows to a multiple of 4 (``tile_product``), the four-row rule under which a
-row's bits do not depend on its neighbours.
+row's bits do not depend on its neighbours. ``advance_per_call`` keeps its
+states as plain arrays, in its own :class:`PerCallState`.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from satkit import autodiff as ad
 from satkit.autodiff import LOG_ZERO, ShapeError, Tensor
 from satkit.lattice import PosteriorLattice, forward_backward_arrays, transducer_loss
-from satkit.nnet import LN_EPS, PredState, encoder_tiles, positional_encoding
+from satkit.nnet import LN_EPS, encoder_tiles, positional_encoding
 from satkit.pathreg import ParConfig
 from satkit.vocab import BLANK, SOS
 
@@ -254,7 +256,7 @@ def encoder_rows_per_call(encoder, stacked) -> np.ndarray:
     left, right = int(encoder.chunk.left), int(encoder.chunk.right)
     w_in, b_in = encoder.params["enc.in.w"].data, encoder.params["enc.in.b"].data
     rows = [tile_product(x[None], w_in)[0] + b_in
-            + positional_encoding([t], encoder.d_m, encoder.pe_freqs)[0]
+            + positional_encoding([t], encoder.d_m)[0]
             for t, x in enumerate(stacked)]
     d = encoder.d_m
     for block in encoder.blocks:
@@ -267,11 +269,23 @@ def encoder_rows_per_call(encoder, stacked) -> np.ndarray:
     return np.stack(rows)
 
 
+@dataclass
+class PerCallState:
+    """What :func:`advance_per_call` reads of a state and returns: one
+    [key | value] row array per block (None for each block of the empty
+    root), the prefix length and the top block's newest row."""
+
+    layers: list
+    length: int
+    g: np.ndarray
+
+
 def advance_per_call(net, state, token):
-    """``PredictionNetwork.advance_np`` through :func:`apply_kv_per_call`."""
+    """``PredictionNetwork.advance_np`` through :func:`apply_kv_per_call`,
+    from a :class:`PerCallState` or a network's ``PredState``."""
     tok = SOS if token is None else int(token)
     x = net.params["pred.emb"].data[tok] * math.sqrt(net.d_m)
-    x = (x + positional_encoding([state.length], net.d_m, net.pe_freqs)[0])[None, :]
+    x = (x + positional_encoding([state.length], net.d_m)[0])[None, :]
     layers, d = [], net.d_m
     for block, cache in zip(net.blocks, state.layers):
         kv = _kv_per_call(block, x[0])[None]
@@ -279,7 +293,7 @@ def advance_per_call(net, state, token):
             kv = np.concatenate([cache, kv], axis=0)
         layers.append(kv)
         x = apply_kv_per_call(block, x, kv[:, :d], kv[:, d:])
-    return PredState(layers, state.length + 1, x[0])
+    return PerCallState(layers, state.length + 1, x[0])
 
 
 def sgd_step(params: dict, velocity: dict, lr: float, momentum: float) -> None:

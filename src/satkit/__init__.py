@@ -9,7 +9,7 @@ shallow fusion, synthetic datakit, and a CLI.
 from .lattice import PosteriorLattice, transducer_loss
 from .model import ModelConfig, SATModel
 from .nnet import ChunkSpec
-from .pathreg import ParConfig, build_path, joint_loss, par_loss
+from .pathreg import ParConfig, build_path, joint_loss
 from .vocab import BLANK, SOS, UNK, Vocab
 
 __version__ = "0.1.0"
@@ -20,5 +20,5 @@ LATTICE_BACKEND = "numpy"
 __all__ = [
     "BLANK", "SOS", "UNK", "Vocab", "ChunkSpec", "ModelConfig", "SATModel",
     "PosteriorLattice", "transducer_loss", "ParConfig", "build_path",
-    "par_loss", "joint_loss", "LATTICE_BACKEND", "__version__",
+    "joint_loss", "LATTICE_BACKEND", "__version__",
 ]

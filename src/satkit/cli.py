@@ -23,7 +23,7 @@ from .decode import (DecodeConfig, beam_decode, corpus_cer, greedy_trace,
                      stacked_stream)
 from .model import ModelConfig, SATModel
 from .train import TrainConfig, Trainer
-from .vocab import BLANK, Vocab
+from .vocab import BLANK, Vocab, open_text
 
 
 def _add_model_flags(p):
@@ -194,7 +194,7 @@ def cmd_eval_cer(args) -> int:
 
 def cmd_lm_train(args) -> int:
     corpus = []
-    with open(args.text, encoding="utf-8") as f:
+    with open_text(args.text) as f:
         for line in f:
             toks = line.split()
             if args.skip_utt_ids:

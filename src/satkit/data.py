@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .vocab import BLANK, RESERVED, Vocab
+from .vocab import BLANK, RESERVED, Vocab, open_text
 
 FEAT_MAGIC = b"SATFEAT1"
 SIL = "sil"
@@ -265,11 +265,14 @@ def write_token_file(path, entries) -> None:
 
 
 def read_token_file(path) -> dict:
+    """utt_id -> tokens; an id on two lines raises ``ValueError`` naming it."""
     out = {}
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for line in f:
             parts = line.split()
             if parts:
+                if parts[0] in out:
+                    raise ValueError(f"{path}: utterance {parts[0]!r} appears twice")
                 out[parts[0]] = parts[1:]
     return out
 
@@ -294,13 +297,11 @@ def load_dataset(dirpath):
         raise FileNotFoundError(f"no text file under {d}")
     text = read_token_file(d / "text")
     aligns = read_token_file(d / "align") if (d / "align").exists() else {}
-    utt2spk = {}
-    if (d / "utt2spk").exists():
-        with open(d / "utt2spk", encoding="utf-8") as f:
-            for line in f:
-                parts = line.split()
-                if parts:
-                    utt2spk[parts[0]] = parts[1]
+    utt2spk = read_token_file(d / "utt2spk") if (d / "utt2spk").exists() else {}
+    for utt_id, rest in utt2spk.items():
+        if len(rest) != 1:
+            raise ValueError(f"{d / 'utt2spk'}: line {' '.join([utt_id] + rest)!r} "
+                             f"needs one speaker after the utterance id")
     utts = []
     for utt_id in text:
         utts.append(Utterance(
@@ -308,7 +309,7 @@ def load_dataset(dirpath):
             feats=read_feats(d / "feats" / f"{utt_id}.sf"),
             targets=text[utt_id],
             alignment=aligns.get(utt_id),
-            speaker=utt2spk.get(utt_id, "global"),
+            speaker=utt2spk[utt_id][0] if utt_id in utt2spk else "global",
         ))
     return utts
 

@@ -16,6 +16,7 @@ from .autodiff import Tensor
 from .data import check_stacking
 from .lattice import JointNetwork, PosteriorLattice
 from .nnet import ChunkSpec, Encoder, PredictionNetwork
+from .vocab import open_text
 
 
 @dataclass
@@ -75,7 +76,7 @@ class ModelConfig:
         that starts with the path."""
         fields = {f: t for f, t in cls.__annotations__.items()}
         raw = {}
-        with open(path, encoding="utf-8") as f:
+        with open_text(path) as f:
             for line in f:
                 line = line.split("#", 1)[0].strip()
                 if not line:

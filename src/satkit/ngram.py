@@ -15,6 +15,8 @@ from collections import Counter
 
 import numpy as np
 
+from .vocab import open_text
+
 BOS = "<s>"
 EOS = "</s>"
 UNK_TOK = "<unk>"
@@ -98,7 +100,7 @@ class NgramModel:
     def load(cls, path):
         """Read a model that :meth:`save` wrote. A cut or malformed file
         raises ``ValueError`` that starts with the path."""
-        with open(path, encoding="utf-8") as f:
+        with open_text(path) as f:
             if f.readline().strip() != MAGIC:
                 raise ValueError(f"{path}: not a language model file")
 
@@ -122,6 +124,8 @@ class NgramModel:
                     parts = fields()
                     n = int(parts[0])
                     backoffs[tuple(parts[1:1 + n])] = float(parts[1 + n])
+            except UnicodeDecodeError:
+                raise  # open_text names the path
             except (IndexError, ValueError) as e:
                 raise ValueError(f"{path}: cut or malformed language model file "
                                  f"({e})") from None

@@ -6,11 +6,12 @@ per-node cross-entropy along that path, each node weighted by
 w = 1 - p(blank | t, u) so confidently-blank nodes contribute nothing.
 
 The regularizer reads only the token and blank cells of the T+U aligned
-nodes, gathered from the log-prob array. :func:`joint_loss`, which training
-runs, is the lattice's one kernel-loss op with beta * PAR added: one kernel
-call gives the transducer loss and its gradient, and the op's vjp scales
-that gradient in place and lets the regularizer add its terms into it, so
-the kernel's gradient is the only grid-sized cotangent of a step.
+nodes, gathered from the log-prob array, by :func:`_par_terms` alone.
+:func:`joint_loss`, which training runs, is the lattice's one kernel-loss
+op with beta * PAR added, and PAR has no op of its own: one kernel call
+gives the transducer loss and its gradient, and the op's vjp scales that
+gradient in place and lets the regularizer add its terms into it, so the
+kernel's gradient is the only grid-sized cotangent of a step.
 """
 
 import math
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .lattice import PosteriorLattice, _kernel_loss, transducer_loss
 from .vocab import BLANK
@@ -122,25 +122,6 @@ def _par_terms(lat: PosteriorLattice, path, cfg: ParConfig):
             np.add.at(flat, blank_at, gi * tok_lp * e)
 
     return (values if batched else values.reshape(())), add_grad
-
-
-def par_loss(lat: PosteriorLattice, path, cfg: ParConfig = None) -> Tensor:
-    """-sum over path triples of (1 - p(blank|t,u)) * log p(token|t,u).
-
-    One lattice and its path give a scalar; a lattice batch and a list of
-    B paths give the (B,) per-utterance sums. Only the token and blank
-    cells of the T+U aligned nodes are read. ``detach_weight`` (default)
-    treats the weights as constants in the gradient.
-    """
-    values, add_grad = _par_terms(lat, path, cfg or ParConfig())
-    shape = lat.log_probs.shape
-
-    def vjp(g):
-        grad = np.zeros(shape)
-        add_grad(grad.reshape(-1), g.reshape(-1))
-        return (grad,)
-
-    return ad.op_result(values, (lat.log_probs,), vjp)
 
 
 def _regularized(lat: PosteriorLattice, path, cfg: ParConfig, validate: bool):

@@ -4,10 +4,23 @@ Id 0 is the blank, id 1 the start symbol fed to the prediction network,
 id 2 the unknown-token bucket. User tokens follow in the order given.
 """
 
+from contextlib import contextmanager
+
 BLANK = 0
 SOS = 1
 UNK = 2
 RESERVED = ("<blank>", "<sos>", "<unk>")
+
+
+@contextmanager
+def open_text(path):
+    """``open(path)`` for reading UTF-8 text: a byte that is not UTF-8, met
+    in the ``with`` body, raises ``ValueError`` that starts with the path."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not UTF-8 text ({e})") from None
 
 
 class Vocab:
@@ -27,8 +40,12 @@ class Vocab:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as f:
-            return cls([line.strip() for line in f if line.strip()])
+        with open_text(path) as f:
+            tokens = [line.strip() for line in f if line.strip()]
+        try:
+            return cls(tokens)
+        except ValueError as e:  # a repeated token or no reserved prefix
+            raise ValueError(f"{path}: {e}") from None
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as f:

@@ -336,6 +336,13 @@ def test_lm_train(data_dir, tmp_path, capsys):
                for tok in lm.vocab)
 
 
+def test_lm_train_names_a_corpus_that_is_not_utf8(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(b"a b\n\xff c\n")
+    assert main(["lm-train", "--text", str(corpus), "--out", str(tmp_path / "lm.txt")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {corpus}: not UTF-8 text")
+
+
 def test_lm_fusion_decode(run_dir, data_dir, tmp_path):
     lm = tmp_path / "lm.txt"
     main(["lm-train", "--text", f"{data_dir}/train/text", "--skip-utt-ids",

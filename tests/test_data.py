@@ -1,6 +1,7 @@
 """Feature pipeline, synthetic tasks, file formats, batching."""
 
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -14,6 +15,9 @@ from satkit.data import (SIL, SPLIT_INDEX, TaskSpec, Utterance, _templates,
                          read_feats, read_token_file, save_dataset,
                          stack_downsample, stream_stack, write_feats,
                          write_token_file)
+from satkit.model import ModelConfig
+from satkit.ngram import NgramModel
+from satkit.ngram import train as lm_train
 from satkit.vocab import BLANK, Vocab
 
 
@@ -433,6 +437,72 @@ def test_load_dataset_closes_utt2spk(tmp_path):
         load_dataset(tmp_path / "dev")
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def _dev_set(tmp_path):
+    spec = TaskSpec(vocab_size=5, feature_dim=3, noise=0.1, seed=11)
+    save_dataset(tmp_path / "dev", generate_split(spec, 2, "dev"))
+    return tmp_path / "dev"
+
+
+def test_utt2spk_line_without_a_speaker_names_the_file_and_the_line(tmp_path):
+    d = _dev_set(tmp_path)
+    first = load_dataset(d)[0].utt_id
+    (d / "utt2spk").write_text(f"{first}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{d / 'utt2spk'}: line '{first}' needs one speaker")):
+        load_dataset(d)
+
+
+@pytest.mark.parametrize("name", ["text", "align", "utt2spk"])
+def test_a_repeated_utterance_id_is_refused(tmp_path, name):
+    d = _dev_set(tmp_path)
+    lines = (d / name).read_text(encoding="utf-8").splitlines()
+    (d / name).write_text("\n".join(lines + [lines[0]]) + "\n", encoding="utf-8")
+    utt = lines[0].split()[0]
+    with pytest.raises(ValueError, match=re.escape(
+            f"{d / name}: utterance '{utt}' appears twice")):
+        load_dataset(d)
+    (tmp_path / "ref").write_text("u1 a b\nu1 c\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="ref: utterance 'u1' appears twice"):
+        read_token_file(tmp_path / "ref")
+
+
+def _not_utf8(path):
+    """Put a byte that no UTF-8 text holds in the middle of ``path``."""
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2] + b"\xff" + data[len(data) // 2:])
+
+
+@pytest.mark.parametrize("case", ["model-config", "vocab", "vocab-duplicate",
+                                  "vocab-reserved", "lm", "text", "utt2spk"])
+def test_a_bad_text_file_fails_naming_the_file(tmp_path, case):
+    d = _dev_set(tmp_path)
+    ModelConfig(d_m=8).save(tmp_path / "model.config")
+    Vocab.build(["a", "b"]).save(tmp_path / "vocab.txt")
+    # Big enough that the middle byte lies past the reader's first buffer,
+    # inside the body NgramModel.load parses.
+    corpus = [[f"t{(i * j + j * j) % 40}" for j in range(30)] for i in range(40)]
+    lm_train(corpus, order=3).save(tmp_path / "lm.txt")
+    path, load = {
+        "model-config": (tmp_path / "model.config", ModelConfig.load),
+        "vocab": (tmp_path / "vocab.txt", Vocab.load),
+        "vocab-duplicate": (tmp_path / "vocab.txt", Vocab.load),
+        "vocab-reserved": (tmp_path / "vocab.txt", Vocab.load),
+        "lm": (tmp_path / "lm.txt", NgramModel.load),
+        "text": (d / "text", read_token_file),
+        "utt2spk": (d / "utt2spk", lambda _: load_dataset(d)),
+    }[case]
+    if case == "vocab-duplicate":
+        path.write_text("<blank>\n<sos>\n<unk>\na\na\n", encoding="utf-8")
+    elif case == "vocab-reserved":
+        path.write_text("a\n<blank>\n<sos>\n<unk>\n", encoding="utf-8")
+    else:
+        _not_utf8(path)
+    reason = "" if case.startswith("vocab-") else "not UTF-8 text ("
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {reason}")) as err:
+        load(path)
+    assert not isinstance(err.value, UnicodeError)
 
 
 # ------------------------------------------------------------------- batching

@@ -347,7 +347,7 @@ def _assert_matches_reference(model, x, lm=None, vocab=None, cfg=None, tag=None)
 def test_beam_matches_reference_oracle(caplog):
     caplog.set_level(logging.ERROR, logger="satkit.decode")
     vocab, lm = lm_fixture()
-    fusions = [(None, 0.0), (lm, 0.0), (lm, 0.5), (lm, 50.0)]
+    fusions = [(None, 0.0), (None, 0.5), (lm, 0.0), (lm, 0.5), (lm, 50.0)]
     for seed in range(10):
         model = tiny_model(seed=seed, vocab_size=vocab.size)
         x = random_stacked(model, t_len=5, seed=700 + seed)
@@ -368,10 +368,10 @@ def test_blank_dominant_beam_matches_reference_oracle():
     for utt in dev[:4]:
         x = stack_downsample(utt.feats.astype(np.float64), 3, 1, 3)
         for width in (1, 2, 4, 8):
-            for fused, weight in ((None, 0.0), (lm, 0.5), (lm, 50.0)):
+            for fused, weight in ((None, 0.0), (None, 0.5), (lm, 0.5), (lm, 50.0)):
                 cfg = DecodeConfig(beam_width=width, lm_weight=weight)
                 got = _assert_matches_reference(model, x, fused, vocab, cfg,
-                                                (utt.utt_id, width, weight))
+                                                (utt.utt_id, width, fused is None, weight))
                 multi_label += any(len(prefix) > 1 for prefix, _, _ in got)
     assert multi_label, "no hypothesis holds more than one label"
 

@@ -6,8 +6,8 @@ import pytest
 from satkit import autodiff as ad
 from satkit.autodiff import Tensor
 from satkit.lattice import PosteriorLattice, transducer_loss
-from satkit.pathreg import (AlignmentMismatch, ParConfig, build_path,
-                            joint_loss, par_loss)
+from satkit.pathreg import (AlignmentMismatch, ParConfig, _par_terms, build_path,
+                            joint_loss)
 import unfused
 
 PHI = 0  # blank id
@@ -75,6 +75,15 @@ def _path_for(lat, rng):
     return build_path(ali, y)
 
 
+def _par(lat, path, cfg=None, scale=1.0):
+    """PAR values, from the terms the loss op reads, and the log-prob
+    gradient of ``scale`` times their sum."""
+    values, add_grad = _par_terms(lat, path, cfg or ParConfig())
+    grad = np.zeros(lat.log_probs.shape)
+    add_grad(grad.reshape(-1), np.full(values.size, scale))
+    return values, grad
+
+
 def test_par_loss_scripted_oracle():
     rng = np.random.default_rng(1)
     for _ in range(10):
@@ -84,7 +93,7 @@ def test_par_loss_scripted_oracle():
         lp = lat.log_probs.data
         want = -sum((1.0 - np.exp(lp[t, u, PHI])) * lp[t, u, k]
                     for (t, u, k) in path.triples)
-        got = par_loss(lat, path).item()
+        got = _par(lat, path)[0].item()
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -99,7 +108,7 @@ def test_par_loss_perfect_path_is_zero():
         lp[t, u] = eps_row
         lp[t, u, k] = 0.0
     lat = PosteriorLattice(Tensor(lp), y)
-    assert par_loss(lat, path).item() == pytest.approx(0.0, abs=1e-12)
+    assert _par(lat, path)[0].item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_par_loss_certain_blank_contributes_nothing():
@@ -116,7 +125,7 @@ def test_par_loss_certain_blank_contributes_nothing():
     base_terms = [
         -(1.0 - np.exp(lp[tt, uu, PHI])) * lp[tt, uu, kk]
         for (tt, uu, kk) in path.triples if (tt, uu) != (t, u)]
-    assert par_loss(lat2, path).item() == pytest.approx(sum(base_terms), rel=1e-12)
+    assert _par(lat2, path)[0].item() == pytest.approx(sum(base_terms), rel=1e-12)
 
 
 def test_detached_weight_gradient():
@@ -125,9 +134,7 @@ def test_detached_weight_gradient():
     rng = np.random.default_rng(4)
     lat = _lattice(rng, 3, 2)
     path = _path_for(lat, rng)
-    lat.log_probs.requires_grad = True
-    par_loss(lat, path, ParConfig(detach_weight=True)).backward()
-    grad = lat.log_probs.grad.copy()
+    grad = _par(lat, path, ParConfig(detach_weight=True))[1]
     lp = lat.log_probs.data
     want = np.zeros_like(grad)
     for (t, u, k) in path.triples:
@@ -140,13 +147,11 @@ def test_attached_weight_matches_finite_differences():
     lat = _lattice(rng, 3, 1, k=4)
     path = _path_for(lat, rng)
     cfg = ParConfig(detach_weight=False)
-    lat.log_probs.requires_grad = True
-    par_loss(lat, path, cfg).backward()
-    grad = lat.log_probs.grad
+    grad = _par(lat, path, cfg)[1]
     lp0 = lat.log_probs.data
 
     def loss_at(lp):
-        return par_loss(PosteriorLattice(Tensor(lp), lat.targets), path, cfg).item()
+        return _par(PosteriorLattice(Tensor(lp), lat.targets), path, cfg)[0].item()
 
     eps = 1e-7
     for (t, u, k) in path.triples:
@@ -165,7 +170,7 @@ def test_par_loss_bounds_check():
     lat = _lattice(rng, 2, 1)
     bad = build_path([PHI, PHI, int(lat.targets[0])], list(lat.targets))
     with pytest.raises(ValueError, match="outside lattice"):
-        par_loss(lat, bad)  # triple at t=2 in a T=2 lattice
+        _par(lat, bad)  # triple at t=2 in a T=2 lattice
 
 
 def test_joint_loss_beta_zero_is_the_transducer_tensor():
@@ -190,7 +195,7 @@ def test_joint_loss_combines_terms():
     lat = _lattice(rng, 4, 2)
     path = _path_for(lat, rng)
     cfg = ParConfig(beta=2.5)
-    want = transducer_loss(lat).item() + 2.5 * par_loss(lat, path).item()
+    want = transducer_loss(lat).item() + 2.5 * _par(lat, path)[0].item()
     assert joint_loss(lat, path, cfg).item() == pytest.approx(want, rel=1e-12)
 
 
@@ -249,12 +254,13 @@ def test_par_and_joint_loss_match_unfused_composition(case, detach):
     for beta in (0.0, 2.5, 10.0):
         cfg = ParConfig(beta=beta, detach_weight=detach)
         for grid, ys, lens, ps in inputs:
-            pairs = [(joint_loss, unfused.joint_loss)]
-            if beta == 10.0:
-                pairs.append((par_loss, unfused.par_loss))
-            for new, old in pairs:
-                got = _run(new, grid, ys, lens, ps, cfg)
-                want = _run(old, grid, ys, lens, ps, cfg)
+            runs = [(_run(joint_loss, grid, ys, lens, ps, cfg),
+                     _run(unfused.joint_loss, grid, ys, lens, ps, cfg))]
+            if beta == 10.0:  # PAR alone, at the cotangent _run gives it
+                lat = PosteriorLattice(Tensor(grid), ys, lens)
+                runs.append((_par(lat, ps, cfg, 1.0 / (len(ps) if lens is not None else 1)),
+                             _run(unfused.par_loss, grid, ys, lens, ps, cfg)))
+            for got, want in runs:
                 assert got[0].shape == want[0].shape
                 if detach or beta == 0.0:
                     np.testing.assert_array_equal(got[0], want[0])

@@ -14,7 +14,7 @@ from satkit.data import TaskSpec, generate_split, make_batches, normalize_datase
 from satkit.lattice import transducer_loss
 from satkit.model import ModelConfig, SATModel
 from satkit.optim import SGDMomentum
-from satkit.pathreg import ParConfig, par_loss
+from satkit.pathreg import ParConfig
 from satkit.train import METRICS_COLUMNS, TrainConfig, Trainer
 import unfused
 
@@ -330,7 +330,7 @@ def _reference_step(model, batch, paths, beta):
         lat = model.forward_lattice(batch.feats[i, :batch.feat_lengths[i]], ids)
         loss = transducer_loss(lat, validate=False)
         if beta > 0.0:
-            loss = ad.add(loss, ad.scale(par_loss(lat, paths[i], cfg), beta))
+            loss = ad.add(loss, ad.scale(unfused.par_loss(lat, paths[i], cfg), beta))
         ad.scale(loss, 1.0 / len(batch.targets)).backward()
         total += loss.item()
     grads = {k: p.grad.copy() for k, p in model.params.items()}
